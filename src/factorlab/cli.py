@@ -62,21 +62,27 @@ def _collect_overrides(args: argparse.Namespace) -> dict[str, str]:
     return over
 
 
-def _configs_from_args(args: argparse.Namespace) -> list[RunConfig]:
+def _configs_from_args(args: argparse.Namespace, sweep: bool = False) -> list[RunConfig]:
+    """Configs the flags select; a ``sweep`` merges det variants unless ``--det`` is given."""
     over = _collect_overrides(args)
     if args.preset:
         seed = args.seed if args.seed is not None else 2024
         cfgs = preset(args.preset, seed=seed)
-        # Narrow the preset family by explicit flags, then apply overrides.
+        # Narrow the preset family by explicit flags, then apply overrides;
+        # the flags' own keys are spent on the narrowing.
         if args.field:
             cfgs = [c for c in cfgs if c.field is FieldTag.parse(args.field)]
+            over.pop("field")
         if getattr(args, "det", None):
             want = +1 if args.det == "plus" else -1
             cfgs = [c for c in cfgs if c.det_sign in (want, None)]
+            over.pop("det")
+        elif sweep:
+            # Leave the det sign to each seed: the real variants become one sweep.
+            merged = [replace(c, name=c.name.rsplit("-det", 1)[0], det_sign=None) for c in cfgs]
+            cfgs = [c for i, c in enumerate(merged) if c not in merged[:i]]
         if not cfgs:
             raise ConfigError("preset family has no variant matching the given flags")
-        over.pop("field", None)
-        over.pop("det", None)
         return [build_config(over, base=c) for c in cfgs]
     return [build_config(over)]
 
@@ -96,29 +102,27 @@ def _cmd_run(args: argparse.Namespace) -> int:
 
 
 def _cmd_sweep(args: argparse.Namespace) -> int:
-    cfgs = _configs_from_args(args)
-    if len(cfgs) != 1:
-        cfgs = cfgs[:1]
-    base = cfgs[0]
-    result = sweep_convergence(base, args.seeds)
-    print(
-        f"sweep({base.name}, field={base.field.value}): {result.n_converged}/{result.n_seeds} "
-        f"converged, fraction={result.fraction:.3f}"
-    )
-    if result.n_det_plus or result.n_det_minus:
+    rows = ["name,seed,status,converged,steps_run,final_l_ori,det_w0"]
+    for base in _configs_from_args(args, sweep=True):
+        result = sweep_convergence(base, args.seeds)
         print(
-            f"  det>0: {result.n_det_plus_converged}/{result.n_det_plus} "
-            f"(fraction={result.fraction_det_plus:.3f}); "
-            f"det<0: {result.n_det_minus_converged}/{result.n_det_minus} "
-            f"(fraction={result.fraction_det_minus:.3f})"
+            f"sweep({base.name}, field={base.field.value}): {result.n_converged}/{result.n_seeds} "
+            f"converged, fraction={result.fraction:.3f}"
         )
-    if args.out:
-        args.out.mkdir(parents=True, exist_ok=True)
-        rows = ["seed,status,converged,steps_run,final_l_ori,det_w0"]
+        if result.n_det_plus or result.n_det_minus:
+            print(
+                f"  det>0: {result.n_det_plus_converged}/{result.n_det_plus} "
+                f"(fraction={result.fraction_det_plus:.3f}); "
+                f"det<0: {result.n_det_minus_converged}/{result.n_det_minus} "
+                f"(fraction={result.fraction_det_minus:.3f})"
+            )
         rows += [
-            f"{o.seed},{o.status},{int(o.converged)},{o.steps_run},{o.final_l_ori!r},{o.det_w0!r}"
+            f"{base.name},{o.seed},{o.status},{int(o.converged)},{o.steps_run},"
+            f"{o.final_l_ori!r},{o.det_w0!r}"
             for o in result.outcomes
         ]
+    if args.out:
+        args.out.mkdir(parents=True, exist_ok=True)
         path = args.out / "sweep.csv"
         path.write_text("\n".join(rows) + "\n")
         print(f"  per-seed results -> {path}")

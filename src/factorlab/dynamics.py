@@ -15,6 +15,7 @@ conjugate Wirtinger derivative), so one update rule covers both fields.
 from __future__ import annotations
 
 from dataclasses import dataclass, field as dc_field
+from typing import NamedTuple
 
 import numpy as np
 
@@ -121,92 +122,142 @@ def product(stack: LayerStack) -> np.ndarray:
     return w
 
 
-def balance_deltas(stack: LayerStack) -> list[np.ndarray]:
-    """Adjacent balance defects ``W_j W_j^H - W_{j+1}^H W_{j+1}``, j = 1..N-1."""
-    out = []
-    for wj, wj1 in zip(stack.layers[:-1], stack.layers[1:]):
-        out.append(wj @ adjoint(wj) - adjoint(wj1) @ wj1)
-    return out
+# ---------------------------------------------------------------------------
+# Kernel: the loss and its gradient on a layer array ``w`` of shape
+# ``(..., N, d, d)``, where ``w[..., j, :, :]`` is ``W_{j+1}`` and any leading
+# axes index independent problems.  Every operation acts on each problem's
+# matrices alone, so a problem's values do not depend on the batch it is in.
+# ---------------------------------------------------------------------------
 
 
-def _check_dims(stack: LayerStack, target: TargetSpec) -> None:
-    if target.matrix.shape != (stack.dim, stack.dim):
-        raise DimMismatchError("target dimension does not match the stack")
+def _frobenius(x: np.ndarray) -> np.ndarray:
+    """Frobenius norm of every matrix in a ``(..., d, d)`` array.
+
+    Each value equals ``np.linalg.norm`` of that matrix bit for bit: the same
+    BLAS dot, called once per matrix.
+    """
+    flat = x.reshape(*x.shape[:-2], 1, -1)
+    parts = (flat.real, flat.imag) if np.iscomplexobj(flat) else (flat,)
+    return np.sqrt(sum(p @ p.swapaxes(-1, -2) for p in parts)[..., 0, 0])
 
 
-def loss(stack: LayerStack, target: TargetSpec, cfg: DynConfig) -> tuple[float, float, float]:
-    """Returns ``(l_ori, l_reg, total)``; ``l_ori`` reported even when omitted."""
-    _check_dims(stack, target)
-    l_ori = 0.5 * float(np.linalg.norm(target.matrix - product(stack)) ** 2)
+def _defects(w: np.ndarray) -> np.ndarray:
+    """Balance defects ``W_j W_j^H - W_{j+1}^H W_{j+1}``, stacked on the layer axis."""
+    upper, lower = w[..., :-1, :, :], w[..., 1:, :, :]
+    return upper @ adjoint(upper) - adjoint(lower) @ lower
+
+
+class _Evaluation(NamedTuple):
+    """Everything the gradient needs at ``w``, and the loss terms there."""
+
+    w: np.ndarray
+    suffix: list[np.ndarray]  # suffix[j] = W_{j+1} ... W_1, so suffix[-1] = W
+    misfit: np.ndarray  # Sigma - W
+    deltas: np.ndarray | None  # balance defects; only when the regularizer is on
+    l_ori: np.ndarray
+    l_reg: np.ndarray | float
+
+
+def _evaluate(w: np.ndarray, sigma: np.ndarray, cfg: DynConfig) -> _Evaluation:
+    """Products, misfit, defects and ``(l_ori, l_reg)`` of every problem in ``w``.
+
+    The product is right-associated, ``W_N (... (W_2 W_1))``; each norm is
+    squared as ``n * n``.
+    """
+    suffix = [w[..., 0, :, :]]
+    for j in range(1, w.shape[-3]):
+        suffix.append(w[..., j, :, :] @ suffix[-1])
+    misfit = sigma - suffix[-1]
+    n = _frobenius(misfit)
+    l_ori = 0.5 * (n * n)
+    deltas = None
     l_reg = 0.0
     if cfg.reg_a > 0:
-        l_reg = 0.25 * cfg.reg_a * float(
-            sum(np.linalg.norm(delta) ** 2 for delta in balance_deltas(stack))
-        )
-    total = (0.0 if cfg.omit_l_ori else l_ori) + l_reg
-    return l_ori, l_reg, total
+        deltas = _defects(w)
+        n = _frobenius(deltas)
+        l_reg = 0.25 * cfg.reg_a * sum(n[..., j] * n[..., j] for j in range(n.shape[-1]))
+    return _Evaluation(w, suffix, misfit, deltas, l_ori, l_reg)
 
 
-def gradient(stack: LayerStack, target: TargetSpec, cfg: DynConfig) -> list[np.ndarray]:
-    """Exact gradient of the total loss with respect to every layer.
+def _descend(ev: _Evaluation, cfg: DynConfig) -> np.ndarray:
+    """Gradient of the total loss at an evaluated ``w``, one layer per slot.
 
     Misfit part: ``-(W_N..W_{j+1})^H (Sigma - W) (W_{j-1}..W_1)^H``.
     Regularizer part: ``-a W_j Delta_{j-1,j} + a Delta_{j,j+1} W_j`` with the
     boundary defects defined as zero.
     """
-    _check_dims(stack, target)
-    n = stack.depth
-    layers = stack.layers
-    grads: list[np.ndarray] = [np.zeros_like(w) for w in layers]
-
+    w = ev.w
+    grad = np.zeros_like(w)
     if not cfg.omit_l_ori:
-        # suffix[j] = W_j ... W_1 (suffix[0] = I), prefix[j] = W_N ... W_j (prefix[n+1] = I)
-        eye = np.eye(stack.dim, dtype=layers[0].dtype)
-        suffix = [eye]
-        for w in layers:
-            suffix.append(w @ suffix[-1])
-        prefix = [eye]
-        for w in reversed(layers):
-            prefix.append(prefix[-1] @ w)
-        prefix = prefix[::-1]  # prefix[j] = W_N ... W_{j+1}; prefix[n] = I
-        misfit = target.matrix - suffix[-1]
-        for j in range(1, n + 1):
-            grads[j - 1] = grads[j - 1] - adjoint(prefix[j]) @ misfit @ adjoint(suffix[j - 1])
-
+        # From the top layer down: ``left`` is (product of the layers above
+        # the current one)^H (Sigma - W); that product is built from the left.
+        left = ev.misfit
+        prefix = None
+        for j in range(w.shape[-3] - 1, 0, -1):
+            grad[..., j, :, :] = -(left @ adjoint(ev.suffix[j - 1]))
+            prefix = w[..., j, :, :] if prefix is None else prefix @ w[..., j, :, :]
+            left = adjoint(prefix) @ ev.misfit
+        grad[..., 0, :, :] = -left
     if cfg.reg_a > 0:
-        deltas = balance_deltas(stack)
         a = cfg.reg_a
-        for j in range(1, n + 1):
-            if j >= 2:
-                grads[j - 1] = grads[j - 1] - a * (layers[j - 1] @ deltas[j - 2])
-            if j <= n - 1:
-                grads[j - 1] = grads[j - 1] + a * (deltas[j - 1] @ layers[j - 1])
-    return grads
+        grad[..., 1:, :, :] -= a * (w[..., 1:, :, :] @ ev.deltas)
+        grad[..., :-1, :, :] += a * (ev.deltas @ w[..., :-1, :, :])
+    return grad
+
+
+def _advance(ev: _Evaluation, sigma: np.ndarray, cfg: DynConfig, integrator: str) -> np.ndarray:
+    """Layers after one GD (``"gd"``) or RK4 (``"flow_rk4"``) step from ``ev``.
+
+    The first RK4 stage is the gradient at ``ev`` itself.
+    """
+    w = ev.w
+    if integrator == "gd":
+        return w - cfg.eta * _descend(ev, cfg)
+    h = cfg.step_h
+
+    def rhs(y: np.ndarray) -> np.ndarray:
+        return -_descend(_evaluate(y, sigma, cfg), cfg)
+
+    k1 = -_descend(ev, cfg)
+    k2 = rhs(w + 0.5 * h * k1)
+    k3 = rhs(w + 0.5 * h * k2)
+    k4 = rhs(w + h * k3)
+    return w + (h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
+
+
+def _evaluate_stack(stack: LayerStack, target: TargetSpec, cfg: DynConfig) -> _Evaluation:
+    if target.matrix.shape != (stack.dim, stack.dim):
+        raise DimMismatchError("target dimension does not match the stack")
+    return _evaluate(np.stack(stack.layers), target.matrix, cfg)
+
+
+def balance_deltas(stack: LayerStack) -> list[np.ndarray]:
+    """Adjacent balance defects ``W_j W_j^H - W_{j+1}^H W_{j+1}``, j = 1..N-1."""
+    return list(_defects(np.stack(stack.layers)))
+
+
+def loss(stack: LayerStack, target: TargetSpec, cfg: DynConfig) -> tuple[float, float, float]:
+    """Returns ``(l_ori, l_reg, total)``; ``l_ori`` reported even when omitted."""
+    ev = _evaluate_stack(stack, target, cfg)
+    l_ori, l_reg = float(ev.l_ori), float(ev.l_reg)
+    return l_ori, l_reg, (0.0 if cfg.omit_l_ori else l_ori) + l_reg
+
+
+def gradient(stack: LayerStack, target: TargetSpec, cfg: DynConfig) -> list[np.ndarray]:
+    """Exact gradient of the total loss with respect to every layer."""
+    return list(_descend(_evaluate_stack(stack, target, cfg), cfg))
 
 
 def gd_step(stack: LayerStack, target: TargetSpec, cfg: DynConfig) -> LayerStack:
     """One simultaneous gradient-descent update of every layer."""
-    grads = gradient(stack, target, cfg)
-    return LayerStack(tuple(w - cfg.eta * g for w, g in zip(stack.layers, grads)))
+    ev = _evaluate_stack(stack, target, cfg)
+    return LayerStack(tuple(_advance(ev, target.matrix, cfg, "gd")))
 
 
 def flow_step_rk4(stack: LayerStack, target: TargetSpec, cfg: DynConfig) -> LayerStack:
     """One classical 4th-order Runge-Kutta step of the coupled layer ODE."""
-    h = cfg.step_h
-
-    def rhs(layers: tuple[np.ndarray, ...]) -> list[np.ndarray]:
-        return [-g for g in gradient(LayerStack(layers), target, cfg)]
-
-    y0 = stack.layers
-    k1 = rhs(y0)
-    k2 = rhs(tuple(w + 0.5 * h * k for w, k in zip(y0, k1)))
-    k3 = rhs(tuple(w + 0.5 * h * k for w, k in zip(y0, k2)))
-    k4 = rhs(tuple(w + h * k for w, k in zip(y0, k3)))
-    new = tuple(
-        w + (h / 6.0) * (a + 2.0 * b + 2.0 * c + dd)
-        for w, a, b, c, dd in zip(y0, k1, k2, k3, k4)
-    )
-    return LayerStack(new)
+    ev = _evaluate_stack(stack, target, cfg)
+    return LayerStack(tuple(_advance(ev, target.matrix, cfg, "flow_rk4")))
 
 
 def reduce_target(

@@ -51,7 +51,3 @@ class MalformedCSVError(FactorLabError):
 
 class ConfigError(FactorLabError):
     """Run configuration is invalid."""
-
-
-class DivergedError(FactorLabError):
-    """A trajectory exceeded the divergence guard."""

@@ -25,13 +25,16 @@ from .dynamics import (
     DynConfig,
     LayerStack,
     TargetSpec,
-    flow_step_rk4,
-    gd_step,
+    _advance,
+    _evaluate,
+    _frobenius,
     gradient,
     loss,
     product,
     reduce_target,
 )
+# Not called here: the benchmark's tracer wraps the steppers under these names.
+from .dynamics import flow_step_rk4, gd_step  # noqa: F401
 from .ensembles import (
     PRNG_NAME,
     InitScheme,
@@ -311,15 +314,12 @@ class RunSummary:
     csv_path: str | None
 
 
-def _diverged(stack: LayerStack) -> bool:
-    for w in stack.layers:
-        if not np.all(np.isfinite(w)) or np.linalg.norm(w) > DIVERGENCE_GUARD:
-            return True
-    return False
+def _bounded(w: np.ndarray) -> np.ndarray:
+    """Per problem in a ``(..., N, d, d)`` layer array: every layer norm within the guard.
 
-
-def _step_fn(cfg: RunConfig):
-    return gd_step if cfg.dyn.integrator == "gd" else flow_step_rk4
+    A NaN or Inf entry makes its layer norm NaN or Inf, which fails the test.
+    """
+    return np.all(_frobenius(w) <= DIVERGENCE_GUARD, axis=-1)
 
 
 def _time_of(cfg: RunConfig, step: int) -> float:
@@ -341,7 +341,8 @@ def run_scenario(
     """
     t0 = _time.perf_counter()
     target, stack, det_w0 = prepare_problem(cfg)
-    step_fn = _step_fn(cfg)
+    sigma = target.matrix
+    w = np.stack(stack.layers)
 
     lines: list[str] = [f"# factorlab trajectory, name = {cfg.name}"]
     lines += [f"# {item}" for item in cfg.echo()]
@@ -355,12 +356,13 @@ def run_scenario(
     status = "exhausted"
     converged_step: int | None = None
     last_recorded = -1
-    l_ori, l_reg, _ = loss(stack, target, cfg.dyn)
     step = 0
 
     def _record(step_: int) -> None:
         nonlocal track, last_recorded
-        rec, track = record(step_, _time_of(cfg, step_), stack, target, cfg.dyn, track)
+        rec, track = record(
+            step_, _time_of(cfg, step_), LayerStack(tuple(w)), target, cfg.dyn, track
+        )
         lines.append(record_to_csv_row(rec, cfg.d))
         last_recorded = step_
         if on_record is not None:
@@ -369,15 +371,16 @@ def run_scenario(
     for step in range(cfg.steps + 1):
         if step % cfg.record_stride == 0:
             _record(step)
-        l_ori, l_reg, _ = loss(stack, target, cfg.dyn)
+        ev = _evaluate(w, sigma, cfg.dyn)
+        l_ori, l_reg = float(ev.l_ori), float(ev.l_reg)
         if l_ori < cfg.eps_conv and not cfg.dyn.omit_l_ori:
             status = "converged"
             converged_step = step
             break
         if step == cfg.steps:
             break
-        stack = step_fn(stack, target, cfg.dyn)
-        if _diverged(stack):
+        w = _advance(ev, sigma, cfg.dyn, cfg.dyn.integrator)
+        if not _bounded(w):
             status = "diverged"
             step += 1
             break
@@ -387,7 +390,7 @@ def run_scenario(
     else:
         if last_recorded != step:
             _record(step)
-        _, e_delta = balance_errors(stack)
+        _, e_delta = balance_errors(LayerStack(tuple(w)))
 
     csv_path = None
     if out_dir is not None:
@@ -475,67 +478,21 @@ def _sweep_seeds(base_seed: int, n: int) -> list[int]:
     return [int(c.generate_state(1, np.uint64)[0]) for c in children]
 
 
-def _run_flow_light(cfg: RunConfig) -> SeedOutcome:
-    """Monitor-free RK4 flow trajectory for sweeps: loss tracking and guards only."""
-    target, stack, det_w0 = prepare_problem(cfg)
-    status = "exhausted"
-    steps_run = cfg.steps
-    l_ori = float("inf")
-    step_fn = _step_fn(cfg)
-    for step in range(cfg.steps + 1):
-        l_ori = 0.5 * float(np.linalg.norm(target.matrix - product(stack)) ** 2)
-        if l_ori < cfg.eps_conv:
-            status = "converged"
-            steps_run = step
-            break
-        if step == cfg.steps:
-            break
-        stack = step_fn(stack, target, cfg.dyn)
-        if _diverged(stack):
-            status = "diverged"
-            steps_run = step + 1
-            l_ori = float("inf")
-            break
-    return SeedOutcome(cfg.seed, status, status == "converged", steps_run, l_ori, det_w0)
-
-
-def _frobenius_norms(x: np.ndarray) -> np.ndarray:
-    """Frobenius norm of every matrix in a ``(B, d, d)`` stack.
-
-    Each value equals ``np.linalg.norm(x[i])`` bit for bit: the same BLAS dot
-    reduction, called once per matrix, so a seed's value does not depend on
-    how many other seeds share the stack.
-    """
-    flat = x.reshape(len(x), 1, -1)
-    parts = (flat.real, flat.imag) if np.iscomplexobj(flat) else (flat,)
-    return np.sqrt(sum(p @ p.swapaxes(-1, -2) for p in parts)[:, 0, 0])
-
-
-def _run_gd_batch(cfgs: list[RunConfig]) -> list[SeedOutcome]:
-    """Monitor-free GD trajectories of several seeds, stepped together.
+def _run_chunk(cfgs: list[RunConfig]) -> list[SeedOutcome]:
+    """Monitor-free trajectories of several seeds of one config, stepped together.
 
     ``cfgs`` differ only in seed and name.  The layers of all seeds are one
-    ``(B, N, d, d)`` array advanced with stacked ``np.matmul``; a seed leaves
-    the batch when it converges (``l_ori < eps_conv``, checked every step)
-    or diverges (non-finite layer or layer norm above the guard, checked
-    every 25 steps).  Every operation acts on each seed's matrices alone, so
-    a seed's outcome is bitwise independent of the batch it runs in.
+    ``(B, N, d, d)`` array advanced by the dynamics kernel with either
+    integrator; a seed leaves the batch when it converges (``l_ori <
+    eps_conv``, checked every step) or diverges (non-finite layer or layer
+    norm above the guard, checked every 25 steps).  The kernel acts on each
+    seed's matrices alone, so a seed's outcome is bitwise independent of the
+    batch it runs in.
     """
     cfg = cfgs[0]
     problems = [prepare_problem(c) for c in cfgs]
     w = np.stack([np.stack(stack.layers) for _, stack, _ in problems])
     sigma = np.stack([target.matrix for target, _, _ in problems])
-    n = cfg.n_layers
-    a = cfg.dyn.reg_a
-    eta = cfg.dyn.eta
-    omit = cfg.dyn.omit_l_ori
-    if np.iscomplexobj(w):
-        def adj(x):
-            return x.swapaxes(-1, -2).conj()
-    else:
-        def adj(x):
-            return x.swapaxes(-1, -2)
-
     active = np.arange(len(cfgs))  # batch row -> index into cfgs
     outcomes: list[SeedOutcome | None] = [None] * len(cfgs)
 
@@ -547,60 +504,31 @@ def _run_gd_batch(cfgs: list[RunConfig]) -> list[SeedOutcome]:
             )
         return ~mask
 
-    for step in range(cfg.steps + 1):
-        # suffix[j] = W_j ... W_1 for j = 1..N
-        suffix = [None, w[:, 0]]
-        for j in range(1, n):
-            suffix.append(w[:, j] @ suffix[-1])
-        misfit = sigma - suffix[-1]
-        l_ori = 0.5 * _frobenius_norms(misfit) ** 2
-        if not omit:
-            done = l_ori < cfg.eps_conv
-            if done.any():
-                keep = retire(done, "converged", step, l_ori)
-                active, w, sigma = active[keep], w[keep], sigma[keep]
-                misfit, l_ori = misfit[keep], l_ori[keep]
-                suffix = [None] + [s[keep] for s in suffix[1:]]
-                if not len(active):
-                    break
-        if step == cfg.steps:
-            retire(np.ones(len(active), bool), "exhausted", step, l_ori)
-            break
-        grads = np.zeros_like(w)
-        if not omit:
-            # pre = W_N ... W_{j+1}, built downwards from the top layer
-            pre = None
-            for j in range(n, 0, -1):
-                left = misfit if pre is None else adj(pre) @ misfit
-                grads[:, j - 1] = -(left @ adj(suffix[j - 1])) if j > 1 else -left
-                pre = w[:, j - 1] if pre is None else pre @ w[:, j - 1]
-        if a > 0:
-            deltas = [
-                w[:, j] @ adj(w[:, j]) - adj(w[:, j + 1]) @ w[:, j + 1] for j in range(n - 1)
-            ]
-            for j in range(n):
-                if j >= 1:
-                    grads[:, j] -= a * (w[:, j] @ deltas[j - 1])
-                if j <= n - 2:
-                    grads[:, j] += a * (deltas[j] @ w[:, j])
-        w = w - eta * grads
-        if step % 25 == 0:
-            norms = _frobenius_norms(w.reshape(-1, cfg.d, cfg.d)).reshape(len(w), n)
-            # A non-finite entry makes its layer norm nan or inf, failing the bound.
-            bad = ~np.all(norms <= DIVERGENCE_GUARD, axis=1)
-            if bad.any():
-                keep = retire(bad, "diverged", step + 1, np.full(len(w), np.inf))
-                active, w, sigma = active[keep], w[keep], sigma[keep]
-                if not len(active):
-                    break
+    # A diverging seed overflows for up to 25 steps before the guard retires
+    # it; that is a documented outcome, not a fault.
+    with np.errstate(over="ignore", invalid="ignore"):
+        for step in range(cfg.steps + 1):
+            ev = _evaluate(w, sigma, cfg.dyn)
+            if not cfg.dyn.omit_l_ori:
+                done = ev.l_ori < cfg.eps_conv
+                if done.any():
+                    keep = retire(done, "converged", step, ev.l_ori)
+                    active, w, sigma = active[keep], w[keep], sigma[keep]
+                    if not len(active):
+                        break
+                    ev = _evaluate(w, sigma, cfg.dyn)
+            if step == cfg.steps:
+                retire(np.ones(len(active), bool), "exhausted", step, ev.l_ori)
+                break
+            w = _advance(ev, sigma, cfg.dyn, cfg.dyn.integrator)
+            if step % 25 == 0:
+                bad = ~_bounded(w)
+                if bad.any():
+                    keep = retire(bad, "diverged", step + 1, np.full(len(w), np.inf))
+                    active, w, sigma = active[keep], w[keep], sigma[keep]
+                    if not len(active):
+                        break
     return outcomes
-
-
-def _run_chunk(cfgs: list[RunConfig]) -> list[SeedOutcome]:
-    """Sweep work unit: one chunk of seeds of the same config, in seed order."""
-    if cfgs[0].dyn.integrator == "gd":
-        return _run_gd_batch(cfgs)
-    return [_run_flow_light(c) for c in cfgs]
 
 
 def _max_workers() -> int:
@@ -622,7 +550,7 @@ def sweep_convergence(
 
     Seeds are spawned deterministically from ``base_cfg.seed`` and split, in
     seed order, into chunks of an even share per worker, at most
-    ``MAX_SWEEP_BATCH``.  GD chunks are stepped as one batch; the process
+    ``MAX_SWEEP_BATCH``.  Each chunk is stepped as one batch; the process
     pool only spreads chunks over workers.  Results are merged in seed order
     and each seed's outcome is independent of the chunking, so the result
     does not depend on ``workers``.  For the
@@ -926,52 +854,54 @@ def _parse_floats(text: str) -> tuple[float, ...]:
 
 
 def build_config(overrides: dict[str, str], base: RunConfig | None = None) -> RunConfig:
-    """Apply flat key=value overrides (config file or CLI) onto a base config."""
+    """Apply flat key=value overrides (config file or CLI) onto a base config.
+
+    Every value that fails to parse or validate raises ConfigError.
+    """
     cfg = base if base is not None else RunConfig()
     init = cfg.init
     dyn = cfg.dyn
     fields: dict = {}
     for key, val in overrides.items():
-        if key == "name":
-            fields["name"] = val
-        elif key == "field":
-            fields["field"] = FieldTag.parse(val)
-        elif key in ("d", "n_layers", "steps", "record_stride", "seed"):
-            fields[key] = int(val)
-        elif key == "target":
-            fields["target_kind"] = val
-        elif key == "sigma1":
-            fields["sigma1"] = float(val)
-        elif key == "diag":
-            fields["diag"] = _parse_floats(val)
-        elif key == "eps_conv":
-            fields["eps_conv"] = float(val)
-        elif key == "det":
-            if val not in ("plus", "minus", ""):
-                raise ConfigError("det must be 'plus' or 'minus'")
-            fields["det_sign"] = None if val == "" else (+1 if val == "plus" else -1)
-        elif key == "init":
-            init = replace(init, kind=val)
-        elif key == "epsilon":
-            init = replace(init, epsilon=float(val))
-        elif key == "s_phases":
-            init = replace(init, s_phases=tuple(complex(v) for v in val.split(",")))
-        elif key == "g_singular_values":
-            init = replace(init, g_singular_values=_parse_floats(val))
-        elif key == "reg_a":
-            dyn = replace(dyn, reg_a=float(val))
-        elif key == "eta":
-            dyn = replace(dyn, eta=float(val))
-        elif key == "step_h":
-            dyn = replace(dyn, step_h=float(val))
-        elif key == "integrator":
-            dyn = replace(dyn, integrator=val)
-        elif key == "omit_l_ori":
-            dyn = replace(dyn, omit_l_ori=val.lower() in ("1", "true", "yes"))
-        else:
-            raise ConfigError(f"unknown config key {key!r}")
-    try:
-        cfg = replace(cfg, init=init, dyn=dyn, **fields)
-    except ValueError as exc:
-        raise ConfigError(str(exc)) from None
-    return cfg
+        try:
+            if key == "name":
+                fields["name"] = val
+            elif key == "field":
+                fields["field"] = FieldTag.parse(val)
+            elif key in ("d", "n_layers", "steps", "record_stride", "seed"):
+                fields[key] = int(val)
+            elif key == "target":
+                fields["target_kind"] = val
+            elif key == "sigma1":
+                fields["sigma1"] = float(val)
+            elif key == "diag":
+                fields["diag"] = _parse_floats(val)
+            elif key == "eps_conv":
+                fields["eps_conv"] = float(val)
+            elif key == "det":
+                if val not in ("plus", "minus", ""):
+                    raise ConfigError("det must be 'plus' or 'minus'")
+                fields["det_sign"] = None if val == "" else (+1 if val == "plus" else -1)
+            elif key == "init":
+                init = replace(init, kind=val)
+            elif key == "epsilon":
+                init = replace(init, epsilon=float(val))
+            elif key == "s_phases":
+                init = replace(init, s_phases=tuple(complex(v) for v in val.split(",")))
+            elif key == "g_singular_values":
+                init = replace(init, g_singular_values=_parse_floats(val))
+            elif key == "reg_a":
+                dyn = replace(dyn, reg_a=float(val))
+            elif key == "eta":
+                dyn = replace(dyn, eta=float(val))
+            elif key == "step_h":
+                dyn = replace(dyn, step_h=float(val))
+            elif key == "integrator":
+                dyn = replace(dyn, integrator=val)
+            elif key == "omit_l_ori":
+                dyn = replace(dyn, omit_l_ori=val.lower() in ("1", "true", "yes"))
+            else:
+                raise ConfigError(f"unknown config key {key!r}")
+        except ValueError as exc:
+            raise ConfigError(f"{key} = {val}: {exc}") from None
+    return replace(cfg, init=init, dyn=dyn, **fields)

@@ -61,8 +61,8 @@ class FieldTag(enum.Enum):
 
 
 def adjoint(m: np.ndarray) -> np.ndarray:
-    """Conjugate transpose (plain transpose over the reals)."""
-    return m.conj().T
+    """Conjugate transpose of a matrix, or of every matrix in a ``(..., d, d)`` stack."""
+    return m.conj().swapaxes(-1, -2)
 
 
 def _check_finite(m: np.ndarray, who: str) -> None:

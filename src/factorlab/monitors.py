@@ -51,26 +51,36 @@ def balance_errors(stack: LayerStack) -> tuple[list[np.ndarray], float]:
     return deltas, e
 
 
-def _w1_prime(stack: LayerStack) -> np.ndarray:
-    """``W_2^{-1} W_3^H W_4^H`` by linear solve; guards on cond(W_2)."""
+def _w1_prime(stack: LayerStack, sv2: np.ndarray | None = None) -> np.ndarray:
+    """``W_2^{-1} W_3^H W_4^H`` by linear solve; guards on cond(W_2).
+
+    ``sv2`` are the singular values of ``W_2`` when the caller has them.
+    """
     if stack.depth != 4:
         raise ValueError("this diagnostic is defined for four-layer stacks")
     w1, w2, w3, w4 = stack.layers
-    sv = np.linalg.svd(w2, compute_uv=False)
+    sv = np.linalg.svd(w2, compute_uv=False) if sv2 is None else sv2
     if sv[-1] <= 0 or sv[0] / sv[-1] >= COND_GUARD:
         raise IllConditionedError("W_2 condition number exceeds guard")
     return np.linalg.solve(w2, adjoint(w3) @ adjoint(w4))
 
 
+def _skew_error(w1: np.ndarray, w1p: np.ndarray) -> float:
+    return float(np.linalg.norm(w1 - w1p))
+
+
+def _main_term_sigma_min(w1: np.ndarray, w1p: np.ndarray) -> float:
+    return float(np.linalg.svd(w1 + w1p, compute_uv=False)[-1])
+
+
 def skew_error(stack: LayerStack) -> float:
     """``||W_1 - W_2^{-1} W_3^H W_4^H||_F``: the unbalanced skew-alignment error."""
-    return float(np.linalg.norm(stack.layers[0] - _w1_prime(stack)))
+    return _skew_error(stack.layers[0], _w1_prime(stack))
 
 
 def main_term_sigma_min(stack: LayerStack) -> float:
     """``sigma_min(W_1 + W_2^{-1} W_3^H W_4^H)``: the saddle-avoidance certificate."""
-    m = stack.layers[0] + _w1_prime(stack)
-    return float(np.linalg.svd(m, compute_uv=False)[-1])
+    return _main_term_sigma_min(stack.layers[0], _w1_prime(stack))
 
 
 @dataclass(frozen=True)
@@ -189,15 +199,13 @@ def eig_sandwich_check(u: np.ndarray, v: np.ndarray, s: np.ndarray) -> bool:
     return True
 
 
+def _extremes(svs: list[np.ndarray]) -> tuple[float, float]:
+    return max(float(sv[0]) for sv in svs), min(float(sv[-1]) for sv in svs)
+
+
 def layer_extremes(stack: LayerStack) -> tuple[float, float]:
     """Largest and smallest singular value over all layers."""
-    sig_max = -np.inf
-    sig_min = np.inf
-    for w in stack.layers:
-        sv = np.linalg.svd(w, compute_uv=False)
-        sig_max = max(sig_max, float(sv[0]))
-        sig_min = min(sig_min, float(sv[-1]))
-    return sig_max, sig_min
+    return _extremes([np.linalg.svd(w, compute_uv=False) for w in stack.layers])
 
 
 @dataclass(frozen=True)
@@ -230,18 +238,21 @@ def record(
     """Assemble all monitors for one step; returns the record and the new track.
 
     Guard trips (ill-conditioned ``W_2``, unreduced target) downgrade the
-    affected fields to absent instead of raising.
+    affected fields to absent instead of raising.  Each layer is factored
+    once, and ``W_2^{-1} W_3^H W_4^H`` solved once, for all the monitors.
     """
     l_ori, l_reg, _ = loss(stack, target, cfg)
     _, e_delta = balance_errors(stack)
-    sig_max, sig_min = layer_extremes(stack)
+    svs = [np.linalg.svd(w, compute_uv=False) for w in stack.layers]
+    sig_max, sig_min = _extremes(svs)
 
     skew: float | None = None
     main_sv: float | None = None
     if stack.depth == 4:
         try:
-            skew = skew_error(stack)
-            main_sv = main_term_sigma_min(stack)
+            w1p = _w1_prime(stack, svs[1])
+            skew = _skew_error(stack.layers[0], w1p)
+            main_sv = _main_term_sigma_min(stack.layers[0], w1p)
         except IllConditionedError:
             logger.warning("step %d: W_2 ill-conditioned, skew/main-term absent", step)
 

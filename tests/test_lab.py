@@ -12,7 +12,7 @@ from factorlab.ensembles import InitScheme
 from factorlab.errors import ConfigError, MalformedCSVError
 from factorlab.lab import (
     RunConfig,
-    _run_gd_batch,
+    _run_chunk,
     _sweep_seeds,
     build_config,
     emit_plots,
@@ -206,17 +206,18 @@ class TestSweep:
         r = sweep_convergence(base, 8, workers=2)
         assert r.n_det_plus + r.n_det_minus == 8
 
-    def test_light_runner_matches_full(self):
+    @pytest.mark.parametrize("integrator", ["gd", "flow_rk4"])
+    def test_light_runner_matches_full(self, integrator):
         cfg = tiny_cfg(
             d=5,
             init=InitScheme(kind="random", epsilon=0.15),
-            dyn=DynConfig(reg_a=1.0, eta=0.05),
+            dyn=DynConfig(reg_a=1.0, eta=0.05, integrator=integrator),
             steps=500,
             eps_conv=1e-300,
         )
-        (out,) = _run_gd_batch([cfg])
+        (out,) = _run_chunk([cfg])
         s = run_scenario(cfg)
-        assert abs(out.final_l_ori - s.final_l_ori) < 1e-12 * (1 + s.final_l_ori)
+        assert (out.status, out.steps_run, out.final_l_ori) == (s.status, s.steps_run, s.final_l_ori)
 
     @staticmethod
     def _seed_cfgs(base, n):
@@ -226,23 +227,27 @@ class TestSweep:
     def _key(outcomes):
         return [(o.seed, o.status, o.steps_run, o.final_l_ori) for o in outcomes]
 
+    @pytest.mark.parametrize(
+        "integrator, steps",
+        [pytest.param("gd", 400, id="gd"), pytest.param("flow_rk4", 80, id="flow_rk4")],
+    )
     @pytest.mark.parametrize("field", [FieldTag.REAL, FieldTag.COMPLEX])
-    def test_batch_invariance(self, field):
+    def test_batch_invariance(self, field, integrator, steps):
         # Converging, exhausted and diverging seeds in one sweep: each seed's
         # outcome must not depend on which other seeds share its batch.
         base = tiny_cfg(
             d=5,
             field=field,
             init=InitScheme(kind="random", epsilon=0.55),
-            dyn=DynConfig(reg_a=1.0, eta=0.15),
-            steps=400,
+            dyn=DynConfig(reg_a=1.0, eta=0.15, step_h=0.15, integrator=integrator),
+            steps=steps,
             eps_conv=1e-3,
         )
         n = 8
         cfgs = self._seed_cfgs(base, n)
 
         def chunked(b):
-            return self._key(o for i in range(0, n, b) for o in _run_gd_batch(cfgs[i : i + b]))
+            return self._key(o for i in range(0, n, b) for o in _run_chunk(cfgs[i : i + b]))
 
         ref = chunked(1)
         assert {s for _, s, _, _ in ref} == {"converged", "exhausted", "diverged"}
@@ -262,11 +267,11 @@ class TestSweep:
             eps_conv=1e-3,
         )
         cfgs = self._seed_cfgs(base, 8)
-        free = _run_gd_batch(cfgs)
+        free = _run_chunk(cfgs)
         last = max(o.steps_run for o in free if o.converged)
         assert any(o.steps_run > last and o.status != "diverged" for o in free)
         cut = [replace(c, steps=last) for c in cfgs]
-        for f, o in zip(free, _run_gd_batch(cut)):
+        for f, o in zip(free, _run_chunk(cut)):
             if f.converged and f.steps_run == last:
                 assert (o.status, o.steps_run, o.final_l_ori) == ("converged", last, f.final_l_ori)
             elif f.steps_run > last:
@@ -415,6 +420,26 @@ class TestCli:
         assert rc == 0
         assert (tmp_path / "sweep.csv").exists()
 
+    def test_sweep_preset_family(self, tmp_path, capsys):
+        # Without --det the real variants are one sweep with the det sign
+        # left to the seed, beside the complex variant.
+        argv = ["sweep", "--preset", "fig-h1", "--steps", "20", "--seeds", "6", "--out", str(tmp_path)]
+
+        def rows():
+            return [r.split(",") for r in (tmp_path / "sweep.csv").read_text().splitlines()]
+
+        assert main(argv) == 0
+        assert rows()[0][:2] == ["name", "seed"]
+        assert [r[0] for r in rows()[1:]] == ["fig-h1-real"] * 6 + ["fig-h1-complex"] * 6
+        assert {r[-1] for r in rows()[1:7]} == {"1.0", "-1.0"}
+        assert main(argv + ["--det", "minus", "--field", "real"]) == 0
+        assert {(r[0], r[-1]) for r in rows()[1:]} == {("fig-h1-real-detminus", "-1.0")}
+        # A det key read from --config applies; only the --det flag narrows.
+        cfg = tmp_path / "det.cfg"
+        cfg.write_text("det = minus\n")
+        assert main(argv + ["--field", "real", "--config", str(cfg)]) == 0
+        assert {(r[0], r[-1]) for r in rows()[1:]} == {("fig-h1-real", "-1.0")}
+
     def test_plots_command(self, tmp_path):
         s = run_scenario(tiny_cfg(), out_dir=tmp_path)
         rc = main(["plots", s.csv_path])
@@ -425,6 +450,13 @@ class TestCli:
         p.write_text("steps = 0\n")
         rc = main(["run", "--config", str(p)])
         assert rc == 1
+
+    @pytest.mark.parametrize("line", ["d = five", "init = foo", "eta = -1"])
+    def test_bad_config_value_exit_code(self, tmp_path, capsys, line):
+        p = tmp_path / "bad.cfg"
+        p.write_text(line + "\n")
+        assert main(["run", "--config", str(p), "--out", str(tmp_path)]) == 1
+        assert "config error" in capsys.readouterr().err
 
     def test_diverged_exit_code(self, tmp_path):
         p = tmp_path / "div.cfg"

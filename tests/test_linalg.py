@@ -38,6 +38,17 @@ def rand_matrix(d, field, rng=RNG, scale=1.0):
 FIELDS = (FieldTag.REAL, FieldTag.COMPLEX)
 
 
+class TestAdjoint:
+    @pytest.mark.parametrize("field", FIELDS)
+    def test_stack_matches_per_matrix(self, field):
+        stack = np.stack([rand_matrix(4, field) for _ in range(3)])
+        out = adjoint(stack)
+        assert out.shape == (3, 4, 4)
+        for m, a in zip(stack, out):
+            np.testing.assert_array_equal(a, m.conj().T)
+            assert adjoint(m).strides == m.conj().T.strides
+
+
 class TestSvd:
     def test_identity(self):
         r = svd(np.eye(3))
