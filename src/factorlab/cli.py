@@ -5,8 +5,9 @@ Subcommands: ``run`` (one scenario or a preset family), ``sweep``
 statistics battery), ``gradcheck`` (finite-difference gradient check),
 ``plots`` (emit a plotting script for a trajectory CSV).
 
-Exit codes: 0 ok, 1 config error, 2 diverged, 3 validation failure.
-``LAB_THREADS`` caps sweep parallelism.
+Exit codes: 0 ok, 1 config error, 2 diverged, 3 validation failure.  A
+usage error (unknown flag, invalid choice, malformed number) is a config
+error.  ``LAB_THREADS`` caps sweep parallelism.
 """
 
 from __future__ import annotations
@@ -35,6 +36,14 @@ EXIT_OK = 0
 EXIT_CONFIG = 1
 EXIT_DIVERGED = 2
 EXIT_VALIDATION = 3
+
+
+class _ArgumentParser(argparse.ArgumentParser):
+    """Reports usage errors as config errors; argparse's own code 2 means diverged."""
+
+    def error(self, message: str):
+        self.print_usage(sys.stderr)
+        raise ConfigError(f"{self.prog}: {message}")
 
 
 def _add_config_flags(p: argparse.ArgumentParser) -> None:
@@ -162,7 +171,7 @@ def _cmd_plots(args: argparse.Namespace) -> int:
 
 
 def main(argv: list[str] | None = None) -> int:
-    parser = argparse.ArgumentParser(
+    parser = _ArgumentParser(
         prog="factorlab",
         description="Gradient dynamics laboratory for deep matrix factorization",
     )
@@ -197,8 +206,8 @@ def main(argv: list[str] | None = None) -> int:
     p_plots.add_argument("--script", type=Path, default=None)
     p_plots.set_defaults(fn=_cmd_plots)
 
-    args = parser.parse_args(argv)
     try:
+        args = parser.parse_args(argv)
         return args.fn(args)
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)

@@ -33,8 +33,9 @@ from .dynamics import (
     product,
     reduce_target,
 )
-# Not called here: the benchmark's tracer wraps the steppers under these names.
+# Not called here: the benchmark's tracer wraps these under their names.
 from .dynamics import flow_step_rk4, gd_step  # noqa: F401
+from .monitors import balance_errors  # noqa: F401
 from .ensembles import (
     PRNG_NAME,
     InitScheme,
@@ -51,7 +52,7 @@ from .ensembles import (
 )
 from .errors import ConfigError, MalformedCSVError
 from .linalg import FieldTag, det_sign_or_phase
-from .monitors import SvdTrack, balance_errors, csv_columns, record, record_to_csv_row
+from .monitors import SvdTrack, csv_columns, record, record_to_csv_row
 
 __all__ = [
     "RunConfig",
@@ -81,6 +82,11 @@ MAX_SWEEP_BATCH = 256
 # ---------------------------------------------------------------------------
 
 
+def _check_seed(seed: int) -> None:
+    if seed < 0:
+        raise ConfigError(f"seed must be non-negative, got {seed}")
+
+
 @dataclass(frozen=True)
 class RunConfig:
     """Full description of one experiment run."""
@@ -101,6 +107,7 @@ class RunConfig:
     eps_conv: float = 1e-8
 
     def validate(self) -> None:
+        _check_seed(self.seed)
         if self.d < 1:
             raise ConfigError("d must be positive")
         if self.n_layers < 2:
@@ -353,25 +360,22 @@ def run_scenario(
     lines.append(",".join(csv_columns(cfg.d)))
 
     track: SvdTrack | None = None
+    rec = None
     status = "exhausted"
     converged_step: int | None = None
-    last_recorded = -1
     step = 0
 
-    def _record(step_: int) -> None:
-        nonlocal track, last_recorded
-        rec, track = record(
-            step_, _time_of(cfg, step_), LayerStack(tuple(w)), target, cfg.dyn, track
-        )
+    def _record(step_: int, ev) -> None:
+        nonlocal rec, track
+        rec, track = record(step_, _time_of(cfg, step_), ev, target, track)
         lines.append(record_to_csv_row(rec, cfg.d))
-        last_recorded = step_
         if on_record is not None:
             on_record(rec, track)
 
     for step in range(cfg.steps + 1):
-        if step % cfg.record_stride == 0:
-            _record(step)
         ev = _evaluate(w, sigma, cfg.dyn)
+        if step % cfg.record_stride == 0:
+            _record(step, ev)
         l_ori, l_reg = float(ev.l_ori), float(ev.l_reg)
         if l_ori < cfg.eps_conv and not cfg.dyn.omit_l_ori:
             status = "converged"
@@ -388,9 +392,10 @@ def run_scenario(
     if status == "diverged":
         l_ori = l_reg = e_delta = float("inf")
     else:
-        if last_recorded != step:
-            _record(step)
-        _, e_delta = balance_errors(LayerStack(tuple(w)))
+        # The run ends on the evaluated layers ``ev``; the last record is of them.
+        if rec.step != step:
+            _record(step, ev)
+        e_delta = rec.e_delta
 
     csv_path = None
     if out_dir is not None:
@@ -557,6 +562,7 @@ def sweep_convergence(
     real field the result is cross-tabulated by the sign of the initial
     product determinant.
     """
+    base_cfg.validate()
     if n_seeds < 1:
         raise ConfigError("n_seeds must be at least 1")
     cfgs = [
@@ -616,6 +622,9 @@ def rmt_validate(
     of depth-``n_layers`` Gaussian products, the Haar sigma-min quantile
     bound, Haar left-invariance, and the det=-1 zero-mode check.
     """
+    _check_seed(seed)
+    if min(d, cre_d) < 1:
+        raise ConfigError("dimensions must be positive")
     if n_samples < 100:
         raise ConfigError("n_samples must be at least 100")
     streams = [
@@ -672,8 +681,13 @@ def gradcheck(
     analytic gradient with per-component error ``|g - fd| / (1 + |g|)``, and
     passes iff the maximum is below 1e-6.
     """
-    if d > 6:
-        raise ConfigError("gradcheck is limited to d <= 6")
+    if not 1 <= d <= 6:
+        raise ConfigError(f"gradcheck needs 1 <= d <= 6, got d = {d}")
+    if n_layers < 2:
+        raise ConfigError(f"gradcheck needs at least 2 layers, got {n_layers}")
+    if not 0 <= a < float("inf"):
+        raise ConfigError(f"gradcheck needs a finite regularizer weight a >= 0, got {a}")
+    _check_seed(seed)
     rng = _substream(seed, 0)
     sigma = gaussian_matrix(d, field, rng)
     target = TargetSpec(sigma, reduced=False)
@@ -837,8 +851,12 @@ def emit_plots(csv_path: str | Path, script_path: str | Path | None = None) -> P
 
 def parse_config_file(path: str | Path) -> dict[str, str]:
     """Flat ``key = value`` format; blank lines and ``#`` comments ignored."""
+    try:
+        text = Path(path).read_text()
+    except OSError as exc:
+        raise ConfigError(f"cannot read config file {path}: {exc.strerror}") from None
     out: dict[str, str] = {}
-    for ln, raw in enumerate(Path(path).read_text().splitlines(), start=1):
+    for ln, raw in enumerate(text.splitlines(), start=1):
         line = raw.split("#", 1)[0].strip()
         if not line:
             continue

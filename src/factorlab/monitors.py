@@ -6,6 +6,12 @@ continuity-tracked SVD of the product matrix, the ``(U+V)`` / ``(U-V)``
 singular-value terms, per-layer extreme singular values, and the assembly of
 one CSV row per recorded step.
 
+:func:`record` reuses the evaluation the run loop made of the step's layers
+(the loss terms and, with the regularizer on, the balance defects) and does
+five factorizations per record: one batched SVD of all layers, one solve for
+``W_2^{-1} W_3^H W_4^H``, and the SVDs of the main term, the product and the
+half-sum term.
+
 ``W_2^{-1}`` is always applied through linear solves.  When ``W_2`` is too
 ill-conditioned (condition number >= 1e12) the two diagnostics are reported
 as absent rather than aborting the run, so saddle trajectories still produce
@@ -19,7 +25,16 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .dynamics import DynConfig, LayerStack, TargetSpec, balance_deltas, loss, product
+from .dynamics import (
+    LayerStack,
+    TargetSpec,
+    _defects,
+    _Evaluation,
+    balance_deltas,
+    product,
+)
+# Not called here: the benchmark's tracer wraps it under this name.
+from .dynamics import loss  # noqa: F401
 from .errors import IllConditionedError, NotReducedError, NotUnitaryError
 from .linalg import adjoint, det_sign_or_phase, hermitian_eig, svd
 
@@ -44,11 +59,15 @@ logger = logging.getLogger("factorlab")
 COND_GUARD = 1e12
 
 
+def _defect_size(deltas) -> float:
+    """Aggregate Frobenius size of the balance defects: each norm squared, then summed."""
+    return float(np.sqrt(sum(np.linalg.norm(dl) ** 2 for dl in deltas)))
+
+
 def balance_errors(stack: LayerStack) -> tuple[list[np.ndarray], float]:
     """Adjacent balance defects and their aggregate Frobenius size e_delta."""
     deltas = balance_deltas(stack)
-    e = float(np.sqrt(sum(np.linalg.norm(dl) ** 2 for dl in deltas)))
-    return deltas, e
+    return deltas, _defect_size(deltas)
 
 
 def _w1_prime(stack: LayerStack, sv2: np.ndarray | None = None) -> np.ndarray:
@@ -109,16 +128,19 @@ def _greedy_match(overlap: np.ndarray) -> np.ndarray:
     index order (stable), which matches degenerate clusters in index order.
     """
     d = overlap.shape[0]
-    order = np.argsort(-overlap, axis=None, kind="stable")
+    order = np.argsort(-overlap, axis=None, kind="stable").tolist()
     perm = np.full(d, -1)
-    used_rows = np.zeros(d, dtype=bool)
-    used_cols = np.zeros(d, dtype=bool)
+    used_rows = [False] * d
+    used_cols = [False] * d
+    matched = 0
     for flat in order:
-        i, j = divmod(int(flat), d)
+        i, j = divmod(flat, d)
         if not used_rows[i] and not used_cols[j]:
             perm[i] = j
-            used_rows[i] = True
-            used_cols[j] = True
+            used_rows[i] = used_cols[j] = True
+            matched += 1
+            if matched == d:
+                break
     return perm
 
 
@@ -199,13 +221,14 @@ def eig_sandwich_check(u: np.ndarray, v: np.ndarray, s: np.ndarray) -> bool:
     return True
 
 
-def _extremes(svs: list[np.ndarray]) -> tuple[float, float]:
-    return max(float(sv[0]) for sv in svs), min(float(sv[-1]) for sv in svs)
+def _extremes(svs: np.ndarray) -> tuple[float, float]:
+    """Largest and smallest entry of per-layer descending singular values ``(N, d)``."""
+    return float(svs[:, 0].max()), float(svs[:, -1].min())
 
 
 def layer_extremes(stack: LayerStack) -> tuple[float, float]:
     """Largest and smallest singular value over all layers."""
-    return _extremes([np.linalg.svd(w, compute_uv=False) for w in stack.layers])
+    return _extremes(np.linalg.svd(np.stack(stack.layers), compute_uv=False))
 
 
 @dataclass(frozen=True)
@@ -230,20 +253,27 @@ class TrajectoryRecord:
 def record(
     step: int,
     time: float,
-    stack: LayerStack,
+    ev: _Evaluation,
     target: TargetSpec,
-    cfg: DynConfig,
     prev_track: SvdTrack | None = None,
 ) -> tuple[TrajectoryRecord, SvdTrack]:
     """Assemble all monitors for one step; returns the record and the new track.
 
+    ``ev`` is the dynamics kernel's evaluation of the step's layers against
+    ``target``, the one the run loop steps from: the loss terms come from it,
+    and so do the balance defects when the regularizer is on.  A caller
+    holding only a stack evaluates it first (``dynamics._evaluate_stack``).
+
     Guard trips (ill-conditioned ``W_2``, unreduced target) downgrade the
-    affected fields to absent instead of raising.  Each layer is factored
-    once, and ``W_2^{-1} W_3^H W_4^H`` solved once, for all the monitors.
+    affected fields to absent instead of raising.  A record makes five
+    factorizations: one batched SVD of all layers, one solve for
+    ``W_2^{-1} W_3^H W_4^H``, and the main-term, product and half-sum SVDs.
     """
-    l_ori, l_reg, _ = loss(stack, target, cfg)
-    _, e_delta = balance_errors(stack)
-    svs = [np.linalg.svd(w, compute_uv=False) for w in stack.layers]
+    w = ev.w
+    stack = LayerStack(tuple(w))
+    l_ori, l_reg = float(ev.l_ori), float(ev.l_reg)
+    e_delta = _defect_size(_defects(w) if ev.deltas is None else ev.deltas)
+    svs = np.linalg.svd(w, compute_uv=False)
     sig_max, sig_min = _extremes(svs)
 
     skew: float | None = None
@@ -304,20 +334,19 @@ def csv_columns(d: int) -> list[str]:
     return cols
 
 
-def _fmt(x) -> str:
+def _fmt(x: float | complex | None) -> str:
     if x is None:
         return ""
-    if isinstance(x, complex):
-        return repr(x)
-    if isinstance(x, (int, np.integer)):
-        return str(int(x))
-    return repr(float(x))
+    return repr(x) if isinstance(x, complex) else repr(float(x))
 
 
 def record_to_csv_row(rec: TrajectoryRecord, d: int) -> str:
-    """Serialize one record; absent values become empty fields."""
-    vals = [
-        rec.step,
+    """Serialize one record; absent values become empty fields.
+
+    Numbers are written as the shortest round-trip ``repr`` of a Python int,
+    float or complex, never of a numpy scalar (``np.float64(...)``).
+    """
+    scalars = (
         rec.time,
         rec.l_ori,
         rec.l_reg,
@@ -327,11 +356,12 @@ def record_to_csv_row(rec: TrajectoryRecord, d: int) -> str:
         rec.skew_err,
         rec.main_sv_min,
         rec.det_ind,
-    ]
-    vals += [rec.sigma_w[k] for k in range(d)]
+    )
+    fields = [str(rec.step)] + [_fmt(x) for x in scalars]
+    fields += map(repr, rec.sigma_w[:d].tolist())
     if rec.half_sum_sv is None:
-        vals += [None] * d
+        fields += [""] * d
     else:
-        vals += [rec.half_sum_sv[k] for k in range(d)]
-    vals.append(rec.skew_uv)
-    return ",".join(_fmt(v) for v in vals)
+        fields += map(repr, rec.half_sum_sv[:d].tolist())
+    fields.append(_fmt(rec.skew_uv))
+    return ",".join(fields)

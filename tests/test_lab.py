@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 
 from factorlab.cli import main
-from factorlab.dynamics import DynConfig, product
+from factorlab.dynamics import DynConfig, _evaluate_stack, flow_step_rk4, gd_step, loss, product
 from factorlab.ensembles import InitScheme
 from factorlab.errors import ConfigError, MalformedCSVError
 from factorlab.lab import (
@@ -25,6 +25,7 @@ from factorlab.lab import (
     sweep_convergence,
 )
 from factorlab.linalg import FieldTag
+from factorlab.monitors import balance_errors, record, record_to_csv_row
 
 
 def tiny_cfg(**kw):
@@ -174,6 +175,47 @@ class TestRunScenario:
     def test_invalid_config(self):
         with pytest.raises(ConfigError):
             run_scenario(tiny_cfg(steps=0))
+
+    @pytest.mark.parametrize(
+        "cfg",
+        [
+            # criterion 2's flow suite: regularizer off, defects computed by record
+            *(
+                RunConfig(
+                    name=f"flow-{field.value}",
+                    field=field,
+                    init=InitScheme(kind="balanced", epsilon=0.05),
+                    dyn=DynConfig(reg_a=0.0, integrator="flow_rk4", step_h=1e-3),
+                    steps=30,
+                    record_stride=1,
+                    seed=3,
+                    eps_conv=1e-300,
+                )
+                for field in (FieldTag.REAL, FieldTag.COMPLEX)
+            ),
+            # fig-h3: regularizer on, defects taken from the step's evaluation
+            replace(preset("fig-h3", seed=3)[0], steps=30, record_stride=1),
+        ],
+        ids=["flow-real", "flow-complex", "fig-h3"],
+    )
+    def test_rows_match_records_from_scratch(self, tmp_path, cfg):
+        recs = []
+        s = run_scenario(cfg, out_dir=tmp_path, on_record=lambda rec, _: recs.append(rec))
+        rows = [ln for ln in open(s.csv_path).read().splitlines() if not ln.startswith("#")][1:]
+        assert s.steps_run == cfg.steps and len(rows) == len(recs) == cfg.steps + 1
+
+        target, stack, _ = prepare_problem(cfg)
+        step_fn = gd_step if cfg.dyn.integrator == "gd" else flow_step_rk4
+        dt = cfg.dyn.eta if cfg.dyn.integrator == "gd" else cfg.dyn.step_h
+        track = None
+        for step, (row, rec) in enumerate(zip(rows, recs)):
+            fresh, track = record(step, step * dt, _evaluate_stack(stack, target, cfg.dyn), target, track)
+            assert row == record_to_csv_row(fresh, cfg.d)
+            assert (rec.l_ori, rec.l_reg) == loss(stack, target, cfg.dyn)[:2]
+            assert rec.e_delta == balance_errors(stack)[1]
+            if step < s.steps_run:
+                stack = step_fn(stack, target, cfg.dyn)
+        assert s.final_e_delta == recs[-1].e_delta == balance_errors(stack)[1]
 
 
 class TestSweep:
@@ -444,6 +486,32 @@ class TestCli:
         s = run_scenario(tiny_cfg(), out_dir=tmp_path)
         rc = main(["plots", s.csv_path])
         assert rc == 0
+
+    def test_usage_error_exit_code(self, capsys):
+        # argparse's own exit code 2 would read as "diverged"
+        assert main(["run", "--preset", "nope"]) == 1
+        err = capsys.readouterr().err
+        assert "usage:" in err and "config error" in err and "invalid choice" in err
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["run", "--seed", "-1", "--steps", "5"],
+            ["sweep", "--preset", "sweep", "--seed", "-1", "--seeds", "2", "--steps", "5"],
+            ["run", "--config", "missing.cfg"],
+            ["gradcheck", "--a", "-1"],
+            ["gradcheck", "--d", "0"],
+            ["rmt-validate", "--d", "0"],
+        ],
+        ids=[
+            "negative-seed", "sweep-negative-seed", "missing-config", "negative-a", "zero-d", "rmt-zero-d",
+        ],
+    )
+    def test_bad_input_exit_code(self, tmp_path, capsys, monkeypatch, argv):
+        monkeypatch.chdir(tmp_path)
+        assert main(argv) == 1
+        assert "config error" in capsys.readouterr().err
+        assert not any(tmp_path.iterdir())
 
     def test_config_error_exit_code(self, tmp_path, capsys):
         p = tmp_path / "bad.cfg"

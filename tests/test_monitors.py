@@ -2,12 +2,16 @@
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as hst
 
-from factorlab.dynamics import DynConfig, LayerStack, TargetSpec, gd_step, product
+from factorlab.dynamics import DynConfig, LayerStack, TargetSpec, _evaluate_stack, gd_step, product
 from factorlab.ensembles import InitScheme, balanced_init, gaussian_matrix, haar_unitary, make_rng
 from factorlab.errors import IllConditionedError, NotReducedError, NotUnitaryError
 from factorlab.linalg import FieldTag, adjoint, norms
 from factorlab.monitors import (
+    TrajectoryRecord,
+    _greedy_match,
     balance_errors,
     eig_sandwich_check,
     layer_extremes,
@@ -21,6 +25,11 @@ from factorlab.monitors import (
 )
 
 FIELDS = (FieldTag.REAL, FieldTag.COMPLEX)
+
+
+def record_stack(step, time, stack, target, cfg, prev_track=None):
+    """``record`` for a caller that holds only a stack: evaluate it, then record."""
+    return record(step, time, _evaluate_stack(stack, target, cfg), target, prev_track)
 
 
 class TestBalanceErrors:
@@ -142,6 +151,40 @@ class TestTrackSvd:
         np.testing.assert_allclose(t2.sigma_w, [0.9, 1.8])
 
 
+def _full_scan_greedy(overlap: np.ndarray) -> np.ndarray:
+    """Every cell, largest first and ties in row-major order, taken if row and column are free."""
+    d = len(overlap)
+    perm = np.full(d, -1)
+    rows: set[int] = set()
+    cols: set[int] = set()
+    for _, i, j in sorted((-overlap[i, j], i, j) for i in range(d) for j in range(d)):
+        if i not in rows and j not in cols:
+            perm[i] = j
+            rows.add(i)
+            cols.add(j)
+    return perm
+
+
+@hst.composite
+def _overlaps(draw) -> np.ndarray:
+    # Few distinct values, so that most matrices hold tied overlaps.
+    d = draw(hst.integers(1, 6))
+    values = hst.sampled_from([0.0, 0.25, 0.5, 1.0]) | hst.floats(0.0, 1.0)
+    return np.array(draw(hst.lists(values, min_size=d * d, max_size=d * d))).reshape(d, d)
+
+
+class TestGreedyMatch:
+    @settings(max_examples=200, deadline=None)
+    @given(_overlaps())
+    @example(np.eye(5))
+    @example(np.ones((4, 4)))
+    @example(np.full((3, 3), 0.5) + np.diag([0.0, 0.5, 0.0]))
+    def test_matches_full_scan(self, overlap):
+        perm = _greedy_match(overlap)
+        np.testing.assert_array_equal(perm, _full_scan_greedy(overlap))
+        assert sorted(perm) == list(range(len(overlap)))
+
+
 class TestUvTerms:
     def test_aligned(self):
         q = haar_unitary(4, FieldTag.COMPLEX, make_rng(9))
@@ -228,7 +271,7 @@ class TestRecord:
 
     def test_balanced_step0(self):
         st = balanced_init(5, 4, InitScheme(kind="balanced", epsilon=0.05), FieldTag.REAL, make_rng(17))
-        rec, tr = record(0, 0.0, st, TargetSpec.identity(5), self._cfg(), None)
+        rec, tr = record_stack(0, 0.0, st, TargetSpec.identity(5), self._cfg(), None)
         assert rec.e_delta < 1e-12
         assert rec.l_reg < 1e-24
         assert rec.skew_err is not None and rec.main_sv_min is not None
@@ -237,7 +280,7 @@ class TestRecord:
 
     def test_zero_stack_absent_flags(self):
         st = LayerStack(tuple(np.zeros((4, 4)) for _ in range(4)))
-        rec, _ = record(0, 0.0, st, TargetSpec.identity(4), self._cfg(), None)
+        rec, _ = record_stack(0, 0.0, st, TargetSpec.identity(4), self._cfg(), None)
         assert rec.skew_err is None and rec.main_sv_min is None
         row = record_to_csv_row(rec, 4)
         assert ",," in row  # absent fields serialize empty
@@ -245,13 +288,36 @@ class TestRecord:
     def test_determinism(self):
         rng = make_rng(18)
         st = LayerStack(tuple(gaussian_matrix(4, FieldTag.COMPLEX, rng) for _ in range(4)))
-        r1, _ = record(3, 0.3, st, TargetSpec.identity(4), self._cfg(), None)
-        r2, _ = record(3, 0.3, st, TargetSpec.identity(4), self._cfg(), None)
+        r1, _ = record_stack(3, 0.3, st, TargetSpec.identity(4), self._cfg(), None)
+        r2, _ = record_stack(3, 0.3, st, TargetSpec.identity(4), self._cfg(), None)
         assert record_to_csv_row(r1, 4) == record_to_csv_row(r2, 4)
+
+    def test_csv_row_absent_fields_and_complex_det(self):
+        # numpy scalars and arrays in, shortest round-trip reprs of Python numbers out
+        rec = TrajectoryRecord(
+            step=1200,
+            time=np.float64(1.2000000000000002),
+            l_ori=np.float64(0.49999999999999994),
+            l_reg=0.0,
+            e_delta=np.float64(3.1e-17),
+            sig_max=np.float64(1.0488088481701516),
+            sig_min=np.float64(1e-300),
+            skew_err=None,
+            main_sv_min=None,
+            det_ind=complex(0.6, -0.8),
+            sigma_w=np.array([1.25, 0.1 + 0.2, 5e-324, 7.0, 2.0 / 3.0]),
+            half_sum_sv=None,
+            skew_uv=None,
+        )
+        assert record_to_csv_row(rec, 5) == (
+            "1200,1.2000000000000002,0.49999999999999994,0.0,3.1e-17,1.0488088481701516,"
+            "1e-300,,,(0.6-0.8j),1.25,0.30000000000000004,5e-324,7.0,0.6666666666666666,"
+            ",,,,,"
+        )
 
     def test_csv_row_shape(self):
         st = balanced_init(5, 4, InitScheme(kind="balanced", epsilon=0.05), FieldTag.REAL, make_rng(19))
-        rec, _ = record(0, 0.0, st, TargetSpec.identity(5), self._cfg(), None)
+        rec, _ = record_stack(0, 0.0, st, TargetSpec.identity(5), self._cfg(), None)
         cols = csv_columns(5)
         row = record_to_csv_row(rec, 5)
         assert len(row.split(",")) == len(cols)
@@ -264,6 +330,6 @@ class TestRecord:
         cfg = DynConfig(reg_a=0.0, eta=0.1)
         track = None
         for step in range(20):
-            rec, track = record(step, step * 0.1, st, target, cfg, track)
+            rec, track = record_stack(step, step * 0.1, st, target, cfg, track)
             st = gd_step(st, target, cfg)
         assert track.aligned
