@@ -19,6 +19,7 @@ from pathlib import Path
 
 from .errors import ConfigError, FactorLabError, MalformedCSVError
 from .lab import (
+    CONFIG_KEYS,
     PRESET_NAMES,
     RunConfig,
     build_config,
@@ -83,7 +84,7 @@ def _configs_from_args(args: argparse.Namespace, sweep: bool = False) -> list[Ru
             cfgs = [c for c in cfgs if c.field is FieldTag.parse(args.field)]
             over.pop("field")
         if getattr(args, "det", None):
-            want = +1 if args.det == "plus" else -1
+            want = CONFIG_KEYS["det"].parse(args.det)
             cfgs = [c for c in cfgs if c.det_sign in (want, None)]
             over.pop("det")
         elif sweep:

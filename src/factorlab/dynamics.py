@@ -106,10 +106,11 @@ class DynConfig:
     omit_l_ori: bool = False
 
     def __post_init__(self) -> None:
-        if self.reg_a < 0:
-            raise ValueError("reg_a must be non-negative")
-        if self.eta <= 0 or self.step_h <= 0:
-            raise ValueError("step sizes must be positive")
+        # Written so that NaN fails every test.
+        if not 0 <= self.reg_a < float("inf"):
+            raise ValueError(f"reg_a must be finite and non-negative, got {self.reg_a}")
+        if not (0 < self.eta < float("inf") and 0 < self.step_h < float("inf")):
+            raise ValueError("step sizes eta and step_h must be finite and positive")
         if self.integrator not in ("gd", "flow_rk4"):
             raise ValueError(f"unknown integrator {self.integrator!r}")
 

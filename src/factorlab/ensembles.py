@@ -72,12 +72,16 @@ class InitScheme:
     def __post_init__(self) -> None:
         if self.kind not in ("balanced", "random"):
             raise ValueError(f"unknown init kind {self.kind!r}")
-        if self.epsilon <= 0:
-            raise ValueError("epsilon must be positive")
+        # Written so that NaN fails every test.
+        if not 0 < self.epsilon < float("inf"):
+            raise ValueError(f"epsilon must be finite and positive, got {self.epsilon}")
         if self.s_phases is not None:
             for s in self.s_phases:
-                if abs(abs(s) - 1.0) > 1e-12:
+                if not abs(abs(s) - 1.0) <= 1e-12:
                     raise ValueError("every s_phase must have modulus 1")
+        if self.g_singular_values is not None:
+            if not all(0 <= v < float("inf") for v in self.g_singular_values):
+                raise ValueError("g_singular_values must be finite and non-negative")
 
 
 def gaussian_matrix(d: int, field: FieldTag, rng: np.random.Generator) -> np.ndarray:
@@ -149,8 +153,8 @@ def balanced_init(
     g = gaussian_matrix(d, field, streams[0])
     if scheme.g_singular_values is not None:
         vals = np.asarray(scheme.g_singular_values, dtype=float)
-        if vals.shape != (d,) or np.any(vals < 0):
-            raise ValueError("g_singular_values must be d non-negative reals")
+        if vals.shape != (d,):
+            raise ValueError("g_singular_values must hold d values")
         qg = haar_unitary(d, field, streams[1])
         pg = haar_unitary(d, field, streams[2])
         g = (qg * vals) @ adjoint(pg)

@@ -17,7 +17,9 @@ import os
 import time as _time
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field as dc_field, replace
+from functools import reduce
 from pathlib import Path
+from typing import Callable, NamedTuple
 
 import numpy as np
 
@@ -40,6 +42,7 @@ from .ensembles import (
     PRNG_NAME,
     InitScheme,
     ValidatorResult,
+    _resolve_phases,
     balanced_init,
     gaussian_matrix,
     random_init,
@@ -56,6 +59,7 @@ from .monitors import SvdTrack, csv_columns, record, record_to_csv_row
 
 __all__ = [
     "RunConfig",
+    "CONFIG_KEYS",
     "RunSummary",
     "SweepResult",
     "GradCheckReport",
@@ -87,6 +91,63 @@ def _check_seed(seed: int) -> None:
         raise ConfigError(f"seed must be non-negative, got {seed}")
 
 
+class ConfigKey(NamedTuple):
+    """A config key's ``RunConfig`` attribute (dotted into ``init``/``dyn``), parser and echo."""
+
+    attr: str
+    parse: Callable[[str], object]
+    fmt: Callable[[object], str] = str
+
+
+def _optional_tuple(conv: Callable[[str], object]):
+    """Comma-separated values; the empty value is unset (``None``)."""
+    return (
+        lambda text: None if text == "" else tuple(conv(v) for v in text.split(",")),
+        lambda values: "" if values is None else ",".join(repr(v) for v in values),
+    )
+
+
+def _choice(spellings: dict[str, object]):
+    """Enumerated values, spelled in any case; a value echoes as its first spelling."""
+    echo = {value: text for text, value in reversed(spellings.items())}
+
+    def parse(text: str):
+        if text.lower() not in spellings:
+            raise ValueError(f"expected one of {', '.join(map(repr, spellings))}")
+        return spellings[text.lower()]
+
+    return parse, echo.__getitem__
+
+
+# The one list of config keys, in echo order: RunConfig.echo and build_config
+# both read it, so every echo parses back to the config that wrote it.
+CONFIG_KEYS: dict[str, ConfigKey] = {
+    "name": ConfigKey("name", str),
+    "field": ConfigKey("field", FieldTag.parse, lambda f: f.value),
+    "d": ConfigKey("d", int),
+    "n_layers": ConfigKey("n_layers", int),
+    "target": ConfigKey("target_kind", str),
+    "sigma1": ConfigKey("sigma1", float),
+    "diag": ConfigKey("diag", *_optional_tuple(float)),
+    "init": ConfigKey("init.kind", str),
+    "epsilon": ConfigKey("init.epsilon", float),
+    "s_phases": ConfigKey("init.s_phases", *_optional_tuple(complex)),
+    "g_singular_values": ConfigKey("init.g_singular_values", *_optional_tuple(float)),
+    "det": ConfigKey("det_sign", *_choice({"": None, "plus": +1, "minus": -1})),
+    "integrator": ConfigKey("dyn.integrator", str),
+    "reg_a": ConfigKey("dyn.reg_a", float),
+    "eta": ConfigKey("dyn.eta", float),
+    "step_h": ConfigKey("dyn.step_h", float),
+    "omit_l_ori": ConfigKey("dyn.omit_l_ori", *_choice(
+        {"true": True, "false": False, "1": True, "0": False, "yes": True, "no": False}
+    )),
+    "steps": ConfigKey("steps", int),
+    "record_stride": ConfigKey("record_stride", int),
+    "seed": ConfigKey("seed", int),
+    "eps_conv": ConfigKey("eps_conv", float),
+}
+
+
 @dataclass(frozen=True)
 class RunConfig:
     """Full description of one experiment run."""
@@ -107,6 +168,18 @@ class RunConfig:
     eps_conv: float = 1e-8
 
     def validate(self) -> None:
+        """Raise ConfigError unless the config describes a runnable problem.
+
+        The name names the output files, and its echo must parse back.
+        """
+        name = self.name
+        if not name or name != name.strip() or not name.isprintable() or any(
+            c in name for c in "/\\#"
+        ):
+            raise ConfigError(
+                f"name must be non-empty, printable, without '/', '\\' or '#', "
+                f"and without leading or trailing whitespace, got {name!r}"
+            )
         _check_seed(self.seed)
         if self.d < 1:
             raise ConfigError("d must be positive")
@@ -114,15 +187,24 @@ class RunConfig:
             raise ConfigError("n_layers must be at least 2")
         if self.steps < 1 or self.record_stride < 1:
             raise ConfigError("steps and record_stride must be at least 1")
-        if self.eps_conv <= 0:
-            raise ConfigError("eps_conv must be positive")
+        # The float tests are written so that NaN fails them.
+        if not 0 < self.eps_conv < float("inf"):
+            raise ConfigError(f"eps_conv must be finite and positive, got {self.eps_conv}")
+        if not 0 <= self.sigma1 < float("inf"):
+            raise ConfigError(f"sigma1 must be finite and non-negative, got {self.sigma1}")
         if self.target_kind not in ("identity", "diag", "random"):
             raise ConfigError(f"unknown target kind {self.target_kind!r}")
-        if self.target_kind == "diag":
-            if self.diag is None or len(self.diag) != self.d:
-                raise ConfigError("diag target needs exactly d values")
-            if any(v < 0 for v in self.diag):
-                raise ConfigError("diag target values must be non-negative")
+        if self.target_kind == "diag" and (self.diag is None or len(self.diag) != self.d):
+            raise ConfigError("diag target needs exactly d values")
+        if self.diag is not None and not all(0 <= v < float("inf") for v in self.diag):
+            raise ConfigError("diag values must be finite and non-negative")
+        g = self.init.g_singular_values
+        if g is not None and len(g) != self.d:
+            raise ConfigError(f"g_singular_values needs exactly d = {self.d} values, got {len(g)}")
+        try:
+            _resolve_phases(self.init, self.n_layers, self.field)
+        except ValueError as exc:
+            raise ConfigError(str(exc)) from None
         if self.det_sign is not None:
             if self.det_sign not in (+1, -1):
                 raise ConfigError("det_sign must be +1 or -1")
@@ -133,34 +215,10 @@ class RunConfig:
 
     def echo(self) -> list[str]:
         """Flat key=value lines, the config echo written to every output header."""
-        items = {
-            "name": self.name,
-            "field": self.field.value,
-            "d": self.d,
-            "n_layers": self.n_layers,
-            "target": self.target_kind,
-            "sigma1": self.sigma1,
-            "diag": "" if self.diag is None else ",".join(repr(v) for v in self.diag),
-            "init": self.init.kind,
-            "epsilon": self.init.epsilon,
-            "s_phases": ""
-            if self.init.s_phases is None
-            else ",".join(repr(s) for s in self.init.s_phases),
-            "g_singular_values": ""
-            if self.init.g_singular_values is None
-            else ",".join(repr(v) for v in self.init.g_singular_values),
-            "det": "" if self.det_sign is None else ("plus" if self.det_sign > 0 else "minus"),
-            "integrator": self.dyn.integrator,
-            "reg_a": self.dyn.reg_a,
-            "eta": self.dyn.eta,
-            "step_h": self.dyn.step_h,
-            "omit_l_ori": str(self.dyn.omit_l_ori).lower(),
-            "steps": self.steps,
-            "record_stride": self.record_stride,
-            "seed": self.seed,
-            "eps_conv": self.eps_conv,
-        }
-        return [f"{k} = {v}" for k, v in items.items()]
+        return [
+            f"{key} = {k.fmt(reduce(getattr, k.attr.split('.'), self))}"
+            for key, k in CONFIG_KEYS.items()
+        ]
 
 
 PRESET_NAMES = ("fig-h1", "fig-h2", "fig-h3", "sweep")
@@ -867,59 +925,23 @@ def parse_config_file(path: str | Path) -> dict[str, str]:
     return out
 
 
-def _parse_floats(text: str) -> tuple[float, ...]:
-    return tuple(float(v) for v in text.split(",") if v.strip())
-
-
 def build_config(overrides: dict[str, str], base: RunConfig | None = None) -> RunConfig:
     """Apply flat key=value overrides (config file or CLI) onto a base config.
 
     Every value that fails to parse or validate raises ConfigError.
     """
     cfg = base if base is not None else RunConfig()
-    init = cfg.init
-    dyn = cfg.dyn
-    fields: dict = {}
+    fields: dict[str, dict] = {"": {}, "init": {}, "dyn": {}}
     for key, val in overrides.items():
+        if key not in CONFIG_KEYS:
+            raise ConfigError(f"unknown config key {key!r}")
+        part, _, attr = CONFIG_KEYS[key].attr.rpartition(".")
         try:
-            if key == "name":
-                fields["name"] = val
-            elif key == "field":
-                fields["field"] = FieldTag.parse(val)
-            elif key in ("d", "n_layers", "steps", "record_stride", "seed"):
-                fields[key] = int(val)
-            elif key == "target":
-                fields["target_kind"] = val
-            elif key == "sigma1":
-                fields["sigma1"] = float(val)
-            elif key == "diag":
-                fields["diag"] = _parse_floats(val)
-            elif key == "eps_conv":
-                fields["eps_conv"] = float(val)
-            elif key == "det":
-                if val not in ("plus", "minus", ""):
-                    raise ConfigError("det must be 'plus' or 'minus'")
-                fields["det_sign"] = None if val == "" else (+1 if val == "plus" else -1)
-            elif key == "init":
-                init = replace(init, kind=val)
-            elif key == "epsilon":
-                init = replace(init, epsilon=float(val))
-            elif key == "s_phases":
-                init = replace(init, s_phases=tuple(complex(v) for v in val.split(",")))
-            elif key == "g_singular_values":
-                init = replace(init, g_singular_values=_parse_floats(val))
-            elif key == "reg_a":
-                dyn = replace(dyn, reg_a=float(val))
-            elif key == "eta":
-                dyn = replace(dyn, eta=float(val))
-            elif key == "step_h":
-                dyn = replace(dyn, step_h=float(val))
-            elif key == "integrator":
-                dyn = replace(dyn, integrator=val)
-            elif key == "omit_l_ori":
-                dyn = replace(dyn, omit_l_ori=val.lower() in ("1", "true", "yes"))
-            else:
-                raise ConfigError(f"unknown config key {key!r}")
+            fields[part][attr] = CONFIG_KEYS[key].parse(val)
         except ValueError as exc:
             raise ConfigError(f"{key} = {val}: {exc}") from None
-    return replace(cfg, init=init, dyn=dyn, **fields)
+    try:
+        init, dyn = replace(cfg.init, **fields["init"]), replace(cfg.dyn, **fields["dyn"])
+    except ValueError as exc:
+        raise ConfigError(str(exc)) from None
+    return replace(cfg, init=init, dyn=dyn, **fields[""])

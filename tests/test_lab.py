@@ -1,16 +1,22 @@
 """Tests for the experiment driver and CLI."""
 
+import cmath
 import re
 from dataclasses import replace
+from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 from factorlab.cli import main
 from factorlab.dynamics import DynConfig, _evaluate_stack, flow_step_rk4, gd_step, loss, product
 from factorlab.ensembles import InitScheme
 from factorlab.errors import ConfigError, MalformedCSVError
 from factorlab.lab import (
+    CONFIG_KEYS,
+    PRESET_NAMES,
     RunConfig,
     _run_chunk,
     _sweep_seeds,
@@ -44,7 +50,70 @@ def tiny_cfg(**kw):
     return replace(base, **kw)
 
 
+_FINITE = {"allow_nan": False, "allow_infinity": False}
+
+
+@st.composite
+def run_configs(draw):
+    """Valid RunConfigs of either field, each optional key unset or set."""
+    field = draw(st.sampled_from(FieldTag))
+    d, n_layers = draw(st.integers(1, 6)), draw(st.integers(2, 6))
+    kind = draw(st.sampled_from(["balanced", "random"]))
+    target = draw(st.sampled_from(["identity", "diag", "random"]))
+    positive = st.floats(min_value=0, exclude_min=True, **_FINITE)
+    non_negative = st.floats(min_value=0, **_FINITE)
+    if field is FieldTag.REAL:
+        phase = st.sampled_from([1.0, -1.0])
+    else:
+        phase = st.floats(-np.pi, np.pi).map(lambda t: cmath.rect(1.0, t))
+    det = [None]
+    if field is FieldTag.REAL and (kind == "random" or d % 2 == 1):
+        det += [+1, -1]
+    diag = st.tuples(*[non_negative] * d)
+    return RunConfig(
+        name=draw(st.text("abXY09_-. é", min_size=1, max_size=12).filter(lambda s: s == s.strip())),
+        field=field,
+        d=d,
+        n_layers=n_layers,
+        target_kind=target,
+        sigma1=draw(non_negative),
+        diag=draw(diag if target == "diag" else st.none() | diag),
+        init=InitScheme(
+            kind=kind,
+            epsilon=draw(positive),
+            s_phases=draw(st.none() | st.tuples(*[phase] * n_layers)),
+            g_singular_values=draw(st.none() | st.tuples(*[non_negative] * d)),
+        ),
+        dyn=DynConfig(
+            reg_a=draw(non_negative),
+            eta=draw(positive),
+            step_h=draw(positive),
+            integrator=draw(st.sampled_from(["gd", "flow_rk4"])),
+            omit_l_ori=draw(st.booleans()),
+        ),
+        det_sign=draw(st.sampled_from(det)),
+        steps=draw(st.integers(1, 10**6)),
+        record_stride=draw(st.integers(1, 10**4)),
+        seed=draw(st.integers(0, 2**64 - 1)),
+        eps_conv=draw(positive),
+    )
+
+
 class TestConfigFile:
+    @settings(max_examples=300, deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture])
+    @given(cfg=st.sampled_from([c for n in PRESET_NAMES for c in preset(n)]) | run_configs())
+    def test_echo_parses_back(self, tmp_path, cfg):
+        # An output's config echo is a config file that rebuilds the same run.
+        cfg.validate()
+        path = tmp_path / "echo.cfg"
+        path.write_text("\n".join(cfg.echo()) + "\n")
+        assert build_config(parse_config_file(path)) == cfg
+
+    def test_readme_lists_every_key(self):
+        readme = (Path(__file__).parents[1] / "README.md").read_text()
+        listed = re.search(r"Keys: `([^`]*)`", readme).group(1).split(",")
+        assert [re.sub(r"\(.*\)", "", k).strip() for k in listed] == list(CONFIG_KEYS)
+
     def test_parse_roundtrip(self, tmp_path):
         p = tmp_path / "run.cfg"
         p.write_text(
@@ -519,12 +588,32 @@ class TestCli:
         rc = main(["run", "--config", str(p)])
         assert rc == 1
 
-    @pytest.mark.parametrize("line", ["d = five", "init = foo", "eta = -1"])
+    @pytest.mark.parametrize(
+        "line",
+        [
+            "d = five",
+            "init = foo",
+            "eta = -1",
+            "reg_a = nan",
+            "eta = nan",
+            "epsilon = inf",
+            "sigma1 = -1",
+            "s_phases = 1,1",
+            "g_singular_values = 1,1",
+            "g_singular_values = nan,1,1,1,1",
+            "omit_l_ori = maybe",
+            "name = ../x",
+        ],
+    )
     def test_bad_config_value_exit_code(self, tmp_path, capsys, line):
         p = tmp_path / "bad.cfg"
-        p.write_text(line + "\n")
-        assert main(["run", "--config", str(p), "--out", str(tmp_path)]) == 1
-        assert "config error" in capsys.readouterr().err
+        p.write_text(line + "\nsteps = 5\n")
+        # --out sits two levels down, so a name that escapes it still lands
+        # inside tmp_path, where the last assert sees it.
+        assert main(["run", "--config", str(p), "--out", str(tmp_path / "a" / "b")]) == 1
+        err = capsys.readouterr().err
+        assert "config error:" in err and "Traceback" not in err
+        assert list(tmp_path.iterdir()) == [p]
 
     def test_diverged_exit_code(self, tmp_path):
         p = tmp_path / "div.cfg"
