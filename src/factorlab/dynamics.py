@@ -117,8 +117,13 @@ class DynConfig:
 
 def product(stack: LayerStack) -> np.ndarray:
     """Product matrix ``W_N @ ... @ W_1`` (descending layer index)."""
-    w = stack.layers[-1]
-    for layer in reversed(stack.layers[:-1]):
+    return _left_product(stack.layers)
+
+
+def _left_product(layers) -> np.ndarray:
+    """``((W_N W_{N-1}) ...) W_1`` of a layer sequence or one ``(N, d, d)`` array."""
+    w = layers[-1]
+    for layer in reversed(layers[:-1]):
         w = w @ layer
     return w
 
@@ -157,6 +162,17 @@ class _Evaluation(NamedTuple):
     deltas: np.ndarray | None  # balance defects; only when the regularizer is on
     l_ori: np.ndarray
     l_reg: np.ndarray | float
+
+    def take(self, rows) -> "_Evaluation":
+        """The evaluation of the problems ``rows`` (an index or mask on the leading axis)."""
+        return _Evaluation(
+            self.w[rows],
+            [s[rows] for s in self.suffix],
+            self.misfit[rows],
+            None if self.deltas is None else self.deltas[rows],
+            self.l_ori[rows],
+            self.l_reg[rows] if isinstance(self.l_reg, np.ndarray) else self.l_reg,
+        )
 
 
 def _evaluate(w: np.ndarray, sigma: np.ndarray, cfg: DynConfig) -> _Evaluation:

@@ -17,7 +17,7 @@ import os
 import time as _time
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field as dc_field, replace
-from functools import reduce
+from functools import partial, reduce
 from pathlib import Path
 from typing import Callable, NamedTuple
 
@@ -55,7 +55,7 @@ from .ensembles import (
 )
 from .errors import ConfigError, MalformedCSVError
 from .linalg import FieldTag, det_sign_or_phase
-from .monitors import SvdTrack, csv_columns, record, record_to_csv_row
+from .monitors import SvdTrack, TrajectoryRecord, csv_columns, record, record_to_csv_row
 
 __all__ = [
     "RunConfig",
@@ -67,6 +67,7 @@ __all__ = [
     "PRESET_NAMES",
     "preset",
     "run_scenario",
+    "run_scenarios",
     "sweep_convergence",
     "rmt_validate",
     "gradcheck",
@@ -392,93 +393,117 @@ def _time_of(cfg: RunConfig, step: int) -> float:
     return step * dt
 
 
+class _Trajectory:
+    """One problem's records in a batched run: CSV lines, SVD track, last record."""
+
+    def __init__(self, cfg: RunConfig, on_record=None) -> None:
+        self.cfg = cfg
+        self.on_record = on_record
+        self.target: TargetSpec | None = None
+        self.lines: list[str] = []
+        self.rec: TrajectoryRecord | None = None
+        self.track: SvdTrack | None = None
+
+    def start(self, target: TargetSpec) -> None:
+        """Take the prepared target and write the CSV header."""
+        cfg = self.cfg
+        self.target = target
+        self.lines = [f"# factorlab trajectory, name = {cfg.name}"]
+        self.lines += [f"# {item}" for item in cfg.echo()]
+        self.lines.append(f"# prng = {PRNG_NAME}")
+        if cfg.target_kind == "random":
+            diag = ",".join(repr(float(v)) for v in np.diagonal(target.matrix).real)
+            self.lines.append(f"# reduced_target_diag = {diag}")
+        self.lines.append(",".join(csv_columns(cfg.d)))
+
+    def add(self, step: int, ev) -> None:
+        """Record the problem's evaluated layers at ``step``."""
+        self.rec, self.track = record(
+            step, _time_of(self.cfg, step), ev, self.target, self.track
+        )
+        self.lines.append(record_to_csv_row(self.rec, self.cfg.d))
+        if self.on_record is not None:
+            self.on_record(self.rec, self.track)
+
+
+def run_scenarios(
+    cfgs: list[RunConfig],
+    out_dir: str | Path | None = None,
+    on_record=None,
+) -> list[RunSummary]:
+    """Execute configured trajectories, recording monitors every stride.
+
+    Configs that share field, ``d``, ``n_layers``, dynamics, ``steps``,
+    ``record_stride`` and ``eps_conv`` step together as one ``_run_chunk``
+    batch; each problem's records, CSV and summary are the ones it gets
+    alone.  Writes ``<out_dir>/<name>.csv`` and ``<name>.summary.txt`` per
+    config when ``out_dir`` is given; a summary's ``wall_time_s`` is the
+    wall time of the batch it ran in.  ``on_record(i, record, track)`` is
+    invoked at every recorded step of ``cfgs[i]``.
+
+    A run ends when ``l_ori < eps_conv`` (unless ``omit_l_ori``), when its
+    budget is spent, or when it fails the divergence guard.  The guard runs
+    at step ``k`` whenever ``k`` is a multiple of 25, a record step or the
+    last step of the run; a run that fails it is diverged with ``steps_run
+    = k``, and its final losses are infinite.
+    """
+    for cfg in cfgs:
+        cfg.validate()
+    batches: dict[tuple, list[int]] = {}
+    for i, c in enumerate(cfgs):
+        key = (c.field, c.d, c.n_layers, c.dyn, c.steps, c.record_stride, c.eps_conv)
+        batches.setdefault(key, []).append(i)
+    summaries: list[RunSummary | None] = [None] * len(cfgs)
+    for rows in batches.values():
+        t0 = _time.perf_counter()
+        trajs = [
+            _Trajectory(cfgs[i], None if on_record is None else partial(on_record, i))
+            for i in rows
+        ]
+        outcomes = _run_chunk([cfgs[i] for i in rows], trajs)
+        csv_paths = [None] * len(rows)
+        if out_dir is not None:
+            Path(out_dir).mkdir(parents=True, exist_ok=True)
+            for k, traj in enumerate(trajs):
+                csv_paths[k] = str(Path(out_dir) / f"{traj.cfg.name}.csv")
+                with open(csv_paths[k], "w", newline="\n") as fh:
+                    fh.write("\n".join(traj.lines) + "\n")
+        wall = _time.perf_counter() - t0
+        for i, traj, o, csv_path in zip(rows, trajs, outcomes, csv_paths):
+            # A run that did not diverge ends on a recorded step.
+            diverged = o.status == "diverged"
+            summaries[i] = RunSummary(
+                name=cfgs[i].name,
+                status=o.status,
+                steps_run=o.steps_run,
+                converged_step=o.steps_run if o.converged else None,
+                final_l_ori=o.final_l_ori,
+                final_l_reg=float("inf") if diverged else traj.rec.l_reg,
+                final_e_delta=float("inf") if diverged else traj.rec.e_delta,
+                det_w0=o.det_w0,
+                wall_time_s=wall,
+                csv_path=csv_path,
+            )
+            if out_dir is not None:
+                _write_summary(Path(out_dir) / f"{cfgs[i].name}.summary.txt", cfgs[i], summaries[i])
+    return summaries
+
+
 def run_scenario(
     cfg: RunConfig,
     out_dir: str | Path | None = None,
     on_record=None,
 ) -> RunSummary:
-    """Execute one configured trajectory, recording monitors every stride.
+    """Execute one configured trajectory: ``run_scenarios`` on a batch of one.
 
-    Writes ``<out_dir>/<name>.csv`` when ``out_dir`` is given.  ``on_record``
-    (record, track) is invoked at every recorded step, which is how the test
-    suites observe per-step monitor state.  Terminates early when
-    ``l_ori < eps_conv`` or when any layer norm exceeds the divergence guard.
+    ``on_record(record, track)`` is invoked at every recorded step, which is
+    how the test suites observe per-step monitor state.  The divergence
+    guard runs at step ``k`` whenever ``k`` is a multiple of 25, a record
+    step or the last step of the run; a run that fails it is diverged with
+    ``steps_run = k``.
     """
-    t0 = _time.perf_counter()
-    target, stack, det_w0 = prepare_problem(cfg)
-    sigma = target.matrix
-    w = np.stack(stack.layers)
-
-    lines: list[str] = [f"# factorlab trajectory, name = {cfg.name}"]
-    lines += [f"# {item}" for item in cfg.echo()]
-    lines.append(f"# prng = {PRNG_NAME}")
-    if cfg.target_kind == "random":
-        diag = ",".join(repr(float(v)) for v in np.diagonal(target.matrix).real)
-        lines.append(f"# reduced_target_diag = {diag}")
-    lines.append(",".join(csv_columns(cfg.d)))
-
-    track: SvdTrack | None = None
-    rec = None
-    status = "exhausted"
-    converged_step: int | None = None
-    step = 0
-
-    def _record(step_: int, ev) -> None:
-        nonlocal rec, track
-        rec, track = record(step_, _time_of(cfg, step_), ev, target, track)
-        lines.append(record_to_csv_row(rec, cfg.d))
-        if on_record is not None:
-            on_record(rec, track)
-
-    for step in range(cfg.steps + 1):
-        ev = _evaluate(w, sigma, cfg.dyn)
-        if step % cfg.record_stride == 0:
-            _record(step, ev)
-        l_ori, l_reg = float(ev.l_ori), float(ev.l_reg)
-        if l_ori < cfg.eps_conv and not cfg.dyn.omit_l_ori:
-            status = "converged"
-            converged_step = step
-            break
-        if step == cfg.steps:
-            break
-        w = _advance(ev, sigma, cfg.dyn, cfg.dyn.integrator)
-        if not _bounded(w):
-            status = "diverged"
-            step += 1
-            break
-
-    if status == "diverged":
-        l_ori = l_reg = e_delta = float("inf")
-    else:
-        # The run ends on the evaluated layers ``ev``; the last record is of them.
-        if rec.step != step:
-            _record(step, ev)
-        e_delta = rec.e_delta
-
-    csv_path = None
-    if out_dir is not None:
-        out = Path(out_dir)
-        out.mkdir(parents=True, exist_ok=True)
-        csv_path = str(out / f"{cfg.name}.csv")
-        with open(csv_path, "w", newline="\n") as fh:
-            fh.write("\n".join(lines) + "\n")
-
-    wall = _time.perf_counter() - t0
-    summary = RunSummary(
-        name=cfg.name,
-        status=status,
-        steps_run=step,
-        converged_step=converged_step,
-        final_l_ori=l_ori,
-        final_l_reg=l_reg,
-        final_e_delta=e_delta,
-        det_w0=det_w0,
-        wall_time_s=wall,
-        csv_path=csv_path,
-    )
-    if out_dir is not None:
-        _write_summary(Path(out_dir) / f"{cfg.name}.summary.txt", cfg, summary)
-    return summary
+    callback = None if on_record is None else (lambda _, rec, track: on_record(rec, track))
+    return run_scenarios([cfg], out_dir, callback)[0]
 
 
 def _write_summary(path: Path, cfg: RunConfig, s: RunSummary) -> None:
@@ -541,56 +566,80 @@ def _sweep_seeds(base_seed: int, n: int) -> list[int]:
     return [int(c.generate_state(1, np.uint64)[0]) for c in children]
 
 
-def _run_chunk(cfgs: list[RunConfig]) -> list[SeedOutcome]:
-    """Monitor-free trajectories of several seeds of one config, stepped together.
+def _run_chunk(
+    cfgs: list[RunConfig], trajectories: list[_Trajectory] | None = None
+) -> list[SeedOutcome]:
+    """Runs of several configs, stepped together.
 
-    ``cfgs`` differ only in seed and name.  The layers of all seeds are one
-    ``(B, N, d, d)`` array advanced by the dynamics kernel with either
-    integrator; a seed leaves the batch when it converges (``l_ori <
-    eps_conv``, checked every step) or diverges (non-finite layer or layer
-    norm above the guard, checked every 25 steps).  The kernel acts on each
-    seed's matrices alone, so a seed's outcome is bitwise independent of the
-    batch it runs in.
+    ``cfgs`` share field, ``d``, ``n_layers``, dynamics, ``steps``,
+    ``record_stride`` and ``eps_conv``; name, seed, target and
+    initialization may differ.  This is the one stepping loop: a sweep chunk runs without
+    ``trajectories``, and trajectories run with one ``_Trajectory`` per
+    config, which records its problem every ``record_stride`` steps and at
+    the step its run ends.  The layers of all problems are one ``(B, N, d,
+    d)`` array advanced by the dynamics kernel with either integrator.  A
+    problem leaves the batch when it converges (``l_ori < eps_conv``,
+    checked every step), exhausts the budget, or diverges.
+
+    Divergence guard: ``_bounded`` runs on the evaluated layers at step
+    ``k`` whenever ``k`` is a multiple of 25, a record step or the last step
+    of the run; a problem that fails it is diverged with ``steps_run = k``
+    and is not recorded there.  Stepping ignores overflow meanwhile;
+    recording does not.  The kernel acts on each problem's matrices alone,
+    so a problem's outcome and records are bitwise independent of the batch
+    it runs in.
     """
     cfg = cfgs[0]
     problems = [prepare_problem(c) for c in cfgs]
+    if trajectories is not None:
+        for traj, (target, _, _) in zip(trajectories, problems):
+            traj.start(target)
     w = np.stack([np.stack(stack.layers) for _, stack, _ in problems])
     sigma = np.stack([target.matrix for target, _, _ in problems])
     active = np.arange(len(cfgs))  # batch row -> index into cfgs
     outcomes: list[SeedOutcome | None] = [None] * len(cfgs)
+    measure_l_ori = not cfg.dyn.omit_l_ori
+    errors = np.geterr()
 
-    def retire(mask: np.ndarray, status: str, steps_run: int, l_ori: np.ndarray) -> np.ndarray:
-        for i, lo in zip(active[mask], l_ori[mask]):
-            det_w0 = problems[i][2]
-            outcomes[i] = SeedOutcome(
-                cfgs[i].seed, status, status == "converged", steps_run, float(lo), det_w0
-            )
-        return ~mask
+    def add_records(rows) -> None:
+        with np.errstate(**errors):
+            for i in rows:
+                trajectories[active[i]].add(step, ev.take(i))
 
-    # A diverging seed overflows for up to 25 steps before the guard retires
-    # it; that is a documented outcome, not a fault.
+    # A diverging run overflows until the guard retires it; that is a
+    # documented outcome, not a fault.
     with np.errstate(over="ignore", invalid="ignore"):
         for step in range(cfg.steps + 1):
             ev = _evaluate(w, sigma, cfg.dyn)
-            if not cfg.dyn.omit_l_ori:
-                done = ev.l_ori < cfg.eps_conv
-                if done.any():
-                    keep = retire(done, "converged", step, ev.l_ori)
-                    active, w, sigma = active[keep], w[keep], sigma[keep]
-                    if not len(active):
+            last = step == cfg.steps
+            record_step = trajectories is not None and step % cfg.record_stride == 0
+            cadence = step % 25 == 0 or record_step or last
+            converging = measure_l_ori and (ev.l_ori < cfg.eps_conv).any()
+            if cadence or converging:
+                ok = _bounded(ev.w)
+                if last or converging or not ok.all():
+                    # Some runs end here; off the cadence only they are guarded.
+                    converged = (ev.l_ori < cfg.eps_conv) & measure_l_ori
+                    bad = ~ok if cadence else ~ok & converged
+                    converged &= ok
+                    done = bad | converged | last
+                    if trajectories is not None:
+                        add_records(np.flatnonzero(~bad & (done | record_step)))
+                    for i in np.flatnonzero(done):
+                        status = (
+                            "diverged" if bad[i] else "converged" if converged[i] else "exhausted"
+                        )
+                        k = active[i]
+                        l_ori = float("inf") if bad[i] else float(ev.l_ori[i])
+                        outcomes[k] = SeedOutcome(
+                            cfgs[k].seed, status, status == "converged", step, l_ori, problems[k][2]
+                        )
+                    if done.all():
                         break
-                    ev = _evaluate(w, sigma, cfg.dyn)
-            if step == cfg.steps:
-                retire(np.ones(len(active), bool), "exhausted", step, ev.l_ori)
-                break
+                    active, sigma, ev = active[~done], sigma[~done], ev.take(~done)
+                elif record_step:
+                    add_records(range(len(active)))
             w = _advance(ev, sigma, cfg.dyn, cfg.dyn.integrator)
-            if step % 25 == 0:
-                bad = ~_bounded(w)
-                if bad.any():
-                    keep = retire(bad, "diverged", step + 1, np.full(len(w), np.inf))
-                    active, w, sigma = active[keep], w[keep], sigma[keep]
-                    if not len(active):
-                        break
     return outcomes
 
 

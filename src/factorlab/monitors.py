@@ -30,8 +30,8 @@ from .dynamics import (
     TargetSpec,
     _defects,
     _Evaluation,
+    _left_product,
     balance_deltas,
-    product,
 )
 # Not called here: the benchmark's tracer wraps it under this name.
 from .dynamics import loss  # noqa: F401
@@ -70,14 +70,14 @@ def balance_errors(stack: LayerStack) -> tuple[list[np.ndarray], float]:
     return deltas, _defect_size(deltas)
 
 
-def _w1_prime(stack: LayerStack, sv2: np.ndarray | None = None) -> np.ndarray:
-    """``W_2^{-1} W_3^H W_4^H`` by linear solve; guards on cond(W_2).
+def _w1_prime(w: np.ndarray, sv2: np.ndarray | None = None) -> np.ndarray:
+    """``W_2^{-1} W_3^H W_4^H`` of a ``(4, d, d)`` layer array by linear solve; guards on cond(W_2).
 
     ``sv2`` are the singular values of ``W_2`` when the caller has them.
     """
-    if stack.depth != 4:
+    if w.shape[0] != 4:
         raise ValueError("this diagnostic is defined for four-layer stacks")
-    w1, w2, w3, w4 = stack.layers
+    w1, w2, w3, w4 = w
     sv = np.linalg.svd(w2, compute_uv=False) if sv2 is None else sv2
     if sv[-1] <= 0 or sv[0] / sv[-1] >= COND_GUARD:
         raise IllConditionedError("W_2 condition number exceeds guard")
@@ -94,12 +94,12 @@ def _main_term_sigma_min(w1: np.ndarray, w1p: np.ndarray) -> float:
 
 def skew_error(stack: LayerStack) -> float:
     """``||W_1 - W_2^{-1} W_3^H W_4^H||_F``: the unbalanced skew-alignment error."""
-    return _skew_error(stack.layers[0], _w1_prime(stack))
+    return _skew_error(stack.layers[0], _w1_prime(np.stack(stack.layers)))
 
 
 def main_term_sigma_min(stack: LayerStack) -> float:
     """``sigma_min(W_1 + W_2^{-1} W_3^H W_4^H)``: the saddle-avoidance certificate."""
-    return _main_term_sigma_min(stack.layers[0], _w1_prime(stack))
+    return _main_term_sigma_min(stack.layers[0], _w1_prime(np.stack(stack.layers)))
 
 
 @dataclass(frozen=True)
@@ -270,7 +270,6 @@ def record(
     ``W_2^{-1} W_3^H W_4^H``, and the main-term, product and half-sum SVDs.
     """
     w = ev.w
-    stack = LayerStack(tuple(w))
     l_ori, l_reg = float(ev.l_ori), float(ev.l_reg)
     e_delta = _defect_size(_defects(w) if ev.deltas is None else ev.deltas)
     svs = np.linalg.svd(w, compute_uv=False)
@@ -278,15 +277,16 @@ def record(
 
     skew: float | None = None
     main_sv: float | None = None
-    if stack.depth == 4:
+    if len(w) == 4:
         try:
-            w1p = _w1_prime(stack, svs[1])
-            skew = _skew_error(stack.layers[0], w1p)
-            main_sv = _main_term_sigma_min(stack.layers[0], w1p)
+            w1p = _w1_prime(w, svs[1])
+            skew = _skew_error(w[0], w1p)
+            main_sv = _main_term_sigma_min(w[0], w1p)
         except IllConditionedError:
             logger.warning("step %d: W_2 ill-conditioned, skew/main-term absent", step)
 
-    track = track_svd(product(stack), stack.depth, prev_track)
+    # Associated from the left like ``dynamics.product``, not ``ev.suffix[-1]``.
+    track = track_svd(_left_product(w), len(w), prev_track)
 
     half_sum: np.ndarray | None = None
     skew_uv: float | None = None

@@ -2,6 +2,7 @@
 
 import cmath
 import re
+import warnings
 from dataclasses import replace
 from pathlib import Path
 
@@ -10,6 +11,7 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
+from factorlab import lab
 from factorlab.cli import main
 from factorlab.dynamics import DynConfig, _evaluate_stack, flow_step_rk4, gd_step, loss, product
 from factorlab.ensembles import InitScheme
@@ -28,6 +30,7 @@ from factorlab.lab import (
     preset,
     rmt_validate,
     run_scenario,
+    run_scenarios,
     sweep_convergence,
 )
 from factorlab.linalg import FieldTag
@@ -287,6 +290,91 @@ class TestRunScenario:
         assert s.final_e_delta == recs[-1].e_delta == balance_errors(stack)[1]
 
 
+def _diverging_cfg(record_stride):
+    # Layers leave the divergence guard within a few steps.
+    return tiny_cfg(
+        init=InitScheme(kind="random", epsilon=1.0),
+        dyn=DynConfig(reg_a=0.0, eta=10.0),
+        steps=2000,
+        record_stride=record_stride,
+        seed=2024,
+    )
+
+
+class TestRunScenarios:
+    @pytest.mark.parametrize(
+        "family",
+        [
+            # det+ and complex converge mid-run while det- runs the whole budget
+            [replace(c, steps=1500, init=replace(c.init, epsilon=0.3)) for c in preset("fig-h1")],
+            # regularizer on, omit_l_ori, stride 10
+            [replace(c, steps=300) for c in preset("fig-h3", seed=3)],
+        ],
+        ids=["fig-h1", "fig-h3"],
+    )
+    def test_family_batch_matches_single_runs(self, tmp_path, monkeypatch, family):
+        batch_sizes = []
+
+        def spy(cfgs, trajectories=None):
+            batch_sizes.append(len(cfgs))
+            return _run_chunk(cfgs, trajectories)
+
+        monkeypatch.setattr(lab, "_run_chunk", spy)
+        seen = [[] for _ in family]
+        batched = run_scenarios(
+            family, out_dir=tmp_path / "batch", on_record=lambda i, rec, _: seen[i].append(rec)
+        )
+        assert batch_sizes == [2, 1]  # the real variants step together
+
+        for cfg, got, recs in zip(family, batched, seen):
+            alone = []
+            want = run_scenario(
+                cfg, out_dir=tmp_path / cfg.name, on_record=lambda rec, _: alone.append(rec)
+            )
+            assert replace(got, wall_time_s=0, csv_path=None) == replace(
+                want, wall_time_s=0, csv_path=None
+            )
+            assert Path(got.csv_path).read_bytes() == Path(want.csv_path).read_bytes()
+            summaries = [
+                [ln for ln in (d / f"{cfg.name}.summary.txt").read_text().splitlines()
+                 if not ln.startswith("wall_time_s")]
+                for d in (tmp_path / "batch", tmp_path / cfg.name)
+            ]
+            assert summaries[0] == summaries[1]
+            assert [record_to_csv_row(r, cfg.d) for r in recs] == [
+                record_to_csv_row(r, cfg.d) for r in alone
+            ]
+            assert recs[-1].step == got.steps_run
+        if family[0].dyn.omit_l_ori:
+            assert {s.status for s in batched} == {"exhausted"}
+        else:
+            plus, minus, cplx = batched
+            assert plus.status == cplx.status == "converged"
+            assert minus.status == "exhausted" and plus.steps_run < minus.steps_run
+
+    def test_divergence_agrees_with_sweep(self):
+        # At a record stride of 25 the trajectory's guard steps are the
+        # sweep's, so both report the same step.
+        cfg = _diverging_cfg(record_stride=25)
+        s = run_scenario(cfg)
+        (o,) = _run_chunk([cfg])
+        assert (s.status, s.steps_run) == (o.status, o.steps_run) == ("diverged", 25)
+
+    def test_diverged_csv_is_clean(self, tmp_path, capsys):
+        p = tmp_path / "div.cfg"
+        p.write_text("\n".join(_diverging_cfg(record_stride=7).echo()) + "\n")
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            assert main(["run", "--config", str(p), "--out", str(tmp_path)]) == 2
+        assert "Traceback" not in capsys.readouterr().err
+        summary = (tmp_path / "tiny.summary.txt").read_text()
+        assert "status = diverged" in summary and "steps_run = 7" in summary
+        lines = (tmp_path / "tiny.csv").read_text().splitlines()
+        rows = [ln.split(",") for ln in lines if not ln.startswith("#")][1:]
+        assert [r[0] for r in rows] == ["0"]
+        assert all(cmath.isfinite(complex(x)) for r in rows for x in r if x)
+
+
 class TestSweep:
     def test_single_seed_fraction(self):
         base = tiny_cfg(steps=2000, eps_conv=1e-6, dyn=DynConfig(reg_a=0.0, eta=0.2))
@@ -537,7 +625,8 @@ class TestCli:
         argv = ["sweep", "--preset", "fig-h1", "--steps", "20", "--seeds", "6", "--out", str(tmp_path)]
 
         def rows():
-            return [r.split(",") for r in (tmp_path / "sweep.csv").read_text().splitlines()]
+            lines = (tmp_path / "sweep.csv").read_text().splitlines()
+            return [r.split(",") for r in lines if not r.startswith("#")]
 
         assert main(argv) == 0
         assert rows()[0][:2] == ["name", "seed"]
@@ -550,6 +639,20 @@ class TestCli:
         cfg.write_text("det = minus\n")
         assert main(argv + ["--field", "real", "--config", str(cfg)]) == 0
         assert {(r[0], r[-1]) for r in rows()[1:]} == {("fig-h1-real", "-1.0")}
+
+    def test_sweep_csv_echoes_each_base(self, tmp_path, capsys):
+        argv = ["sweep", "--preset", "fig-h1", "--steps", "20", "--seeds", "3", "--out", str(tmp_path)]
+        assert main(argv) == 0
+        lines = (tmp_path / "sweep.csv").read_text().splitlines()
+        assert lines[0] == "# factorlab sweep, seeds = 3"
+        header = [ln for ln in lines if ln.startswith("#")]
+        complex_at = header.index("# [base fig-h1-complex]")
+        assert header[1] == "# [base fig-h1-real]"
+        # The complex base's block, "# " stripped, is a config file for it.
+        block = tmp_path / "complex.cfg"
+        block.write_text("\n".join(ln[2:] for ln in header[complex_at + 1 :]) + "\n")
+        want = replace(preset("fig-h1")[2], steps=20)
+        assert build_config(parse_config_file(block)) == want
 
     def test_plots_command(self, tmp_path):
         s = run_scenario(tiny_cfg(), out_dir=tmp_path)

@@ -323,6 +323,18 @@ class TestRecord:
         assert len(row.split(",")) == len(cols)
         assert cols[0] == "step" and cols[-1] == "skew_uv"
 
+    @pytest.mark.parametrize("field", FIELDS)
+    def test_tracks_the_left_associated_product(self, field):
+        # The tracked SVD is of ``dynamics.product``, ((W_4 W_3) W_2) W_1, not
+        # of the kernel's right-associated ``suffix[-1]``: the two differ in
+        # the last bits, and trajectory CSVs are pinned to the first.
+        st = LayerStack(tuple(gaussian_matrix(5, field, make_rng(21)) for _ in range(4)))
+        ev = _evaluate_stack(st, TargetSpec.identity(5), self._cfg())
+        assert not np.array_equal(ev.suffix[-1], product(st))
+        _, track = record(0, 0.0, ev, TargetSpec.identity(5), None)
+        want = track_svd(product(st), 4)
+        assert np.array_equal(track.sigma_w, want.sigma_w) and np.array_equal(track.u, want.u)
+
     def test_track_passes_through_gd(self):
         # records along a short GD run stay finite and tracked
         st = balanced_init(5, 4, InitScheme(kind="balanced", epsilon=0.05), FieldTag.REAL, make_rng(20))
