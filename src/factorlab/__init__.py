@@ -55,6 +55,7 @@ from .monitors import (
     layer_extremes,
     main_term_sigma_min,
     record,
+    records,
     skew_error,
     track_svd,
     uv_terms,

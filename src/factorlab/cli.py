@@ -23,6 +23,7 @@ from .lab import (
     PRESET_NAMES,
     RunConfig,
     build_config,
+    check_distinct_names,
     emit_plots,
     gradcheck,
     parse_config_file,
@@ -113,6 +114,7 @@ def _cmd_run(args: argparse.Namespace) -> int:
 
 def _cmd_sweep(args: argparse.Namespace) -> int:
     bases = _configs_from_args(args, sweep=True)
+    check_distinct_names(bases, "their sweep.csv rows could not be told apart")
     # Config echo: each base config's block rebuilds it as a config file.
     rows = [f"# factorlab sweep, seeds = {args.seeds}"]
     for base in bases:

@@ -142,7 +142,7 @@ def _frobenius(x: np.ndarray) -> np.ndarray:
     Each value equals ``np.linalg.norm`` of that matrix bit for bit: the same
     BLAS dot, called once per matrix.
     """
-    flat = x.reshape(*x.shape[:-2], 1, -1)
+    flat = x.reshape(*x.shape[:-2], 1, x.shape[-2] * x.shape[-1])
     parts = (flat.real, flat.imag) if np.iscomplexobj(flat) else (flat,)
     return np.sqrt(sum(p @ p.swapaxes(-1, -2) for p in parts)[..., 0, 0])
 

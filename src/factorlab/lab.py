@@ -29,6 +29,7 @@ from .dynamics import (
     TargetSpec,
     _advance,
     _evaluate,
+    _Evaluation,
     _frobenius,
     gradient,
     loss,
@@ -55,7 +56,9 @@ from .ensembles import (
 )
 from .errors import ConfigError, MalformedCSVError
 from .linalg import FieldTag, det_sign_or_phase
-from .monitors import SvdTrack, TrajectoryRecord, csv_columns, record, record_to_csv_row
+from .monitors import SvdTrack, TrajectoryRecord, csv_columns, record_to_csv_row, records
+# Not called here: the benchmark's tracer wraps it under this name.
+from .monitors import record  # noqa: F401
 
 __all__ = [
     "RunConfig",
@@ -68,6 +71,7 @@ __all__ = [
     "preset",
     "run_scenario",
     "run_scenarios",
+    "check_distinct_names",
     "sweep_convergence",
     "rmt_validate",
     "gradcheck",
@@ -80,6 +84,10 @@ DIVERGENCE_GUARD = 1e12
 # Largest seed batch a sweep steps together: per seed-step cost levels off
 # well before this, and it bounds a worker's memory.
 MAX_SWEEP_BATCH = 256
+# Recorded steps a trajectory computes as one block of monitor records: the
+# per-record cost levels off well before this, and it bounds the evaluations
+# a trajectory holds.
+RECORD_BLOCK = 64
 
 
 # ---------------------------------------------------------------------------
@@ -394,13 +402,18 @@ def _time_of(cfg: RunConfig, step: int) -> float:
 
 
 class _Trajectory:
-    """One problem's records in a batched run: CSV lines, SVD track, last record."""
+    """One problem's records in a batched run: CSV lines, SVD track, last record.
+
+    Recorded steps are buffered and computed ``RECORD_BLOCK`` at a time, and
+    when the problem leaves the batch; ``on_record`` sees them in step order.
+    """
 
     def __init__(self, cfg: RunConfig, on_record=None) -> None:
         self.cfg = cfg
         self.on_record = on_record
         self.target: TargetSpec | None = None
         self.lines: list[str] = []
+        self.pending: list[tuple[int, _Evaluation]] = []
         self.rec: TrajectoryRecord | None = None
         self.track: SvdTrack | None = None
 
@@ -416,14 +429,25 @@ class _Trajectory:
             self.lines.append(f"# reduced_target_diag = {diag}")
         self.lines.append(",".join(csv_columns(cfg.d)))
 
-    def add(self, step: int, ev) -> None:
-        """Record the problem's evaluated layers at ``step``."""
-        self.rec, self.track = record(
-            step, _time_of(self.cfg, step), ev, self.target, self.track
-        )
-        self.lines.append(record_to_csv_row(self.rec, self.cfg.d))
-        if self.on_record is not None:
-            self.on_record(self.rec, self.track)
+    def add(self, step: int, ev: _Evaluation) -> None:
+        """Buffer the problem's evaluated layers at ``step``; a full buffer is recorded."""
+        self.pending.append((step, ev))
+        if len(self.pending) >= RECORD_BLOCK:
+            self.flush()
+
+    def flush(self) -> None:
+        """Record the buffered steps as one block."""
+        if not self.pending:
+            return
+        steps, evs = zip(*self.pending)
+        self.pending = []
+        times = [_time_of(self.cfg, step) for step in steps]
+        block = records(steps, times, evs, self.target, self.track)
+        for rec, track in block:
+            self.lines.append(record_to_csv_row(rec, self.cfg.d))
+            if self.on_record is not None:
+                self.on_record(rec, track)
+        self.rec, self.track = block[-1]
 
 
 def run_scenarios(
@@ -437,9 +461,10 @@ def run_scenarios(
     ``record_stride`` and ``eps_conv`` step together as one ``_run_chunk``
     batch; each problem's records, CSV and summary are the ones it gets
     alone.  Writes ``<out_dir>/<name>.csv`` and ``<name>.summary.txt`` per
-    config when ``out_dir`` is given; a summary's ``wall_time_s`` is the
+    config when ``out_dir`` is given, and then raises ConfigError before any
+    stepping if two configs share a name; a summary's ``wall_time_s`` is the
     wall time of the batch it ran in.  ``on_record(i, record, track)`` is
-    invoked at every recorded step of ``cfgs[i]``.
+    invoked for every recorded step of ``cfgs[i]``, in step order.
 
     A run ends when ``l_ori < eps_conv`` (unless ``omit_l_ori``), when its
     budget is spent, or when it fails the divergence guard.  The guard runs
@@ -449,6 +474,8 @@ def run_scenarios(
     """
     for cfg in cfgs:
         cfg.validate()
+    if out_dir is not None:
+        check_distinct_names(cfgs, "their output files would overwrite each other")
     batches: dict[tuple, list[int]] = {}
     for i, c in enumerate(cfgs):
         key = (c.field, c.d, c.n_layers, c.dyn, c.steps, c.record_stride, c.eps_conv)
@@ -487,6 +514,14 @@ def run_scenarios(
             if out_dir is not None:
                 _write_summary(Path(out_dir) / f"{cfgs[i].name}.summary.txt", cfgs[i], summaries[i])
     return summaries
+
+
+def check_distinct_names(cfgs: list[RunConfig], why: str) -> None:
+    """Raise ConfigError, saying ``why`` it matters, if two configs share a name."""
+    names = [c.name for c in cfgs]
+    shared = sorted({n for n in names if names.count(n) > 1})
+    if shared:
+        raise ConfigError(f"configs share the name {', '.join(map(repr, shared))}: {why}")
 
 
 def run_scenario(
@@ -576,10 +611,13 @@ def _run_chunk(
     initialization may differ.  This is the one stepping loop: a sweep chunk runs without
     ``trajectories``, and trajectories run with one ``_Trajectory`` per
     config, which records its problem every ``record_stride`` steps and at
-    the step its run ends.  The layers of all problems are one ``(B, N, d,
-    d)`` array advanced by the dynamics kernel with either integrator.  A
-    problem leaves the batch when it converges (``l_ori < eps_conv``,
-    checked every step), exhausts the budget, or diverges.
+    the step its run ends.  It computes the records in blocks of up to
+    ``RECORD_BLOCK`` steps, when a block fills and when the problem leaves
+    the batch, under the caller's floating-point error state.  The layers
+    of all problems are one ``(B, N, d, d)`` array advanced by the dynamics
+    kernel with either integrator.  A problem leaves the batch when it
+    converges (``l_ori < eps_conv``, checked every step), exhausts the
+    budget, or diverges.
 
     Divergence guard: ``_bounded`` runs on the evaluated layers at step
     ``k`` whenever ``k`` is a multiple of 25, a record step or the last step
@@ -601,10 +639,12 @@ def _run_chunk(
     measure_l_ori = not cfg.dyn.omit_l_ori
     errors = np.geterr()
 
-    def add_records(rows) -> None:
+    def add_records(rows, leaving=()) -> None:
         with np.errstate(**errors):
             for i in rows:
                 trajectories[active[i]].add(step, ev.take(i))
+            for i in leaving:
+                trajectories[active[i]].flush()
 
     # A diverging run overflows until the guard retires it; that is a
     # documented outcome, not a fault.
@@ -624,7 +664,8 @@ def _run_chunk(
                     converged &= ok
                     done = bad | converged | last
                     if trajectories is not None:
-                        add_records(np.flatnonzero(~bad & (done | record_step)))
+                        recorded = np.flatnonzero(~bad & (done | record_step))
+                        add_records(recorded, leaving=np.flatnonzero(done))
                     for i in np.flatnonzero(done):
                         status = (
                             "diverged" if bad[i] else "converged" if converged[i] else "exhausted"
@@ -644,13 +685,15 @@ def _run_chunk(
 
 
 def _max_workers() -> int:
+    """Sweep workers: ``LAB_THREADS`` if set, at most the CPUs this process may run on."""
+    cpus = len(os.sched_getaffinity(0))
     env = os.environ.get("LAB_THREADS")
     if env:
         try:
-            return max(1, int(env))
+            return max(1, min(int(env), cpus))
         except ValueError:
             raise ConfigError(f"LAB_THREADS must be an integer, got {env!r}") from None
-    return max(1, os.cpu_count() or 1)
+    return cpus
 
 
 def sweep_convergence(

@@ -70,29 +70,35 @@ def _check_finite(m: np.ndarray, who: str) -> None:
         raise NonFiniteError(f"{who}: input contains NaN/Inf")
 
 
-def _check_square(m: np.ndarray, who: str) -> None:
-    if m.ndim != 2 or m.shape[0] != m.shape[1]:
-        raise ValueError(f"{who}: expected a square matrix, got shape {m.shape}")
+def _check_square(m: np.ndarray, who: str, stack: bool = False) -> None:
+    """A square matrix, or with ``stack`` also a ``(..., d, d)`` stack of them."""
+    if m.ndim < 2 or (m.ndim > 2 and not stack) or m.shape[-1] != m.shape[-2]:
+        what = "a square matrix or a stack of them" if stack else "a square matrix"
+        raise ValueError(f"{who}: expected {what}, got shape {m.shape}")
 
 
 @dataclass(frozen=True)
 class SvdResult:
-    """SVD ``m = u @ diag(s) @ adjoint(v)`` with ``s`` non-negative descending."""
+    """SVD ``m = u @ diag(s) @ adjoint(v)`` with ``s`` non-negative descending.
+
+    Of a ``(..., d, d)`` stack, the fields are stacked the same way.
+    """
 
     u: np.ndarray
     s: np.ndarray
     v: np.ndarray
 
     def reconstruct(self) -> np.ndarray:
-        return (self.u * self.s) @ adjoint(self.v)
+        return (self.u * self.s[..., None, :]) @ adjoint(self.v)
 
 
 def svd(m: np.ndarray) -> SvdResult:
-    """Full SVD with singular values sorted descending.
+    """Full SVD of a square matrix or a ``(..., d, d)`` stack, singular values descending.
 
-    Raises NonFiniteError if ``m`` contains NaN/Inf.
+    One LAPACK call per matrix, so each matrix of a stack gets the bits it
+    gets alone.  Raises NonFiniteError if ``m`` contains NaN/Inf.
     """
-    _check_square(m, "svd")
+    _check_square(m, "svd", stack=True)
     _check_finite(m, "svd")
     u, s, vh = np.linalg.svd(m)
     return SvdResult(u=u, s=s, v=adjoint(vh))
@@ -192,17 +198,19 @@ def norms(m: np.ndarray) -> MatrixNorms:
     return MatrixNorms(fro=float(np.linalg.norm(m)), op=float(s[0]), sigma_min=float(s[-1]))
 
 
-def det_sign_or_phase(m: np.ndarray) -> float | complex:
+def det_sign_or_phase(m: np.ndarray) -> float | complex | np.ndarray:
     """Sign of the determinant (real field) or its unit phase (complex field).
 
     Returns 0 when the determinant magnitude underflows (< 1e-300), signalling
-    a numerically singular matrix; never raises.
+    a numerically singular matrix, rather than raising.  Of a
+    ``(..., d, d)`` stack it returns the array of each matrix's value.
     """
-    _check_square(m, "det_sign_or_phase")
+    _check_square(m, "det_sign_or_phase", stack=True)
     _check_finite(m, "det_sign_or_phase")
     sign, logabs = np.linalg.slogdet(m)
-    if not np.isfinite(logabs) or logabs < np.log(1e-300):
+    sign = np.where(np.isfinite(logabs) & (logabs >= np.log(1e-300)), sign, 0)
+    if m.ndim > 2:
+        return sign
+    if sign == 0:
         return 0.0
-    if np.iscomplexobj(m):
-        return complex(sign)
-    return float(sign)
+    return complex(sign) if np.iscomplexobj(m) else float(sign)

@@ -6,16 +6,22 @@ continuity-tracked SVD of the product matrix, the ``(U+V)`` / ``(U-V)``
 singular-value terms, per-layer extreme singular values, and the assembly of
 one CSV row per recorded step.
 
-:func:`record` reuses the evaluation the run loop made of the step's layers
-(the loss terms and, with the regularizer on, the balance defects) and does
-five factorizations per record: one batched SVD of all layers, one solve for
-``W_2^{-1} W_3^H W_4^H``, and the SVDs of the main term, the product and the
-half-sum term.
+:func:`records` computes the records of a block of K recorded steps of one
+problem, and :func:`record` is a block of one.  They reuse the evaluations
+the run loop made of the steps' layers (the loss terms and, with the
+regularizer on, the balance defects) and make each factorization once per
+block, not once per record: one SVD of all layers of the K steps, one solve
+for ``W_2^{-1} W_3^H W_4^H`` on the steps whose ``W_2`` passes the guard,
+one SVD each of the K main terms, products and half-sum terms, and one
+``slogdet``.  Each is one LAPACK call per matrix, so a record is bitwise the
+one its step gets in a block of one.  Only the column matching of the
+tracked SVD, which follows the previous step, runs step by step.
 
 ``W_2^{-1}`` is always applied through linear solves.  When ``W_2`` is too
 ill-conditioned (condition number >= 1e12) the two diagnostics are reported
 as absent rather than aborting the run, so saddle trajectories still produce
-records.
+records.  A block logs one warning per guard kind, with its step range and
+the number of records the guard tripped in.
 """
 
 from __future__ import annotations
@@ -30,8 +36,8 @@ from .dynamics import (
     TargetSpec,
     _defects,
     _Evaluation,
+    _frobenius,
     _left_product,
-    balance_deltas,
 )
 # Not called here: the benchmark's tracer wraps it under this name.
 from .dynamics import loss  # noqa: F401
@@ -50,6 +56,7 @@ __all__ = [
     "eig_sandwich_check",
     "layer_extremes",
     "record",
+    "records",
     "csv_columns",
     "record_to_csv_row",
 ]
@@ -59,47 +66,57 @@ logger = logging.getLogger("factorlab")
 COND_GUARD = 1e12
 
 
-def _defect_size(deltas) -> float:
-    """Aggregate Frobenius size of the balance defects: each norm squared, then summed."""
-    return float(np.sqrt(sum(np.linalg.norm(dl) ** 2 for dl in deltas)))
+def _defect_size(deltas: np.ndarray) -> np.ndarray:
+    """Aggregate Frobenius size of ``(..., N-1, d, d)`` balance defects: each norm squared, then summed.
+
+    ``np.float_power`` squares with libm ``pow``, as ``n ** 2`` on a scalar
+    does; ``**`` on an array multiplies, which can round differently.
+    """
+    sq = np.float_power(_frobenius(deltas), 2)
+    return np.sqrt(sum(sq[..., j] for j in range(sq.shape[-1])))
 
 
 def balance_errors(stack: LayerStack) -> tuple[list[np.ndarray], float]:
     """Adjacent balance defects and their aggregate Frobenius size e_delta."""
-    deltas = balance_deltas(stack)
-    return deltas, _defect_size(deltas)
+    deltas = _defects(np.stack(stack.layers))
+    return list(deltas), float(_defect_size(deltas))
 
 
-def _w1_prime(w: np.ndarray, sv2: np.ndarray | None = None) -> np.ndarray:
-    """``W_2^{-1} W_3^H W_4^H`` of a ``(4, d, d)`` layer array by linear solve; guards on cond(W_2).
+def _diagnostics(
+    w: np.ndarray, sv2: np.ndarray | None = None
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Skew errors and main-term ``sigma_min`` of a ``(K, 4, d, d)`` layer array.
 
-    ``sv2`` are the singular values of ``W_2`` when the caller has them.
+    ``W_2^{-1} W_3^H W_4^H`` is solved for only on the rows whose ``W_2``
+    passes the condition guard, since a stacked solve raises on any singular
+    matrix.  Returns the guard mask and the two diagnostics of those rows.
+    ``sv2`` are the singular values of the ``W_2`` when the caller has them.
     """
-    if w.shape[0] != 4:
+    if w.shape[-3] != 4:
         raise ValueError("this diagnostic is defined for four-layer stacks")
-    w1, w2, w3, w4 = w
-    sv = np.linalg.svd(w2, compute_uv=False) if sv2 is None else sv2
-    if sv[-1] <= 0 or sv[0] / sv[-1] >= COND_GUARD:
+    sv = np.linalg.svd(w[:, 1], compute_uv=False) if sv2 is None else sv2
+    ok = sv[:, -1] > 0
+    ok[ok] = sv[ok, 0] / sv[ok, -1] < COND_GUARD
+    w1p = np.linalg.solve(w[ok, 1], adjoint(w[ok, 2]) @ adjoint(w[ok, 3]))
+    w1 = w[ok, 0]
+    return ok, _frobenius(w1 - w1p), np.linalg.svd(w1 + w1p, compute_uv=False)[:, -1]
+
+
+def _diagnostics_of(stack: LayerStack) -> tuple[float, float]:
+    ok, skew, main = _diagnostics(np.stack(stack.layers)[None])
+    if not ok[0]:
         raise IllConditionedError("W_2 condition number exceeds guard")
-    return np.linalg.solve(w2, adjoint(w3) @ adjoint(w4))
-
-
-def _skew_error(w1: np.ndarray, w1p: np.ndarray) -> float:
-    return float(np.linalg.norm(w1 - w1p))
-
-
-def _main_term_sigma_min(w1: np.ndarray, w1p: np.ndarray) -> float:
-    return float(np.linalg.svd(w1 + w1p, compute_uv=False)[-1])
+    return float(skew[0]), float(main[0])
 
 
 def skew_error(stack: LayerStack) -> float:
     """``||W_1 - W_2^{-1} W_3^H W_4^H||_F``: the unbalanced skew-alignment error."""
-    return _skew_error(stack.layers[0], _w1_prime(np.stack(stack.layers)))
+    return _diagnostics_of(stack)[0]
 
 
 def main_term_sigma_min(stack: LayerStack) -> float:
     """``sigma_min(W_1 + W_2^{-1} W_3^H W_4^H)``: the saddle-avoidance certificate."""
-    return _main_term_sigma_min(stack.layers[0], _w1_prime(np.stack(stack.layers)))
+    return _diagnostics_of(stack)[1]
 
 
 @dataclass(frozen=True)
@@ -144,6 +161,30 @@ def _greedy_match(overlap: np.ndarray) -> np.ndarray:
     return perm
 
 
+def _tracks(w: np.ndarray, n_layers: int, prev: SvdTrack | None) -> list[SvdTrack]:
+    """Tracked SVDs of a ``(K, d, d)`` run of products, each following the one before.
+
+    One SVD of all K products; the column matching runs product by product,
+    on each product's own matrices as a lone SVD returns them.
+    """
+    r = svd(w)
+    tracks = []
+    for u, s, v in zip(r.u, r.s, r.v):
+        if prev is not None:
+            overlap = np.abs(adjoint(prev.u) @ u)
+            perm = _greedy_match(overlap)
+            u, s, v = u[:, perm], s[perm], v[:, perm]
+            z = np.sum(np.conj(prev.u) * u, axis=0)  # diag(prev.u^H @ u)
+            mags = np.abs(z)
+            phase = np.where(mags > 0, np.conj(z) / np.where(mags > 0, mags, 1.0), 1.0)
+            u = u * phase
+            v = v * phase
+        sigma_w = s ** (1.0 / n_layers)
+        prev = SvdTrack(u=u, sigma_w=sigma_w, v=v, n_layers=n_layers, aligned=prev is not None)
+        tracks.append(prev)
+    return tracks
+
+
 def track_svd(w: np.ndarray, n_layers: int, prev: SvdTrack | None = None) -> SvdTrack:
     """SVD of the product with singular values reported as per-layer roots.
 
@@ -152,19 +193,22 @@ def track_svd(w: np.ndarray, n_layers: int, prev: SvdTrack | None = None) -> Svd
     pair ``(u_k, v_k)`` is multiplied by one unit scalar, so the
     reconstruction is untouched.
     """
-    r = svd(w)
-    u, s, v = r.u, r.s, r.v
-    if prev is not None:
-        overlap = np.abs(adjoint(prev.u) @ u)
-        perm = _greedy_match(overlap)
-        u, s, v = u[:, perm], s[perm], v[:, perm]
-        z = np.sum(np.conj(prev.u) * u, axis=0)  # diag(prev.u^H @ u)
-        mags = np.abs(z)
-        phase = np.where(mags > 0, np.conj(z) / np.where(mags > 0, mags, 1.0), 1.0)
-        u = u * phase
-        v = v * phase
-    sigma_w = s ** (1.0 / n_layers)
-    return SvdTrack(u=u, sigma_w=sigma_w, v=v, n_layers=n_layers, aligned=prev is not None)
+    return _tracks(w[None], n_layers, prev)[0]
+
+
+def _uv_terms(tracks: list[SvdTrack], target: TargetSpec) -> tuple[np.ndarray, list[float]]:
+    """Half-sum singular values ``(K, d)``, from one SVD, and ``skew_uv`` of each track."""
+    if not target.reduced:
+        raise NotReducedError("uv_terms requires a reduced (diagonal) target")
+    root = np.sqrt(np.diagonal(target.matrix).real)
+    halves, skew_uv = [], []
+    for t in tracks:
+        halves.append(0.5 * (t.u + t.v) * t.sigma_w)
+        # The norm sums in memory order, so it runs on each track's arrays
+        # as laid out, not on a stack of them.
+        skew = (t.u - t.v) * t.sigma_w
+        skew_uv.append(float(np.linalg.norm(skew * root[:, None]) ** 2))
+    return np.linalg.svd(np.stack(halves), compute_uv=False), skew_uv
 
 
 def uv_terms(track: SvdTrack, target: TargetSpec) -> tuple[np.ndarray, float]:
@@ -175,15 +219,8 @@ def uv_terms(track: SvdTrack, target: TargetSpec) -> tuple[np.ndarray, float]:
     ``skew_uv = ||Sigma^(1/2) (U-V) diag(sigma_w)||_F^2``.  Requires a reduced
     target (its diagonal supplies ``Sigma^(1/2)``).
     """
-    if not target.reduced:
-        raise NotReducedError("uv_terms requires a reduced (diagonal) target")
-    sw = track.sigma_w
-    half = 0.5 * (track.u + track.v) * sw
-    half_sum_sv = np.linalg.svd(half, compute_uv=False)
-    root = np.sqrt(np.diagonal(target.matrix).real)
-    skew = (track.u - track.v) * sw
-    skew_uv = float(np.linalg.norm(skew * root[:, None]) ** 2)
-    return half_sum_sv, skew_uv
+    half_sum_sv, skew_uv = _uv_terms([track], target)
+    return half_sum_sv[0], skew_uv[0]
 
 
 def eig_sandwich_check(u: np.ndarray, v: np.ndarray, s: np.ndarray) -> bool:
@@ -221,14 +258,15 @@ def eig_sandwich_check(u: np.ndarray, v: np.ndarray, s: np.ndarray) -> bool:
     return True
 
 
-def _extremes(svs: np.ndarray) -> tuple[float, float]:
-    """Largest and smallest entry of per-layer descending singular values ``(N, d)``."""
-    return float(svs[:, 0].max()), float(svs[:, -1].min())
+def _extremes(svs: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Largest and smallest entry of per-layer descending singular values ``(..., N, d)``."""
+    return svs[..., 0].max(axis=-1), svs[..., -1].min(axis=-1)
 
 
 def layer_extremes(stack: LayerStack) -> tuple[float, float]:
     """Largest and smallest singular value over all layers."""
-    return _extremes(np.linalg.svd(np.stack(stack.layers), compute_uv=False))
+    hi, lo = _extremes(np.linalg.svd(np.stack(stack.layers), compute_uv=False))
+    return float(hi), float(lo)
 
 
 @dataclass(frozen=True)
@@ -250,6 +288,88 @@ class TrajectoryRecord:
     skew_uv: float | None
 
 
+def records(
+    steps: list[int],
+    times: list[float],
+    evs: list[_Evaluation],
+    target: TargetSpec,
+    prev_track: SvdTrack | None = None,
+) -> list[tuple[TrajectoryRecord, SvdTrack]]:
+    """Assemble all monitors for a block of K recorded steps of one problem.
+
+    ``evs[k]`` is the dynamics kernel's evaluation of the layers at
+    ``steps[k]`` against ``target``, the one the run loop steps from: the
+    loss terms come from it, and so do the balance defects when the
+    regularizer is on.  ``prev_track`` is the track of the step before the
+    block.  Returns ``(record, track)`` per step, in step order, each track
+    following the one before.
+
+    Each factorization is made once for the whole block: one SVD of all
+    layers (the extremes and ``W_2``'s condition guard), one solve for
+    ``W_2^{-1} W_3^H W_4^H`` on the steps that pass the guard, and one SVD
+    each of the main terms, the left-associated products and the half-sum
+    terms, then one ``slogdet``.  Every matrix gets its own LAPACK call, so
+    each record is bitwise the one :func:`record` makes of its step alone.
+
+    Guard trips (ill-conditioned ``W_2``, unreduced target) downgrade the
+    affected fields to absent instead of raising, with one warning per
+    block and guard kind.
+    """
+    n = len(steps)
+    w = np.stack([ev.w for ev in evs])
+    deltas = _defects(w) if evs[0].deltas is None else np.stack([ev.deltas for ev in evs])
+    e_delta = _defect_size(deltas).tolist()
+    svs = np.linalg.svd(w, compute_uv=False)
+    sig_max, sig_min = (x.tolist() for x in _extremes(svs))
+    span = f"steps {steps[0]}-{steps[-1]}"
+
+    skew: list[float | None] = [None] * n
+    main_sv: list[float | None] = [None] * n
+    if w.shape[1] == 4:
+        ok, skew_ok, main_ok = _diagnostics(w, svs[:, 1])
+        for k, a, b in zip(np.flatnonzero(ok).tolist(), skew_ok.tolist(), main_ok.tolist()):
+            skew[k], main_sv[k] = a, b
+        if not ok.all():
+            logger.warning(
+                "%s: W_2 ill-conditioned in %d of %d records, skew/main-term absent",
+                span, n - int(ok.sum()), n,
+            )
+
+    # Associated from the left like ``dynamics.product``, not ``ev.suffix[-1]``.
+    tracks = _tracks(_left_product(np.moveaxis(w, 1, 0)), w.shape[1], prev_track)
+
+    half_sum: list[np.ndarray | None] = [None] * n
+    skew_uv: list[float | None] = [None] * n
+    if target.reduced:
+        hs, skew_uv = _uv_terms(tracks, target)
+        half_sum = list(hs)
+    else:
+        logger.warning("%s: target not reduced, uv terms absent in %d records", span, n)
+
+    det_ind = det_sign_or_phase(np.stack([adjoint(t.u) @ t.v for t in tracks])).tolist()
+    return [
+        (
+            TrajectoryRecord(
+                step=steps[k],
+                time=times[k],
+                l_ori=float(ev.l_ori),
+                l_reg=float(ev.l_reg),
+                e_delta=e_delta[k],
+                sig_max=sig_max[k],
+                sig_min=sig_min[k],
+                skew_err=skew[k],
+                main_sv_min=main_sv[k],
+                det_ind=det_ind[k] or 0.0,  # a singular complex matrix reads 0.0, not 0j
+                sigma_w=t.sigma_w.copy(),
+                half_sum_sv=half_sum[k],
+                skew_uv=skew_uv[k],
+            ),
+            t,
+        )
+        for k, (ev, t) in enumerate(zip(evs, tracks))
+    ]
+
+
 def record(
     step: int,
     time: float,
@@ -257,61 +377,15 @@ def record(
     target: TargetSpec,
     prev_track: SvdTrack | None = None,
 ) -> tuple[TrajectoryRecord, SvdTrack]:
-    """Assemble all monitors for one step; returns the record and the new track.
+    """Assemble all monitors for one step: :func:`records` on a block of one.
 
-    ``ev`` is the dynamics kernel's evaluation of the step's layers against
-    ``target``, the one the run loop steps from: the loss terms come from it,
-    and so do the balance defects when the regularizer is on.  A caller
-    holding only a stack evaluates it first (``dynamics._evaluate_stack``).
-
-    Guard trips (ill-conditioned ``W_2``, unreduced target) downgrade the
-    affected fields to absent instead of raising.  A record makes five
-    factorizations: one batched SVD of all layers, one solve for
-    ``W_2^{-1} W_3^H W_4^H``, and the main-term, product and half-sum SVDs.
+    Returns the record and the new track.  Each of the block's
+    factorizations (the layer SVD, the solve, the main-term, product and
+    half-sum SVDs and the ``slogdet``) is made once per block, here for this
+    step alone.  A caller holding only a stack evaluates it first
+    (``dynamics._evaluate_stack``).
     """
-    w = ev.w
-    l_ori, l_reg = float(ev.l_ori), float(ev.l_reg)
-    e_delta = _defect_size(_defects(w) if ev.deltas is None else ev.deltas)
-    svs = np.linalg.svd(w, compute_uv=False)
-    sig_max, sig_min = _extremes(svs)
-
-    skew: float | None = None
-    main_sv: float | None = None
-    if len(w) == 4:
-        try:
-            w1p = _w1_prime(w, svs[1])
-            skew = _skew_error(w[0], w1p)
-            main_sv = _main_term_sigma_min(w[0], w1p)
-        except IllConditionedError:
-            logger.warning("step %d: W_2 ill-conditioned, skew/main-term absent", step)
-
-    # Associated from the left like ``dynamics.product``, not ``ev.suffix[-1]``.
-    track = track_svd(_left_product(w), len(w), prev_track)
-
-    half_sum: np.ndarray | None = None
-    skew_uv: float | None = None
-    try:
-        half_sum, skew_uv = uv_terms(track, target)
-    except NotReducedError:
-        logger.warning("step %d: target not reduced, uv terms absent", step)
-
-    det_ind = det_sign_or_phase(adjoint(track.u) @ track.v)
-    rec = TrajectoryRecord(
-        step=step,
-        time=time,
-        l_ori=l_ori,
-        l_reg=l_reg,
-        e_delta=e_delta,
-        sig_max=sig_max,
-        sig_min=sig_min,
-        skew_err=skew,
-        main_sv_min=main_sv,
-        det_ind=det_ind,
-        sigma_w=track.sigma_w.copy(),
-        half_sum_sv=half_sum,
-        skew_uv=skew_uv,
-    )
-    return rec, track
+    return records([step], [time], [ev], target, prev_track)[0]
 
 
 def csv_columns(d: int) -> list[str]:

@@ -34,7 +34,7 @@ from factorlab.lab import (
     sweep_convergence,
 )
 from factorlab.linalg import FieldTag
-from factorlab.monitors import balance_errors, record, record_to_csv_row
+from factorlab.monitors import balance_errors, record, record_to_csv_row, records
 
 
 def tiny_cfg(**kw):
@@ -375,6 +375,84 @@ class TestRunScenarios:
         assert all(cmath.isfinite(complex(x)) for r in rows for x in r if x)
 
 
+def _flow_cfg(field, steps):
+    """Criterion 2's flow suite: RK4, balanced init, a record every step, never converging."""
+    return RunConfig(
+        name=f"flow-{field.value}",
+        field=field,
+        init=InitScheme(kind="balanced", epsilon=0.05),
+        dyn=DynConfig(reg_a=0.0, integrator="flow_rk4", step_h=1e-3),
+        steps=steps,
+        record_stride=1,
+        seed=3,
+        eps_conv=1e-300,
+    )
+
+
+class TestRecordBlocks:
+    @pytest.mark.parametrize(
+        "cfgs",
+        [
+            [_flow_cfg(FieldTag.REAL, 140)],
+            [_flow_cfg(FieldTag.COMPLEX, 140)],
+            # regularizer on, omit_l_ori; batches of two and one
+            [replace(c, steps=150, record_stride=1) for c in preset("fig-h3", seed=3)],
+            # diverges at step 131, inside a block of 3 and of 64
+            [tiny_cfg(dyn=DynConfig(reg_a=0.0, eta=0.7), steps=400, record_stride=1, eps_conv=1e-300)],
+        ],
+        ids=["flow-real", "flow-complex", "fig-h3", "diverging"],
+    )
+    def test_block_invariance(self, tmp_path, monkeypatch, cfgs):
+        default = lab.RECORD_BLOCK
+
+        def outputs(block):
+            monkeypatch.setattr(lab, "RECORD_BLOCK", block)
+            sizes = []
+
+            def spy(steps, *args):
+                sizes.append(len(steps))
+                return records(steps, *args)
+
+            monkeypatch.setattr(lab, "records", spy)
+            seen = [[] for _ in cfgs]
+
+            def on_record(i, rec, track):
+                assert np.array_equal(rec.sigma_w, track.sigma_w)
+                row = record_to_csv_row(rec, cfgs[i].d)
+                seen[i].append((row, track.u.tobytes(), track.v.tobytes(), track.aligned))
+
+            out = tmp_path / str(block)
+            with warnings.catch_warnings():
+                warnings.simplefilter("error", RuntimeWarning)
+                summaries = run_scenarios(cfgs, out_dir=out, on_record=on_record)
+            # CSV bytes, and summaries but for their wall time
+            files = {
+                f.name: f.read_bytes() if f.suffix == ".csv" else
+                [ln for ln in f.read_text().splitlines() if not ln.startswith("wall_time_s")]
+                for f in out.iterdir()
+            }
+            return [replace(s, wall_time_s=0, csv_path=None) for s in summaries], files, seen, sizes
+
+        ref = outputs(1)
+        assert set(ref[3]) == {1}
+        for block in (3, default):
+            got = outputs(block)
+            assert got[:3] == ref[:3]
+            # Full blocks, then each trajectory's remainder when its run ends.
+            want = [block] * sum(len(seen) // block for seen in ref[2])
+            want += [len(seen) % block for seen in ref[2] if len(seen) % block]
+            assert sorted(got[3]) == sorted(want) and max(got[3]) == block
+        for cfg, summary in zip(cfgs, ref[0]):
+            lines = ref[1][f"{cfg.name}.csv"].decode().splitlines()
+            rows = [r.split(",") for r in lines if not r.startswith("#")][1:]
+            if summary.status == "diverged":
+                assert summary.steps_run == 131
+                assert [int(r[0]) for r in rows] == list(range(131))
+                assert all(cmath.isfinite(complex(x)) for r in rows for x in r if x)
+            else:
+                assert len(rows) == summary.steps_run + 1
+
+
 class TestSweep:
     def test_single_seed_fraction(self):
         base = tiny_cfg(steps=2000, eps_conv=1e-6, dyn=DynConfig(reg_a=0.0, eta=0.2))
@@ -477,6 +555,23 @@ class TestSweep:
                 assert (o.status, o.steps_run) == ("exhausted", last)
             else:
                 assert (o.status, o.steps_run) == (f.status, f.steps_run)
+
+
+class TestMaxWorkers:
+    # The CPU set is faked; nothing here starts a process.
+    @pytest.mark.parametrize("env, want", [("64", 2), ("2", 2), ("1", 1), ("0", 1), (None, 2)])
+    def test_lab_threads_clamped_to_affinity(self, monkeypatch, env, want):
+        monkeypatch.setattr(lab.os, "sched_getaffinity", lambda pid: {0, 1})
+        if env is None:
+            monkeypatch.delenv("LAB_THREADS", raising=False)
+        else:
+            monkeypatch.setenv("LAB_THREADS", env)
+        assert lab._max_workers() == want
+
+    def test_lab_threads_not_an_integer(self, monkeypatch):
+        monkeypatch.setenv("LAB_THREADS", "many")
+        with pytest.raises(ConfigError):
+            lab._max_workers()
 
 
 class TestGradcheckAndRmt:
@@ -653,6 +748,28 @@ class TestCli:
         block.write_text("\n".join(ln[2:] for ln in header[complex_at + 1 :]) + "\n")
         want = replace(preset("fig-h1")[2], steps=20)
         assert build_config(parse_config_file(block)) == want
+
+    def test_run_rejects_shared_output_name(self, tmp_path, capsys):
+        # A config file naming every variant alike: three runs, one set of files.
+        p = tmp_path / "x.cfg"
+        p.write_text("name = x\n")
+        out = tmp_path / "out"
+        argv = ["run", "--preset", "fig-h1", "--config", str(p), "--steps", "5", "--out", str(out)]
+        assert main(argv) == 1
+        err = capsys.readouterr().err
+        assert "config error" in err and "'x'" in err
+        assert not out.exists()
+
+    def test_sweep_rejects_shared_base_name(self, tmp_path, capsys):
+        p = tmp_path / "x.cfg"
+        p.write_text("name = x\n")
+        out = tmp_path / "out"
+        argv = ["sweep", "--preset", "fig-h1", "--config", str(p), "--steps", "5", "--seeds", "2",
+                "--out", str(out)]
+        assert main(argv) == 1
+        captured = capsys.readouterr()
+        assert "config error" in captured.err and "sweep(" not in captured.out
+        assert not out.exists()
 
     def test_plots_command(self, tmp_path):
         s = run_scenario(tiny_cfg(), out_dir=tmp_path)

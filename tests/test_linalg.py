@@ -83,6 +83,28 @@ class TestSvd:
         assert np.linalg.norm(adjoint(r.u) @ r.u - eye) < 1e-12
         assert np.linalg.norm(adjoint(r.v) @ r.v - eye) < 1e-12
 
+    @pytest.mark.parametrize("field", FIELDS)
+    def test_stack_matches_per_matrix(self, field):
+        stack = np.stack([rand_matrix(4, field) for _ in range(3)])
+        r = svd(stack)
+        assert r.u.shape == r.v.shape == (3, 4, 4) and r.s.shape == (3, 4)
+        for k, m in enumerate(stack):
+            one = svd(m)
+            for got, want in ((r.u[k], one.u), (r.s[k], one.s), (r.v[k], one.v)):
+                np.testing.assert_array_equal(got, want)
+                assert got.strides == want.strides
+        np.testing.assert_allclose(r.reconstruct(), stack, atol=1e-12)
+
+    def test_stack_checks_kept(self):
+        with pytest.raises(ValueError):
+            svd(np.zeros((2, 3, 4)))
+        with pytest.raises(ValueError):
+            svd(np.zeros(3))
+        stack = np.stack([np.eye(3)] * 2)
+        stack[1, 0, 0] = np.inf
+        with pytest.raises(NonFiniteError):
+            svd(stack)
+
     def test_singular_values_match_gram_eigenvalues(self):
         # sqrt of eigenvalues of m^H m equals the singular values
         for field in FIELDS:
@@ -273,6 +295,21 @@ class TestDetSignOrPhase:
 
     def test_numerically_singular(self):
         assert det_sign_or_phase(np.zeros((3, 3))) == 0.0
+
+    @pytest.mark.parametrize("field", FIELDS)
+    def test_stack_matches_per_matrix(self, field):
+        stack = np.stack([rand_matrix(4, field) for _ in range(3)] + [np.zeros((4, 4))])
+        got = det_sign_or_phase(stack)
+        assert got.shape == (4,) and got[-1] == 0
+        assert got.tolist() == [det_sign_or_phase(m) for m in stack]
+
+    def test_stack_checks_kept(self):
+        with pytest.raises(ValueError):
+            det_sign_or_phase(np.zeros((2, 3, 4)))
+        stack = np.stack([np.eye(3)] * 2)
+        stack[0, 1, 2] = np.nan
+        with pytest.raises(NonFiniteError):
+            det_sign_or_phase(stack)
 
 
 class TestSharedSpectrum:

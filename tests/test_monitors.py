@@ -1,5 +1,7 @@
 """Tests for the trajectory monitors."""
 
+import logging
+
 import numpy as np
 import pytest
 from hypothesis import example, given, settings
@@ -18,6 +20,7 @@ from factorlab.monitors import (
     main_term_sigma_min,
     record,
     record_to_csv_row,
+    records,
     csv_columns,
     skew_error,
     track_svd,
@@ -345,3 +348,66 @@ class TestRecord:
             rec, track = record_stack(step, step * 0.1, st, target, cfg, track)
             st = gd_step(st, target, cfg)
         assert track.aligned
+
+
+@hst.composite
+def _record_blocks(draw):
+    """One problem's evaluations at K steps near each other, some with a rank-deficient W_2."""
+    field = draw(hst.sampled_from(FIELDS))
+    n = draw(hst.sampled_from([3, 4]))
+    k = draw(hst.integers(1, 6))
+    rng = make_rng(draw(hst.integers(0, 2**32 - 1)))
+    d = 4
+    base = [gaussian_matrix(d, field, rng) for _ in range(n)]
+    drift = [gaussian_matrix(d, field, rng) for _ in range(n)]
+    trips = draw(hst.lists(hst.booleans(), min_size=k + 1, max_size=k + 1))
+    stacks = []
+    for j, trip in enumerate(trips):
+        layers = [b + 0.02 * j * dr for b, dr in zip(base, drift)]
+        if trip:
+            layers[1][:, -1] = 0.0
+        stacks.append(LayerStack(tuple(layers)))
+    if draw(hst.booleans()):
+        target = TargetSpec(gaussian_matrix(d, field, rng), reduced=False)
+    else:
+        target = TargetSpec.diagonal(np.abs(rng.standard_normal(d)))
+    cfg = DynConfig(reg_a=draw(hst.sampled_from([0.0, 1.0])))
+    evs = [_evaluate_stack(st, target, cfg) for st in stacks]
+    # The step before the block gives the track the block follows, or none.
+    prev = record(9, 0.9, evs[0], target, None)[1] if draw(hst.booleans()) else None
+    return evs[1:], target, prev, trips[1:]
+
+
+class TestRecords:
+    @settings(max_examples=80, deadline=None)
+    @given(_record_blocks())
+    def test_block_equals_sequential_records(self, block):
+        evs, target, prev, trips = block
+        steps = list(range(10, 10 + len(evs)))
+        times = [0.1 * s for s in steps]
+        got = records(steps, times, evs, target, prev)
+        assert len(got) == len(evs)
+        track = prev
+        for (rec, tr), step, time, ev, trip in zip(got, steps, times, evs, trips):
+            want, track = record(step, time, ev, target, track)
+            assert record_to_csv_row(rec, 4) == record_to_csv_row(want, 4)
+            for name in ("u", "v", "sigma_w"):
+                assert np.array_equal(getattr(tr, name), getattr(track, name))
+            assert tr.aligned == track.aligned
+            assert (rec.skew_err is None) == (len(ev.w) != 4 or trip)
+            assert (rec.half_sum_sv is None) == (not target.reduced)
+
+    def test_guard_warnings_once_per_block(self, caplog):
+        target = TargetSpec(np.eye(4), reduced=False)
+        zero = LayerStack(tuple(np.zeros((4, 4)) for _ in range(4)))
+        clean = balanced_init(4, 4, InitScheme(kind="balanced", epsilon=0.3), FieldTag.REAL, make_rng(22))
+        cfg = DynConfig(reg_a=1.0)
+        evs = [_evaluate_stack(st, target, cfg) for st in (zero, clean, zero, clean, zero)]
+        with caplog.at_level(logging.WARNING, logger="factorlab"):
+            block = records([10, 11, 12, 13, 14], [0.0] * 5, evs, target)
+        assert [rec.skew_err is None for rec, _ in block] == [True, False, True, False, True]
+        assert all(rec.half_sum_sv is None and rec.skew_uv is None for rec, _ in block)
+        assert [r.getMessage() for r in caplog.records] == [
+            "steps 10-14: W_2 ill-conditioned in 3 of 5 records, skew/main-term absent",
+            "steps 10-14: target not reduced, uv terms absent in 5 records",
+        ]
