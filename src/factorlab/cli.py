@@ -87,8 +87,14 @@ def _configs_from_args(args: argparse.Namespace, sweep: bool = False) -> list[Ru
             cfgs = [c for c in cfgs if c.field is FieldTag.parse(args.field)]
             over.pop("field")
         if getattr(args, "det", None):
+            # The real configs left are the wanted det variant, or a preset
+            # without det variants, which takes the sign.
             want = CONFIG_KEYS["det"].parse(args.det)
-            cfgs = [c for c in cfgs if c.det_sign in (want, None)]
+            cfgs = [
+                replace(c, det_sign=want) if c.field is FieldTag.REAL else c
+                for c in cfgs
+                if c.det_sign in (want, None)
+            ]
             over.pop("det")
         elif sweep:
             # Leave the det sign to each seed: the real variants become one sweep.
@@ -196,8 +202,8 @@ def main(argv: list[str] | None = None) -> int:
     p_sweep.set_defaults(fn=_cmd_sweep)
 
     p_rmt = sub.add_parser("rmt-validate", help="random-matrix statistics battery")
-    p_rmt.add_argument("--d", type=int, default=5)
-    p_rmt.add_argument("--samples", type=int, default=2000)
+    p_rmt.add_argument("--d", type=int, default=5, help="dimension of every check but the CRE density")
+    p_rmt.add_argument("--samples", type=int, default=2000, help="samples of the CUE uniformity check")
     p_rmt.add_argument("--seed", type=int, default=0)
     p_rmt.add_argument("--out", type=Path, default=None)
     p_rmt.set_defaults(fn=_cmd_rmt_validate)

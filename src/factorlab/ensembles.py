@@ -234,6 +234,9 @@ def eigenangles(q: np.ndarray) -> np.ndarray:
 # chosen so the false-alarm rate at the stated sample sizes is negligible.
 # ---------------------------------------------------------------------------
 
+# Histogram bins of the eigenangle density checks.
+_BINS = 20
+
 
 @dataclass(frozen=True)
 class ValidatorResult:
@@ -246,36 +249,32 @@ class ValidatorResult:
     """Optional histogram rows (bin_lo, bin_hi, empirical, analytic)."""
 
 
-def validate_cue_uniformity(
-    d: int, n_samples: int, rng: np.random.Generator, bins: int = 20
-) -> ValidatorResult:
+def validate_cue_uniformity(d: int, n_samples: int, rng: np.random.Generator) -> ValidatorResult:
     """Chi-squared test of pooled CUE eigenangles against the flat density."""
     angles = np.concatenate(
         [eigenangles(haar_unitary(d, FieldTag.COMPLEX, rng)) for _ in range(n_samples)]
     )
-    counts, edges = np.histogram(angles, bins=bins, range=(-np.pi, np.pi))
-    expected = len(angles) / bins
+    counts, edges = np.histogram(angles, bins=_BINS, range=(-np.pi, np.pi))
+    expected = len(angles) / _BINS
     chi2 = float(np.sum((counts - expected) ** 2) / expected)
-    crit = float(stats.chi2.ppf(1 - 1e-3, df=bins - 1))
+    crit = float(stats.chi2.ppf(1 - 1e-3, df=_BINS - 1))
     hist = tuple(
         (float(edges[i]), float(edges[i + 1]),
          counts[i] / (len(angles) * (edges[i + 1] - edges[i])) * d,
          cue_density(0.5 * (edges[i] + edges[i + 1]), d))
-        for i in range(bins)
+        for i in range(_BINS)
     )
     return ValidatorResult(
         name=f"cue_uniformity(d={d}, n={n_samples})",
         statistic=chi2,
         threshold=crit,
         passed=chi2 < crit,
-        detail=f"chi2 over {bins} bins, dof={bins - 1}, p=0.001 critical value",
+        detail=f"chi2 over {_BINS} bins, dof={_BINS - 1}, p=0.001 critical value",
         histogram=hist,
     )
 
 
-def validate_cre_density(
-    d: int, n_samples: int, rng: np.random.Generator, bins: int = 20
-) -> ValidatorResult:
+def validate_cre_density(d: int, n_samples: int, rng: np.random.Generator) -> ValidatorResult:
     """L1 distance between det=1 CRE eigenangle histogram and the analytic density.
 
     Samples Haar orthogonal matrices, reflects the det=-1 ones into det=+1 by
@@ -295,24 +294,24 @@ def validate_cre_density(
         pooled.append(ang)
     angles = np.concatenate(pooled)
     n_free = d - 1 if d % 2 == 1 else d
-    counts, edges = np.histogram(angles, bins=bins, range=(-np.pi, np.pi))
+    counts, edges = np.histogram(angles, bins=_BINS, range=(-np.pi, np.pi))
     width = edges[1] - edges[0]
     # Compare as probability densities (both normalized to mass 1).
     emp = counts / (len(angles) * width)
     ana = np.array(
-        [cre_density_det1(0.5 * (edges[i] + edges[i + 1]), d) for i in range(bins)]
+        [cre_density_det1(0.5 * (edges[i] + edges[i + 1]), d) for i in range(_BINS)]
     ) / n_free
     l1 = float(np.sum(np.abs(emp - ana)) * width)
     hist = tuple(
         (float(edges[i]), float(edges[i + 1]), float(emp[i] * n_free), float(ana[i] * n_free))
-        for i in range(bins)
+        for i in range(_BINS)
     )
     return ValidatorResult(
         name=f"cre_det1_density(d={d}, n={n_samples})",
         statistic=l1,
         threshold=0.05,
         passed=l1 < 0.05,
-        detail=f"L1 distance over {bins} bins, probability-normalized",
+        detail=f"L1 distance over {_BINS} bins, probability-normalized",
         histogram=hist,
     )
 
@@ -342,9 +341,12 @@ def validate_haar_invariance(
 
 
 def validate_haar_sigma_min_quantile(
-    d: int, n_samples: int, rng: np.random.Generator, deltas: tuple[float, ...] = (0.1, 0.3)
+    d: int, n_samples: int, rng: np.random.Generator
 ) -> ValidatorResult:
-    """Check Pr(sigma_min(I + Q) >= pi * delta / d) >= 1 - delta - 0.02 for CUE Q."""
+    """Check Pr(sigma_min(I + Q) >= pi * delta / d) >= 1 - delta - 0.02 for CUE Q.
+
+    The bound is checked at delta = 0.1 and delta = 0.3.
+    """
     eye = np.eye(d)
     smin = np.array(
         [np.linalg.svd(eye + haar_unitary(d, FieldTag.COMPLEX, rng), compute_uv=False)[-1]
@@ -352,7 +354,7 @@ def validate_haar_sigma_min_quantile(
     )
     worst_margin = np.inf
     details = []
-    for delta in deltas:
+    for delta in (0.1, 0.3):
         frac = float(np.mean(smin >= np.pi * delta / d))
         margin = frac - (1.0 - delta - 0.02)
         worst_margin = min(worst_margin, margin)

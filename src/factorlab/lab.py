@@ -170,7 +170,7 @@ class RunConfig:
     diag: tuple[float, ...] | None = None
     init: InitScheme = dc_field(default_factory=InitScheme)
     dyn: DynConfig = dc_field(default_factory=DynConfig)
-    det_sign: int | None = None  # +1 / -1 target for det(U^T V) (real balanced init)
+    det_sign: int | None = None  # +1 / -1 target for the sign of det W(0) (real field)
     steps: int = 200_000
     record_stride: int = 100
     seed: int = 2024
@@ -220,7 +220,7 @@ class RunConfig:
             if self.field is not FieldTag.REAL:
                 raise ConfigError("det_sign selection only applies to the real field")
             if self.init.kind == "balanced" and self.d % 2 == 0:
-                raise ConfigError("det_sign via s_N requires odd dimension")
+                raise ConfigError("det_sign for balanced init requires odd dimension")
 
     def echo(self) -> list[str]:
         """Flat key=value lines, the config echo written to every output header."""
@@ -230,73 +230,57 @@ class RunConfig:
         ]
 
 
-PRESET_NAMES = ("fig-h1", "fig-h2", "fig-h3", "sweep")
-
 _PINNED_PRODUCT_SV = (1.0, 0.8, 0.6, 0.5, 0.9)
 _NONIDENTITY_DIAG = (2.00, 1.55, 1.10, 0.65, 0.20)
+_FIG_H1 = RunConfig(
+    name="fig-h1",
+    field=FieldTag.REAL,
+    d=5,
+    n_layers=4,
+    target_kind="identity",
+    sigma1=1.0,
+    init=InitScheme(kind="balanced", epsilon=0.05, g_singular_values=_PINNED_PRODUCT_SV),
+    dyn=DynConfig(reg_a=0.0, eta=0.1, integrator="gd"),
+    steps=200_000,
+    record_stride=100,
+)
+# Each preset's base config, seed aside; a fig-h family runs as three variants.
+_PRESETS = {
+    "fig-h1": _FIG_H1,
+    "fig-h2": replace(_FIG_H1, name="fig-h2", target_kind="diag", diag=_NONIDENTITY_DIAG),
+    "fig-h3": replace(
+        _FIG_H1,
+        name="fig-h3",
+        init=InitScheme(kind="random", epsilon=1.0),
+        dyn=DynConfig(reg_a=1.0, eta=0.001, integrator="gd", omit_l_ori=True),
+        steps=20_000,
+        record_stride=10,
+    ),
+    # Base config for convergence-probability sweeps over random init.
+    "sweep": replace(
+        _FIG_H1,
+        name="sweep",
+        init=InitScheme(kind="random", epsilon=0.15),
+        dyn=DynConfig(reg_a=1.0, eta=0.05, integrator="gd"),
+        steps=150_000,
+        record_stride=1000,
+    ),
+}
+PRESET_NAMES = tuple(_PRESETS)
 
 
 def preset(name: str, seed: int = 2024) -> list[RunConfig]:
     """Named experiment presets; fig-h1/h2/h3 expand to their three variants."""
-    if name == "fig-h1" or name == "fig-h2":
-        base = RunConfig(
-            name=name,
-            field=FieldTag.REAL,
-            d=5,
-            n_layers=4,
-            target_kind="identity" if name == "fig-h1" else "diag",
-            sigma1=1.0,
-            diag=None if name == "fig-h1" else _NONIDENTITY_DIAG,
-            init=InitScheme(
-                kind="balanced", epsilon=0.05, g_singular_values=_PINNED_PRODUCT_SV
-            ),
-            dyn=DynConfig(reg_a=0.0, eta=0.1, integrator="gd"),
-            steps=200_000,
-            record_stride=100,
-            seed=seed,
-        )
-        return [
-            replace(base, name=f"{name}-real-detplus", det_sign=+1),
-            replace(base, name=f"{name}-real-detminus", det_sign=-1),
-            replace(base, name=f"{name}-complex", field=FieldTag.COMPLEX),
-        ]
-    if name == "fig-h3":
-        base = RunConfig(
-            name=name,
-            field=FieldTag.REAL,
-            d=5,
-            n_layers=4,
-            target_kind="identity",
-            sigma1=1.0,
-            init=InitScheme(kind="random", epsilon=1.0),
-            dyn=DynConfig(reg_a=1.0, eta=0.001, integrator="gd", omit_l_ori=True),
-            steps=20_000,
-            record_stride=10,
-            seed=seed,
-        )
-        return [
-            replace(base, name="fig-h3-real-detplus", det_sign=+1),
-            replace(base, name="fig-h3-real-detminus", det_sign=-1),
-            replace(base, name="fig-h3-complex", field=FieldTag.COMPLEX),
-        ]
+    if name not in _PRESETS:
+        raise ConfigError(f"unknown preset {name!r}; available: {', '.join(PRESET_NAMES)}")
+    base = replace(_PRESETS[name], seed=seed)
     if name == "sweep":
-        # Base config for convergence-probability sweeps over random init.
-        return [
-            RunConfig(
-                name="sweep",
-                field=FieldTag.REAL,
-                d=5,
-                n_layers=4,
-                target_kind="identity",
-                sigma1=1.0,
-                init=InitScheme(kind="random", epsilon=0.15),
-                dyn=DynConfig(reg_a=1.0, eta=0.05, integrator="gd"),
-                steps=150_000,
-                record_stride=1000,
-                seed=seed,
-            )
-        ]
-    raise ConfigError(f"unknown preset {name!r}; available: {', '.join(PRESET_NAMES)}")
+        return [base]
+    return [
+        replace(base, name=f"{name}-real-detplus", det_sign=+1),
+        replace(base, name=f"{name}-real-detminus", det_sign=-1),
+        replace(base, name=f"{name}-complex", field=FieldTag.COMPLEX),
+    ]
 
 
 # ---------------------------------------------------------------------------
@@ -310,22 +294,20 @@ def _substream(seed: int, index: int) -> np.random.Generator:
     return np.random.Generator(np.random.Philox(child))
 
 
-def _build_target(cfg: RunConfig) -> tuple[TargetSpec, np.ndarray | None]:
-    """Target from the config; random targets come back unreduced."""
+def _build_target(cfg: RunConfig) -> TargetSpec:
+    """Target from the config; a random target comes back unreduced."""
     if cfg.target_kind == "identity":
-        return TargetSpec.identity(cfg.d, cfg.sigma1), None
+        return TargetSpec.identity(cfg.d, cfg.sigma1)
     if cfg.target_kind == "diag":
-        return TargetSpec.diagonal(cfg.diag), None
-    sigma = gaussian_matrix(cfg.d, cfg.field, _substream(cfg.seed, 0))
-    return TargetSpec(sigma, reduced=False), sigma
+        return TargetSpec.diagonal(cfg.diag)
+    return TargetSpec(gaussian_matrix(cfg.d, cfg.field, _substream(cfg.seed, 0)), reduced=False)
 
 
 def _build_stack(cfg: RunConfig) -> LayerStack:
-    """Initial stack; for balanced real init, s_N is chosen to hit det_sign.
+    """Initial stack; for balanced real init, ``W_N``'s sign is chosen to hit det_sign.
 
-    det(U^T V) of the initial product equals s^d * det(Q_N) det(Q_0); for odd
-    d flipping s_N flips it, so one rebuild from the identical substream
-    selects the requested sign deterministically.
+    Negating ``W_N`` keeps the stack balanced and, for odd d, flips
+    ``det W``, whatever ``s_phases`` the stack was built with.
     """
     if cfg.init.kind == "balanced":
         stack = balanced_init(cfg.d, cfg.n_layers, cfg.init, cfg.field, _substream(cfg.seed, 1))
@@ -334,12 +316,7 @@ def _build_stack(cfg: RunConfig) -> LayerStack:
             if got == 0.0:
                 raise ConfigError("initial product is numerically singular")
             if got != cfg.det_sign:
-                phases = [1.0] * cfg.n_layers
-                phases[-1] = -1.0
-                flipped = replace(cfg.init, s_phases=tuple(phases))
-                stack = balanced_init(
-                    cfg.d, cfg.n_layers, flipped, cfg.field, _substream(cfg.seed, 1)
-                )
+                stack = LayerStack(stack.layers[:-1] + (-stack.layers[-1],))
         return stack
 
     stack = random_init(cfg.d, cfg.n_layers, cfg.init, cfg.field, _substream(cfg.seed, 1))
@@ -361,10 +338,10 @@ def _build_stack(cfg: RunConfig) -> LayerStack:
 def prepare_problem(cfg: RunConfig) -> tuple[TargetSpec, LayerStack, float | complex]:
     """Target (reduced), initial stack, and det indicator of the initial product."""
     cfg.validate()
-    target, sigma_general = _build_target(cfg)
+    target = _build_target(cfg)
     stack = _build_stack(cfg)
     if not target.reduced:
-        target, stack = reduce_target(sigma_general, stack)
+        target, stack = reduce_target(target.matrix, stack)
     det_w0 = det_sign_or_phase(product(stack))
     return target, stack, det_w0
 
@@ -756,24 +733,20 @@ def rmt_validate(
     d: int = 5,
     n_samples: int = 2000,
     seed: int = 0,
-    cre_d: int = 6,
-    cre_samples: int = 5000,
-    product_samples: int = 10_000,
-    quantile_samples: int = 5000,
-    invariance_samples: int = 5000,
-    det_minus_samples: int = 200,
-    n_layers: int = 4,
     out_dir: str | Path | None = None,
 ) -> list[ValidatorResult]:
     """Run every ensemble validator; optionally write statistics CSVs.
 
-    Defaults match the acceptance configuration: CUE uniformity at dimension
-    ``d``, the det=1 circular-real density at ``cre_d``, the det-sign fraction
-    of depth-``n_layers`` Gaussian products, the Haar sigma-min quantile
-    bound, Haar left-invariance, and the det=-1 zero-mode check.
+    ``d`` and ``n_samples`` size the CUE uniformity check; ``d`` is also the
+    dimension of the other checks but the det=1 circular-real density, which
+    runs at dimension 6.  The other sizes are fixed at the acceptance
+    configuration: 5000 samples of the circular-real density, 10,000 depth-4
+    Gaussian products for the det-sign fraction, 5000 each for the Haar
+    sigma-min quantile bound and Haar left-invariance, and 200 for the
+    det=-1 zero-mode check.
     """
     _check_seed(seed)
-    if min(d, cre_d) < 1:
+    if d < 1:
         raise ConfigError("dimensions must be positive")
     if n_samples < 100:
         raise ConfigError("n_samples must be at least 100")
@@ -783,11 +756,11 @@ def rmt_validate(
     ]
     results = [
         validate_cue_uniformity(d, n_samples, streams[0]),
-        validate_cre_density(cre_d, cre_samples, streams[1]),
-        validate_product_det_sign(d, n_layers, product_samples, streams[2]),
-        validate_haar_sigma_min_quantile(d, quantile_samples, streams[3]),
-        validate_haar_invariance(d, invariance_samples, streams[4]),
-        validate_det_minus_zero_mode(d, det_minus_samples, streams[5]),
+        validate_cre_density(6, 5000, streams[1]),
+        validate_product_det_sign(d, 4, 10_000, streams[2]),
+        validate_haar_sigma_min_quantile(d, 5000, streams[3]),
+        validate_haar_invariance(d, 5000, streams[4]),
+        validate_det_minus_zero_mode(d, 200, streams[5]),
     ]
     if out_dir is not None:
         out = Path(out_dir)
@@ -822,10 +795,8 @@ class GradCheckReport:
     passed: bool
 
 
-def gradcheck(
-    d: int, n_layers: int, field: FieldTag, a: float, seed: int, h: float = 1e-6
-) -> GradCheckReport:
-    """Central finite differences of the total loss on every component.
+def gradcheck(d: int, n_layers: int, field: FieldTag, a: float, seed: int) -> GradCheckReport:
+    """Central finite differences, step 1e-6, of the total loss on every component.
 
     Perturbs real and imaginary parts separately, compares against the
     analytic gradient with per-component error ``|g - fd| / (1 + |g|)``, and
@@ -843,6 +814,7 @@ def gradcheck(
     target = TargetSpec(sigma, reduced=False)
     stack = LayerStack(tuple(0.6 * gaussian_matrix(d, field, rng) for _ in range(n_layers)))
     cfg = DynConfig(reg_a=a, eta=0.1, integrator="gd")
+    h = 1e-6
 
     grads = gradient(stack, target, cfg)
 

@@ -27,7 +27,8 @@ the number of records the guard tripped in.
 from __future__ import annotations
 
 import logging
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
+from operator import attrgetter
 
 import numpy as np
 
@@ -388,23 +389,22 @@ def record(
     return records([step], [time], [ev], target, prev_track)[0]
 
 
+# The CSV columns are the record's fields in order.  A field is an int, a
+# number or absent, or an array of d values in columns ``<name>_0`` to
+# ``<name>_{d-1}``.
+_CSV_FIELDS = tuple(
+    (f.name, "array" if "ndarray" in f.type else "int" if f.type == "int" else "number")
+    for f in fields(TrajectoryRecord)
+)
+# One call reads every field: a row is written per record, often every step.
+_csv_values = attrgetter(*(name for name, _ in _CSV_FIELDS))
+
+
 def csv_columns(d: int) -> list[str]:
     """Fixed CSV column order for a dimension-d run."""
-    cols = [
-        "step",
-        "time",
-        "l_ori",
-        "l_reg",
-        "e_delta",
-        "sig_max",
-        "sig_min",
-        "skew_err",
-        "main_sv_min",
-        "det_ind",
-    ]
-    cols += [f"sigma_w_{k}" for k in range(d)]
-    cols += [f"half_sum_sv_{k}" for k in range(d)]
-    cols.append("skew_uv")
+    cols: list[str] = []
+    for name, kind in _CSV_FIELDS:
+        cols += [f"{name}_{k}" for k in range(d)] if kind == "array" else [name]
     return cols
 
 
@@ -420,22 +420,14 @@ def record_to_csv_row(rec: TrajectoryRecord, d: int) -> str:
     Numbers are written as the shortest round-trip ``repr`` of a Python int,
     float or complex, never of a numpy scalar (``np.float64(...)``).
     """
-    scalars = (
-        rec.time,
-        rec.l_ori,
-        rec.l_reg,
-        rec.e_delta,
-        rec.sig_max,
-        rec.sig_min,
-        rec.skew_err,
-        rec.main_sv_min,
-        rec.det_ind,
-    )
-    fields = [str(rec.step)] + [_fmt(x) for x in scalars]
-    fields += map(repr, rec.sigma_w[:d].tolist())
-    if rec.half_sum_sv is None:
-        fields += [""] * d
-    else:
-        fields += map(repr, rec.half_sum_sv[:d].tolist())
-    fields.append(_fmt(rec.skew_uv))
-    return ",".join(fields)
+    cells: list[str] = []
+    for (_, kind), x in zip(_CSV_FIELDS, _csv_values(rec)):
+        if kind == "number":
+            cells.append(_fmt(x))
+        elif kind == "int":
+            cells.append(str(x))
+        elif x is None:
+            cells += [""] * d
+        else:
+            cells += map(repr, x[:d].tolist())
+    return ",".join(cells)

@@ -168,6 +168,43 @@ class TestPresets:
         with pytest.raises(ConfigError):
             preset("fig-h9")
 
+    # Every preset variant's echo at seed 2024, one value per config key.
+    ECHO_KEYS = (
+        "name | field | d | n_layers | target | sigma1 | diag | init | epsilon | s_phases | "
+        "g_singular_values | det | integrator | reg_a | eta | step_h | omit_l_ori | steps | "
+        "record_stride | seed | eps_conv"
+    )
+    ECHOES = [
+        "fig-h1-real-detplus | real | 5 | 4 | identity | 1.0 |  | balanced | 0.05 |  | "
+        "1.0,0.8,0.6,0.5,0.9 | plus | gd | 0.0 | 0.1 | 0.001 | false | 200000 | 100 | 2024 | 1e-08",
+        "fig-h1-real-detminus | real | 5 | 4 | identity | 1.0 |  | balanced | 0.05 |  | "
+        "1.0,0.8,0.6,0.5,0.9 | minus | gd | 0.0 | 0.1 | 0.001 | false | 200000 | 100 | 2024 | 1e-08",
+        "fig-h1-complex | complex | 5 | 4 | identity | 1.0 |  | balanced | 0.05 |  | "
+        "1.0,0.8,0.6,0.5,0.9 |  | gd | 0.0 | 0.1 | 0.001 | false | 200000 | 100 | 2024 | 1e-08",
+        "fig-h2-real-detplus | real | 5 | 4 | diag | 1.0 | 2.0,1.55,1.1,0.65,0.2 | balanced | 0.05 |  | "
+        "1.0,0.8,0.6,0.5,0.9 | plus | gd | 0.0 | 0.1 | 0.001 | false | 200000 | 100 | 2024 | 1e-08",
+        "fig-h2-real-detminus | real | 5 | 4 | diag | 1.0 | 2.0,1.55,1.1,0.65,0.2 | balanced | 0.05 |  | "
+        "1.0,0.8,0.6,0.5,0.9 | minus | gd | 0.0 | 0.1 | 0.001 | false | 200000 | 100 | 2024 | 1e-08",
+        "fig-h2-complex | complex | 5 | 4 | diag | 1.0 | 2.0,1.55,1.1,0.65,0.2 | balanced | 0.05 |  | "
+        "1.0,0.8,0.6,0.5,0.9 |  | gd | 0.0 | 0.1 | 0.001 | false | 200000 | 100 | 2024 | 1e-08",
+        "fig-h3-real-detplus | real | 5 | 4 | identity | 1.0 |  | random | 1.0 |  |  | "
+        "plus | gd | 1.0 | 0.001 | 0.001 | true | 20000 | 10 | 2024 | 1e-08",
+        "fig-h3-real-detminus | real | 5 | 4 | identity | 1.0 |  | random | 1.0 |  |  | "
+        "minus | gd | 1.0 | 0.001 | 0.001 | true | 20000 | 10 | 2024 | 1e-08",
+        "fig-h3-complex | complex | 5 | 4 | identity | 1.0 |  | random | 1.0 |  |  | "
+        " | gd | 1.0 | 0.001 | 0.001 | true | 20000 | 10 | 2024 | 1e-08",
+        "sweep | real | 5 | 4 | identity | 1.0 |  | random | 0.15 |  |  | "
+        " | gd | 1.0 | 0.05 | 0.001 | false | 150000 | 1000 | 2024 | 1e-08",
+    ]
+
+    def test_echo_of_every_variant(self):
+        keys = self.ECHO_KEYS.split(" | ")
+        want = [
+            [f"{k} = {v}" for k, v in zip(keys, row.split(" | "), strict=True)]
+            for row in self.ECHOES
+        ]
+        assert [c.echo() for name in PRESET_NAMES for c in preset(name)] == want
+
 
 class TestPrepareProblem:
     def test_det_sign_forcing(self):
@@ -183,6 +220,18 @@ class TestPrepareProblem:
     def test_det_sign_complex_rejected(self):
         with pytest.raises(ConfigError):
             prepare_problem(tiny_cfg(field=FieldTag.COMPLEX, det_sign=1))
+
+    @pytest.mark.parametrize("phases", [None, (-1.0, 1.0, 1.0, 1.0), (1.0, 1.0, 1.0, -1.0),
+                                        (-1.0, -1.0, 1.0, -1.0)])
+    @pytest.mark.parametrize("want", [+1, -1])
+    def test_det_sign_with_s_phases(self, phases, want):
+        # The sign comes from negating W_N after the phases are applied, so
+        # it holds for any phases and the stack stays balanced.
+        base = preset("fig-h1")[0]
+        cfg = replace(base, det_sign=want, init=replace(base.init, s_phases=phases))
+        _, stack, det0 = prepare_problem(cfg)
+        assert det0 == float(want)
+        assert balance_errors(stack)[1] < 1e-14
 
     def test_random_target_reduced(self):
         cfg = tiny_cfg(target_kind="random")
@@ -584,18 +633,7 @@ class TestGradcheckAndRmt:
             gradcheck(7, 4, FieldTag.REAL, 0.0, seed=0)
 
     def test_rmt_validate_writes_report(self, tmp_path):
-        results = rmt_validate(
-            d=4,
-            n_samples=200,
-            seed=1,
-            cre_d=4,
-            cre_samples=400,
-            product_samples=500,
-            quantile_samples=400,
-            invariance_samples=300,
-            det_minus_samples=50,
-            out_dir=tmp_path,
-        )
+        results = rmt_validate(seed=1, out_dir=tmp_path)
         assert (tmp_path / "rmt_report.csv").exists()
         assert (tmp_path / "cue_uniformity.csv").exists()
         report = open(tmp_path / "rmt_report.csv").read()
@@ -734,6 +772,19 @@ class TestCli:
         cfg.write_text("det = minus\n")
         assert main(argv + ["--field", "real", "--config", str(cfg)]) == 0
         assert {(r[0], r[-1]) for r in rows()[1:]} == {("fig-h1-real", "-1.0")}
+
+    @pytest.mark.parametrize("command", ["run", "sweep"])
+    def test_det_sets_the_sign_of_a_preset_without_det_variants(self, tmp_path, command):
+        argv = [command, "--preset", "sweep", "--det", "plus", "--steps", "20", "--out", str(tmp_path)]
+        assert main(argv + (["--seeds", "6"] if command == "sweep" else [])) == 0
+        if command == "sweep":
+            lines = (tmp_path / "sweep.csv").read_text().splitlines()
+            dets = [r.split(",")[-1] for r in lines if not r.startswith("#")][1:]
+        else:
+            lines = (tmp_path / "sweep.summary.txt").read_text().splitlines()
+            dets = [ln.split(" = ")[1] for ln in lines if ln.startswith("det_w0 = ")]
+        assert "# det = plus" in lines or "det = plus" in lines
+        assert dets and set(dets) == {"1.0"}
 
     def test_sweep_csv_echoes_each_base(self, tmp_path, capsys):
         argv = ["sweep", "--preset", "fig-h1", "--steps", "20", "--seeds", "3", "--out", str(tmp_path)]

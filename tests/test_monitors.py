@@ -318,6 +318,13 @@ class TestRecord:
             ",,,,,"
         )
 
+    def test_csv_columns_are_the_documented_header(self):
+        assert ",".join(csv_columns(5)) == (
+            "step,time,l_ori,l_reg,e_delta,sig_max,sig_min,skew_err,main_sv_min,det_ind,"
+            "sigma_w_0,sigma_w_1,sigma_w_2,sigma_w_3,sigma_w_4,"
+            "half_sum_sv_0,half_sum_sv_1,half_sum_sv_2,half_sum_sv_3,half_sum_sv_4,skew_uv"
+        )
+
     def test_csv_row_shape(self):
         st = balanced_init(5, 4, InitScheme(kind="balanced", epsilon=0.05), FieldTag.REAL, make_rng(19))
         rec, _ = record_stack(0, 0.0, st, TargetSpec.identity(5), self._cfg(), None)
