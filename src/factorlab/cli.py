@@ -161,7 +161,7 @@ def _cmd_rmt_validate(args: argparse.Namespace) -> int:
     ok = True
     for r in results:
         verdict = "pass" if r.passed else "FAIL"
-        print(f"[{verdict}] {r.name}: statistic={r.statistic:.6g} threshold={r.threshold:.6g} ({r.detail})")
+        print(f"[{verdict}] {r.name}: {r.statistic:.6g} {r.rule} {r.threshold:.6g} ({r.detail})")
         ok = ok and r.passed
     return EXIT_OK if ok else EXIT_VALIDATION
 

@@ -20,7 +20,7 @@ from typing import NamedTuple
 import numpy as np
 
 from .errors import DimMismatchError
-from .linalg import FieldTag, adjoint, svd
+from .linalg import adjoint, svd
 
 __all__ = [
     "LayerStack",
@@ -38,17 +38,23 @@ __all__ = [
 
 @dataclass(frozen=True)
 class LayerStack:
-    """Ordered weights ``(W_1, ..., W_N)``, all d x d over the same field."""
+    """Weights ``(W_1, ..., W_N)`` as one ``(N, d, d)`` array, the kernel's layout.
 
-    layers: tuple[np.ndarray, ...]
+    Built from such an array or from any sequence of equal square layers.
+    """
+
+    layers: np.ndarray
 
     def __post_init__(self) -> None:
-        if len(self.layers) < 2:
+        try:
+            layers = np.asarray(self.layers)
+        except ValueError:  # layers of unequal shapes make no array
+            layers = np.empty(0)
+        if layers.ndim != 3 or layers.shape[1] != layers.shape[2]:
+            raise DimMismatchError("all layers must be square with equal dimension")
+        if len(layers) < 2:
             raise ValueError("a stack needs at least two layers")
-        d = self.layers[0].shape[0]
-        for w in self.layers:
-            if w.shape != (d, d):
-                raise DimMismatchError("all layers must be square with equal dimension")
+        object.__setattr__(self, "layers", layers)
 
     @property
     def depth(self) -> int:
@@ -56,11 +62,7 @@ class LayerStack:
 
     @property
     def dim(self) -> int:
-        return self.layers[0].shape[0]
-
-    @property
-    def field(self) -> FieldTag:
-        return FieldTag.of(self.layers[0])
+        return self.layers.shape[-1]
 
 
 @dataclass(frozen=True)
@@ -121,7 +123,7 @@ def product(stack: LayerStack) -> np.ndarray:
 
 
 def _left_product(layers) -> np.ndarray:
-    """``((W_N W_{N-1}) ...) W_1`` of a layer sequence or one ``(N, d, d)`` array."""
+    """``((W_N W_{N-1}) ...) W_1`` of an ``(N, ..., d, d)`` layer array."""
     w = layers[-1]
     for layer in reversed(layers[:-1]):
         w = w @ layer
@@ -245,12 +247,12 @@ def _advance(ev: _Evaluation, sigma: np.ndarray, cfg: DynConfig, integrator: str
 def _evaluate_stack(stack: LayerStack, target: TargetSpec, cfg: DynConfig) -> _Evaluation:
     if target.matrix.shape != (stack.dim, stack.dim):
         raise DimMismatchError("target dimension does not match the stack")
-    return _evaluate(np.stack(stack.layers), target.matrix, cfg)
+    return _evaluate(stack.layers, target.matrix, cfg)
 
 
-def balance_deltas(stack: LayerStack) -> list[np.ndarray]:
-    """Adjacent balance defects ``W_j W_j^H - W_{j+1}^H W_{j+1}``, j = 1..N-1."""
-    return list(_defects(np.stack(stack.layers)))
+def balance_deltas(stack: LayerStack) -> np.ndarray:
+    """Adjacent balance defects ``W_j W_j^H - W_{j+1}^H W_{j+1}``, j = 1..N-1, stacked."""
+    return _defects(stack.layers)
 
 
 def loss(stack: LayerStack, target: TargetSpec, cfg: DynConfig) -> tuple[float, float, float]:
@@ -260,21 +262,21 @@ def loss(stack: LayerStack, target: TargetSpec, cfg: DynConfig) -> tuple[float, 
     return l_ori, l_reg, (0.0 if cfg.omit_l_ori else l_ori) + l_reg
 
 
-def gradient(stack: LayerStack, target: TargetSpec, cfg: DynConfig) -> list[np.ndarray]:
-    """Exact gradient of the total loss with respect to every layer."""
-    return list(_descend(_evaluate_stack(stack, target, cfg), cfg))
+def gradient(stack: LayerStack, target: TargetSpec, cfg: DynConfig) -> np.ndarray:
+    """Exact gradient of the total loss with respect to every layer, as ``(N, d, d)``."""
+    return _descend(_evaluate_stack(stack, target, cfg), cfg)
 
 
 def gd_step(stack: LayerStack, target: TargetSpec, cfg: DynConfig) -> LayerStack:
     """One simultaneous gradient-descent update of every layer."""
     ev = _evaluate_stack(stack, target, cfg)
-    return LayerStack(tuple(_advance(ev, target.matrix, cfg, "gd")))
+    return LayerStack(_advance(ev, target.matrix, cfg, "gd"))
 
 
 def flow_step_rk4(stack: LayerStack, target: TargetSpec, cfg: DynConfig) -> LayerStack:
     """One classical 4th-order Runge-Kutta step of the coupled layer ODE."""
     ev = _evaluate_stack(stack, target, cfg)
-    return LayerStack(tuple(_advance(ev, target.matrix, cfg, "flow_rk4")))
+    return LayerStack(_advance(ev, target.matrix, cfg, "flow_rk4"))
 
 
 def reduce_target(
@@ -289,7 +291,7 @@ def reduce_target(
     if sigma_general.shape != (stack.dim, stack.dim):
         raise DimMismatchError("target dimension does not match the stack")
     r = svd(sigma_general)
-    layers = list(stack.layers)
+    layers = stack.layers.copy()
     layers[0] = layers[0] @ r.v
     layers[-1] = adjoint(r.u) @ layers[-1]
-    return TargetSpec(np.diag(r.s), reduced=True), LayerStack(tuple(layers))
+    return TargetSpec(np.diag(r.s), reduced=True), LayerStack(layers)

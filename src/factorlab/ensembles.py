@@ -14,10 +14,10 @@ so adding layers or samplers never perturbs earlier draws.
 
 from __future__ import annotations
 
+import operator
 from dataclasses import dataclass, field as dc_field
 
 import numpy as np
-from scipy import stats
 
 from .dynamics import LayerStack
 from .errors import NotUnitaryError
@@ -160,12 +160,10 @@ def balanced_init(
         g = (qg * vals) @ adjoint(pg)
     qs = [haar_unitary(d, field, streams[3 + k]) for k in range(n_layers + 1)]
 
-    gh = adjoint(g)
-    layers = []
-    for j in range(1, n_layers + 1):
-        core = g if j % 2 == 1 else gh
-        layers.append(s[j - 1] * eps * (qs[j] @ core @ adjoint(qs[j - 1])))
-    return LayerStack(tuple(layers))
+    cores = (g, adjoint(g))
+    return LayerStack(np.array([
+        s[j] * eps * (qs[j + 1] @ cores[j % 2] @ adjoint(qs[j])) for j in range(n_layers)
+    ]))
 
 
 def random_init(
@@ -181,9 +179,7 @@ def random_init(
     if n_layers < 2:
         raise ValueError("need at least two layers")
     streams = rng.spawn(n_layers)
-    return LayerStack(
-        tuple(scheme.epsilon * gaussian_matrix(d, field, st) for st in streams)
-    )
+    return LayerStack(np.array([scheme.epsilon * gaussian_matrix(d, field, st) for st in streams]))
 
 
 def main_term_seed_stat(w: np.ndarray) -> float:
@@ -238,19 +234,28 @@ def eigenangles(q: np.ndarray) -> np.ndarray:
 _BINS = 20
 
 
+# A validator passes iff ``statistic <rule> threshold``.
+_RULES = {"<": operator.lt, "<=": operator.le, ">": operator.gt, ">=": operator.ge}
+
+
 @dataclass(frozen=True)
 class ValidatorResult:
     name: str
     statistic: float
+    rule: str  # one of _RULES
     threshold: float
-    passed: bool
     detail: str = ""
     histogram: tuple[tuple[float, float, float, float], ...] | None = None
     """Optional histogram rows (bin_lo, bin_hi, empirical, analytic)."""
 
+    @property
+    def passed(self) -> bool:
+        return _RULES[self.rule](self.statistic, self.threshold)
+
 
 def validate_cue_uniformity(d: int, n_samples: int, rng: np.random.Generator) -> ValidatorResult:
     """Chi-squared test of pooled CUE eigenangles against the flat density."""
+    from scipy import stats  # deferred: importing it costs more than the rest of factorlab
     angles = np.concatenate(
         [eigenangles(haar_unitary(d, FieldTag.COMPLEX, rng)) for _ in range(n_samples)]
     )
@@ -267,8 +272,8 @@ def validate_cue_uniformity(d: int, n_samples: int, rng: np.random.Generator) ->
     return ValidatorResult(
         name=f"cue_uniformity(d={d}, n={n_samples})",
         statistic=chi2,
+        rule="<",
         threshold=crit,
-        passed=chi2 < crit,
         detail=f"chi2 over {_BINS} bins, dof={_BINS - 1}, p=0.001 critical value",
         histogram=hist,
     )
@@ -309,8 +314,8 @@ def validate_cre_density(d: int, n_samples: int, rng: np.random.Generator) -> Va
     return ValidatorResult(
         name=f"cre_det1_density(d={d}, n={n_samples})",
         statistic=l1,
+        rule="<",
         threshold=0.05,
-        passed=l1 < 0.05,
         detail=f"L1 distance over {_BINS} bins, probability-normalized",
         histogram=hist,
     )
@@ -320,6 +325,7 @@ def validate_haar_invariance(
     d: int, n_samples: int, rng: np.random.Generator
 ) -> ValidatorResult:
     """Two-sample KS test: Re tr(U0 Q) must match Re tr(Q) for fixed unitary U0."""
+    from scipy import stats  # deferred: importing it costs more than the rest of factorlab
     streams = rng.spawn(3)
     u0 = haar_unitary(d, FieldTag.COMPLEX, streams[0])
     x = np.array(
@@ -334,8 +340,8 @@ def validate_haar_invariance(
     return ValidatorResult(
         name=f"haar_left_invariance(d={d}, n={n_samples})",
         statistic=float(res.pvalue),
+        rule=">",
         threshold=1e-3,
-        passed=res.pvalue > 1e-3,
         detail=f"two-sample KS statistic {res.statistic:.4f}; pass iff p-value > 0.001",
     )
 
@@ -362,8 +368,8 @@ def validate_haar_sigma_min_quantile(
     return ValidatorResult(
         name=f"haar_sigma_min_quantile(d={d}, n={n_samples})",
         statistic=float(worst_margin),
+        rule=">=",
         threshold=0.0,
-        passed=worst_margin >= 0.0,
         detail="; ".join(details),
     )
 
@@ -382,8 +388,8 @@ def validate_det_minus_zero_mode(
     return ValidatorResult(
         name=f"det_minus_zero_mode(d={d}, n={n_samples})",
         statistic=worst,
+        rule="<=",
         threshold=1e-10,
-        passed=worst <= 1e-10,
         detail=f"{n_minus} det=-1 samples; max sigma_min(Q + sqrt(QQ^T))",
     )
 
@@ -391,7 +397,7 @@ def validate_det_minus_zero_mode(
 def validate_product_det_sign(
     d: int, n_layers: int, n_samples: int, rng: np.random.Generator
 ) -> ValidatorResult:
-    """Fraction of det(W_N...W_1) > 0 over real Gaussian stacks: 0.5 +- 0.015."""
+    """Fraction of det(W_N...W_1) > 0 over real Gaussian stacks: |fraction - 0.5| <= 0.015."""
     positive = 0
     for _ in range(n_samples):
         w = gaussian_matrix(d, FieldTag.REAL, rng)
@@ -402,8 +408,8 @@ def validate_product_det_sign(
     frac = positive / n_samples
     return ValidatorResult(
         name=f"product_det_sign(d={d}, N={n_layers}, n={n_samples})",
-        statistic=float(frac),
+        statistic=abs(frac - 0.5),
+        rule="<=",
         threshold=0.015,
-        passed=abs(frac - 0.5) <= 0.015,
-        detail="binomial 3-sigma band around 1/2",
+        detail=f"fraction {frac!r}; binomial 3-sigma band around 1/2",
     )

@@ -13,6 +13,7 @@ values (tripped guards) are empty fields.
 
 from __future__ import annotations
 
+import csv
 import os
 import time as _time
 from concurrent.futures import ProcessPoolExecutor
@@ -32,12 +33,11 @@ from .dynamics import (
     _Evaluation,
     _frobenius,
     gradient,
-    loss,
     product,
     reduce_target,
 )
 # Not called here: the benchmark's tracer wraps these under their names.
-from .dynamics import flow_step_rk4, gd_step  # noqa: F401
+from .dynamics import flow_step_rk4, gd_step, loss  # noqa: F401
 from .monitors import balance_errors  # noqa: F401
 from .ensembles import (
     PRNG_NAME,
@@ -303,47 +303,35 @@ def _build_target(cfg: RunConfig) -> TargetSpec:
     return TargetSpec(gaussian_matrix(cfg.d, cfg.field, _substream(cfg.seed, 0)), reduced=False)
 
 
-def _build_stack(cfg: RunConfig) -> LayerStack:
-    """Initial stack; for balanced real init, ``W_N``'s sign is chosen to hit det_sign.
-
-    Negating ``W_N`` keeps the stack balanced and, for odd d, flips
-    ``det W``, whatever ``s_phases`` the stack was built with.
-    """
-    if cfg.init.kind == "balanced":
-        stack = balanced_init(cfg.d, cfg.n_layers, cfg.init, cfg.field, _substream(cfg.seed, 1))
-        if cfg.det_sign is not None:
-            got = det_sign_or_phase(product(stack))
-            if got == 0.0:
-                raise ConfigError("initial product is numerically singular")
-            if got != cfg.det_sign:
-                stack = LayerStack(stack.layers[:-1] + (-stack.layers[-1],))
-        return stack
-
-    stack = random_init(cfg.d, cfg.n_layers, cfg.init, cfg.field, _substream(cfg.seed, 1))
-    if cfg.det_sign is not None:
-        # Random init cannot steer the determinant; scan forward for a seed
-        # whose initial product has the requested sign.
-        probe = cfg.seed
-        for _ in range(1000):
-            if det_sign_or_phase(product(stack)) == cfg.det_sign:
-                return stack
-            probe += 1
-            stack = random_init(
-                cfg.d, cfg.n_layers, cfg.init, cfg.field, _substream(probe, 1)
-            )
-        raise ConfigError("could not find a seed with the requested det sign")
-    return stack
-
-
 def prepare_problem(cfg: RunConfig) -> tuple[TargetSpec, LayerStack, float | complex]:
-    """Target (reduced), initial stack, and det indicator of the initial product."""
+    """Target (reduced), initial stack, and det indicator of the initial product.
+
+    ``det_sign`` is the sign of the product the run starts from, after the
+    target reduction, which multiplies ``det W`` by ``det(U_S^H V_S) = +-1``.
+    Balanced init meets it by negating ``W_N``: that keeps the stack
+    balanced and, for odd d, flips ``det W``, whatever ``s_phases`` the
+    stack was built with.  Random init cannot steer the determinant, so it
+    scans forward from the seed for a stack whose product has the sign.
+    """
     cfg.validate()
-    target = _build_target(cfg)
-    stack = _build_stack(cfg)
-    if not target.reduced:
-        target, stack = reduce_target(target.matrix, stack)
-    det_w0 = det_sign_or_phase(product(stack))
-    return target, stack, det_w0
+    built = _build_target(cfg)
+    balanced = cfg.init.kind == "balanced"
+    init = balanced_init if balanced else random_init
+    scan = 1 if balanced or cfg.det_sign is None else 1000
+    for probe in range(cfg.seed, cfg.seed + scan):
+        target = built
+        stack = init(cfg.d, cfg.n_layers, cfg.init, cfg.field, _substream(probe, 1))
+        if not target.reduced:
+            target, stack = reduce_target(target.matrix, stack)
+        det_w0 = det_sign_or_phase(product(stack))
+        if cfg.det_sign is None or det_w0 == cfg.det_sign:
+            return target, stack, det_w0
+        if balanced:
+            if det_w0 == 0.0:
+                raise ConfigError("initial product is numerically singular")
+            flipped = np.concatenate([stack.layers[:-1], -stack.layers[-1:]])
+            return target, LayerStack(flipped), -det_w0
+    raise ConfigError("could not find a seed with the requested det sign")
 
 
 # ---------------------------------------------------------------------------
@@ -609,7 +597,7 @@ def _run_chunk(
     if trajectories is not None:
         for traj, (target, _, _) in zip(trajectories, problems):
             traj.start(target)
-    w = np.stack([np.stack(stack.layers) for _, stack, _ in problems])
+    w = np.stack([stack.layers for _, stack, _ in problems])
     sigma = np.stack([target.matrix for target, _, _ in problems])
     active = np.arange(len(cfgs))  # batch row -> index into cfgs
     outcomes: list[SeedOutcome | None] = [None] * len(cfgs)
@@ -765,10 +753,10 @@ def rmt_validate(
     if out_dir is not None:
         out = Path(out_dir)
         out.mkdir(parents=True, exist_ok=True)
-        report = ["test,statistic,threshold,verdict,detail"]
+        report = [("test", "statistic", "rule", "threshold", "verdict", "detail")]
         for r in results:
             verdict = "pass" if r.passed else "FAIL"
-            report.append(f"{r.name},{r.statistic!r},{r.threshold!r},{verdict},{r.detail}")
+            report.append((r.name, repr(r.statistic), r.rule, repr(r.threshold), verdict, r.detail))
             if r.histogram is not None:
                 hist_lines = ["bin_lo,bin_hi,empirical,analytic"]
                 hist_lines += [
@@ -776,7 +764,9 @@ def rmt_validate(
                 ]
                 slug = r.name.split("(")[0]
                 (out / f"{slug}.csv").write_text("\n".join(hist_lines) + "\n")
-        (out / "rmt_report.csv").write_text("\n".join(report) + "\n")
+        # Quoted where needed: names and details hold commas.
+        with open(out / "rmt_report.csv", "w", newline="") as fh:
+            csv.writer(fh, lineterminator="\n").writerows(report)
     return results
 
 
@@ -811,32 +801,30 @@ def gradcheck(d: int, n_layers: int, field: FieldTag, a: float, seed: int) -> Gr
     _check_seed(seed)
     rng = _substream(seed, 0)
     sigma = gaussian_matrix(d, field, rng)
-    target = TargetSpec(sigma, reduced=False)
-    stack = LayerStack(tuple(0.6 * gaussian_matrix(d, field, rng) for _ in range(n_layers)))
+    w = np.array([0.6 * gaussian_matrix(d, field, rng) for _ in range(n_layers)])
     cfg = DynConfig(reg_a=a, eta=0.1, integrator="gd")
     h = 1e-6
 
-    grads = gradient(stack, target, cfg)
+    grads = gradient(LayerStack(w), TargetSpec(sigma, reduced=False), cfg)
 
-    def total(layers: list[np.ndarray]) -> float:
-        return loss(LayerStack(tuple(layers)), target, cfg)[2]
+    def total(x: np.ndarray) -> np.ndarray:
+        ev = _evaluate(x, sigma, cfg)
+        return ev.l_ori + ev.l_reg
 
+    # One kernel batch per layer and part: problem m perturbs entry m of the
+    # layer.  A problem's loss bits do not depend on the batch it is in.
+    basis = np.eye(d * d).reshape(d * d, d, d)
     max_err = 0.0
-    parts = (1.0, 1j) if field is FieldTag.COMPLEX else (1.0,)
     for j in range(n_layers):
-        for k in range(d):
-            for l in range(d):
-                for unit in parts:
-                    layers = [w.copy() for w in stack.layers]
-                    layers[j][k, l] += unit * h
-                    f_plus = total(layers)
-                    layers[j][k, l] -= 2 * unit * h
-                    f_minus = total(layers)
-                    fd = (f_plus - f_minus) / (2 * h)
-                    g = grads[j][k, l]
-                    analytic = g.real if unit == 1.0 else g.imag
-                    err = abs(analytic - fd) / (1.0 + abs(analytic))
-                    max_err = max(max_err, err)
+        for unit in (1.0, 1j) if field is FieldTag.COMPLEX else (1.0,):
+            step = np.zeros((d * d, *w.shape), dtype=w.dtype)
+            step[:, j] = unit * h * basis
+            plus = w + step
+            fd = (total(plus) - total(plus - 2 * step)) / (2 * h)
+            g = grads[j].reshape(-1)
+            analytic = g.real if unit == 1.0 else g.imag
+            err = np.abs(analytic - fd) / (1.0 + np.abs(analytic))
+            max_err = max(max_err, float(err.max()))
     return GradCheckReport(
         field=field,
         d=d,

@@ -49,10 +49,6 @@ class FieldTag(enum.Enum):
         return np.dtype(np.complex128 if self is FieldTag.COMPLEX else np.float64)
 
     @staticmethod
-    def of(m: np.ndarray) -> "FieldTag":
-        return FieldTag.COMPLEX if np.iscomplexobj(m) else FieldTag.REAL
-
-    @staticmethod
     def parse(name: str) -> "FieldTag":
         try:
             return FieldTag(name.lower())

@@ -77,10 +77,10 @@ def _defect_size(deltas: np.ndarray) -> np.ndarray:
     return np.sqrt(sum(sq[..., j] for j in range(sq.shape[-1])))
 
 
-def balance_errors(stack: LayerStack) -> tuple[list[np.ndarray], float]:
-    """Adjacent balance defects and their aggregate Frobenius size e_delta."""
-    deltas = _defects(np.stack(stack.layers))
-    return list(deltas), float(_defect_size(deltas))
+def balance_errors(stack: LayerStack) -> tuple[np.ndarray, float]:
+    """Adjacent balance defects ``(N-1, d, d)`` and their aggregate Frobenius size e_delta."""
+    deltas = _defects(stack.layers)
+    return deltas, float(_defect_size(deltas))
 
 
 def _diagnostics(
@@ -104,7 +104,7 @@ def _diagnostics(
 
 
 def _diagnostics_of(stack: LayerStack) -> tuple[float, float]:
-    ok, skew, main = _diagnostics(np.stack(stack.layers)[None])
+    ok, skew, main = _diagnostics(stack.layers[None])
     if not ok[0]:
         raise IllConditionedError("W_2 condition number exceeds guard")
     return float(skew[0]), float(main[0])
@@ -266,7 +266,7 @@ def _extremes(svs: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
 
 def layer_extremes(stack: LayerStack) -> tuple[float, float]:
     """Largest and smallest singular value over all layers."""
-    hi, lo = _extremes(np.linalg.svd(np.stack(stack.layers), compute_uv=False))
+    hi, lo = _extremes(np.linalg.svd(stack.layers, compute_uv=False))
     return float(hi), float(lo)
 
 

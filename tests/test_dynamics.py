@@ -225,7 +225,7 @@ class TestFlowRk4:
         target = TargetSpec.identity(4)
 
         def dissipation_rate(stack):
-            deltas = [None] + balance_deltas(stack) + [None]
+            deltas = [None, *balance_deltas(stack), None]
             total = 0.0
             for j in range(1, stack.depth + 1):
                 term = np.zeros_like(stack.layers[0])

@@ -1,6 +1,10 @@
 """Tests for the experiment driver and CLI."""
 
 import cmath
+import csv
+import itertools
+import operator
+import os
 import re
 import warnings
 from dataclasses import replace
@@ -13,8 +17,18 @@ from hypothesis import strategies as st
 
 from factorlab import lab
 from factorlab.cli import main
-from factorlab.dynamics import DynConfig, _evaluate_stack, flow_step_rk4, gd_step, loss, product
-from factorlab.ensembles import InitScheme
+from factorlab.dynamics import (
+    DynConfig,
+    LayerStack,
+    TargetSpec,
+    _evaluate_stack,
+    flow_step_rk4,
+    gd_step,
+    gradient,
+    loss,
+    product,
+)
+from factorlab.ensembles import InitScheme, gaussian_matrix
 from factorlab.errors import ConfigError, MalformedCSVError
 from factorlab.lab import (
     CONFIG_KEYS,
@@ -33,7 +47,7 @@ from factorlab.lab import (
     run_scenarios,
     sweep_convergence,
 )
-from factorlab.linalg import FieldTag
+from factorlab.linalg import FieldTag, det_sign_or_phase
 from factorlab.monitors import balance_errors, record, record_to_csv_row, records
 
 
@@ -239,6 +253,19 @@ class TestPrepareProblem:
         assert target.reduced
         diag = np.diagonal(target.matrix).real
         assert np.all(np.diff(diag) <= 1e-12) and np.all(diag >= 0)
+
+    @pytest.mark.parametrize("kind", ["balanced", "random"])
+    @pytest.mark.parametrize("want", [+1, -1])
+    def test_det_sign_after_target_reduction(self, kind, want):
+        # The reduction multiplies det W by det(U_S^H V_S) = +-1, so the sign
+        # must be chosen on the reduced stack the run starts from.
+        for seed in range(20):
+            cfg = tiny_cfg(
+                d=5, target_kind="random", init=InitScheme(kind=kind, epsilon=0.5),
+                det_sign=want, seed=seed,
+            )
+            _, stack, det0 = prepare_problem(cfg)
+            assert det0 == det_sign_or_phase(product(stack)) == float(want), seed
 
     def test_random_init_det_scan(self):
         cfg = tiny_cfg(
@@ -627,6 +654,30 @@ class TestGradcheckAndRmt:
     def test_gradcheck_passes(self):
         r = gradcheck(4, 4, FieldTag.COMPLEX, 1.0, seed=0)
         assert r.passed and r.max_rel_err < 1e-6
+        # Python values, as the fields are annotated, not numpy scalars.
+        assert type(r.max_rel_err) is float and type(r.passed) is bool
+
+    @pytest.mark.parametrize("field", list(FieldTag))
+    def test_gradcheck_matches_loop_reference(self, field):
+        # The entry-by-entry loop of single-problem losses that the kernel
+        # batches replace gives bitwise the same maximum error.
+        d, n, a, seed = 3, 3, 1.0, 2
+        rng = lab._substream(seed, 0)
+        target = TargetSpec(gaussian_matrix(d, field, rng), reduced=False)
+        stack = LayerStack([0.6 * gaussian_matrix(d, field, rng) for _ in range(n)])
+        cfg = DynConfig(reg_a=a, eta=0.1)
+        grads = gradient(stack, target, cfg)
+        h, worst = 1e-6, 0.0
+        for j, k, l in itertools.product(range(n), range(d), range(d)):
+            for unit in (1.0, 1j) if field is FieldTag.COMPLEX else (1.0,):
+                w = stack.layers.copy()
+                w[j, k, l] += unit * h
+                f_plus = loss(LayerStack(w), target, cfg)[2]
+                w[j, k, l] -= 2 * unit * h
+                fd = (f_plus - loss(LayerStack(w), target, cfg)[2]) / (2 * h)
+                g = grads[j, k, l].real if unit == 1.0 else grads[j, k, l].imag
+                worst = max(worst, abs(g - fd) / (1.0 + abs(g)))
+        assert gradcheck(d, n, field, a, seed).max_rel_err == worst
 
     def test_gradcheck_d_guard(self):
         with pytest.raises(ConfigError):
@@ -637,8 +688,16 @@ class TestGradcheckAndRmt:
         assert (tmp_path / "rmt_report.csv").exists()
         assert (tmp_path / "cue_uniformity.csv").exists()
         report = open(tmp_path / "rmt_report.csv").read()
-        assert report.startswith("test,statistic,threshold,verdict")
+        assert report.startswith("test,statistic,rule,threshold,verdict,detail\n")
         assert len(results) == 6
+        # Every verdict follows from its own row's statistic, rule and threshold.
+        rules = {"<": operator.lt, "<=": operator.le, ">": operator.gt, ">=": operator.ge}
+        with open(tmp_path / "rmt_report.csv", newline="") as fh:
+            rows = list(csv.DictReader(fh))
+        assert [row["test"] for row in rows] == [r.name for r in results]
+        for row in rows:
+            passed = rules[row["rule"]](float(row["statistic"]), float(row["threshold"]))
+            assert row["verdict"] == ("pass" if passed else "FAIL"), row
 
 
 class TestEmitPlots:
@@ -688,6 +747,21 @@ class TestEmitPlots:
 
 
 class TestCli:
+    def test_import_leaves_scipy_stats_unloaded(self):
+        # Only two RMT validators use scipy.stats, and importing it costs
+        # more than all of factorlab, so they import it when they run.
+        import subprocess
+        import sys
+
+        code = "import sys, factorlab, factorlab.cli; print('scipy.stats' in sys.modules)"
+        src = str(Path(lab.__file__).resolve().parents[1])
+        proc = subprocess.run(
+            [sys.executable, "-c", code], capture_output=True, text=True, timeout=120,
+            env={**os.environ, "PYTHONPATH": src},
+        )
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout.strip() == "False"
+
     def test_gradcheck_command(self, capsys):
         rc = main(["gradcheck", "--d", "3", "--a", "0.5", "--seed", "1"])
         out = capsys.readouterr().out
