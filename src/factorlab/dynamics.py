@@ -131,7 +131,7 @@ def _left_product(layers) -> np.ndarray:
 
 
 # ---------------------------------------------------------------------------
-# Kernel: the loss and its gradient on a layer array ``w`` of shape
+# Kernel: the loss and its descent direction on a layer array ``w`` of shape
 # ``(..., N, d, d)``, where ``w[..., j, :, :]`` is ``W_{j+1}`` and any leading
 # axes index independent problems.  Every operation acts on each problem's
 # matrices alone, so a problem's values do not depend on the batch it is in.
@@ -142,11 +142,14 @@ def _frobenius(x: np.ndarray) -> np.ndarray:
     """Frobenius norm of every matrix in a ``(..., d, d)`` array.
 
     Each value equals ``np.linalg.norm`` of that matrix bit for bit: the same
-    BLAS dot, called once per matrix.
+    BLAS dot, called once per matrix, and for a complex matrix the dot of the
+    real parts plus that of the imaginary parts.
     """
-    flat = x.reshape(*x.shape[:-2], 1, x.shape[-2] * x.shape[-1])
-    parts = (flat.real, flat.imag) if np.iscomplexobj(flat) else (flat,)
-    return np.sqrt(sum(p @ p.swapaxes(-1, -2) for p in parts)[..., 0, 0])
+    flat = x.reshape(x.shape[:-2] + (1, x.shape[-2] * x.shape[-1]))
+    if flat.dtype.kind != "c":
+        return np.sqrt((flat @ flat.swapaxes(-1, -2))[..., 0, 0])
+    re, im = flat.real, flat.imag
+    return np.sqrt((re @ re.swapaxes(-1, -2) + im @ im.swapaxes(-1, -2))[..., 0, 0])
 
 
 def _defects(w: np.ndarray) -> np.ndarray:
@@ -155,8 +158,21 @@ def _defects(w: np.ndarray) -> np.ndarray:
     return upper @ adjoint(upper) - adjoint(lower) @ lower
 
 
+def _products(w: np.ndarray, sigma: np.ndarray) -> tuple[list[np.ndarray], np.ndarray]:
+    """Suffix products ``W_{j+1} ... W_1`` of every problem in ``w``, and the misfit ``Sigma - W``.
+
+    The product is right-associated, ``W_N (... (W_2 W_1))``.
+    """
+    p = w[..., 0, :, :]
+    suffix = [p]
+    for j in range(1, w.shape[-3]):
+        p = w[..., j, :, :] @ p
+        suffix.append(p)
+    return suffix, sigma - p
+
+
 class _Evaluation(NamedTuple):
-    """Everything the gradient needs at ``w``, and the loss terms there."""
+    """Everything the descent direction needs at ``w``, and the loss terms there."""
 
     w: np.ndarray
     suffix: list[np.ndarray]  # suffix[j] = W_{j+1} ... W_1, so suffix[-1] = W
@@ -180,13 +196,10 @@ class _Evaluation(NamedTuple):
 def _evaluate(w: np.ndarray, sigma: np.ndarray, cfg: DynConfig) -> _Evaluation:
     """Products, misfit, defects and ``(l_ori, l_reg)`` of every problem in ``w``.
 
-    The product is right-associated, ``W_N (... (W_2 W_1))``; each norm is
-    squared as ``n * n``.
+    Each norm is squared as ``n * n``, and ``l_reg`` sums the squares in
+    layer order.
     """
-    suffix = [w[..., 0, :, :]]
-    for j in range(1, w.shape[-3]):
-        suffix.append(w[..., j, :, :] @ suffix[-1])
-    misfit = sigma - suffix[-1]
+    suffix, misfit = _products(w, sigma)
     n = _frobenius(misfit)
     l_ori = 0.5 * (n * n)
     deltas = None
@@ -194,50 +207,68 @@ def _evaluate(w: np.ndarray, sigma: np.ndarray, cfg: DynConfig) -> _Evaluation:
     if cfg.reg_a > 0:
         deltas = _defects(w)
         n = _frobenius(deltas)
-        l_reg = 0.25 * cfg.reg_a * sum(n[..., j] * n[..., j] for j in range(n.shape[-1]))
+        sq = n * n
+        total = sq[..., 0]
+        for j in range(1, sq.shape[-1]):
+            total = total + sq[..., j]
+        l_reg = 0.25 * cfg.reg_a * total
     return _Evaluation(w, suffix, misfit, deltas, l_ori, l_reg)
 
 
-def _descend(ev: _Evaluation, cfg: DynConfig) -> np.ndarray:
-    """Gradient of the total loss at an evaluated ``w``, one layer per slot.
+def _descend(
+    w: np.ndarray,
+    suffix: list[np.ndarray] | None,
+    misfit: np.ndarray | None,
+    deltas: np.ndarray | None,
+    cfg: DynConfig,
+) -> np.ndarray:
+    """Descent direction, the negative gradient of the total loss, at ``w``, one layer per slot.
 
-    Misfit part: ``-(W_N..W_{j+1})^H (Sigma - W) (W_{j-1}..W_1)^H``.
-    Regularizer part: ``-a W_j Delta_{j-1,j} + a Delta_{j,j+1} W_j`` with the
-    boundary defects defined as zero.
+    Misfit part: ``(W_N..W_{j+1})^H (Sigma - W) (W_{j-1}..W_1)^H``, from the
+    ``suffix`` products and the ``misfit`` (unread under ``omit_l_ori``).
+    Regularizer part: ``a W_j Delta_{j-1,j} - a Delta_{j,j+1} W_j`` with the
+    boundary defects defined as zero, from the ``deltas`` (unread when the
+    regularizer is off).
     """
-    w = ev.w
-    grad = np.zeros_like(w)
-    if not cfg.omit_l_ori:
+    if cfg.omit_l_ori:
+        direction = np.zeros_like(w)
+    else:
         # From the top layer down: ``left`` is (product of the layers above
         # the current one)^H (Sigma - W); that product is built from the left.
-        left = ev.misfit
+        # Each slot is written once, the bottom one by the last ``left``.
+        direction = np.empty_like(w)
+        left = misfit
         prefix = None
         for j in range(w.shape[-3] - 1, 0, -1):
-            grad[..., j, :, :] = -(left @ adjoint(ev.suffix[j - 1]))
+            np.matmul(left, adjoint(suffix[j - 1]), out=direction[..., j, :, :])
             prefix = w[..., j, :, :] if prefix is None else prefix @ w[..., j, :, :]
-            left = adjoint(prefix) @ ev.misfit
-        grad[..., 0, :, :] = -left
+            out = direction[..., 0, :, :] if j == 1 else None
+            left = np.matmul(adjoint(prefix), misfit, out=out)
     if cfg.reg_a > 0:
         a = cfg.reg_a
-        grad[..., 1:, :, :] -= a * (w[..., 1:, :, :] @ ev.deltas)
-        grad[..., :-1, :, :] += a * (ev.deltas @ w[..., :-1, :, :])
-    return grad
+        direction[..., 1:, :, :] += a * (w[..., 1:, :, :] @ deltas)
+        direction[..., :-1, :, :] -= a * (deltas @ w[..., :-1, :, :])
+    return direction
 
 
 def _advance(ev: _Evaluation, sigma: np.ndarray, cfg: DynConfig, integrator: str) -> np.ndarray:
     """Layers after one GD (``"gd"``) or RK4 (``"flow_rk4"``) step from ``ev``.
 
-    The first RK4 stage is the gradient at ``ev`` itself.
+    GD moves ``w + eta * direction``, bitwise ``w - eta * gradient``: negation
+    is exact and rounding symmetric.  The first RK4 stage is the descent
+    direction at ``ev`` itself; the other three build only what the direction
+    reads, and no loss terms.
     """
     w = ev.w
+    k1 = _descend(w, ev.suffix, ev.misfit, ev.deltas, cfg)
     if integrator == "gd":
-        return w - cfg.eta * _descend(ev, cfg)
+        return w + cfg.eta * k1
     h = cfg.step_h
 
     def rhs(y: np.ndarray) -> np.ndarray:
-        return -_descend(_evaluate(y, sigma, cfg), cfg)
+        suffix, misfit = (None, None) if cfg.omit_l_ori else _products(y, sigma)
+        return _descend(y, suffix, misfit, _defects(y) if cfg.reg_a > 0 else None, cfg)
 
-    k1 = -_descend(ev, cfg)
     k2 = rhs(w + 0.5 * h * k1)
     k3 = rhs(w + 0.5 * h * k2)
     k4 = rhs(w + h * k3)
@@ -264,7 +295,8 @@ def loss(stack: LayerStack, target: TargetSpec, cfg: DynConfig) -> tuple[float, 
 
 def gradient(stack: LayerStack, target: TargetSpec, cfg: DynConfig) -> np.ndarray:
     """Exact gradient of the total loss with respect to every layer, as ``(N, d, d)``."""
-    return _descend(_evaluate_stack(stack, target, cfg), cfg)
+    ev = _evaluate_stack(stack, target, cfg)
+    return -_descend(ev.w, ev.suffix, ev.misfit, ev.deltas, cfg)
 
 
 def gd_step(stack: LayerStack, target: TargetSpec, cfg: DynConfig) -> LayerStack:

@@ -358,7 +358,7 @@ def _bounded(w: np.ndarray) -> np.ndarray:
 
     A NaN or Inf entry makes its layer norm NaN or Inf, which fails the test.
     """
-    return np.all(_frobenius(w) <= DIVERGENCE_GUARD, axis=-1)
+    return (_frobenius(w) <= DIVERGENCE_GUARD).all(axis=-1)
 
 
 def _time_of(cfg: RunConfig, step: int) -> float:
@@ -673,13 +673,16 @@ def sweep_convergence(
     ``MAX_SWEEP_BATCH``.  Each chunk is stepped as one batch; the process
     pool only spreads chunks over workers.  Results are merged in seed order
     and each seed's outcome is independent of the chunking, so the result
-    does not depend on ``workers``.  For the
+    does not depend on ``workers`` (at least 1; by default ``LAB_THREADS``
+    or the CPUs this process may run on).  For the
     real field the result is cross-tabulated by the sign of the initial
     product determinant.
     """
     base_cfg.validate()
     if n_seeds < 1:
         raise ConfigError("n_seeds must be at least 1")
+    if workers is not None and workers < 1:
+        raise ConfigError(f"workers must be at least 1, got {workers}")
     cfgs = [
         replace(base_cfg, seed=s, name=f"{base_cfg.name}-seed{i}")
         for i, s in enumerate(_sweep_seeds(base_cfg.seed, n_seeds))

@@ -7,6 +7,9 @@ from factorlab.dynamics import (
     DynConfig,
     LayerStack,
     TargetSpec,
+    _advance,
+    _evaluate,
+    _frobenius,
     balance_deltas,
     flow_step_rk4,
     gd_step,
@@ -319,3 +322,144 @@ class TestConfigs:
             LayerStack((np.eye(2),))
         with pytest.raises(DimMismatchError):
             LayerStack((np.eye(2), np.eye(3)))
+
+
+# ---------------------------------------------------------------------------
+# The kernel as first written: a list of suffix products, a zeroed gradient
+# filled with one negated product per layer, and ``w - eta * grad``.  The
+# leaner kernel must reproduce its every bit.
+# ---------------------------------------------------------------------------
+
+
+def _ref_frobenius(x):
+    flat = x.reshape(*x.shape[:-2], 1, x.shape[-2] * x.shape[-1])
+    parts = (flat.real, flat.imag) if np.iscomplexobj(flat) else (flat,)
+    return np.sqrt(sum(p @ p.swapaxes(-1, -2) for p in parts)[..., 0, 0])
+
+
+def _ref_defects(w):
+    upper, lower = w[..., :-1, :, :], w[..., 1:, :, :]
+    return upper @ adjoint(upper) - adjoint(lower) @ lower
+
+
+def _ref_evaluate(w, sigma, cfg):
+    suffix = [w[..., 0, :, :]]
+    for j in range(1, w.shape[-3]):
+        suffix.append(w[..., j, :, :] @ suffix[-1])
+    misfit = sigma - suffix[-1]
+    n = _ref_frobenius(misfit)
+    l_ori = 0.5 * (n * n)
+    deltas = None
+    l_reg = 0.0
+    if cfg.reg_a > 0:
+        deltas = _ref_defects(w)
+        n = _ref_frobenius(deltas)
+        l_reg = 0.25 * cfg.reg_a * sum(n[..., j] * n[..., j] for j in range(n.shape[-1]))
+    return w, suffix, misfit, deltas, l_ori, l_reg
+
+
+def _ref_gradient(ev, cfg):
+    w, suffix, misfit, deltas, _, _ = ev
+    grad = np.zeros_like(w)
+    if not cfg.omit_l_ori:
+        left = misfit
+        prefix = None
+        for j in range(w.shape[-3] - 1, 0, -1):
+            grad[..., j, :, :] = -(left @ adjoint(suffix[j - 1]))
+            prefix = w[..., j, :, :] if prefix is None else prefix @ w[..., j, :, :]
+            left = adjoint(prefix) @ misfit
+        grad[..., 0, :, :] = -left
+    if cfg.reg_a > 0:
+        a = cfg.reg_a
+        grad[..., 1:, :, :] -= a * (w[..., 1:, :, :] @ deltas)
+        grad[..., :-1, :, :] += a * (deltas @ w[..., :-1, :, :])
+    return grad
+
+
+def _ref_advance(ev, sigma, cfg):
+    w = ev[0]
+    if cfg.integrator == "gd":
+        return w - cfg.eta * _ref_gradient(ev, cfg)
+    h = cfg.step_h
+
+    def rhs(y):
+        return -_ref_gradient(_ref_evaluate(y, sigma, cfg), cfg)
+
+    k1 = -_ref_gradient(ev, cfg)
+    k2 = rhs(w + 0.5 * h * k1)
+    k3 = rhs(w + 0.5 * h * k2)
+    k4 = rhs(w + h * k3)
+    return w + (h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
+
+
+REGIMES = {
+    "plain": dict(reg_a=0.0),
+    "regularized": dict(reg_a=1.0),
+    "omit_l_ori": dict(reg_a=1.0, omit_l_ori=True),
+}
+
+
+def _problem(field, n, batch, seed):
+    rng = make_rng(seed)
+    d = 5
+    w = np.stack([rand_stack(d, n, field, rng, scale=0.45).layers for _ in range(batch or 1)])
+    sigma = np.stack([np.diag(rng.uniform(0.2, 2.0, d)).astype(w.dtype) for _ in range(len(w))])
+    return (w, sigma) if batch else (w[0], sigma[0])
+
+
+class TestKernelBits:
+    @pytest.mark.parametrize("batch", [None, 3], ids=["single", "batched"])
+    @pytest.mark.parametrize("n", [2, 3, 4])
+    @pytest.mark.parametrize("regime", list(REGIMES))
+    @pytest.mark.parametrize("field", FIELDS, ids=lambda f: f.value)
+    @pytest.mark.parametrize(
+        "integrator, steps",
+        [pytest.param("gd", 40, id="gd"), pytest.param("flow_rk4", 10, id="rk4")],
+    )
+    def test_steps_match_reference(self, integrator, steps, field, regime, n, batch):
+        cfg = DynConfig(eta=0.05, step_h=0.05, integrator=integrator, **REGIMES[regime])
+        w, sigma = _problem(field, n, batch, seed=10 * n + len(regime))
+        start = ref = w
+        for _ in range(steps):
+            ev, ref_ev = _evaluate(w, sigma, cfg), _ref_evaluate(ref, sigma, cfg)
+            assert np.array_equal(ev.l_ori, ref_ev[4]) and np.array_equal(ev.l_reg, ref_ev[5])
+            w, ref = _advance(ev, sigma, cfg, integrator), _ref_advance(ref_ev, sigma, cfg)
+            assert np.array_equal(w, ref)
+        assert np.all(np.isfinite(w)) and not np.array_equal(w, start)
+
+    @pytest.mark.parametrize("n", [2, 3, 4])
+    @pytest.mark.parametrize("regime", list(REGIMES))
+    @pytest.mark.parametrize("field", FIELDS, ids=lambda f: f.value)
+    def test_gradient_matches_reference(self, field, regime, n):
+        cfg = DynConfig(**REGIMES[regime])
+        w, sigma = _problem(field, n, None, seed=n)
+        want = _ref_gradient(_ref_evaluate(w, sigma, cfg), cfg)
+        assert np.array_equal(gradient(LayerStack(w), TargetSpec(sigma), cfg), want)
+
+
+class TestFrobenius:
+    """``_frobenius`` is ``np.linalg.norm`` of each matrix, bit for bit."""
+
+    @staticmethod
+    def _stack(shape, field, rng):
+        # Entries spread over 1e-8 .. 1e3 in magnitude, with random signs.
+        def part():
+            return rng.choice([-1.0, 1.0], shape) * 10.0 ** rng.uniform(-8, 3, shape)
+
+        return part() + 1j * part() if field is FieldTag.COMPLEX else part()
+
+    @pytest.mark.parametrize("shape", [(40, 5, 5), (12, 3, 5, 5)], ids=["K", "K-layers"])
+    @pytest.mark.parametrize("field", FIELDS, ids=lambda f: f.value)
+    def test_equals_linalg_norm(self, field, shape):
+        x = self._stack(shape, field, np.random.default_rng(sum(shape)))
+        got = _frobenius(x)
+        assert got.shape == shape[:-2]
+        for idx in np.ndindex(*shape[:-2]):
+            assert got[idx] == np.linalg.norm(x[idx])
+
+    @pytest.mark.parametrize("field", FIELDS, ids=lambda f: f.value)
+    def test_non_contiguous_slice(self, field):
+        x = self._stack((20, 7, 7), field, np.random.default_rng(7))[::3, 1:6, 2:]
+        assert not x.flags.c_contiguous
+        got = _frobenius(x)
+        assert [float(v) for v in got] == [float(np.linalg.norm(m)) for m in x]

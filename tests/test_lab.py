@@ -535,6 +535,11 @@ class TestSweep:
         r = sweep_convergence(base, 1, workers=1)
         assert r.fraction in (0.0, 1.0)
 
+    @pytest.mark.parametrize("n_seeds, workers", [(0, 1), (4, 0), (4, -1)])
+    def test_needs_a_seed_and_a_worker(self, n_seeds, workers):
+        with pytest.raises(ConfigError, match="at least 1"):
+            sweep_convergence(tiny_cfg(), n_seeds, workers=workers)
+
     def test_deterministic_and_worker_independent(self):
         base = tiny_cfg(
             d=5,
