@@ -26,6 +26,7 @@ from .lab import (
     check_distinct_names,
     emit_plots,
     gradcheck,
+    make_out_dir,
     parse_config_file,
     preset,
     rmt_validate,
@@ -120,7 +121,10 @@ def _cmd_run(args: argparse.Namespace) -> int:
 
 def _cmd_sweep(args: argparse.Namespace) -> int:
     bases = _configs_from_args(args, sweep=True)
+    for base in bases:
+        base.validate()
     check_distinct_names(bases, "their sweep.csv rows could not be told apart")
+    out = make_out_dir(args.out)
     # Config echo: each base config's block rebuilds it as a config file.
     rows = [f"# factorlab sweep, seeds = {args.seeds}"]
     for base in bases:
@@ -145,11 +149,9 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
             f"{o.final_l_ori!r},{o.det_w0!r}"
             for o in result.outcomes
         ]
-    if args.out:
-        args.out.mkdir(parents=True, exist_ok=True)
-        path = args.out / "sweep.csv"
-        path.write_text("\n".join(rows) + "\n")
-        print(f"  per-seed results -> {path}")
+    path = out / "sweep.csv"
+    path.write_text("\n".join(rows) + "\n")
+    print(f"  per-seed results -> {path}")
     return EXIT_OK
 
 

@@ -72,6 +72,7 @@ __all__ = [
     "run_scenario",
     "run_scenarios",
     "check_distinct_names",
+    "make_out_dir",
     "sweep_convergence",
     "rmt_validate",
     "gradcheck",
@@ -84,6 +85,12 @@ DIVERGENCE_GUARD = 1e12
 # Largest seed batch a sweep steps together: per seed-step cost levels off
 # well before this, and it bounds a worker's memory.
 MAX_SWEEP_BATCH = 256
+# Fewest seeds a chunk of a split sweep holds.  A GD step's cost is mostly a
+# fixed 45-70 us of numpy dispatch, against 1.5-5 us per seed in the batch
+# (2 vCPUs, one BLAS thread), so each extra chunk adds one fixed cost per
+# step and saves wall time only once a chunk's per-seed cost outweighs it,
+# at about 10-40 seeds.
+MIN_SWEEP_CHUNK = 32
 # Recorded steps a trajectory computes as one block of monitor records: the
 # per-record cost levels off well before this, and it bounds the evaluations
 # a trajectory holds.
@@ -427,7 +434,8 @@ def run_scenarios(
     batch; each problem's records, CSV and summary are the ones it gets
     alone.  Writes ``<out_dir>/<name>.csv`` and ``<name>.summary.txt`` per
     config when ``out_dir`` is given, and then raises ConfigError before any
-    stepping if two configs share a name; a summary's ``wall_time_s`` is the
+    stepping if two configs share a name or ``out_dir`` cannot be made a
+    directory (``make_out_dir``); a summary's ``wall_time_s`` is the
     wall time of the batch it ran in.  ``on_record(i, record, track)`` is
     invoked for every recorded step of ``cfgs[i]``, in step order.
 
@@ -441,6 +449,7 @@ def run_scenarios(
         cfg.validate()
     if out_dir is not None:
         check_distinct_names(cfgs, "their output files would overwrite each other")
+        out_dir = make_out_dir(out_dir)
     batches: dict[tuple, list[int]] = {}
     for i, c in enumerate(cfgs):
         key = (c.field, c.d, c.n_layers, c.dyn, c.steps, c.record_stride, c.eps_conv)
@@ -455,9 +464,8 @@ def run_scenarios(
         outcomes = _run_chunk([cfgs[i] for i in rows], trajs)
         csv_paths = [None] * len(rows)
         if out_dir is not None:
-            Path(out_dir).mkdir(parents=True, exist_ok=True)
             for k, traj in enumerate(trajs):
-                csv_paths[k] = str(Path(out_dir) / f"{traj.cfg.name}.csv")
+                csv_paths[k] = str(out_dir / f"{traj.cfg.name}.csv")
                 with open(csv_paths[k], "w", newline="\n") as fh:
                     fh.write("\n".join(traj.lines) + "\n")
         wall = _time.perf_counter() - t0
@@ -477,7 +485,7 @@ def run_scenarios(
                 csv_path=csv_path,
             )
             if out_dir is not None:
-                _write_summary(Path(out_dir) / f"{cfgs[i].name}.summary.txt", cfgs[i], summaries[i])
+                _write_summary(out_dir / f"{cfgs[i].name}.summary.txt", cfgs[i], summaries[i])
     return summaries
 
 
@@ -487,6 +495,22 @@ def check_distinct_names(cfgs: list[RunConfig], why: str) -> None:
     shared = sorted({n for n in names if names.count(n) > 1})
     if shared:
         raise ConfigError(f"configs share the name {', '.join(map(repr, shared))}: {why}")
+
+
+def make_out_dir(out_dir: str | Path) -> Path:
+    """Create the output directory ``out_dir`` and its parents where missing.
+
+    Callers make it before any stepping, so that a path that cannot be a
+    directory (an existing file, or a path beneath one) is a ConfigError
+    raised before the work, not an OSError after it.
+    """
+    path = Path(out_dir)
+    try:
+        path.mkdir(parents=True, exist_ok=True)
+    except OSError as exc:
+        reason = exc.strerror or exc
+        raise ConfigError(f"cannot make output directory {str(path)!r}: {reason}") from None
+    return path
 
 
 def run_scenario(
@@ -661,6 +685,19 @@ def _max_workers() -> int:
     return cpus
 
 
+def _sweep_chunks(items: list, workers: int) -> list[list]:
+    """``items`` split in order into even chunks, one per worker at most.
+
+    A split chunk holds at least ``MIN_SWEEP_CHUNK`` items, so fewer than
+    ``2 * MIN_SWEEP_CHUNK`` items stay one chunk; no chunk holds more than
+    ``MAX_SWEEP_BATCH``, which may call for more chunks than workers.
+    """
+    n = len(items)
+    k = max(1, min(workers, n // MIN_SWEEP_CHUNK), -(-n // MAX_SWEEP_BATCH))
+    bounds = [i * n // k for i in range(k + 1)]
+    return [items[a:b] for a, b in zip(bounds, bounds[1:])]
+
+
 def sweep_convergence(
     base_cfg: RunConfig,
     n_seeds: int,
@@ -669,14 +706,16 @@ def sweep_convergence(
     """Independent seeded runs of ``base_cfg``; counts final ``l_ori < eps_conv``.
 
     Seeds are spawned deterministically from ``base_cfg.seed`` and split, in
-    seed order, into chunks of an even share per worker, at most
-    ``MAX_SWEEP_BATCH``.  Each chunk is stepped as one batch; the process
-    pool only spreads chunks over workers.  Results are merged in seed order
-    and each seed's outcome is independent of the chunking, so the result
-    does not depend on ``workers`` (at least 1; by default ``LAB_THREADS``
-    or the CPUs this process may run on).  For the
-    real field the result is cross-tabulated by the sign of the initial
-    product determinant.
+    seed order, into even chunks: one per worker at most, each of at least
+    ``MIN_SWEEP_CHUNK`` seeds when there are several, and of at most
+    ``MAX_SWEEP_BATCH``.  So ``workers`` (at least 1; by default
+    ``LAB_THREADS`` or the CPUs this process may run on) is a cap, and a
+    sweep of fewer than ``2 * MIN_SWEEP_CHUNK`` seeds runs in this process.
+    Each chunk is stepped as one batch; a process pool only spreads chunks
+    over workers.  Results are merged in seed order and each seed's outcome
+    is independent of the chunking, so the result does not depend on
+    ``workers``.  For the real field the result is cross-tabulated by the
+    sign of the initial product determinant.
     """
     base_cfg.validate()
     if n_seeds < 1:
@@ -688,9 +727,7 @@ def sweep_convergence(
         for i, s in enumerate(_sweep_seeds(base_cfg.seed, n_seeds))
     ]
     workers = workers if workers is not None else _max_workers()
-    workers = min(workers, n_seeds)
-    batch_size = min(MAX_SWEEP_BATCH, -(-n_seeds // workers))
-    chunks = [cfgs[i : i + batch_size] for i in range(0, n_seeds, batch_size)]
+    chunks = _sweep_chunks(cfgs, workers)
     if workers > 1 and len(chunks) > 1:
         with ProcessPoolExecutor(max_workers=min(workers, len(chunks))) as ex:
             results = list(ex.map(_run_chunk, chunks))
@@ -741,6 +778,7 @@ def rmt_validate(
         raise ConfigError("dimensions must be positive")
     if n_samples < 100:
         raise ConfigError("n_samples must be at least 100")
+    out = None if out_dir is None else make_out_dir(out_dir)
     streams = [
         np.random.Generator(np.random.Philox(c))
         for c in np.random.SeedSequence(seed).spawn(6)
@@ -753,9 +791,7 @@ def rmt_validate(
         validate_haar_invariance(d, 5000, streams[4]),
         validate_det_minus_zero_mode(d, 200, streams[5]),
     ]
-    if out_dir is not None:
-        out = Path(out_dir)
-        out.mkdir(parents=True, exist_ok=True)
+    if out is not None:
         report = [("test", "statistic", "rule", "threshold", "verdict", "detail")]
         for r in results:
             verdict = "pass" if r.passed else "FAIL"

@@ -14,6 +14,8 @@ from factorlab.dynamics import (
     DynConfig,
     LayerStack,
     TargetSpec,
+    _advance,
+    _evaluate,
     gd_step,
     loss,
     product,
@@ -43,6 +45,7 @@ from factorlab.linalg import (
     inverse_perturbation_residual,
     norms,
     sqrt_perturbation_bound,
+    svd,
 )
 from factorlab.monitors import balance_errors, eig_sandwich_check
 
@@ -364,6 +367,33 @@ def test_criterion_8_target_reduction_invariance():
         "criterion 8 (target reduction invariance, 100 instances)",
         f"{bad} violations; wall {wall:.1f}s",
     )
+
+
+@pytest.mark.parametrize("integrator", ["gd", "flow_rk4"])
+@pytest.mark.parametrize("field", FIELDS, ids=lambda f: f.value)
+def test_target_reduction_commutes_with_dynamics(field, integrator):
+    # PAPER.md's reduction W_1 <- W_1 V_S, W_N <- U_S^H W_N leaves the
+    # dynamics of the same form: stepping the reduced problem and mapping
+    # the layers back gives the unreduced trajectory, up to rounding.
+    rng = make_rng(31)
+    stack = LayerStack([0.7 * gaussian_matrix(5, field, rng) for _ in range(4)])
+    sigma = gaussian_matrix(5, field, rng)
+    cfg = DynConfig(reg_a=1.0, eta=0.01, step_h=0.01, integrator=integrator)
+    target, reduced = reduce_target(sigma, stack)
+
+    def steps(w, sigma):
+        for _ in range(2000):
+            w = _advance(_evaluate(w, sigma, cfg), sigma, cfg, integrator)
+        return w
+
+    want = steps(stack.layers, sigma)
+    got = steps(reduced.layers, target.matrix)
+    r = svd(sigma)
+    got[0] = got[0] @ adjoint(r.v)
+    got[-1] = r.u @ got[-1]
+    # The layers travel a distance of order 1 and stay of order 1.
+    assert np.linalg.norm(want - stack.layers) > 1.0
+    assert np.abs(got - want).max() < 1e-13
 
 
 def test_criterion_9_reproducibility(tmp_path):

@@ -540,7 +540,9 @@ class TestSweep:
         with pytest.raises(ConfigError, match="at least 1"):
             sweep_convergence(tiny_cfg(), n_seeds, workers=workers)
 
-    def test_deterministic_and_worker_independent(self):
+    def test_deterministic_and_worker_independent(self, monkeypatch):
+        # Chunks of any size, so that two workers really split the sweep.
+        monkeypatch.setattr(lab, "MIN_SWEEP_CHUNK", 1)
         base = tiny_cfg(
             d=5,
             init=InitScheme(kind="random", epsilon=0.15),
@@ -553,6 +555,34 @@ class TestSweep:
         assert r1.fraction == r2.fraction
         assert [o.seed for o in r1.outcomes] == [o.seed for o in r2.outcomes]
         assert [o.steps_run for o in r1.outcomes] == [o.steps_run for o in r2.outcomes]
+
+    @pytest.mark.parametrize("workers", [1, 2])
+    @pytest.mark.parametrize("n", [1, 10, 20, 60, 100, 200, 400, 600])
+    def test_chunk_plan(self, n, workers):
+        chunks = lab._sweep_chunks(list(range(n)), workers)
+        assert [i for c in chunks for i in c] == list(range(n))
+        assert max(map(len, chunks)) <= lab.MAX_SWEEP_BATCH
+        assert max(map(len, chunks)) - min(map(len, chunks)) <= 1
+        if len(chunks) > 1:
+            assert min(map(len, chunks)) >= lab.MIN_SWEEP_CHUNK
+        # Every worker the minimum chunk allows, and more chunks only for the cap.
+        assert len(chunks) >= min(workers, n // lab.MIN_SWEEP_CHUNK)
+        assert len(chunks) <= max(workers, -(-n // lab.MAX_SWEEP_BATCH))
+
+    def test_one_chunk_sweep_runs_in_process(self, monkeypatch):
+        base = tiny_cfg(
+            d=5,
+            init=InitScheme(kind="random", epsilon=0.15),
+            dyn=DynConfig(reg_a=1.0, eta=0.05),
+            steps=300,
+        )
+        want = sweep_convergence(base, 10, workers=1)
+
+        def no_pool(*args, **kwargs):
+            raise AssertionError("a one-chunk sweep started a process pool")
+
+        monkeypatch.setattr(lab, "ProcessPoolExecutor", no_pool)
+        assert sweep_convergence(base, 10, workers=2) == want
 
     def test_cross_tabulation_real(self):
         base = tiny_cfg(
@@ -590,9 +620,11 @@ class TestSweep:
         [pytest.param("gd", 400, id="gd"), pytest.param("flow_rk4", 80, id="flow_rk4")],
     )
     @pytest.mark.parametrize("field", [FieldTag.REAL, FieldTag.COMPLEX])
-    def test_batch_invariance(self, field, integrator, steps):
+    def test_batch_invariance(self, monkeypatch, field, integrator, steps):
         # Converging, exhausted and diverging seeds in one sweep: each seed's
         # outcome must not depend on which other seeds share its batch.
+        # Chunks of any size, so that two workers really split the sweep.
+        monkeypatch.setattr(lab, "MIN_SWEEP_CHUNK", 1)
         base = tiny_cfg(
             d=5,
             field=field,
@@ -931,6 +963,30 @@ class TestCli:
         assert main(argv) == 1
         assert "config error" in capsys.readouterr().err
         assert not any(tmp_path.iterdir())
+
+    @pytest.mark.parametrize("beneath", [False, True], ids=["file", "beneath-file"])
+    @pytest.mark.parametrize(
+        "argv, work",
+        [
+            (["run", "--steps", "5"], "_run_chunk"),
+            (["sweep", "--preset", "sweep", "--steps", "5", "--seeds", "2"], "_run_chunk"),
+            (["rmt-validate"], "validate_cue_uniformity"),
+        ],
+        ids=["run", "sweep", "rmt-validate"],
+    )
+    def test_bad_out_is_a_config_error(self, tmp_path, capsys, monkeypatch, argv, work, beneath):
+        # An --out that cannot be a directory is refused before any work.
+        def no_work(*args, **kwargs):
+            raise AssertionError("work started before the output directory was made")
+
+        monkeypatch.setattr(lab, work, no_work)
+        blocker = tmp_path / "file"
+        blocker.write_text("x\n")
+        out = blocker / "sub" if beneath else blocker
+        assert main(argv + ["--out", str(out)]) == 1
+        err = capsys.readouterr().err
+        assert "config error" in err and "output directory" in err and "Traceback" not in err
+        assert blocker.read_text() == "x\n"
 
     def test_config_error_exit_code(self, tmp_path, capsys):
         p = tmp_path / "bad.cfg"
