@@ -124,7 +124,7 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
     for base in bases:
         base.validate()
     check_distinct_names(bases, "their sweep.csv rows could not be told apart")
-    out = make_out_dir(args.out)
+    out = make_out_dir(args.out, ["sweep.csv"])
     # Config echo: each base config's block rebuilds it as a config file.
     rows = [f"# factorlab sweep, seeds = {args.seeds}"]
     for base in bases:

@@ -10,6 +10,19 @@ regularizer on adjacent layers:
 
 Complex gradients follow the convention grad = d/dRe + i * d/dIm (twice the
 conjugate Wirtinger derivative), so one update rule covers both fields.
+
+A complex problem is stepped as its real embedding ``E(A + iB) = [[A, -B],
+[B, A]]`` through the same real kernel: one real matmul per complex matmul,
+which numpy dispatches faster than a small complex one.  ``E`` is an
+algebra homomorphism with ``E(Z^H) = E(Z)^T``, so products, defects and the
+descent direction keep the embedded form, and the embedding's ``l_ori`` and
+``l_reg`` are twice the complex ones.  Rounding moves a stepped embedding
+off that form in the last bits, so every step ends by restoring it from the
+left blocks (``_reembed``).  Complex trajectories differ from complex
+arithmetic's in the last bits; they stay deterministic and independent of
+the batch.  :func:`gd_step`, :func:`flow_step_rk4` and :func:`loss` step and
+evaluate as the run loop does; :func:`gradient` runs the kernel on the
+complex arrays.
 """
 
 from __future__ import annotations
@@ -275,10 +288,94 @@ def _advance(ev: _Evaluation, sigma: np.ndarray, cfg: DynConfig, integrator: str
     return w + (h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
 
 
-def _evaluate_stack(stack: LayerStack, target: TargetSpec, cfg: DynConfig) -> _Evaluation:
-    if target.matrix.shape != (stack.dim, stack.dim):
+# ---------------------------------------------------------------------------
+# Real embedding of complex problems: applied where a problem enters and
+# leaves stepping, never inside the kernel.
+# ---------------------------------------------------------------------------
+
+
+def _embed(z: np.ndarray) -> np.ndarray:
+    """Real ``(..., 2d, 2d)`` embedding ``[[A, -B], [B, A]]`` of every ``A + iB`` in ``z``."""
+    a, b = z.real, z.imag
+    return np.concatenate([np.concatenate([a, -b], -1), np.concatenate([b, a], -1)], -2)
+
+
+def _unembed(x: np.ndarray) -> np.ndarray:
+    """Complex ``(..., d, d)`` matrices whose embeddings ``x`` holds, read from the left blocks.
+
+    ``_unembed(_embed(z))`` is ``z`` bit for bit.
+    """
+    d = x.shape[-1] // 2
+    z = np.empty(x.shape[:-2] + (d, d), dtype=complex)
+    z.real = x[..., :d, :d]
+    z.imag = x[..., d:, :d]
+    return z
+
+
+def _reembed(x: np.ndarray) -> None:
+    """Make ``x`` exactly embedded again, in place: ``_embed(_unembed(x))``, from its left blocks.
+
+    A kernel step leaves the right blocks off the embedded form in the
+    last bits.
+    Off it the real dynamics have directions that the complex dynamics
+    lack, which can be unstable where the complex run is not, so an
+    embedded run restores the form after every step.
+    """
+    d = x.shape[-1] // 2
+    np.negative(x[..., d:, :d], out=x[..., :d, d:])
+    x[..., d:, d:] = x[..., :d, :d]
+
+
+def _unembed_evaluations(evs: list[_Evaluation]) -> list[_Evaluation]:
+    """The complex evaluations that evaluations of embedded problems stand for.
+
+    Each array is unembedded once for the whole list, and the losses are
+    halved, which is exact.
+    """
+
+    def unembed(arrays) -> np.ndarray:
+        return _unembed(np.stack(list(arrays)))
+
+    w = unembed(ev.w for ev in evs)
+    suffix = [unembed(ev.suffix[j] for ev in evs) for j in range(len(evs[0].suffix))]
+    misfit = unembed(ev.misfit for ev in evs)
+    deltas = [None] * len(evs) if evs[0].deltas is None else unembed(ev.deltas for ev in evs)
+    return [
+        _Evaluation(
+            w[k], [s[k] for s in suffix], misfit[k], deltas[k], 0.5 * ev.l_ori, 0.5 * ev.l_reg
+        )
+        for k, ev in enumerate(evs)
+    ]
+
+
+def _check_dims(stack: LayerStack, sigma: np.ndarray) -> None:
+    if sigma.shape != (stack.dim, stack.dim):
         raise DimMismatchError("target dimension does not match the stack")
-    return _evaluate(stack.layers, target.matrix, cfg)
+
+
+def _kernel_form(w: np.ndarray, sigma: np.ndarray) -> tuple[np.ndarray, np.ndarray, bool]:
+    """Layers and target as the run loop steps them, and whether they are embedded.
+
+    A problem with complex layers or target is embedded.
+    """
+    if np.iscomplexobj(w) or np.iscomplexobj(sigma):
+        return _embed(w), _embed(sigma), True
+    return w, sigma, False
+
+
+def _evaluate_stack(stack: LayerStack, target: TargetSpec, cfg: DynConfig) -> _Evaluation:
+    """The run loop's evaluation of one problem, in the problem's own field."""
+    _check_dims(stack, target.matrix)
+    w, sigma, embedded = _kernel_form(stack.layers, target.matrix)
+    ev = _evaluate(w, sigma, cfg)
+    return _unembed_evaluations([ev])[0] if embedded else ev
+
+
+def _step(stack: LayerStack, target: TargetSpec, cfg: DynConfig, integrator: str) -> LayerStack:
+    _check_dims(stack, target.matrix)
+    w, sigma, embedded = _kernel_form(stack.layers, target.matrix)
+    w = _advance(_evaluate(w, sigma, cfg), sigma, cfg, integrator)
+    return LayerStack(_unembed(w) if embedded else w)
 
 
 def balance_deltas(stack: LayerStack) -> np.ndarray:
@@ -295,20 +392,19 @@ def loss(stack: LayerStack, target: TargetSpec, cfg: DynConfig) -> tuple[float, 
 
 def gradient(stack: LayerStack, target: TargetSpec, cfg: DynConfig) -> np.ndarray:
     """Exact gradient of the total loss with respect to every layer, as ``(N, d, d)``."""
-    ev = _evaluate_stack(stack, target, cfg)
+    _check_dims(stack, target.matrix)
+    ev = _evaluate(stack.layers, target.matrix, cfg)
     return -_descend(ev.w, ev.suffix, ev.misfit, ev.deltas, cfg)
 
 
 def gd_step(stack: LayerStack, target: TargetSpec, cfg: DynConfig) -> LayerStack:
     """One simultaneous gradient-descent update of every layer."""
-    ev = _evaluate_stack(stack, target, cfg)
-    return LayerStack(_advance(ev, target.matrix, cfg, "gd"))
+    return _step(stack, target, cfg, "gd")
 
 
 def flow_step_rk4(stack: LayerStack, target: TargetSpec, cfg: DynConfig) -> LayerStack:
     """One classical 4th-order Runge-Kutta step of the coupled layer ODE."""
-    ev = _evaluate_stack(stack, target, cfg)
-    return LayerStack(_advance(ev, target.matrix, cfg, "flow_rk4"))
+    return _step(stack, target, cfg, "flow_rk4")
 
 
 def reduce_target(
@@ -320,8 +416,7 @@ def reduce_target(
     ``W_N <- U_S^H W_N``; interior layers, the total loss and all balance
     defects are unchanged.
     """
-    if sigma_general.shape != (stack.dim, stack.dim):
-        raise DimMismatchError("target dimension does not match the stack")
+    _check_dims(stack, sigma_general)
     r = svd(sigma_general)
     layers = stack.layers.copy()
     layers[0] = layers[0] @ r.v

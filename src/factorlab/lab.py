@@ -20,7 +20,7 @@ from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field as dc_field, replace
 from functools import partial, reduce
 from pathlib import Path
-from typing import Callable, NamedTuple
+from typing import Callable, Iterable, NamedTuple
 
 import numpy as np
 
@@ -32,6 +32,9 @@ from .dynamics import (
     _evaluate,
     _Evaluation,
     _frobenius,
+    _kernel_form,
+    _reembed,
+    _unembed_evaluations,
     gradient,
     product,
     reduce_target,
@@ -361,7 +364,7 @@ class RunSummary:
 
 
 def _bounded(w: np.ndarray) -> np.ndarray:
-    """Per problem in a ``(..., N, d, d)`` layer array: every layer norm within the guard.
+    """Per problem in a ``(..., N, m, n)`` layer array: every layer norm within the guard.
 
     A NaN or Inf entry makes its layer norm NaN or Inf, which fails the test.
     """
@@ -413,6 +416,8 @@ class _Trajectory:
             return
         steps, evs = zip(*self.pending)
         self.pending = []
+        if self.cfg.field is FieldTag.COMPLEX:
+            evs = _unembed_evaluations(evs)
         times = [_time_of(self.cfg, step) for step in steps]
         block = records(steps, times, evs, self.target, self.track)
         for rec, track in block:
@@ -434,10 +439,11 @@ def run_scenarios(
     batch; each problem's records, CSV and summary are the ones it gets
     alone.  Writes ``<out_dir>/<name>.csv`` and ``<name>.summary.txt`` per
     config when ``out_dir`` is given, and then raises ConfigError before any
-    stepping if two configs share a name or ``out_dir`` cannot be made a
-    directory (``make_out_dir``); a summary's ``wall_time_s`` is the
-    wall time of the batch it ran in.  ``on_record(i, record, track)`` is
-    invoked for every recorded step of ``cfgs[i]``, in step order.
+    stepping if two configs share a name, ``out_dir`` cannot be made a
+    directory or one of these files is a directory (``make_out_dir``); a
+    summary's ``wall_time_s`` is the wall time of the batch it ran in.
+    ``on_record(i, record, track)`` is invoked for every recorded step of
+    ``cfgs[i]``, in step order.
 
     A run ends when ``l_ori < eps_conv`` (unless ``omit_l_ori``), when its
     budget is spent, or when it fails the divergence guard.  The guard runs
@@ -449,7 +455,9 @@ def run_scenarios(
         cfg.validate()
     if out_dir is not None:
         check_distinct_names(cfgs, "their output files would overwrite each other")
-        out_dir = make_out_dir(out_dir)
+        out_dir = make_out_dir(
+            out_dir, [f"{c.name}{ext}" for c in cfgs for ext in (".csv", ".summary.txt")]
+        )
     batches: dict[tuple, list[int]] = {}
     for i, c in enumerate(cfgs):
         key = (c.field, c.d, c.n_layers, c.dyn, c.steps, c.record_stride, c.eps_conv)
@@ -497,12 +505,14 @@ def check_distinct_names(cfgs: list[RunConfig], why: str) -> None:
         raise ConfigError(f"configs share the name {', '.join(map(repr, shared))}: {why}")
 
 
-def make_out_dir(out_dir: str | Path) -> Path:
+def make_out_dir(out_dir: str | Path, files: Iterable[str] = ()) -> Path:
     """Create the output directory ``out_dir`` and its parents where missing.
 
-    Callers make it before any stepping, so that a path that cannot be a
-    directory (an existing file, or a path beneath one) is a ConfigError
-    raised before the work, not an OSError after it.
+    Callers make it before any stepping and name the ``files`` they will
+    write in it, so that a path that cannot be a directory (an existing
+    file, or a path beneath one), or an output file that is an existing
+    directory, is a ConfigError raised before the work, not an OSError
+    after it.
     """
     path = Path(out_dir)
     try:
@@ -510,6 +520,9 @@ def make_out_dir(out_dir: str | Path) -> Path:
     except OSError as exc:
         reason = exc.strerror or exc
         raise ConfigError(f"cannot make output directory {str(path)!r}: {reason}") from None
+    for name in files:
+        if (path / name).is_dir():
+            raise ConfigError(f"cannot write output file {str(path / name)!r}: it is a directory")
     return path
 
 
@@ -608,21 +621,32 @@ def _run_chunk(
     converges (``l_ori < eps_conv``, checked every step), exhausts the
     budget, or diverges.
 
+    Complex problems are stepped as their real embeddings (see
+    ``dynamics``), restored to the exact embedded form after every step,
+    so a trajectory is bitwise the one ``gd_step`` or ``flow_step_rk4``
+    gives.  The convergence test and the outcome read the halved embedded
+    ``l_ori``, which is the complex one, and the records unembed their
+    evaluations once per block.
+
     Divergence guard: ``_bounded`` runs on the evaluated layers at step
     ``k`` whenever ``k`` is a multiple of 25, a record step or the last step
     of the run; a problem that fails it is diverged with ``steps_run = k``
-    and is not recorded there.  Stepping ignores overflow meanwhile;
-    recording does not.  The kernel acts on each problem's matrices alone,
-    so a problem's outcome and records are bitwise independent of the batch
-    it runs in.
+    and is not recorded there.  On an embedded layer it measures the top
+    ``d`` rows ``[A, -B]``, whose norm has exactly the complex layer norm's
+    terms, so the guard bound means the same in both fields.  Stepping
+    ignores overflow meanwhile; recording does not.  The kernel acts on
+    each problem's matrices alone, so a problem's outcome and records are
+    bitwise independent of the batch it runs in.
     """
     cfg = cfgs[0]
     problems = [prepare_problem(c) for c in cfgs]
     if trajectories is not None:
         for traj, (target, _, _) in zip(trajectories, problems):
             traj.start(target)
-    w = np.stack([stack.layers for _, stack, _ in problems])
-    sigma = np.stack([target.matrix for target, _, _ in problems])
+    w, sigma, embedded = _kernel_form(
+        np.stack([stack.layers for _, stack, _ in problems]),
+        np.stack([target.matrix for target, _, _ in problems]),
+    )
     active = np.arange(len(cfgs))  # batch row -> index into cfgs
     outcomes: list[SeedOutcome | None] = [None] * len(cfgs)
     measure_l_ori = not cfg.dyn.omit_l_ori
@@ -640,15 +664,16 @@ def _run_chunk(
     with np.errstate(over="ignore", invalid="ignore"):
         for step in range(cfg.steps + 1):
             ev = _evaluate(w, sigma, cfg.dyn)
+            l_ori = 0.5 * ev.l_ori if embedded else ev.l_ori
             last = step == cfg.steps
             record_step = trajectories is not None and step % cfg.record_stride == 0
             cadence = step % 25 == 0 or record_step or last
-            converging = measure_l_ori and (ev.l_ori < cfg.eps_conv).any()
+            converging = measure_l_ori and (l_ori < cfg.eps_conv).any()
             if cadence or converging:
-                ok = _bounded(ev.w)
+                ok = _bounded(ev.w[..., : cfg.d, :])
                 if last or converging or not ok.all():
                     # Some runs end here; off the cadence only they are guarded.
-                    converged = (ev.l_ori < cfg.eps_conv) & measure_l_ori
+                    converged = (l_ori < cfg.eps_conv) & measure_l_ori
                     bad = ~ok if cadence else ~ok & converged
                     converged &= ok
                     done = bad | converged | last
@@ -660,9 +685,9 @@ def _run_chunk(
                             "diverged" if bad[i] else "converged" if converged[i] else "exhausted"
                         )
                         k = active[i]
-                        l_ori = float("inf") if bad[i] else float(ev.l_ori[i])
+                        final = float("inf") if bad[i] else float(l_ori[i])
                         outcomes[k] = SeedOutcome(
-                            cfgs[k].seed, status, status == "converged", step, l_ori, problems[k][2]
+                            cfgs[k].seed, status, status == "converged", step, final, problems[k][2]
                         )
                     if done.all():
                         break
@@ -670,6 +695,8 @@ def _run_chunk(
                 elif record_step:
                     add_records(range(len(active)))
             w = _advance(ev, sigma, cfg.dyn, cfg.dyn.integrator)
+            if embedded:
+                _reembed(w)
     return outcomes
 
 
@@ -847,8 +874,11 @@ def gradcheck(d: int, n_layers: int, field: FieldTag, a: float, seed: int) -> Gr
     grads = gradient(LayerStack(w), TargetSpec(sigma, reduced=False), cfg)
 
     def total(x: np.ndarray) -> np.ndarray:
-        ev = _evaluate(x, sigma, cfg)
-        return ev.l_ori + ev.l_reg
+        # The loss as ``dynamics.loss`` and the run loop evaluate it: a complex
+        # problem as its real embedding, whose losses are twice the complex ones.
+        kernel_w, kernel_sigma, embedded = _kernel_form(x, sigma)
+        ev = _evaluate(kernel_w, kernel_sigma, cfg)
+        return 0.5 * (ev.l_ori + ev.l_reg) if embedded else ev.l_ori + ev.l_reg
 
     # One kernel batch per layer and part: problem m perturbs entry m of the
     # layer.  A problem's loss bits do not depend on the batch it is in.

@@ -21,7 +21,10 @@ from factorlab.dynamics import (
     DynConfig,
     LayerStack,
     TargetSpec,
+    _advance,
+    _evaluate,
     _evaluate_stack,
+    _frobenius,
     flow_step_rk4,
     gd_step,
     gradient,
@@ -343,8 +346,15 @@ class TestRunScenario:
             ),
             # fig-h3: regularizer on, defects taken from the step's evaluation
             replace(preset("fig-h3", seed=3)[0], steps=30, record_stride=1),
+            # complex GD: the run loop restores the embedded form every step
+            replace(
+                preset("fig-h1", seed=3)[2],
+                init=InitScheme(kind="random", epsilon=0.5),
+                steps=30,
+                record_stride=1,
+            ),
         ],
-        ids=["flow-real", "flow-complex", "fig-h3"],
+        ids=["flow-real", "flow-complex", "fig-h3", "gd-complex"],
     )
     def test_rows_match_records_from_scratch(self, tmp_path, cfg):
         recs = []
@@ -645,6 +655,66 @@ class TestSweep:
         assert chunked(n) == ref
         for workers in (1, 2):
             assert self._key(sweep_convergence(base, n, workers=workers).outcomes) == ref
+
+    @staticmethod
+    def _complex_kernel_outcomes(cfgs):
+        # The run loop's rules, stepped on the complex arrays themselves:
+        # the guard at multiples of 25, at the last step and where a run
+        # converges, on the complex layer norms.
+        problems = [prepare_problem(c) for c in cfgs]
+        w = np.stack([stack.layers for _, stack, _ in problems])
+        sigma = np.stack([target.matrix for target, _, _ in problems])
+        cfg, out = cfgs[0], [None] * len(cfgs)
+        with np.errstate(all="ignore"):
+            for step in range(cfg.steps + 1):
+                ev = _evaluate(w, sigma, cfg.dyn)
+                ok = (_frobenius(w) <= lab.DIVERGENCE_GUARD).all(axis=-1)
+                for i in range(len(cfgs)):
+                    if out[i] is not None:
+                        continue
+                    conv = ev.l_ori[i] < cfg.eps_conv
+                    if not ok[i] and (conv or step % 25 == 0 or step == cfg.steps):
+                        out[i] = ("diverged", step)
+                    elif conv:
+                        out[i] = ("converged", step)
+                    elif step == cfg.steps:
+                        out[i] = ("exhausted", step)
+                w = _advance(ev, sigma, cfg.dyn, cfg.dyn.integrator)
+        return out
+
+    @pytest.mark.parametrize("case", ["mixed", "near-guard"])
+    def test_complex_guard_in_complex_units(self, case):
+        # A complex sweep steps real embeddings, whose layer norms are sqrt(2)
+        # times the complex ones; the guard must still read complex norms.
+        if case == "mixed":
+            # Every outcome here is robust: a one-ulp change of the initial
+            # layers moves none.  (On the fig-h1 family with Gaussian targets
+            # at eta = 0.1 the dynamics are chaotic, and such a change moves
+            # the divergence step of a quarter of the seeds.)
+            base = tiny_cfg(
+                d=5,
+                field=FieldTag.COMPLEX,
+                init=InitScheme(kind="random", epsilon=0.55),
+                dyn=DynConfig(reg_a=1.0, eta=0.15),
+                steps=400,
+                eps_conv=1e-3,
+            )
+            n = 24
+        else:
+            # Layers that start between 1e12 / sqrt(2) and 1e12.
+            base = replace(
+                preset("fig-h1", seed=7)[2],
+                init=InitScheme(kind="random", epsilon=1.6e11),
+                steps=50,
+            )
+            n = 8
+            cfgs = self._seed_cfgs(base, n)
+            norms = [_frobenius(prepare_problem(c)[1].layers).max() for c in cfgs]
+            assert any(lab.DIVERGENCE_GUARD / np.sqrt(2) < v <= lab.DIVERGENCE_GUARD for v in norms)
+        got = [(o.status, o.steps_run) for o in sweep_convergence(base, n, workers=1).outcomes]
+        assert got == self._complex_kernel_outcomes(self._seed_cfgs(base, n))
+        if case == "mixed":
+            assert {status for status, _ in got} == {"converged", "exhausted", "diverged"}
 
     def test_converged_on_last_step_beside_exhausted(self):
         # A seed that converges exactly at step == steps is converged, not
@@ -987,6 +1057,29 @@ class TestCli:
         err = capsys.readouterr().err
         assert "config error" in err and "output directory" in err and "Traceback" not in err
         assert blocker.read_text() == "x\n"
+
+    @pytest.mark.parametrize(
+        "argv, blocked",
+        [
+            (["run", "--steps", "5"], "run.csv"),
+            (["run", "--steps", "5"], "run.summary.txt"),
+            (["sweep", "--preset", "sweep", "--steps", "5", "--seeds", "2"], "sweep.csv"),
+        ],
+        ids=["run-csv", "run-summary", "sweep"],
+    )
+    def test_out_file_that_is_a_directory_is_a_config_error(
+        self, tmp_path, capsys, monkeypatch, argv, blocked
+    ):
+        # An output file that is an existing directory is refused before any stepping.
+        def no_work(*args, **kwargs):
+            raise AssertionError("stepping started before the output files were checked")
+
+        monkeypatch.setattr(lab, "_run_chunk", no_work)
+        (tmp_path / blocked).mkdir()
+        assert main(argv + ["--out", str(tmp_path)]) == 1
+        err = capsys.readouterr().err
+        assert "config error" in err and "is a directory" in err and "Traceback" not in err
+        assert [p.name for p in tmp_path.iterdir()] == [blocked]
 
     def test_config_error_exit_code(self, tmp_path, capsys):
         p = tmp_path / "bad.cfg"
