@@ -11,23 +11,34 @@ regularizer on adjacent layers:
 Complex gradients follow the convention grad = d/dRe + i * d/dIm (twice the
 conjugate Wirtinger derivative), so one update rule covers both fields.
 
+All of this math is one batch kernel, :class:`_Kernel`.  It is built once
+per batch of problems, copies their layers into buffers it owns, and steps
+them in place with a fixed sequence of numpy calls on views it made once.
+
 A complex problem is stepped as its real embedding ``E(A + iB) = [[A, -B],
-[B, A]]`` through the same real kernel: one real matmul per complex matmul,
+[B, A]]`` through the same kernel: one real matmul per complex matmul,
 which numpy dispatches faster than a small complex one.  ``E`` is an
 algebra homomorphism with ``E(Z^H) = E(Z)^T``, so products, defects and the
 descent direction keep the embedded form, and the embedding's ``l_ori`` and
-``l_reg`` are twice the complex ones.  Rounding moves a stepped embedding
-off that form in the last bits, so every step ends by restoring it from the
-left blocks (``_reembed``).  Complex trajectories differ from complex
-arithmetic's in the last bits; they stay deterministic and independent of
-the batch.  :func:`gd_step`, :func:`flow_step_rk4` and :func:`loss` step and
-evaluate as the run loop does; :func:`gradient` runs the kernel on the
-complex arrays.
+``l_reg`` are twice the complex ones, which the kernel halves.  Rounding
+moves a stepped embedding off that form in the last bits, so every step
+ends by restoring it from the left blocks.  Complex trajectories differ
+from complex arithmetic's in the last bits; they stay deterministic and
+independent of the batch.  :func:`gd_step`, :func:`flow_step_rk4` and
+:func:`loss` step and evaluate as the run loop does; :func:`gradient` runs
+the kernel on the complex arrays.
+
+Ownership: an array the kernel returns (its layers, ``l_ori``, a descent
+direction) is a view of its buffers, valid until its next step; a caller
+that keeps one, like a trajectory's records, copies it.  :func:`loss`,
+:func:`gradient`, :func:`gd_step`, :func:`flow_step_rk4` and
+:func:`balance_deltas` build a kernel of their own for each call, so they
+never write to their inputs, and what they return is not shared.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field as dc_field
+from dataclasses import dataclass, field as dc_field, replace
 from typing import NamedTuple
 
 import numpy as np
@@ -130,6 +141,8 @@ class DynConfig:
             raise ValueError(f"unknown integrator {self.integrator!r}")
 
 
+
+
 def product(stack: LayerStack) -> np.ndarray:
     """Product matrix ``W_N @ ... @ W_1`` (descending layer index)."""
     return _left_product(stack.layers)
@@ -143,12 +156,27 @@ def _left_product(layers) -> np.ndarray:
     return w
 
 
-# ---------------------------------------------------------------------------
-# Kernel: the loss and its descent direction on a layer array ``w`` of shape
-# ``(..., N, d, d)``, where ``w[..., j, :, :]`` is ``W_{j+1}`` and any leading
-# axes index independent problems.  Every operation acts on each problem's
-# matrices alone, so a problem's values do not depend on the batch it is in.
-# ---------------------------------------------------------------------------
+def _gram_parts(x: np.ndarray) -> list[tuple[np.ndarray, np.ndarray]]:
+    """Pairs ``(a, b)`` whose products ``a @ b`` sum to each matrix's squared Frobenius norm.
+
+    ``x`` is a ``(..., d, d)`` array and each product is ``(..., 1, 1)``: a
+    real matrix is one flattened row times its transpose, a complex one its
+    real parts' product plus its imaginary parts'.  Views of ``x`` where it
+    is contiguous.
+    """
+    flat = x.reshape(x.shape[:-2] + (1, x.shape[-2] * x.shape[-1]))
+    parts = (flat.real, flat.imag) if flat.dtype.kind == "c" else (flat,)
+    return [(p, p.swapaxes(-1, -2)) for p in parts]
+
+
+def _norms_into(parts, out: np.ndarray, tmp: np.ndarray | None) -> np.ndarray:
+    """Frobenius norms from ``_gram_parts`` views, written into ``(..., 1, 1)`` ``out``."""
+    (a, b), *rest = parts
+    np.matmul(a, b, out=out)
+    for a, b in rest:
+        np.matmul(a, b, out=tmp)
+        np.add(out, tmp, out=out)
+    return np.sqrt(out, out=out)
 
 
 def _frobenius(x: np.ndarray) -> np.ndarray:
@@ -158,139 +186,248 @@ def _frobenius(x: np.ndarray) -> np.ndarray:
     BLAS dot, called once per matrix, and for a complex matrix the dot of the
     real parts plus that of the imaginary parts.
     """
-    flat = x.reshape(x.shape[:-2] + (1, x.shape[-2] * x.shape[-1]))
-    if flat.dtype.kind != "c":
-        return np.sqrt((flat @ flat.swapaxes(-1, -2))[..., 0, 0])
-    re, im = flat.real, flat.imag
-    return np.sqrt((re @ re.swapaxes(-1, -2) + im @ im.swapaxes(-1, -2))[..., 0, 0])
-
-
-def _defects(w: np.ndarray) -> np.ndarray:
-    """Balance defects ``W_j W_j^H - W_{j+1}^H W_{j+1}``, stacked on the layer axis."""
-    upper, lower = w[..., :-1, :, :], w[..., 1:, :, :]
-    return upper @ adjoint(upper) - adjoint(lower) @ lower
-
-
-def _products(w: np.ndarray, sigma: np.ndarray) -> tuple[list[np.ndarray], np.ndarray]:
-    """Suffix products ``W_{j+1} ... W_1`` of every problem in ``w``, and the misfit ``Sigma - W``.
-
-    The product is right-associated, ``W_N (... (W_2 W_1))``.
-    """
-    p = w[..., 0, :, :]
-    suffix = [p]
-    for j in range(1, w.shape[-3]):
-        p = w[..., j, :, :] @ p
-        suffix.append(p)
-    return suffix, sigma - p
+    parts = _gram_parts(x)
+    out = np.empty(x.shape[:-2] + (1, 1))
+    return _norms_into(parts, out, np.empty_like(out) if len(parts) > 1 else None)[..., 0, 0]
 
 
 class _Evaluation(NamedTuple):
-    """Everything the descent direction needs at ``w``, and the loss terms there."""
+    """Layers and their loss terms, in the problem's own field: what a monitor record reads."""
 
     w: np.ndarray
-    suffix: list[np.ndarray]  # suffix[j] = W_{j+1} ... W_1, so suffix[-1] = W
-    misfit: np.ndarray  # Sigma - W
-    deltas: np.ndarray | None  # balance defects; only when the regularizer is on
-    l_ori: np.ndarray
+    l_ori: np.ndarray | float
     l_reg: np.ndarray | float
 
-    def take(self, rows) -> "_Evaluation":
-        """The evaluation of the problems ``rows`` (an index or mask on the leading axis)."""
-        return _Evaluation(
-            self.w[rows],
-            [s[rows] for s in self.suffix],
-            self.misfit[rows],
-            None if self.deltas is None else self.deltas[rows],
-            self.l_ori[rows],
-            self.l_reg[rows] if isinstance(self.l_reg, np.ndarray) else self.l_reg,
+
+class _Kernel:
+    """The loss, its descent direction and GD or RK4 steps of a batch of problems.
+
+    Built from ``(B, N, m, m)`` layers ``w`` and ``(B, m, m)`` targets
+    ``sigma`` (``None`` when only :meth:`defects_of` runs).  It copies the
+    layers into ``layers``, its own ``(B, N, m, m)`` array, which every step
+    updates in place; ``sigma`` is only read.  Each buffer is layer-major
+    (one contiguous ``(B, m, m)`` block per layer), and every per-layer and
+    conjugate-transposed view is made here, once.  A step is a fixed
+    sequence of numpy calls that write into the buffers; on a complex
+    batch a conjugate-transposed view reads a conjugate buffer that the step
+    refreshes.
+
+    ``embedded`` marks real embeddings of complex problems: ``l_ori`` and
+    ``l_reg`` are halved, and every step ends by restoring the exact
+    embedded form from the left blocks.  Off it the real dynamics have
+    directions that the complex dynamics lack, which can be unstable where
+    the complex run is not.
+
+    :meth:`evaluate` must precede each :meth:`step`, :meth:`l_reg` and
+    :meth:`descent`; what they return is a view valid until the next step.
+    Every operation acts on each problem's matrices alone, and each matrix
+    product keeps the operands and association of a per-problem loop, so a
+    problem's values do not depend on the batch it is in.
+    """
+
+    def __init__(
+        self, w: np.ndarray, sigma: np.ndarray | None, cfg: DynConfig, embedded: bool = False
+    ) -> None:
+        b, n, m, _ = w.shape
+        dtype = w.dtype if sigma is None else np.result_type(w, sigma)
+        self.cfg, self.sigma, self.embedded = cfg, sigma, embedded
+
+        def buf(k: int) -> np.ndarray:
+            return np.empty((k, b, m, m), dtype)
+
+        x, suffix, factors, direction = buf(n), buf(n), buf(n), buf(n)
+        prefix, deltas, scratch = buf(n - 1), buf(n - 1), buf(n - 1)
+        x[...] = w.swapaxes(0, 1)
+        self.layers = x.swapaxes(0, 1)
+        self._x, self._suffix, self._direction = x, suffix, direction
+        self._deltas, self._scratch = deltas, scratch
+        # suffix[j] = W_{j+1} ... W_1, right-associated, so suffix[-1] = W.
+        self._suffix_ops = [(x[j], suffix[j - 1], suffix[j]) for j in range(1, n)]
+        # prefix[j] = W_N ... W_{j+2}, the product of the layers above layer
+        # j + 1, built from the left: prefix[-1] = W_N, prefix[j-1] = prefix[j] W_{j+1}.
+        self._prefix_ops = [(prefix[j], x[j], prefix[j - 1]) for j in range(n - 2, 0, -1)]
+        self._prefix_top, self._x_top = prefix[-1], x[-1]
+        # factors[j] = prefix[j]^H M below the top slot, which is the misfit M.
+        self._misfit = factors[-1]
+        self._misfit_b = factors[-1][None]
+        self._factors_low, self._factors_high = factors[:-1], factors[1:]
+        self._suffix_low = suffix[:-1]
+        self._direction_low, self._direction_high = direction[:-1], direction[1:]
+        self._direction_bottom, self._factors_bottom = direction[0], factors[0]
+        self._lower, self._upper = x[1:], x[:-1]
+        self._conj = dtype.kind == "c"
+        xc, suffix_c, prefix_c = (
+            (np.empty_like(x), np.empty_like(suffix[:-1]), np.empty_like(prefix))
+            if self._conj
+            else (x, suffix[:-1], prefix)
         )
+        self._xc, self._suffix_c, self._prefix, self._prefix_c = xc, suffix_c, prefix, prefix_c
+        self._upper_h, self._lower_h = xc[:-1].swapaxes(-1, -2), xc[1:].swapaxes(-1, -2)
+        self._suffix_h = suffix_c.swapaxes(-1, -2)
+        self._prefix_h = prefix_c.swapaxes(-1, -2)
 
+        self._sq = np.empty((b, 1, 1))
+        self._sq_tmp = np.empty((b, 1, 1)) if self._conj else None
+        self._misfit_parts = _gram_parts(factors[-1])
+        self.l_ori = self._sq[:, 0, 0]
+        if cfg.integrator == "flow_rk4":
+            self._start, self._acc = buf(n), buf(n)
+        if embedded:
+            h = m // 2
+            # The lower left, upper right, lower right and upper left blocks,
+            # and a buffer of one block per matrix.
+            self._reembed_views = (
+                x[..., h:, :h], x[..., :h, h:], x[..., h:, h:], x[..., :h, :h], np.empty((n, b, h, h))
+            )
 
-def _evaluate(w: np.ndarray, sigma: np.ndarray, cfg: DynConfig) -> _Evaluation:
-    """Products, misfit, defects and ``(l_ori, l_reg)`` of every problem in ``w``.
+    @classmethod
+    def defects_of(cls, w: np.ndarray) -> np.ndarray:
+        """Balance defects ``W_j W_j^H - W_{j+1}^H W_{j+1}`` of ``(B, N, m, m)`` layers, as ``(B, N-1, m, m)``."""
+        kernel = cls(w, None, DynConfig())
+        kernel._defects()
+        return kernel._deltas.swapaxes(0, 1)
 
-    Each norm is squared as ``n * n``, and ``l_reg`` sums the squares in
-    layer order.
-    """
-    suffix, misfit = _products(w, sigma)
-    n = _frobenius(misfit)
-    l_ori = 0.5 * (n * n)
-    deltas = None
-    l_reg = 0.0
-    if cfg.reg_a > 0:
-        deltas = _defects(w)
-        n = _frobenius(deltas)
+    def take(self, rows) -> "_Kernel":
+        """A kernel of the problems ``rows`` (an index or mask on the batch axis), evaluated."""
+        kernel = _Kernel(self.layers[rows], self.sigma[rows], self.cfg, self.embedded)
+        kernel.evaluate()
+        return kernel
+
+    def _products(self) -> None:
+        """Suffix products and the misfit ``Sigma - W`` of the current layers."""
+        np.copyto(self._suffix[0], self._x[0])
+        for a, b, out in self._suffix_ops:
+            np.matmul(a, b, out=out)
+        np.subtract(self.sigma, self._suffix[-1], out=self._misfit)
+
+    def _defects(self) -> None:
+        """Balance defects of the current layers, stacked on the layer axis."""
+        if self._conj:
+            np.conjugate(self._x, out=self._xc)
+        np.matmul(self._upper, self._upper_h, out=self._deltas)
+        np.matmul(self._lower_h, self._lower, out=self._scratch)
+        np.subtract(self._deltas, self._scratch, out=self._deltas)
+
+    def _descend(self) -> None:
+        """Descent direction, the negative gradient of the total loss, from the products and defects.
+
+        Misfit part: ``(W_N..W_{j+1})^H (Sigma - W) (W_{j-1}..W_1)^H``, one
+        left factor ``prefix^H M`` per layer below the top (one matmul over
+        the layer axis) times the adjoint suffix below it (one more); the
+        bottom slot is its left factor alone.  Regularizer part: ``a W_j
+        Delta_{j-1,j} - a Delta_{j,j+1} W_j`` with the boundary defects
+        defined as zero.
+        """
+        cfg, direction = self.cfg, self._direction
+        if cfg.omit_l_ori:
+            direction.fill(0.0)
+        else:
+            np.copyto(self._prefix_top, self._x_top)
+            for a, b, out in self._prefix_ops:
+                np.matmul(a, b, out=out)
+            if self._conj:
+                np.conjugate(self._prefix, out=self._prefix_c)
+                np.conjugate(self._suffix_low, out=self._suffix_c)
+            np.matmul(self._prefix_h, self._misfit_b, out=self._factors_low)
+            np.matmul(self._factors_high, self._suffix_h, out=self._direction_high)
+            np.copyto(self._direction_bottom, self._factors_bottom)
+        if cfg.reg_a > 0:
+            a, s = cfg.reg_a, self._scratch
+            np.matmul(self._lower, self._deltas, out=s)
+            np.multiply(s, a, out=s)
+            np.add(self._direction_high, s, out=self._direction_high)
+            np.matmul(self._deltas, self._upper, out=s)
+            np.multiply(s, a, out=s)
+            np.subtract(self._direction_low, s, out=self._direction_low)
+
+    def evaluate(self) -> np.ndarray:
+        """Products, misfit and (regularizer on) defects of the layers; returns ``l_ori`` per problem.
+
+        The norm is squared as ``n * n``.
+        """
+        self._products()
+        sq = _norms_into(self._misfit_parts, self._sq, self._sq_tmp)
+        np.multiply(sq, sq, out=sq)
+        np.multiply(sq, 0.5, out=sq)
+        if self.embedded:
+            np.multiply(sq, 0.5, out=sq)
+        if self.cfg.reg_a > 0:
+            self._defects()
+        return self.l_ori
+
+    def l_reg(self) -> np.ndarray:
+        """``l_reg`` per problem at the last evaluation: the squared defect norms summed in layer order.
+
+        Zeros when the regularizer is off.  Computed only here, where it is read.
+        """
+        if not self.cfg.reg_a > 0:
+            return np.zeros(len(self.l_ori))
+        n = _frobenius(self._deltas)
         sq = n * n
-        total = sq[..., 0]
-        for j in range(1, sq.shape[-1]):
-            total = total + sq[..., j]
-        l_reg = 0.25 * cfg.reg_a * total
-    return _Evaluation(w, suffix, misfit, deltas, l_ori, l_reg)
+        total = sq[0]
+        for s in sq[1:]:
+            total = total + s
+        l_reg = 0.25 * self.cfg.reg_a * total
+        return 0.5 * l_reg if self.embedded else l_reg
 
+    def descent(self) -> np.ndarray:
+        """The ``(B, N, m, m)`` descent direction at the last evaluation."""
+        self._descend()
+        return self._direction.swapaxes(0, 1)
 
-def _descend(
-    w: np.ndarray,
-    suffix: list[np.ndarray] | None,
-    misfit: np.ndarray | None,
-    deltas: np.ndarray | None,
-    cfg: DynConfig,
-) -> np.ndarray:
-    """Descent direction, the negative gradient of the total loss, at ``w``, one layer per slot.
+    def _stage(self) -> None:
+        """An RK4 stage's direction at the layers: only what it reads, and no loss terms."""
+        if not self.cfg.omit_l_ori:
+            self._products()
+        if self.cfg.reg_a > 0:
+            self._defects()
+        self._descend()
 
-    Misfit part: ``(W_N..W_{j+1})^H (Sigma - W) (W_{j-1}..W_1)^H``, from the
-    ``suffix`` products and the ``misfit`` (unread under ``omit_l_ori``).
-    Regularizer part: ``a W_j Delta_{j-1,j} - a Delta_{j,j+1} W_j`` with the
-    boundary defects defined as zero, from the ``deltas`` (unread when the
-    regularizer is off).
-    """
-    if cfg.omit_l_ori:
-        direction = np.zeros_like(w)
-    else:
-        # From the top layer down: ``left`` is (product of the layers above
-        # the current one)^H (Sigma - W); that product is built from the left.
-        # Each slot is written once, the bottom one by the last ``left``.
-        direction = np.empty_like(w)
-        left = misfit
-        prefix = None
-        for j in range(w.shape[-3] - 1, 0, -1):
-            np.matmul(left, adjoint(suffix[j - 1]), out=direction[..., j, :, :])
-            prefix = w[..., j, :, :] if prefix is None else prefix @ w[..., j, :, :]
-            out = direction[..., 0, :, :] if j == 1 else None
-            left = np.matmul(adjoint(prefix), misfit, out=out)
-    if cfg.reg_a > 0:
-        a = cfg.reg_a
-        direction[..., 1:, :, :] += a * (w[..., 1:, :, :] @ deltas)
-        direction[..., :-1, :, :] -= a * (deltas @ w[..., :-1, :, :])
-    return direction
+    def step(self) -> None:
+        """One GD or RK4 step (``cfg.integrator``) of the layers, in place, from the last evaluation.
 
-
-def _advance(ev: _Evaluation, sigma: np.ndarray, cfg: DynConfig, integrator: str) -> np.ndarray:
-    """Layers after one GD (``"gd"``) or RK4 (``"flow_rk4"``) step from ``ev``.
-
-    GD moves ``w + eta * direction``, bitwise ``w - eta * gradient``: negation
-    is exact and rounding symmetric.  The first RK4 stage is the descent
-    direction at ``ev`` itself; the other three build only what the direction
-    reads, and no loss terms.
-    """
-    w = ev.w
-    k1 = _descend(w, ev.suffix, ev.misfit, ev.deltas, cfg)
-    if integrator == "gd":
-        return w + cfg.eta * k1
-    h = cfg.step_h
-
-    def rhs(y: np.ndarray) -> np.ndarray:
-        suffix, misfit = (None, None) if cfg.omit_l_ori else _products(y, sigma)
-        return _descend(y, suffix, misfit, _defects(y) if cfg.reg_a > 0 else None, cfg)
-
-    k2 = rhs(w + 0.5 * h * k1)
-    k3 = rhs(w + 0.5 * h * k2)
-    k4 = rhs(w + h * k3)
-    return w + (h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
+        GD moves ``w + eta * direction``, bitwise ``w - eta * gradient``:
+        negation is exact and rounding symmetric.  The first RK4 stage is
+        the direction at the evaluation itself, and the stages are summed as
+        ``((k1 + 2 k2) + 2 k3) + k4``.
+        """
+        x, d, cfg = self._x, self._direction, self.cfg
+        self._descend()
+        if cfg.integrator == "gd":
+            np.multiply(d, cfg.eta, out=d)
+            np.add(x, d, out=x)
+        else:
+            h, start, acc = cfg.step_h, self._start, self._acc
+            np.copyto(start, x)
+            np.copyto(acc, d)
+            # Stages 2 to 4 at start + c * (the stage before).  A stage is
+            # doubled into acc once the next stage's layers are made from
+            # it, and k4 is added after the loop.
+            for c, weighted in ((0.5 * h, False), (0.5 * h, True), (h, True)):
+                np.multiply(d, c, out=x)
+                np.add(start, x, out=x)
+                if weighted:
+                    np.multiply(d, 2.0, out=d)
+                    np.add(acc, d, out=acc)
+                self._stage()
+            np.add(acc, d, out=acc)
+            np.multiply(acc, h / 6.0, out=acc)
+            np.add(start, acc, out=x)
+        if self.embedded:
+            # [[A, -B], [B, A]] from the left blocks, through a contiguous
+            # buffer: numpy copies an operand that overlaps its output, and
+            # buffers a strided operand of a ufunc.
+            lower_left, upper_right, lower_right, upper_left, block = self._reembed_views
+            np.copyto(block, lower_left)
+            np.negative(block, out=block)
+            np.copyto(upper_right, block)
+            np.copyto(block, upper_left)
+            np.copyto(lower_right, block)
 
 
 # ---------------------------------------------------------------------------
 # Real embedding of complex problems: applied where a problem enters and
-# leaves stepping, never inside the kernel.
+# leaves the kernel.
 # ---------------------------------------------------------------------------
 
 
@@ -312,40 +449,19 @@ def _unembed(x: np.ndarray) -> np.ndarray:
     return z
 
 
-def _reembed(x: np.ndarray) -> None:
-    """Make ``x`` exactly embedded again, in place: ``_embed(_unembed(x))``, from its left blocks.
+def _kernel(w: np.ndarray, sigma: np.ndarray, cfg: DynConfig) -> _Kernel:
+    """The run loop's kernel of ``(B, N, d, d)`` layers and ``(B, d, d)`` targets.
 
-    A kernel step leaves the right blocks off the embedded form in the
-    last bits.
-    Off it the real dynamics have directions that the complex dynamics
-    lack, which can be unstable where the complex run is not, so an
-    embedded run restores the form after every step.
+    A batch with complex layers or targets is stepped as its real embedding.
     """
-    d = x.shape[-1] // 2
-    np.negative(x[..., d:, :d], out=x[..., :d, d:])
-    x[..., d:, d:] = x[..., :d, :d]
+    if np.iscomplexobj(w) or np.iscomplexobj(sigma):
+        return _Kernel(_embed(w), _embed(sigma), cfg, embedded=True)
+    return _Kernel(w, sigma, cfg)
 
 
-def _unembed_evaluations(evs: list[_Evaluation]) -> list[_Evaluation]:
-    """The complex evaluations that evaluations of embedded problems stand for.
-
-    Each array is unembedded once for the whole list, and the losses are
-    halved, which is exact.
-    """
-
-    def unembed(arrays) -> np.ndarray:
-        return _unembed(np.stack(list(arrays)))
-
-    w = unembed(ev.w for ev in evs)
-    suffix = [unembed(ev.suffix[j] for ev in evs) for j in range(len(evs[0].suffix))]
-    misfit = unembed(ev.misfit for ev in evs)
-    deltas = [None] * len(evs) if evs[0].deltas is None else unembed(ev.deltas for ev in evs)
-    return [
-        _Evaluation(
-            w[k], [s[k] for s in suffix], misfit[k], deltas[k], 0.5 * ev.l_ori, 0.5 * ev.l_reg
-        )
-        for k, ev in enumerate(evs)
-    ]
+# ---------------------------------------------------------------------------
+# Calls onto the kernel: each builds a kernel of its own.
+# ---------------------------------------------------------------------------
 
 
 def _check_dims(stack: LayerStack, sigma: np.ndarray) -> None:
@@ -353,48 +469,66 @@ def _check_dims(stack: LayerStack, sigma: np.ndarray) -> None:
         raise DimMismatchError("target dimension does not match the stack")
 
 
-def _kernel_form(w: np.ndarray, sigma: np.ndarray) -> tuple[np.ndarray, np.ndarray, bool]:
-    """Layers and target as the run loop steps them, and whether they are embedded.
+def _batch(a: np.ndarray, core: int) -> np.ndarray:
+    """``a`` with the axes before its last ``core`` flattened into one batch axis."""
+    return a.reshape((-1,) + a.shape[a.ndim - core :])
 
-    A problem with complex layers or target is embedded.
+
+def _evaluate(w: np.ndarray, sigma: np.ndarray, cfg: DynConfig) -> _Evaluation:
+    """The kernel's evaluation of ``(..., N, m, m)`` layers against ``(..., m, m)`` targets.
+
+    The arrays are evaluated as given, complex ones in complex arithmetic;
+    the loss terms have the layers' leading shape, and ``l_reg`` is 0.0
+    when the regularizer is off.
     """
-    if np.iscomplexobj(w) or np.iscomplexobj(sigma):
-        return _embed(w), _embed(sigma), True
-    return w, sigma, False
+    kernel = _Kernel(_batch(w, 3), _batch(sigma, 2), cfg)
+    lead = w.shape[:-3]
+    l_ori = kernel.evaluate().reshape(lead)
+    return _Evaluation(w, l_ori, kernel.l_reg().reshape(lead) if cfg.reg_a > 0 else 0.0)
+
+
+def _advance(ev: _Evaluation, sigma: np.ndarray, cfg: DynConfig, integrator: str) -> np.ndarray:
+    """Layers after one GD (``"gd"``) or RK4 (``"flow_rk4"``) step from ``ev``, as :func:`_evaluate` steps them."""
+    kernel = _Kernel(_batch(ev.w, 3), _batch(sigma, 2), replace(cfg, integrator=integrator))
+    kernel.evaluate()
+    kernel.step()
+    return kernel.layers.reshape(ev.w.shape)
 
 
 def _evaluate_stack(stack: LayerStack, target: TargetSpec, cfg: DynConfig) -> _Evaluation:
     """The run loop's evaluation of one problem, in the problem's own field."""
     _check_dims(stack, target.matrix)
-    w, sigma, embedded = _kernel_form(stack.layers, target.matrix)
-    ev = _evaluate(w, sigma, cfg)
-    return _unembed_evaluations([ev])[0] if embedded else ev
+    kernel = _kernel(stack.layers[None], target.matrix[None], cfg)
+    l_ori = float(kernel.evaluate()[0])
+    return _Evaluation(stack.layers, l_ori, float(kernel.l_reg()[0]))
 
 
 def _step(stack: LayerStack, target: TargetSpec, cfg: DynConfig, integrator: str) -> LayerStack:
     _check_dims(stack, target.matrix)
-    w, sigma, embedded = _kernel_form(stack.layers, target.matrix)
-    w = _advance(_evaluate(w, sigma, cfg), sigma, cfg, integrator)
-    return LayerStack(_unembed(w) if embedded else w)
+    kernel = _kernel(stack.layers[None], target.matrix[None], replace(cfg, integrator=integrator))
+    kernel.evaluate()
+    kernel.step()
+    layers = kernel.layers[0]
+    return LayerStack(_unembed(layers) if kernel.embedded else layers)
 
 
 def balance_deltas(stack: LayerStack) -> np.ndarray:
     """Adjacent balance defects ``W_j W_j^H - W_{j+1}^H W_{j+1}``, j = 1..N-1, stacked."""
-    return _defects(stack.layers)
+    return _Kernel.defects_of(stack.layers[None])[0]
 
 
 def loss(stack: LayerStack, target: TargetSpec, cfg: DynConfig) -> tuple[float, float, float]:
     """Returns ``(l_ori, l_reg, total)``; ``l_ori`` reported even when omitted."""
     ev = _evaluate_stack(stack, target, cfg)
-    l_ori, l_reg = float(ev.l_ori), float(ev.l_reg)
-    return l_ori, l_reg, (0.0 if cfg.omit_l_ori else l_ori) + l_reg
+    return ev.l_ori, ev.l_reg, (0.0 if cfg.omit_l_ori else ev.l_ori) + ev.l_reg
 
 
 def gradient(stack: LayerStack, target: TargetSpec, cfg: DynConfig) -> np.ndarray:
     """Exact gradient of the total loss with respect to every layer, as ``(N, d, d)``."""
     _check_dims(stack, target.matrix)
-    ev = _evaluate(stack.layers, target.matrix, cfg)
-    return -_descend(ev.w, ev.suffix, ev.misfit, ev.deltas, cfg)
+    kernel = _Kernel(stack.layers[None], target.matrix[None], cfg)
+    kernel.evaluate()
+    return -kernel.descent()[0]
 
 
 def gd_step(stack: LayerStack, target: TargetSpec, cfg: DynConfig) -> LayerStack:

@@ -28,13 +28,10 @@ from .dynamics import (
     DynConfig,
     LayerStack,
     TargetSpec,
-    _advance,
-    _evaluate,
     _Evaluation,
     _frobenius,
-    _kernel_form,
-    _reembed,
-    _unembed_evaluations,
+    _kernel,
+    _unembed,
     gradient,
     product,
     reduce_target,
@@ -388,7 +385,7 @@ class _Trajectory:
         self.on_record = on_record
         self.target: TargetSpec | None = None
         self.lines: list[str] = []
-        self.pending: list[tuple[int, _Evaluation]] = []
+        self.pending: list[tuple[int, np.ndarray, float, float]] = []
         self.rec: TrajectoryRecord | None = None
         self.track: SvdTrack | None = None
 
@@ -404,20 +401,26 @@ class _Trajectory:
             self.lines.append(f"# reduced_target_diag = {diag}")
         self.lines.append(",".join(csv_columns(cfg.d)))
 
-    def add(self, step: int, ev: _Evaluation) -> None:
-        """Buffer the problem's evaluated layers at ``step``; a full buffer is recorded."""
-        self.pending.append((step, ev))
+    def add(self, step: int, w: np.ndarray, l_ori: float, l_reg: float) -> None:
+        """Buffer a copy of the problem's layers at ``step``, as the kernel holds them, and its losses.
+
+        The kernel reuses its buffers, so what a record reads is copied
+        here.  A full buffer is recorded.
+        """
+        self.pending.append((step, w.copy(), float(l_ori), float(l_reg)))
         if len(self.pending) >= RECORD_BLOCK:
             self.flush()
 
     def flush(self) -> None:
-        """Record the buffered steps as one block."""
+        """Record the buffered steps as one block; embedded layers are unembedded once for it."""
         if not self.pending:
             return
-        steps, evs = zip(*self.pending)
+        steps, ws, l_oris, l_regs = zip(*self.pending)
         self.pending = []
+        w = np.stack(ws)
         if self.cfg.field is FieldTag.COMPLEX:
-            evs = _unembed_evaluations(evs)
+            w = _unembed(w)
+        evs = [_Evaluation(*ev) for ev in zip(w, l_oris, l_regs)]
         times = [_time_of(self.cfg, step) for step in steps]
         block = records(steps, times, evs, self.target, self.track)
         for rec, track in block:
@@ -615,18 +618,19 @@ def _run_chunk(
     config, which records its problem every ``record_stride`` steps and at
     the step its run ends.  It computes the records in blocks of up to
     ``RECORD_BLOCK`` steps, when a block fills and when the problem leaves
-    the batch, under the caller's floating-point error state.  The layers
-    of all problems are one ``(B, N, d, d)`` array advanced by the dynamics
-    kernel with either integrator.  A problem leaves the batch when it
-    converges (``l_ori < eps_conv``, checked every step), exhausts the
-    budget, or diverges.
+    the batch, under the caller's floating-point error state.  All
+    problems step in place on one dynamics kernel (``dynamics._Kernel``)
+    with either integrator, built once and rebuilt only when problems
+    leave.  A problem leaves the batch when it converges (``l_ori <
+    eps_conv``, checked every step), exhausts the budget, or diverges.
+    ``l_reg`` is computed on record steps only, where records read it.
 
     Complex problems are stepped as their real embeddings (see
     ``dynamics``), restored to the exact embedded form after every step,
     so a trajectory is bitwise the one ``gd_step`` or ``flow_step_rk4``
-    gives.  The convergence test and the outcome read the halved embedded
-    ``l_ori``, which is the complex one, and the records unembed their
-    evaluations once per block.
+    gives.  The convergence test and the outcome read the kernel's halved
+    embedded ``l_ori``, which is the complex one.  A record copies the
+    layers and the two losses, and unembeds the layers once per block.
 
     Divergence guard: ``_bounded`` runs on the evaluated layers at step
     ``k`` whenever ``k`` is a multiple of 25, a record step or the last step
@@ -643,9 +647,10 @@ def _run_chunk(
     if trajectories is not None:
         for traj, (target, _, _) in zip(trajectories, problems):
             traj.start(target)
-    w, sigma, embedded = _kernel_form(
+    kernel = _kernel(
         np.stack([stack.layers for _, stack, _ in problems]),
         np.stack([target.matrix for target, _, _ in problems]),
+        cfg.dyn,
     )
     active = np.arange(len(cfgs))  # batch row -> index into cfgs
     outcomes: list[SeedOutcome | None] = [None] * len(cfgs)
@@ -653,9 +658,10 @@ def _run_chunk(
     errors = np.geterr()
 
     def add_records(rows, leaving=()) -> None:
+        l_reg = kernel.l_reg()
         with np.errstate(**errors):
             for i in rows:
-                trajectories[active[i]].add(step, ev.take(i))
+                trajectories[active[i]].add(step, kernel.layers[i], l_ori[i], l_reg[i])
             for i in leaving:
                 trajectories[active[i]].flush()
 
@@ -663,14 +669,13 @@ def _run_chunk(
     # documented outcome, not a fault.
     with np.errstate(over="ignore", invalid="ignore"):
         for step in range(cfg.steps + 1):
-            ev = _evaluate(w, sigma, cfg.dyn)
-            l_ori = 0.5 * ev.l_ori if embedded else ev.l_ori
+            l_ori = kernel.evaluate()
             last = step == cfg.steps
             record_step = trajectories is not None and step % cfg.record_stride == 0
             cadence = step % 25 == 0 or record_step or last
-            converging = measure_l_ori and (l_ori < cfg.eps_conv).any()
+            converging = measure_l_ori and np.logical_or.reduce(l_ori < cfg.eps_conv)
             if cadence or converging:
-                ok = _bounded(ev.w[..., : cfg.d, :])
+                ok = _bounded(kernel.layers[..., : cfg.d, :])
                 if last or converging or not ok.all():
                     # Some runs end here; off the cadence only they are guarded.
                     converged = (l_ori < cfg.eps_conv) & measure_l_ori
@@ -691,12 +696,10 @@ def _run_chunk(
                         )
                     if done.all():
                         break
-                    active, sigma, ev = active[~done], sigma[~done], ev.take(~done)
+                    active, kernel = active[~done], kernel.take(~done)
                 elif record_step:
                     add_records(range(len(active)))
-            w = _advance(ev, sigma, cfg.dyn, cfg.dyn.integrator)
-            if embedded:
-                _reembed(w)
+            kernel.step()
     return outcomes
 
 
@@ -805,33 +808,37 @@ def rmt_validate(
         raise ConfigError("dimensions must be positive")
     if n_samples < 100:
         raise ConfigError("n_samples must be at least 100")
-    out = None if out_dir is None else make_out_dir(out_dir)
+    report_file = "rmt_report.csv"
+    # Each validator with the file its histogram is written to, if it makes one.
+    battery = [
+        (validate_cue_uniformity, (d, n_samples), "cue_uniformity.csv"),
+        (validate_cre_density, (6, 5000), "cre_det1_density.csv"),
+        (validate_product_det_sign, (d, 4, 10_000), None),
+        (validate_haar_sigma_min_quantile, (d, 5000), None),
+        (validate_haar_invariance, (d, 5000), None),
+        (validate_det_minus_zero_mode, (d, 200), None),
+    ]
+    out = None
+    if out_dir is not None:
+        out = make_out_dir(out_dir, [report_file] + [f for _, _, f in battery if f is not None])
     streams = [
         np.random.Generator(np.random.Philox(c))
-        for c in np.random.SeedSequence(seed).spawn(6)
+        for c in np.random.SeedSequence(seed).spawn(len(battery))
     ]
-    results = [
-        validate_cue_uniformity(d, n_samples, streams[0]),
-        validate_cre_density(6, 5000, streams[1]),
-        validate_product_det_sign(d, 4, 10_000, streams[2]),
-        validate_haar_sigma_min_quantile(d, 5000, streams[3]),
-        validate_haar_invariance(d, 5000, streams[4]),
-        validate_det_minus_zero_mode(d, 200, streams[5]),
-    ]
+    results = [fn(*args, rng) for (fn, args, _), rng in zip(battery, streams)]
     if out is not None:
         report = [("test", "statistic", "rule", "threshold", "verdict", "detail")]
-        for r in results:
+        for (_, _, hist_file), r in zip(battery, results):
             verdict = "pass" if r.passed else "FAIL"
             report.append((r.name, repr(r.statistic), r.rule, repr(r.threshold), verdict, r.detail))
-            if r.histogram is not None:
+            if hist_file is not None:
                 hist_lines = ["bin_lo,bin_hi,empirical,analytic"]
                 hist_lines += [
                     ",".join(repr(float(x)) for x in row) for row in r.histogram
                 ]
-                slug = r.name.split("(")[0]
-                (out / f"{slug}.csv").write_text("\n".join(hist_lines) + "\n")
+                (out / hist_file).write_text("\n".join(hist_lines) + "\n")
         # Quoted where needed: names and details hold commas.
-        with open(out / "rmt_report.csv", "w", newline="") as fh:
+        with open(out / report_file, "w", newline="") as fh:
             csv.writer(fh, lineterminator="\n").writerows(report)
     return results
 
@@ -875,10 +882,9 @@ def gradcheck(d: int, n_layers: int, field: FieldTag, a: float, seed: int) -> Gr
 
     def total(x: np.ndarray) -> np.ndarray:
         # The loss as ``dynamics.loss`` and the run loop evaluate it: a complex
-        # problem as its real embedding, whose losses are twice the complex ones.
-        kernel_w, kernel_sigma, embedded = _kernel_form(x, sigma)
-        ev = _evaluate(kernel_w, kernel_sigma, cfg)
-        return 0.5 * (ev.l_ori + ev.l_reg) if embedded else ev.l_ori + ev.l_reg
+        # problem as its real embedding, whose halved losses are the complex ones.
+        kernel = _kernel(x, np.broadcast_to(sigma, (len(x), d, d)), cfg)
+        return kernel.evaluate() + kernel.l_reg()
 
     # One kernel batch per layer and part: problem m perturbs entry m of the
     # layer.  A problem's loss bits do not depend on the batch it is in.

@@ -7,15 +7,16 @@ singular-value terms, per-layer extreme singular values, and the assembly of
 one CSV row per recorded step.
 
 :func:`records` computes the records of a block of K recorded steps of one
-problem, and :func:`record` is a block of one.  They reuse the evaluations
-the run loop made of the steps' layers (the loss terms and, with the
-regularizer on, the balance defects) and make each factorization once per
-block, not once per record: one SVD of all layers of the K steps, one solve
-for ``W_2^{-1} W_3^H W_4^H`` on the steps whose ``W_2`` passes the guard,
-one SVD each of the K main terms, products and half-sum terms, and one
-``slogdet``.  Each is one LAPACK call per matrix, so a record is bitwise the
-one its step gets in a block of one.  Only the column matching of the
-tracked SVD, which follows the previous step, runs step by step.
+problem, and :func:`record` is a block of one.  They reuse the loss terms
+the run loop evaluated at the steps' layers, compute the balance defects of
+those layers in their own field (one kernel call for the block), and make
+each factorization once per block, not once per record: one SVD of all
+layers of the K steps, one solve for ``W_2^{-1} W_3^H W_4^H`` on the steps
+whose ``W_2`` passes the guard, one SVD each of the K main terms, products
+and half-sum terms, and one ``slogdet``.  Each is one LAPACK call per
+matrix, so a record is bitwise the one its step gets in a block of one.
+Only the column matching of the tracked SVD, which follows the previous
+step, runs step by step.
 
 ``W_2^{-1}`` is always applied through linear solves.  When ``W_2`` is too
 ill-conditioned (condition number >= 1e12) the two diagnostics are reported
@@ -35,10 +36,11 @@ import numpy as np
 from .dynamics import (
     LayerStack,
     TargetSpec,
-    _defects,
     _Evaluation,
     _frobenius,
+    _Kernel,
     _left_product,
+    balance_deltas,
 )
 # Not called here: the benchmark's tracer wraps it under this name.
 from .dynamics import loss  # noqa: F401
@@ -79,7 +81,7 @@ def _defect_size(deltas: np.ndarray) -> np.ndarray:
 
 def balance_errors(stack: LayerStack) -> tuple[np.ndarray, float]:
     """Adjacent balance defects ``(N-1, d, d)`` and their aggregate Frobenius size e_delta."""
-    deltas = _defects(stack.layers)
+    deltas = balance_deltas(stack)
     return deltas, float(_defect_size(deltas))
 
 
@@ -298,12 +300,12 @@ def records(
 ) -> list[tuple[TrajectoryRecord, SvdTrack]]:
     """Assemble all monitors for a block of K recorded steps of one problem.
 
-    ``evs[k]`` is the dynamics kernel's evaluation of the layers at
-    ``steps[k]`` against ``target``, the one the run loop steps from: the
-    loss terms come from it, and so do the balance defects when the
-    regularizer is on.  ``prev_track`` is the track of the step before the
-    block.  Returns ``(record, track)`` per step, in step order, each track
-    following the one before.
+    ``evs[k]`` holds the layers at ``steps[k]`` and the dynamics kernel's
+    loss terms there against ``target``, the ones the run loop steps from.
+    The balance defects are computed from the layers, so ``e_delta`` is
+    :func:`balance_errors`' value.  ``prev_track`` is the track of the step
+    before the block.  Returns ``(record, track)`` per step, in step order,
+    each track following the one before.
 
     Each factorization is made once for the whole block: one SVD of all
     layers (the extremes and ``W_2``'s condition guard), one solve for
@@ -318,8 +320,7 @@ def records(
     """
     n = len(steps)
     w = np.stack([ev.w for ev in evs])
-    deltas = _defects(w) if evs[0].deltas is None else np.stack([ev.deltas for ev in evs])
-    e_delta = _defect_size(deltas).tolist()
+    e_delta = _defect_size(_Kernel.defects_of(w)).tolist()
     svs = np.linalg.svd(w, compute_uv=False)
     sig_max, sig_min = (x.tolist() for x in _extremes(svs))
     span = f"steps {steps[0]}-{steps[-1]}"

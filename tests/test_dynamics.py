@@ -1,5 +1,7 @@
 """Tests for the optimization core: loss, gradients, steppers, target reduction."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -10,7 +12,10 @@ from factorlab.dynamics import (
     _advance,
     _embed,
     _evaluate,
+    _evaluate_stack,
     _frobenius,
+    _kernel,
+    _Kernel,
     _unembed,
     balance_deltas,
     flow_step_rk4,
@@ -517,3 +522,64 @@ class TestFrobenius:
         assert not x.flags.c_contiguous
         got = _frobenius(x)
         assert [float(v) for v in got] == [float(np.linalg.norm(m)) for m in x]
+
+
+class TestKernelOwnership:
+    """The kernel steps buffers it owns; nothing outside it sees them change."""
+
+    @pytest.mark.parametrize("reg_a", [0.0, 1.0])
+    @pytest.mark.parametrize("field", FIELDS, ids=lambda f: f.value)
+    def test_wrappers_leave_their_inputs_alone(self, field, reg_a):
+        rng = make_rng(7)
+        stack = rand_stack(5, 4, field, rng)
+        target = TargetSpec(np.diag(rng.uniform(0.2, 2.0, 5)).astype(stack.layers.dtype), reduced=True)
+        layers, matrix = stack.layers.tobytes(), target.matrix.tobytes()
+        for integrator in ("gd", "flow_rk4"):
+            cfg = DynConfig(reg_a=reg_a, eta=0.05, step_h=0.05, integrator=integrator)
+            for fn in (gd_step, flow_step_rk4, loss, gradient, _evaluate_stack):
+                out = fn(stack, target, cfg)
+                assert stack.layers.tobytes() == layers and target.matrix.tobytes() == matrix
+                if isinstance(out, LayerStack):
+                    assert not np.shares_memory(out.layers, stack.layers)
+
+    @pytest.mark.parametrize("integrator", ["gd", "flow_rk4"])
+    @pytest.mark.parametrize("reg_a", [0.0, 1.0])
+    @pytest.mark.parametrize("field", FIELDS, ids=lambda f: f.value)
+    def test_evaluation_outlives_the_next_step(self, field, reg_a, integrator):
+        cfg = DynConfig(reg_a=reg_a, eta=0.05, step_h=0.05, integrator=integrator)
+        w, sigma = _problem(field, 4, 3, seed=9)
+        start = w.tobytes()
+        ev = _evaluate(w, sigma, cfg)
+        kept = [np.asarray(x).tobytes() for x in ev]
+        w2 = _advance(ev, sigma, cfg, integrator)
+        _advance(_evaluate(w2, sigma, cfg), sigma, cfg, integrator)
+        assert [np.asarray(x).tobytes() for x in ev] == kept
+        assert w.tobytes() == start and not np.array_equal(w2, w)
+
+    @pytest.mark.parametrize("reg_a", [0.0, 1.0])
+    @pytest.mark.parametrize("form", ["real", "complex", "complex-direct"])
+    @pytest.mark.parametrize(
+        "integrator, steps", [pytest.param("gd", 50, id="gd"), pytest.param("flow_rk4", 10, id="rk4")]
+    )
+    def test_a_step_allocates_no_layer(self, integrator, steps, form, reg_a):
+        # The run loop's kernel at B = 16, a complex batch as its real
+        # embedding; "complex-direct" steps complex arrays, as gradient() does.
+        # An evaluation and a step write into the kernel's buffers only, so
+        # the traced peak grows by less than one layer of the batch.
+        cfg = DynConfig(reg_a=reg_a, eta=0.01, step_h=0.01, integrator=integrator)
+        w, sigma = _problem(FieldTag.REAL if form == "real" else FieldTag.COMPLEX, 4, 16, seed=12)
+        kernel = (_Kernel if form == "complex-direct" else _kernel)(w, sigma, cfg)
+        kernel.evaluate()
+        kernel.step()
+        layer_bytes = kernel.layers[:, 0].nbytes
+        tracemalloc.start()
+        try:
+            before = tracemalloc.get_traced_memory()[0]
+            for _ in range(steps):
+                kernel.evaluate()
+                kernel.step()
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak - before < layer_bytes
+        assert np.all(np.isfinite(kernel.layers))

@@ -15,7 +15,7 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from factorlab import lab
+from factorlab import dynamics, lab
 from factorlab.cli import main
 from factorlab.dynamics import (
     DynConfig,
@@ -280,6 +280,43 @@ class TestPrepareProblem:
         assert det0 == -1.0
 
 
+def _flow_cfg(field, steps):
+    """Criterion 2's flow suite: RK4, balanced init, a record every step, never converging."""
+    return RunConfig(
+        name=f"flow-{field.value}",
+        field=field,
+        init=InitScheme(kind="balanced", epsilon=0.05),
+        dyn=DynConfig(reg_a=0.0, integrator="flow_rk4", step_h=1e-3),
+        steps=steps,
+        record_stride=1,
+        seed=3,
+        eps_conv=1e-300,
+    )
+
+
+def _check_rows_from_scratch(cfg, s, recs):
+    """Each CSV row and record of a run with summary ``s`` is the one made from scratch.
+
+    From scratch: ``gd_step`` or ``flow_step_rk4`` from the prepared problem,
+    and ``record`` of each step's stack alone.
+    """
+    rows = [ln for ln in open(s.csv_path).read().splitlines() if not ln.startswith("#")][1:]
+    assert len(rows) == len(recs) == s.steps_run + 1
+
+    target, stack, _ = prepare_problem(cfg)
+    step_fn = gd_step if cfg.dyn.integrator == "gd" else flow_step_rk4
+    dt = cfg.dyn.eta if cfg.dyn.integrator == "gd" else cfg.dyn.step_h
+    track = None
+    for step, (row, rec) in enumerate(zip(rows, recs)):
+        fresh, track = record(step, step * dt, _evaluate_stack(stack, target, cfg.dyn), target, track)
+        assert row == record_to_csv_row(fresh, cfg.d)
+        assert (rec.l_ori, rec.l_reg) == loss(stack, target, cfg.dyn)[:2]
+        assert rec.e_delta == balance_errors(stack)[1]
+        if step < s.steps_run:
+            stack = step_fn(stack, target, cfg.dyn)
+    assert s.final_e_delta == recs[-1].e_delta == balance_errors(stack)[1]
+
+
 class TestRunScenario:
     def test_csv_structure(self, tmp_path):
         s = run_scenario(tiny_cfg(), out_dir=tmp_path)
@@ -353,27 +390,22 @@ class TestRunScenario:
                 steps=30,
                 record_stride=1,
             ),
+            # Past RECORD_BLOCK with a record every step, so each block's
+            # rows come from kernel buffers that later steps reuse.  The
+            # sweep preset's complex variant has the regularizer on: its
+            # e_delta is computed from the complex layers, as
+            # balance_errors computes it.
+            replace(preset("sweep", seed=3)[0], field=FieldTag.COMPLEX, steps=150, record_stride=1),
+            _flow_cfg(FieldTag.COMPLEX, 150),
+            replace(preset("fig-h3", seed=3)[0], steps=150, record_stride=1),
         ],
-        ids=["flow-real", "flow-complex", "fig-h3", "gd-complex"],
+        ids=["flow-real", "flow-complex", "fig-h3", "gd-complex", "sweep-complex", "flow-complex-150", "fig-h3-150"],
     )
     def test_rows_match_records_from_scratch(self, tmp_path, cfg):
         recs = []
         s = run_scenario(cfg, out_dir=tmp_path, on_record=lambda rec, _: recs.append(rec))
-        rows = [ln for ln in open(s.csv_path).read().splitlines() if not ln.startswith("#")][1:]
-        assert s.steps_run == cfg.steps and len(rows) == len(recs) == cfg.steps + 1
-
-        target, stack, _ = prepare_problem(cfg)
-        step_fn = gd_step if cfg.dyn.integrator == "gd" else flow_step_rk4
-        dt = cfg.dyn.eta if cfg.dyn.integrator == "gd" else cfg.dyn.step_h
-        track = None
-        for step, (row, rec) in enumerate(zip(rows, recs)):
-            fresh, track = record(step, step * dt, _evaluate_stack(stack, target, cfg.dyn), target, track)
-            assert row == record_to_csv_row(fresh, cfg.d)
-            assert (rec.l_ori, rec.l_reg) == loss(stack, target, cfg.dyn)[:2]
-            assert rec.e_delta == balance_errors(stack)[1]
-            if step < s.steps_run:
-                stack = step_fn(stack, target, cfg.dyn)
-        assert s.final_e_delta == recs[-1].e_delta == balance_errors(stack)[1]
+        assert s.steps_run == cfg.steps
+        _check_rows_from_scratch(cfg, s, recs)
 
 
 def _diverging_cfg(record_stride):
@@ -438,6 +470,51 @@ class TestRunScenarios:
             assert plus.status == cplx.status == "converged"
             assert minus.status == "exhausted" and plus.steps_run < minus.steps_run
 
+    @pytest.mark.parametrize(
+        "pair",
+        [
+            # det+ converges at step 638, det- runs on to its budget
+            [
+                replace(c, steps=700, record_stride=1, init=replace(c.init, epsilon=0.3))
+                for c in preset("fig-h1")[:2]
+            ],
+            # two complex seeds, converging at steps 277 and 667
+            [
+                replace(
+                    preset("fig-h1")[2],
+                    name=f"fig-h1-complex-{seed}",
+                    seed=seed,
+                    steps=1500,
+                    record_stride=1,
+                    init=replace(preset("fig-h1")[2].init, epsilon=0.3),
+                )
+                for seed in (2, 6)
+            ],
+        ],
+        ids=["real", "complex"],
+    )
+    def test_rows_survive_a_kernel_rebuild(self, tmp_path, monkeypatch, pair):
+        # The first run leaves the batch mid-block, so the kernel is rebuilt
+        # while the second run's block still holds records of the old one.
+        rebuilt = []
+        take = dynamics._Kernel.take
+
+        def spy(kernel, rows):
+            rebuilt.append(len(kernel.layers))
+            return take(kernel, rows)
+
+        monkeypatch.setattr(dynamics._Kernel, "take", spy)
+        seen = [[], []]
+        summaries = run_scenarios(
+            pair, out_dir=tmp_path, on_record=lambda i, rec, _: seen[i].append(rec)
+        )
+        first, second = summaries
+        assert rebuilt == [2]
+        assert first.status == "converged" and first.steps_run < second.steps_run
+        assert (first.steps_run + 1) % lab.RECORD_BLOCK != 0
+        for cfg, s, recs in zip(pair, summaries, seen):
+            _check_rows_from_scratch(cfg, s, recs)
+
     def test_divergence_agrees_with_sweep(self):
         # At a record stride of 25 the trajectory's guard steps are the
         # sweep's, so both report the same step.
@@ -459,20 +536,6 @@ class TestRunScenarios:
         rows = [ln.split(",") for ln in lines if not ln.startswith("#")][1:]
         assert [r[0] for r in rows] == ["0"]
         assert all(cmath.isfinite(complex(x)) for r in rows for x in r if x)
-
-
-def _flow_cfg(field, steps):
-    """Criterion 2's flow suite: RK4, balanced init, a record every step, never converging."""
-    return RunConfig(
-        name=f"flow-{field.value}",
-        field=field,
-        init=InitScheme(kind="balanced", epsilon=0.05),
-        dyn=DynConfig(reg_a=0.0, integrator="flow_rk4", step_h=1e-3),
-        steps=steps,
-        record_stride=1,
-        seed=3,
-        eps_conv=1e-300,
-    )
 
 
 class TestRecordBlocks:
@@ -794,6 +857,7 @@ class TestGradcheckAndRmt:
         results = rmt_validate(seed=1, out_dir=tmp_path)
         assert (tmp_path / "rmt_report.csv").exists()
         assert (tmp_path / "cue_uniformity.csv").exists()
+        assert (tmp_path / "cre_det1_density.csv").exists()
         report = open(tmp_path / "rmt_report.csv").read()
         assert report.startswith("test,statistic,rule,threshold,verdict,detail\n")
         assert len(results) == 6
@@ -1077,6 +1141,22 @@ class TestCli:
         monkeypatch.setattr(lab, "_run_chunk", no_work)
         (tmp_path / blocked).mkdir()
         assert main(argv + ["--out", str(tmp_path)]) == 1
+        err = capsys.readouterr().err
+        assert "config error" in err and "is a directory" in err and "Traceback" not in err
+        assert [p.name for p in tmp_path.iterdir()] == [blocked]
+
+    @pytest.mark.parametrize("blocked", ["rmt_report.csv", "cue_uniformity.csv", "cre_det1_density.csv"])
+    def test_rmt_file_that_is_a_directory_is_a_config_error(self, tmp_path, capsys, monkeypatch, blocked):
+        # Every file the battery writes is checked before any validator runs.
+        def no_work(*args, **kwargs):
+            raise AssertionError("a validator ran before the output files were checked")
+
+        validators = [name for name in vars(lab) if name.startswith("validate_")]
+        assert len(validators) == 6
+        for name in validators:
+            monkeypatch.setattr(lab, name, no_work)
+        (tmp_path / blocked).mkdir()
+        assert main(["rmt-validate", "--out", str(tmp_path)]) == 1
         err = capsys.readouterr().err
         assert "config error" in err and "is a directory" in err and "Traceback" not in err
         assert [p.name for p in tmp_path.iterdir()] == [blocked]

@@ -336,11 +336,12 @@ class TestRecord:
     @pytest.mark.parametrize("field", FIELDS)
     def test_tracks_the_left_associated_product(self, field):
         # The tracked SVD is of ``dynamics.product``, ((W_4 W_3) W_2) W_1, not
-        # of the kernel's right-associated ``suffix[-1]``: the two differ in
-        # the last bits, and trajectory CSVs are pinned to the first.
+        # of the kernel's right-associated W_4 (W_3 (W_2 W_1)): the two differ
+        # in the last bits, and trajectory CSVs are pinned to the first.
         st = LayerStack(tuple(gaussian_matrix(5, field, make_rng(21)) for _ in range(4)))
         ev = _evaluate_stack(st, TargetSpec.identity(5), self._cfg())
-        assert not np.array_equal(ev.suffix[-1], product(st))
+        w1, w2, w3, w4 = st.layers
+        assert not np.array_equal(w4 @ (w3 @ (w2 @ w1)), product(st))
         _, track = record(0, 0.0, ev, TargetSpec.identity(5), None)
         want = track_svd(product(st), 4)
         assert np.array_equal(track.sigma_w, want.sigma_w) and np.array_equal(track.u, want.u)
