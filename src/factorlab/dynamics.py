@@ -14,6 +14,22 @@ conjugate Wirtinger derivative), so one update rule covers both fields.
 All of this math is one batch kernel, :class:`_Kernel`.  It is built once
 per batch of problems, copies their layers into buffers it owns, and steps
 them in place with a fixed sequence of numpy calls on views it made once.
+Slots that would hold copies share memory instead: the layers sit in one
+buffer between the suffix and the prefix products, whose first suffix and
+top prefix are the bottom and top layers themselves, and the bottom slot of
+the descent direction is the first left factor.  A second copy of the
+layers lets numpy run the defect Gram products as gemm.
+
+The loss is made in two parts.  :meth:`_Kernel.measure` builds the
+products, the misfit and its squared Frobenius norm ``sq`` (one dot per
+problem), and :meth:`_Kernel.finish` turns ``sq`` into ``l_ori`` (a square
+root, ``n * n`` and a halving).  The run loop tests convergence on ``sq``
+and finishes ``l_ori`` only on guard and record steps and where some
+problem's ``sq`` is below :meth:`_Kernel.sq_bound`: 4 ``eps_conv`` where
+``l_ori`` is about ``sq / 2``, 8 on an embedding, where it is about ``sq /
+4``.  ``finish`` is monotone in ``sq``, so a step that fails this test has
+no problem with ``l_ori < eps_conv``; where it passes, the exact test
+decides.
 
 A complex problem is stepped as its real embedding ``E(A + iB) = [[A, -B],
 [B, A]]`` through the same kernel: one real matmul per complex matmul,
@@ -169,14 +185,14 @@ def _gram_parts(x: np.ndarray) -> list[tuple[np.ndarray, np.ndarray]]:
     return [(p, p.swapaxes(-1, -2)) for p in parts]
 
 
-def _norms_into(parts, out: np.ndarray, tmp: np.ndarray | None) -> np.ndarray:
-    """Frobenius norms from ``_gram_parts`` views, written into ``(..., 1, 1)`` ``out``."""
+def _squares_into(parts, out: np.ndarray, tmp: np.ndarray | None) -> np.ndarray:
+    """Squared Frobenius norms from ``_gram_parts`` views, written into ``(..., 1, 1)`` ``out``."""
     (a, b), *rest = parts
     np.matmul(a, b, out=out)
     for a, b in rest:
         np.matmul(a, b, out=tmp)
         np.add(out, tmp, out=out)
-    return np.sqrt(out, out=out)
+    return out
 
 
 def _frobenius(x: np.ndarray) -> np.ndarray:
@@ -188,7 +204,8 @@ def _frobenius(x: np.ndarray) -> np.ndarray:
     """
     parts = _gram_parts(x)
     out = np.empty(x.shape[:-2] + (1, 1))
-    return _norms_into(parts, out, np.empty_like(out) if len(parts) > 1 else None)[..., 0, 0]
+    sq = _squares_into(parts, out, np.empty_like(out) if len(parts) > 1 else None)
+    return np.sqrt(sq, out=sq)[..., 0, 0]
 
 
 class _Evaluation(NamedTuple):
@@ -207,10 +224,18 @@ class _Kernel:
     layers into ``layers``, its own ``(B, N, m, m)`` array, which every step
     updates in place; ``sigma`` is only read.  Each buffer is layer-major
     (one contiguous ``(B, m, m)`` block per layer), and every per-layer and
-    conjugate-transposed view is made here, once.  A step is a fixed
-    sequence of numpy calls that write into the buffers; on a complex
-    batch a conjugate-transposed view reads a conjugate buffer that the step
-    refreshes.
+    transposed view is made here, once.  A step is a fixed sequence of
+    numpy calls that write into the buffers.
+
+    The chain buffer holds the suffix products, the layers and the prefix
+    products in that order, the suffix and prefix products reversed, so the
+    layers keep positive strides: an in-place update with a reversed
+    operand makes numpy buffer it.  The second copy of the layers, which the
+    defect Gram products read, is conjugated on a complex batch and sits in
+    a buffer laid out like the chain, where the conjugated products keep
+    their strides too.  Over one buffer read through a transposed view
+    numpy would take its slower ``syrk`` path (the same bits on the tested
+    OpenBLAS build, which ``TestGramPath`` pins).
 
     ``embedded`` marks real embeddings of complex problems: ``l_ori`` and
     ``l_reg`` are halved, and every step ends by restoring the exact
@@ -218,7 +243,8 @@ class _Kernel:
     directions that the complex dynamics lack, which can be unstable where
     the complex run is not.
 
-    :meth:`evaluate` must precede each :meth:`step`, :meth:`l_reg` and
+    :meth:`measure` (or :meth:`evaluate`, which is :meth:`measure` then
+    :meth:`finish`) must precede each :meth:`step`, :meth:`l_reg` and
     :meth:`descent`; what they return is a view valid until the next step.
     Every operation acts on each problem's matrices alone, and each matrix
     product keeps the operands and association of a per-problem loop, so a
@@ -235,8 +261,14 @@ class _Kernel:
         def buf(k: int) -> np.ndarray:
             return np.empty((k, b, m, m), dtype)
 
-        x, suffix, factors, direction = buf(n), buf(n), buf(n), buf(n)
-        prefix, deltas, scratch = buf(n - 1), buf(n - 1), buf(n - 1)
+        # chain = [suffix[n-1], ..., suffix[1], x[0], ..., x[n-1], prefix[n-3], ..., prefix[0]].
+        chain, chain_c = buf(3 * n - 3), buf(3 * n - 3)
+        x, suffix = chain[n - 1 : 2 * n - 1], chain[n - 1 :: -1]
+        prefix = chain[3 * n - 4 : 2 * n - 3 : -1]
+        # lefts = [factors[n-1], ..., factors[1], direction[0], ..., direction[n-1]].
+        lefts = buf(2 * n - 1)
+        factors, direction = lefts[n - 1 :: -1], lefts[n - 1 :]
+        deltas, scratch = buf(n - 1), buf(n - 1)
         x[...] = w.swapaxes(0, 1)
         self.layers = x.swapaxes(0, 1)
         self._x, self._suffix, self._direction = x, suffix, direction
@@ -246,30 +278,28 @@ class _Kernel:
         # prefix[j] = W_N ... W_{j+2}, the product of the layers above layer
         # j + 1, built from the left: prefix[-1] = W_N, prefix[j-1] = prefix[j] W_{j+1}.
         self._prefix_ops = [(prefix[j], x[j], prefix[j - 1]) for j in range(n - 2, 0, -1)]
-        self._prefix_top, self._x_top = prefix[-1], x[-1]
         # factors[j] = prefix[j]^H M below the top slot, which is the misfit M.
         self._misfit = factors[-1]
         self._misfit_b = factors[-1][None]
         self._factors_low, self._factors_high = factors[:-1], factors[1:]
-        self._suffix_low = suffix[:-1]
         self._direction_low, self._direction_high = direction[:-1], direction[1:]
-        self._direction_bottom, self._factors_bottom = direction[0], factors[0]
         self._lower, self._upper = x[1:], x[:-1]
+        # The second copy of the layers, conjugated on a complex batch.  A
+        # complex batch also conjugates the chain's products, which the
+        # adjoint views below read; a real batch reads them in place.
         self._conj = dtype.kind == "c"
-        xc, suffix_c, prefix_c = (
-            (np.empty_like(x), np.empty_like(suffix[:-1]), np.empty_like(prefix))
-            if self._conj
-            else (x, suffix[:-1], prefix)
-        )
-        self._xc, self._suffix_c, self._prefix, self._prefix_c = xc, suffix_c, prefix, prefix_c
+        xc = chain_c[n - 1 : 2 * n - 1]
+        self._xc, self._chain_tail, self._chain_c_tail = xc, chain[1:], chain_c[1:]
+        adj = chain_c if self._conj else chain
         self._upper_h, self._lower_h = xc[:-1].swapaxes(-1, -2), xc[1:].swapaxes(-1, -2)
-        self._suffix_h = suffix_c.swapaxes(-1, -2)
-        self._prefix_h = prefix_c.swapaxes(-1, -2)
+        self._suffix_h = adj[n - 1 : 0 : -1].swapaxes(-1, -2)
+        self._prefix_h = adj[3 * n - 4 : 2 * n - 3 : -1].swapaxes(-1, -2)
 
         self._sq = np.empty((b, 1, 1))
         self._sq_tmp = np.empty((b, 1, 1)) if self._conj else None
         self._misfit_parts = _gram_parts(factors[-1])
-        self.l_ori = self._sq[:, 0, 0]
+        self._sq_flat = self._sq[:, 0, 0]
+        self._l_ori_scale = 0.25 if embedded else 0.5
         if cfg.integrator == "flow_rk4":
             self._start, self._acc = buf(n), buf(n)
         if embedded:
@@ -295,15 +325,13 @@ class _Kernel:
 
     def _products(self) -> None:
         """Suffix products and the misfit ``Sigma - W`` of the current layers."""
-        np.copyto(self._suffix[0], self._x[0])
         for a, b, out in self._suffix_ops:
             np.matmul(a, b, out=out)
         np.subtract(self.sigma, self._suffix[-1], out=self._misfit)
 
     def _defects(self) -> None:
         """Balance defects of the current layers, stacked on the layer axis."""
-        if self._conj:
-            np.conjugate(self._x, out=self._xc)
+        np.conjugate(self._x, out=self._xc)
         np.matmul(self._upper, self._upper_h, out=self._deltas)
         np.matmul(self._lower_h, self._lower, out=self._scratch)
         np.subtract(self._deltas, self._scratch, out=self._deltas)
@@ -322,15 +350,12 @@ class _Kernel:
         if cfg.omit_l_ori:
             direction.fill(0.0)
         else:
-            np.copyto(self._prefix_top, self._x_top)
             for a, b, out in self._prefix_ops:
                 np.matmul(a, b, out=out)
             if self._conj:
-                np.conjugate(self._prefix, out=self._prefix_c)
-                np.conjugate(self._suffix_low, out=self._suffix_c)
+                np.conjugate(self._chain_tail, out=self._chain_c_tail)
             np.matmul(self._prefix_h, self._misfit_b, out=self._factors_low)
             np.matmul(self._factors_high, self._suffix_h, out=self._direction_high)
-            np.copyto(self._direction_bottom, self._factors_bottom)
         if cfg.reg_a > 0:
             a, s = cfg.reg_a, self._scratch
             np.matmul(self._lower, self._deltas, out=s)
@@ -340,20 +365,46 @@ class _Kernel:
             np.multiply(s, a, out=s)
             np.subtract(self._direction_low, s, out=self._direction_low)
 
-    def evaluate(self) -> np.ndarray:
-        """Products, misfit and (regularizer on) defects of the layers; returns ``l_ori`` per problem.
+    def measure(self) -> np.ndarray:
+        """Products, misfit and (regularizer on) defects of the layers; returns ``sq`` per problem.
 
-        The norm is squared as ``n * n``.
+        ``sq`` is the squared Frobenius norm of the misfit, one dot per
+        problem, before the rounding steps that make it ``l_ori`` (see
+        :meth:`finish`, which turns this same array into ``l_ori``).
         """
         self._products()
-        sq = _norms_into(self._misfit_parts, self._sq, self._sq_tmp)
-        np.multiply(sq, sq, out=sq)
-        np.multiply(sq, 0.5, out=sq)
-        if self.embedded:
-            np.multiply(sq, 0.5, out=sq)
+        _squares_into(self._misfit_parts, self._sq, self._sq_tmp)
         if self.cfg.reg_a > 0:
             self._defects()
-        return self.l_ori
+        return self._sq_flat
+
+    def finish(self) -> np.ndarray:
+        """``l_ori`` per problem from the last :meth:`measure`, in place of its ``sq``.
+
+        The norm ``sqrt(sq)`` is squared as ``n * n`` and halved, or on an
+        embedding quartered, which gives the bits of two halvings: scaling
+        by a power of two rounds only below the normal range, and there
+        one quartering and two halvings round alike.
+        """
+        sq = np.sqrt(self._sq, out=self._sq)
+        np.multiply(sq, sq, out=sq)
+        np.multiply(sq, self._l_ori_scale, out=sq)
+        return self._sq_flat
+
+    def evaluate(self) -> np.ndarray:
+        """:meth:`measure` then :meth:`finish`: returns ``l_ori`` per problem."""
+        self.measure()
+        return self.finish()
+
+    def sq_bound(self, eps: float) -> float:
+        """A bound that :meth:`measure`'s ``sq`` lies below wherever ``l_ori < eps``.
+
+        :meth:`finish` maps ``sq`` to ``l_ori`` by correctly rounded, and
+        so non-decreasing, steps, which take ``sq`` = 4 eps (8 eps on an
+        embedding) to about 2 eps, subnormal ``eps`` included.  So a
+        problem with ``sq`` at or above the bound has ``l_ori >= eps``.
+        """
+        return (8.0 if self.embedded else 4.0) * eps
 
     def l_reg(self) -> np.ndarray:
         """``l_reg`` per problem at the last evaluation: the squared defect norms summed in layer order.
@@ -361,7 +412,7 @@ class _Kernel:
         Zeros when the regularizer is off.  Computed only here, where it is read.
         """
         if not self.cfg.reg_a > 0:
-            return np.zeros(len(self.l_ori))
+            return np.zeros(len(self._sq_flat))
         n = _frobenius(self._deltas)
         sq = n * n
         total = sq[0]
@@ -384,11 +435,11 @@ class _Kernel:
         self._descend()
 
     def step(self) -> None:
-        """One GD or RK4 step (``cfg.integrator``) of the layers, in place, from the last evaluation.
+        """One GD or RK4 step (``cfg.integrator``) of the layers, in place, from the last measure.
 
         GD moves ``w + eta * direction``, bitwise ``w - eta * gradient``:
         negation is exact and rounding symmetric.  The first RK4 stage is
-        the direction at the evaluation itself, and the stages are summed as
+        the direction at the measured layers, and the stages are summed as
         ``((k1 + 2 k2) + 2 k3) + k4``.
         """
         x, d, cfg = self._x, self._direction, self.cfg

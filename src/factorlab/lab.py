@@ -86,10 +86,11 @@ DIVERGENCE_GUARD = 1e12
 # well before this, and it bounds a worker's memory.
 MAX_SWEEP_BATCH = 256
 # Fewest seeds a chunk of a split sweep holds.  A GD step's cost is mostly a
-# fixed 45-70 us of numpy dispatch, against 1.5-5 us per seed in the batch
-# (2 vCPUs, one BLAS thread), so each extra chunk adds one fixed cost per
-# step and saves wall time only once a chunk's per-seed cost outweighs it,
-# at about 10-40 seeds.
+# fixed 28-50 us of numpy dispatch (one seed, regularizer off and on),
+# against 1.6-5.7 us per seed in the batch (best of 5 runs of 1,500 steps
+# at 1 to 128 seeds; 2 vCPUs, one BLAS thread), so each extra chunk adds one
+# fixed cost per step and saves wall time only once a chunk's per-seed cost
+# outweighs it, at about 10-20 seeds.  32 was set when that was 10-40.
 MIN_SWEEP_CHUNK = 32
 # Recorded steps a trajectory computes as one block of monitor records: the
 # per-record cost levels off well before this, and it bounds the evaluations
@@ -623,7 +624,14 @@ def _run_chunk(
     with either integrator, built once and rebuilt only when problems
     leave.  A problem leaves the batch when it converges (``l_ori <
     eps_conv``, checked every step), exhausts the budget, or diverges.
-    ``l_reg`` is computed on record steps only, where records read it.
+    Each step measures the squared misfit norms ``sq`` and finishes
+    ``l_ori`` from them only on guard and record steps and where the
+    smallest ``sq`` is below the kernel's ``sq_bound(eps_conv)``, which no
+    ``sq`` of a converging problem reaches (see ``dynamics``); the test
+    itself is always the exact ``l_ori < eps_conv``.  The smallest ``sq``
+    is taken with ``np.fmin``, so the NaN of a diverging run that the guard
+    has not yet retired hides no other problem's convergence.  ``l_reg``
+    is computed on record steps only, where records read it.
 
     Complex problems are stepped as their real embeddings (see
     ``dynamics``), restored to the exact embedded form after every step,
@@ -655,6 +663,8 @@ def _run_chunk(
     active = np.arange(len(cfgs))  # batch row -> index into cfgs
     outcomes: list[SeedOutcome | None] = [None] * len(cfgs)
     measure_l_ori = not cfg.dyn.omit_l_ori
+    # No squared misfit norm is below 0, so without l_ori nothing is near.
+    near = kernel.sq_bound(cfg.eps_conv) if measure_l_ori else 0.0
     errors = np.geterr()
 
     def add_records(rows, leaving=()) -> None:
@@ -669,11 +679,15 @@ def _run_chunk(
     # documented outcome, not a fault.
     with np.errstate(over="ignore", invalid="ignore"):
         for step in range(cfg.steps + 1):
-            l_ori = kernel.evaluate()
+            sq = kernel.measure()
             last = step == cfg.steps
             record_step = trajectories is not None and step % cfg.record_stride == 0
             cadence = step % 25 == 0 or record_step or last
-            converging = measure_l_ori and np.logical_or.reduce(l_ori < cfg.eps_conv)
+            if cadence or np.fmin.reduce(sq) < near:
+                l_ori = kernel.finish()
+                converging = measure_l_ori and np.logical_or.reduce(l_ori < cfg.eps_conv)
+            else:
+                converging = False
             if cadence or converging:
                 ok = _bounded(kernel.layers[..., : cfg.d, :])
                 if last or converging or not ok.all():

@@ -564,22 +564,53 @@ class TestKernelOwnership:
     def test_a_step_allocates_no_layer(self, integrator, steps, form, reg_a):
         # The run loop's kernel at B = 16, a complex batch as its real
         # embedding; "complex-direct" steps complex arrays, as gradient() does.
-        # An evaluation and a step write into the kernel's buffers only, so
-        # the traced peak grows by less than one layer of the batch.
+        # The run loop's sequence per step (measure, the convergence check,
+        # finish on the steps that need it, step) writes into the kernel's
+        # buffers only, so the traced peak grows by less than one layer of
+        # the batch.
         cfg = DynConfig(reg_a=reg_a, eta=0.01, step_h=0.01, integrator=integrator)
         w, sigma = _problem(FieldTag.REAL if form == "real" else FieldTag.COMPLEX, 4, 16, seed=12)
         kernel = (_Kernel if form == "complex-direct" else _kernel)(w, sigma, cfg)
+        near = kernel.sq_bound(1e-8)
         kernel.evaluate()
         kernel.step()
         layer_bytes = kernel.layers[:, 0].nbytes
         tracemalloc.start()
         try:
             before = tracemalloc.get_traced_memory()[0]
-            for _ in range(steps):
-                kernel.evaluate()
+            for k in range(steps):
+                sq = kernel.measure()
+                if k % 5 == 0 or np.fmin.reduce(sq) < near:
+                    kernel.finish()
                 kernel.step()
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
         assert peak - before < layer_bytes
         assert np.all(np.isfinite(kernel.layers))
+
+
+class TestGramPath:
+    """The defects' Gram products ``X X^H`` read two buffers, so numpy runs them as gemm.
+
+    Over one buffer read through a transposed view numpy takes its ``syrk``
+    path instead.  The two give the same bits on this BLAS; where they do
+    not, this fails rather than the trajectories moving in the last bits.
+    """
+
+    @pytest.mark.parametrize("batch", [1, 60, 256])
+    @pytest.mark.parametrize("form", ["real", "embedded", "complex"])
+    def test_defects_match_one_and_two_buffer_forms(self, form, batch):
+        rng = make_rng(batch)
+        field = FieldTag.REAL if form == "real" else FieldTag.COMPLEX
+        w = np.stack([rand_stack(5, 4, field, rng).layers for _ in range(batch)])
+        if form == "embedded":
+            w = _embed(w)
+        upper, lower = w[:, :-1], w[:, 1:]
+        # adjoint() of a real array is a transposed view of that same array.
+        one_buffer = upper @ adjoint(upper) - adjoint(lower) @ lower
+        upper_2, lower_2 = upper.copy(), lower.copy()
+        two_buffers = upper @ adjoint(upper_2) - adjoint(lower_2) @ lower
+        got = _Kernel.defects_of(w)
+        assert got.tobytes() == one_buffer.tobytes()
+        assert got.tobytes() == two_buffers.tobytes()

@@ -22,9 +22,11 @@ from factorlab.dynamics import (
     LayerStack,
     TargetSpec,
     _advance,
+    _embed,
     _evaluate,
     _evaluate_stack,
     _frobenius,
+    _unembed,
     flow_step_rk4,
     gd_step,
     gradient,
@@ -801,6 +803,98 @@ class TestSweep:
                 assert (o.status, o.steps_run) == ("exhausted", last)
             else:
                 assert (o.status, o.steps_run) == (f.status, f.steps_run)
+
+
+class TestConvergenceCheck:
+    """The run loop finishes ``l_ori`` only on guard and record steps and
+    where the squared misfit norm comes near ``eps_conv``; its outcomes
+    must be those of a loop that finishes ``l_ori`` on every step."""
+
+    # Problems set beside seeded ones, by seed: an exact fit; misfits on one
+    # off-diagonal entry whose squared norm is subnormal, or whose loss is
+    # near 1e-6; and layers that overflow to NaN a few steps in, then stay
+    # in the batch until the guard's next multiple of 25.
+    CRAFTED = {1: ("exact", 0.0), 2: ("subnormal", 1e-161), 3: ("near", 1e-3), 4: ("blow-up", 1e5)}
+    REGIMES = {
+        "plain": dict(reg_a=0.0),
+        "regularized": dict(reg_a=1.0),
+        "omit_l_ori": dict(reg_a=1.0, omit_l_ori=True),
+    }
+
+    @staticmethod
+    def _crafted(cfg, kind, size):
+        complex_ = cfg.field is FieldTag.COMPLEX
+        eye = np.eye(cfg.d, dtype=complex if complex_ else float)
+        layers = np.stack([eye] * cfg.n_layers)
+        if kind == "blow-up":
+            layers *= size
+        else:
+            layers[0, 0, 1] = size * (1 + 1j) if complex_ else size
+        return TargetSpec(eye, reduced=True), LayerStack(layers), 1.0
+
+    @staticmethod
+    def _reference(cfgs, problems):
+        # The run loop's rules with l_ori finished on every step, as the
+        # kernel's own: a complex batch as its real embedding, whose loss
+        # the kernel quarters where _evaluate halves (both scalings exact).
+        cfg = cfgs[0]
+        w = np.stack([stack.layers for _, stack, _ in problems])
+        sigma = np.stack([target.matrix for target, _, _ in problems])
+        embedded = np.iscomplexobj(w)
+        if embedded:
+            w, sigma = _embed(w), _embed(sigma)
+        out, history = [None] * len(cfgs), []
+        with np.errstate(all="ignore"):
+            for step in range(cfg.steps + 1):
+                ev = _evaluate(w, sigma, cfg.dyn)
+                l_ori = 0.5 * ev.l_ori if embedded else ev.l_ori
+                history.append(l_ori)
+                ok = lab._bounded(w[..., : cfg.d, :])
+                cadence = step % 25 == 0 or step == cfg.steps
+                for i in range(len(cfgs)):
+                    if out[i] is not None:
+                        continue
+                    conv = not cfg.dyn.omit_l_ori and l_ori[i] < cfg.eps_conv
+                    if not ok[i] and (conv or cadence):
+                        out[i] = ("diverged", step, float("inf"))
+                    elif conv or step == cfg.steps:
+                        out[i] = ("converged" if conv else "exhausted", step, float(l_ori[i]))
+                w = _advance(ev, sigma, cfg.dyn, cfg.dyn.integrator)
+                if embedded:
+                    w = _embed(_unembed(w))
+        return out, history
+
+    @pytest.mark.parametrize("eps_conv", [1e-8, 1e-300, 5e-324, 1e3], ids=["1e-8", "1e-300", "subnormal", "met-at-0"])
+    @pytest.mark.parametrize("regime", list(REGIMES))
+    @pytest.mark.parametrize("integrator", ["gd", "flow_rk4"])
+    @pytest.mark.parametrize("field", [FieldTag.REAL, FieldTag.COMPLEX], ids=lambda f: f.value)
+    def test_outcomes_match_a_loop_that_finishes_every_step(
+        self, monkeypatch, field, integrator, regime, eps_conv
+    ):
+        dyn = DynConfig(eta=0.15, step_h=0.15, integrator=integrator, **self.REGIMES[regime])
+        base = tiny_cfg(
+            d=5, field=field, init=InitScheme(kind="random", epsilon=0.55), dyn=dyn, steps=60,
+            eps_conv=eps_conv,
+        )
+        cfgs = [replace(base, seed=s) for s in self.CRAFTED] + TestSweep._seed_cfgs(base, 6)
+        prepare = lab.prepare_problem
+        monkeypatch.setattr(
+            lab,
+            "prepare_problem",
+            lambda c: self._crafted(c, *self.CRAFTED[c.seed]) if c.seed in self.CRAFTED else prepare(c),
+        )
+        want, history = self._reference(cfgs, [lab.prepare_problem(c) for c in cfgs])
+        got = _run_chunk(cfgs)
+        assert [(o.status, o.steps_run, o.final_l_ori.hex()) for o in got] == [
+            (status, k, final.hex()) for status, k, final in want
+        ]
+        if eps_conv == 1e-8 and regime != "omit_l_ori":
+            # "near" converges off the guard's cadence while "blow-up" is NaN.
+            status, k, _ = want[2]
+            assert status == "converged" and k % 25 and np.isnan(history[k][3])
+            assert want[3][:2] == ("diverged", 25)
+        if eps_conv == 5e-324 and regime != "omit_l_ori":
+            assert want[0][:2] == ("converged", 0) and want[1][0] == "converged"
 
 
 class TestMaxWorkers:
