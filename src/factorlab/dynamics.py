@@ -230,12 +230,14 @@ class _Kernel:
     The chain buffer holds the suffix products, the layers and the prefix
     products in that order, the suffix and prefix products reversed, so the
     layers keep positive strides: an in-place update with a reversed
-    operand makes numpy buffer it.  The second copy of the layers, which the
-    defect Gram products read, is conjugated on a complex batch and sits in
-    a buffer laid out like the chain, where the conjugated products keep
-    their strides too.  Over one buffer read through a transposed view
-    numpy would take its slower ``syrk`` path (the same bits on the tested
-    OpenBLAS build, which ``TestGramPath`` pins).
+    operand makes numpy buffer it.  The two chains are independent, so
+    each matmul over two-block views of the buffer advances both.  The
+    second copy of the layers, which the defect Gram products read, is
+    conjugated on a complex batch and sits in a buffer laid out like the
+    chain, where the conjugated products keep their strides too.  Over one
+    buffer read through a transposed view numpy would take its slower
+    ``syrk`` path (the same bits on the tested OpenBLAS build, which
+    ``TestGramPath`` pins).
 
     ``embedded`` marks real embeddings of complex problems: ``l_ori`` and
     ``l_reg`` are halved, and every step ends by restoring the exact
@@ -264,7 +266,6 @@ class _Kernel:
         # chain = [suffix[n-1], ..., suffix[1], x[0], ..., x[n-1], prefix[n-3], ..., prefix[0]].
         chain, chain_c = buf(3 * n - 3), buf(3 * n - 3)
         x, suffix = chain[n - 1 : 2 * n - 1], chain[n - 1 :: -1]
-        prefix = chain[3 * n - 4 : 2 * n - 3 : -1]
         # lefts = [factors[n-1], ..., factors[1], direction[0], ..., direction[n-1]].
         lefts = buf(2 * n - 1)
         factors, direction = lefts[n - 1 :: -1], lefts[n - 1 :]
@@ -274,10 +275,17 @@ class _Kernel:
         self._x, self._suffix, self._direction = x, suffix, direction
         self._deltas, self._scratch = deltas, scratch
         # suffix[j] = W_{j+1} ... W_1, right-associated, so suffix[-1] = W.
-        self._suffix_ops = [(x[j], suffix[j - 1], suffix[j]) for j in range(1, n)]
         # prefix[j] = W_N ... W_{j+2}, the product of the layers above layer
         # j + 1, built from the left: prefix[-1] = W_N, prefix[j-1] = prefix[j] W_{j+1}.
-        self._prefix_ops = [(prefix[j], x[j], prefix[j - 1]) for j in range(n - 2, 0, -1)]
+        # Step t makes suffix[t] and, but on the last step, prefix[n-2-t].
+
+        def pair(i: int, j: int) -> np.ndarray:
+            return chain[i : j + 1 : j - i]  # chain[i] and chain[j], i < j
+
+        self._chain_ops = [
+            (pair(n - 1 + t, 2 * n - 3 + t), pair(n - t, 2 * n - 2 - t), pair(n - 1 - t, 2 * n - 2 + t))
+            for t in range(1, n - 1)
+        ] + [(x[n - 1], suffix[n - 2], suffix[n - 1])]
         # factors[j] = prefix[j]^H M below the top slot, which is the misfit M.
         self._misfit = factors[-1]
         self._misfit_b = factors[-1][None]
@@ -304,10 +312,13 @@ class _Kernel:
             self._start, self._acc = buf(n), buf(n)
         if embedded:
             h = m // 2
-            # The lower left, upper right, lower right and upper left blocks,
-            # and a buffer of one block per matrix.
+            # Each layer's blocks on the axes (row block, i, column block, j);
+            # then [lower left, upper left] and [upper right, lower right],
+            # block first, and a buffer of the two blocks of every layer.
+            blocks = chain[n - 1 : 2 * n - 1].reshape(n, b, 2, h, 2, h)
+            two = np.empty((2, n, b, h, h))
             self._reembed_views = (
-                x[..., h:, :h], x[..., :h, h:], x[..., h:, h:], x[..., :h, :h], np.empty((n, b, h, h))
+                np.moveaxis(blocks[:, :, ::-1, :, 0], 2, 0), np.moveaxis(blocks[..., 1, :], 2, 0), two, two[0]
             )
 
     @classmethod
@@ -324,8 +335,8 @@ class _Kernel:
         return kernel
 
     def _products(self) -> None:
-        """Suffix products and the misfit ``Sigma - W`` of the current layers."""
-        for a, b, out in self._suffix_ops:
+        """Suffix and prefix products and the misfit ``Sigma - W`` of the current layers."""
+        for a, b, out in self._chain_ops:
             np.matmul(a, b, out=out)
         np.subtract(self.sigma, self._suffix[-1], out=self._misfit)
 
@@ -350,8 +361,6 @@ class _Kernel:
         if cfg.omit_l_ori:
             direction.fill(0.0)
         else:
-            for a, b, out in self._prefix_ops:
-                np.matmul(a, b, out=out)
             if self._conj:
                 np.conjugate(self._chain_tail, out=self._chain_c_tail)
             np.matmul(self._prefix_h, self._misfit_b, out=self._factors_low)
@@ -465,15 +474,19 @@ class _Kernel:
             np.multiply(acc, h / 6.0, out=acc)
             np.add(start, acc, out=x)
         if self.embedded:
-            # [[A, -B], [B, A]] from the left blocks, through a contiguous
-            # buffer: numpy copies an operand that overlaps its output, and
-            # buffers a strided operand of a ufunc.
-            lower_left, upper_right, lower_right, upper_left, block = self._reembed_views
-            np.copyto(block, lower_left)
-            np.negative(block, out=block)
-            np.copyto(upper_right, block)
-            np.copyto(block, upper_left)
-            np.copyto(lower_right, block)
+            self._reembed()
+
+    def _reembed(self) -> None:
+        """Restore ``[[A, -B], [B, A]]`` from the left blocks of the embedded layers.
+
+        Through a contiguous buffer: numpy copies an operand that overlaps
+        its output, and buffers a strided operand of a ufunc.  Only copies
+        and one negation, so no bit of ``A`` or ``B`` changes.
+        """
+        left, right, two, lower_left = self._reembed_views
+        np.copyto(two, left)
+        np.negative(lower_left, out=lower_left)
+        np.copyto(right, two)
 
 
 # ---------------------------------------------------------------------------

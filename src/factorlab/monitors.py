@@ -15,8 +15,21 @@ layers of the K steps, one solve for ``W_2^{-1} W_3^H W_4^H`` on the steps
 whose ``W_2`` passes the guard, one SVD each of the K main terms, products
 and half-sum terms, and one ``slogdet``.  Each is one LAPACK call per
 matrix, so a record is bitwise the one its step gets in a block of one.
-Only the column matching of the tracked SVD, which follows the previous
-step, runs step by step.
+
+Per record runs only what follows the previous step: aligning the tracked
+SVD's ``u`` to the ``u`` before it (the overlap, the greedy column match
+and the phases).  Per block, as stacked numpy calls, run the rest of the
+tracks (``v``, ``s`` and ``sigma_w`` gathered and phased with the steps'
+permutations and phases), the half-sum and weighted skew terms, and the
+``U^H V`` products of the det indicator.
+
+Layout rule: a skew norm sums its matrix in memory order, as
+``np.linalg.norm`` does, so it follows the layout of each track's own
+arrays.  An aligned track's ``u`` and ``v`` are column-major, as a column
+gather leaves them; a run's first track, which nothing precedes, keeps the
+SVD's layout, ``u`` row-major and ``v`` the adjoint view of ``v^H``, and its
+skew sums row-major.  Building the stacked terms row-major throughout
+would move ``skew_uv`` in its last bits.
 
 ``W_2^{-1}`` is always applied through linear solves.  When ``W_2`` is too
 ill-conditioned (condition number >= 1e12) the two diagnostics are reported
@@ -146,8 +159,14 @@ def _greedy_match(overlap: np.ndarray) -> np.ndarray:
 
     Picks the globally largest |overlap| first; ties resolved by row-major
     index order (stable), which matches degenerate clusters in index order.
+    When the first-occurrence maxima of the rows fall in distinct columns
+    and no overlap is NaN, that is the match: each row's maximum comes
+    before every other cell of its row, and no other row takes its column.
     """
     d = overlap.shape[0]
+    first = overlap.argmax(axis=1)
+    if len(set(first.tolist())) == d and not np.isnan(overlap.max()):
+        return first
     order = np.argsort(-overlap, axis=None, kind="stable").tolist()
     perm = np.full(d, -1)
     used_rows = [False] * d
@@ -164,28 +183,57 @@ def _greedy_match(overlap: np.ndarray) -> np.ndarray:
     return perm
 
 
-def _tracks(w: np.ndarray, n_layers: int, prev: SvdTrack | None) -> list[SvdTrack]:
+def _tracks(
+    w: np.ndarray, n_layers: int, prev: SvdTrack | None
+) -> tuple[list[SvdTrack], np.ndarray, np.ndarray, np.ndarray]:
     """Tracked SVDs of a ``(K, d, d)`` run of products, each following the one before.
 
-    One SVD of all K products; the column matching runs product by product,
-    on each product's own matrices as a lone SVD returns them.
+    One SVD of all K products.  Only the alignment of ``u`` runs product by
+    product, on each product's own matrices as a lone SVD returns them; it
+    keeps each step's permutation and phase, and ``v``, ``s`` and
+    ``sigma_w`` are then gathered and phased for the whole block.  Returns
+    the tracks and their ``u``, ``v`` and ``sigma_w`` stacked.
+
+    An aligned track's ``u`` and ``v`` are column-major, as a column gather
+    leaves them.  A run's first track (no ``prev``) keeps the SVD's layout:
+    ``u`` row-major and ``v`` the adjoint view of ``v^H``.
     """
     r = svd(w)
-    tracks = []
-    for u, s, v in zip(r.u, r.s, r.v):
-        if prev is not None:
-            overlap = np.abs(adjoint(prev.u) @ u)
-            perm = _greedy_match(overlap)
-            u, s, v = u[:, perm], s[perm], v[:, perm]
-            z = np.sum(np.conj(prev.u) * u, axis=0)  # diag(prev.u^H @ u)
-            mags = np.abs(z)
+    k, d = r.s.shape
+    # Each u^T in a row-major buffer, so each u has a column gather's strides.
+    us = np.empty((k, d, d), r.u.dtype).swapaxes(1, 2)
+    perms = np.empty((k, d), np.intp)
+    phases = np.empty((k, d), r.u.dtype)
+    if prev is None:
+        perms[0], phases[0], us[0] = np.arange(d), 1.0, r.u[0]
+        prev_u, first = r.u[0], 1
+    else:
+        prev_u, first = prev.u, 0
+    for i in range(first, k):
+        c = np.conj(prev_u)
+        perm = _greedy_match(np.abs(c.T @ r.u[i]))
+        u = r.u[i][:, perm]
+        z = (c * u).sum(0)  # diag(prev_u^H @ u)
+        mags = np.abs(z)
+        if mags.all():
+            phase = np.conj(z) / mags
+        else:
             phase = np.where(mags > 0, np.conj(z) / np.where(mags > 0, mags, 1.0), 1.0)
-            u = u * phase
-            v = v * phase
-        sigma_w = s ** (1.0 / n_layers)
-        prev = SvdTrack(u=u, sigma_w=sigma_w, v=v, n_layers=n_layers, aligned=prev is not None)
-        tracks.append(prev)
-    return tracks
+        prev_u = np.multiply(u, phase, out=us[i])
+        perms[i], phases[i] = perm, phase
+    rows = np.arange(k)[:, None]
+    sigma_w = r.s[rows, perms] ** (1.0 / n_layers)
+    # The columns of v gathered as rows of v^T, then phased.
+    vs = r.v.swapaxes(1, 2)[rows, perms]
+    np.multiply(vs, phases[:, :, None], out=vs)
+    vs = vs.swapaxes(1, 2)
+    tracks = [
+        SvdTrack(u=u, sigma_w=s, v=v, n_layers=n_layers, aligned=True)
+        for u, s, v in zip(us, sigma_w, vs)
+    ]
+    if prev is None:
+        tracks[0] = SvdTrack(u=r.u[0], sigma_w=sigma_w[0], v=r.v[0], n_layers=n_layers, aligned=False)
+    return tracks, us, vs, sigma_w
 
 
 def track_svd(w: np.ndarray, n_layers: int, prev: SvdTrack | None = None) -> SvdTrack:
@@ -196,22 +244,37 @@ def track_svd(w: np.ndarray, n_layers: int, prev: SvdTrack | None = None) -> Svd
     pair ``(u_k, v_k)`` is multiplied by one unit scalar, so the
     reconstruction is untouched.
     """
-    return _tracks(w[None], n_layers, prev)[0]
+    return _tracks(w[None], n_layers, prev)[0][0]
 
 
-def _uv_terms(tracks: list[SvdTrack], target: TargetSpec) -> tuple[np.ndarray, list[float]]:
-    """Half-sum singular values ``(K, d)``, from one SVD, and ``skew_uv`` of each track."""
+def _column_major(t: SvdTrack) -> bool:
+    """Whether numpy lays an elementwise result of ``t.u`` and ``t.v`` out column-major.
+
+    It does only where both are, and ``np.linalg.norm`` sums such a result
+    in that memory order.
+    """
+    return all(abs(x.strides[0]) < abs(x.strides[1]) for x in (t.u, t.v))
+
+
+def _uv_terms(
+    u: np.ndarray, v: np.ndarray, sigma_w: np.ndarray, columns: list[bool], target: TargetSpec
+) -> tuple[np.ndarray, list[float]]:
+    """Half-sum singular values ``(K, d)``, from one SVD, and ``skew_uv`` of K stacked tracks.
+
+    ``u``, ``v`` and ``sigma_w`` are the tracks' arrays stacked, and
+    ``columns`` marks the tracks whose own arrays are column-major
+    (:func:`_column_major`).  Each skew norm is one dot summed in its
+    track's memory order, as ``np.linalg.norm`` of the track's own arrays
+    sums it.
+    """
     if not target.reduced:
         raise NotReducedError("uv_terms requires a reduced (diagonal) target")
     root = np.sqrt(np.diagonal(target.matrix).real)
-    halves, skew_uv = [], []
-    for t in tracks:
-        halves.append(0.5 * (t.u + t.v) * t.sigma_w)
-        # The norm sums in memory order, so it runs on each track's arrays
-        # as laid out, not on a stack of them.
-        skew = (t.u - t.v) * t.sigma_w
-        skew_uv.append(float(np.linalg.norm(skew * root[:, None]) ** 2))
-    return np.linalg.svd(np.stack(halves), compute_uv=False), skew_uv
+    sigma_w = sigma_w[:, None, :]
+    halves = 0.5 * (u + v) * sigma_w
+    skew = (u - v) * sigma_w * root[:, None]
+    skew = np.where(np.array(columns)[:, None, None], skew.swapaxes(1, 2), skew)
+    return np.linalg.svd(halves, compute_uv=False), np.float_power(_frobenius(skew), 2).tolist()
 
 
 def uv_terms(track: SvdTrack, target: TargetSpec) -> tuple[np.ndarray, float]:
@@ -222,7 +285,8 @@ def uv_terms(track: SvdTrack, target: TargetSpec) -> tuple[np.ndarray, float]:
     ``skew_uv = ||Sigma^(1/2) (U-V) diag(sigma_w)||_F^2``.  Requires a reduced
     target (its diagonal supplies ``Sigma^(1/2)``).
     """
-    half_sum_sv, skew_uv = _uv_terms([track], target)
+    columns = [_column_major(track)]
+    half_sum_sv, skew_uv = _uv_terms(track.u[None], track.v[None], track.sigma_w[None], columns, target)
     return half_sum_sv[0], skew_uv[0]
 
 
@@ -338,17 +402,18 @@ def records(
             )
 
     # Associated from the left like ``dynamics.product``, not ``ev.suffix[-1]``.
-    tracks = _tracks(_left_product(np.moveaxis(w, 1, 0)), w.shape[1], prev_track)
+    tracks, u, v, sigma_w = _tracks(_left_product(np.moveaxis(w, 1, 0)), w.shape[1], prev_track)
 
     half_sum: list[np.ndarray | None] = [None] * n
     skew_uv: list[float | None] = [None] * n
     if target.reduced:
-        hs, skew_uv = _uv_terms(tracks, target)
+        columns = [_column_major(t) for t in tracks]
+        hs, skew_uv = _uv_terms(u, v, sigma_w, columns, target)
         half_sum = list(hs)
     else:
         logger.warning("%s: target not reduced, uv terms absent in %d records", span, n)
 
-    det_ind = det_sign_or_phase(np.stack([adjoint(t.u) @ t.v for t in tracks])).tolist()
+    det_ind = det_sign_or_phase(adjoint(u) @ v).tolist()
     return [
         (
             TrajectoryRecord(

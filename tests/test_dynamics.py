@@ -496,6 +496,29 @@ class TestEmbedding:
         assert np.abs(_unembed(x) - w).max() < 1e-12
 
 
+    @pytest.mark.parametrize("batch", [1, 7])
+    def test_reembed_matches_five_call_restore(self, batch):
+        # The restore as first written: one block at a time through a
+        # one-block buffer, in four copies and one negation.
+        cfg = DynConfig()
+        w, sigma = _problem(FieldTag.COMPLEX, 4, batch, seed=9)
+        kernel = _kernel(w, sigma, cfg)
+        x = kernel._x
+        x[...] = np.random.default_rng(batch).standard_normal(x.shape)  # off the embedded form
+        x[0, 0, 0, :3] = [-0.0, 5e-324, np.inf]
+        h = x.shape[-1] // 2
+        want = x.copy()
+        block = np.empty(want.shape[:2] + (h, h))
+        np.copyto(block, want[..., h:, :h])
+        np.negative(block, out=block)
+        np.copyto(want[..., :h, h:], block)
+        np.copyto(block, want[..., :h, :h])
+        np.copyto(want[..., h:, h:], block)
+        kernel._reembed()
+        assert x.tobytes() == want.tobytes()
+        assert np.array_equal(_embed(_unembed(kernel.layers)), kernel.layers)
+
+
 class TestFrobenius:
     """``_frobenius`` is ``np.linalg.norm`` of each matrix, bit for bit."""
 

@@ -1,17 +1,30 @@
 """Tests for the trajectory monitors."""
 
 import logging
+from dataclasses import replace
 
 import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as hst
 
-from factorlab.dynamics import DynConfig, LayerStack, TargetSpec, _evaluate_stack, gd_step, product
+from factorlab.dynamics import (
+    DynConfig,
+    LayerStack,
+    TargetSpec,
+    _evaluate_stack,
+    _Evaluation,
+    _left_product,
+    flow_step_rk4,
+    gd_step,
+    product,
+)
 from factorlab.ensembles import InitScheme, balanced_init, gaussian_matrix, haar_unitary, make_rng
 from factorlab.errors import IllConditionedError, NotReducedError, NotUnitaryError
-from factorlab.linalg import FieldTag, adjoint, norms
+from factorlab.lab import prepare_problem, preset
+from factorlab.linalg import FieldTag, adjoint, det_sign_or_phase, norms, svd
 from factorlab.monitors import (
+    SvdTrack,
     TrajectoryRecord,
     _greedy_match,
     balance_errors,
@@ -419,3 +432,93 @@ class TestRecords:
             "steps 10-14: W_2 ill-conditioned in 3 of 5 records, skew/main-term absent",
             "steps 10-14: target not reduced, uv terms absent in 5 records",
         ]
+
+
+# ---------------------------------------------------------------------------
+# The record path as it was before the block path: tracks aligned record by
+# record, the uv terms and the det indicator built track by track.  The
+# block path must reproduce its every bit.  The greedy match is the full
+# scan, which ``_greedy_match`` equals, shortcut or not.
+# ---------------------------------------------------------------------------
+
+
+def _ref_tracks(w, n_layers, prev):
+    r = svd(w)
+    tracks = []
+    for u, s, v in zip(r.u, r.s, r.v):
+        if prev is not None:
+            overlap = np.abs(adjoint(prev.u) @ u)
+            perm = _full_scan_greedy(overlap)
+            u, s, v = u[:, perm], s[perm], v[:, perm]
+            z = np.sum(np.conj(prev.u) * u, axis=0)  # diag(prev.u^H @ u)
+            mags = np.abs(z)
+            phase = np.where(mags > 0, np.conj(z) / np.where(mags > 0, mags, 1.0), 1.0)
+            u = u * phase
+            v = v * phase
+        sigma_w = s ** (1.0 / n_layers)
+        prev = SvdTrack(u=u, sigma_w=sigma_w, v=v, n_layers=n_layers, aligned=prev is not None)
+        tracks.append(prev)
+    return tracks
+
+
+def _ref_uv_terms(tracks, target):
+    root = np.sqrt(np.diagonal(target.matrix).real)
+    halves, skew_uv = [], []
+    for t in tracks:
+        halves.append(0.5 * (t.u + t.v) * t.sigma_w)
+        skew = (t.u - t.v) * t.sigma_w
+        skew_uv.append(float(np.linalg.norm(skew * root[:, None]) ** 2))
+    return np.linalg.svd(np.stack(halves), compute_uv=False), skew_uv
+
+
+def _ref_det_ind(tracks):
+    return det_sign_or_phase(np.stack([adjoint(t.u) @ t.v for t in tracks])).tolist()
+
+
+def _run_layers(cfg, steps):
+    """``(steps, N, d, d)`` layers of a preset problem along ``steps`` steps of its dynamics."""
+    target, stack, _ = prepare_problem(cfg)
+    step = gd_step if cfg.dyn.integrator == "gd" else flow_step_rk4
+    out = []
+    for _ in range(steps):
+        out.append(stack.layers)
+        stack = step(stack, target, cfg.dyn)
+    return target, np.stack(out)
+
+
+def _blocks_against_reference(target, layers, fresh):
+    """Records of 64-step blocks and the reference's; a block in ``fresh`` opens without a track."""
+    track = ref_track = None
+    for i, start in enumerate(range(0, len(layers), 64)):
+        w = layers[start : start + 64]
+        if i in fresh:
+            track = ref_track = None
+        steps = list(range(start, start + len(w)))
+        evs = [_Evaluation(x, 0.0, 0.0) for x in w]
+        got = records(steps, [0.0] * len(w), evs, target, track)
+        want = _ref_tracks(_left_product(np.moveaxis(w, 1, 0)), w.shape[1], ref_track)
+        halves, skew_uv = _ref_uv_terms(want, target)
+        det_ind = _ref_det_ind(want)
+        for k, ((rec, tr), ref) in enumerate(zip(got, want)):
+            for name in ("u", "v", "sigma_w"):
+                assert getattr(tr, name).tobytes() == getattr(ref, name).tobytes(), (steps[k], name)
+            assert tr.aligned == ref.aligned
+            assert rec.sigma_w.tobytes() == ref.sigma_w.tobytes()
+            assert rec.half_sum_sv.tobytes() == halves[k].tobytes(), steps[k]
+            assert repr(rec.skew_uv) == repr(skew_uv[k]), steps[k]
+            assert repr(rec.det_ind) == repr(det_ind[k] or 0.0), steps[k]
+        track, ref_track = got[-1][1], want[-1]
+
+
+class TestBlockPathBits:
+    """Records of blocks of 64 match the record-by-record reference bit for bit."""
+
+    @pytest.mark.parametrize("variant", [0, 2], ids=["real", "complex"])
+    @pytest.mark.parametrize(
+        "integrator, steps", [pytest.param("flow_rk4", 256, id="rk4"), pytest.param("gd", 200, id="gd")]
+    )
+    def test_matches_reference(self, integrator, steps, variant):
+        cfg = preset("fig-h1", seed=11)[variant]
+        cfg = replace(cfg, dyn=replace(cfg.dyn, integrator=integrator, step_h=0.1))
+        target, layers = _run_layers(cfg, steps)
+        _blocks_against_reference(target, layers, fresh={0, 2})

@@ -4,10 +4,14 @@ Usage, from the repository root:
 
     python3 tools/bench_snapshot.py --checkout . --label mine --seed 7 --seconds 20
 
-Runs ``perfbench/run.py --workload all`` of ``--checkout`` as it is, in a
-fresh interpreter, and writes ``BENCH_<label>.json`` into ``--out`` (the
-current directory by default).  The file holds the command, the checkout's
-commit, each workload's result line (the JSON object the benchmark prints),
+Runs ``perfbench/run.py --workload W`` of ``--checkout`` as it is, once for
+each name W in that file's ``WORKLOAD_NAMES``, each in a fresh interpreter,
+so that each workload's ``peak_rss_mb`` is its own process's peak and not
+the running peak of the workloads before it.  It writes
+``BENCH_<label>.json`` into ``--out`` (the current directory by default).
+The file holds the command, with ``{workload}`` for W, the checkout's
+commit, each workload's result line (the JSON object the benchmark prints,
+in ``WORKLOAD_NAMES`` order),
 the Python and numpy versions, numpy's BLAS and LAPACK build from
 ``np.show_config(mode="dicts")`` (without its build-machine directories),
 the CPUs this process may run on, and the thread variables it passes on.
@@ -21,6 +25,7 @@ two checkouts; a claim of a gain still needs alternating runs of each.
 from __future__ import annotations
 
 import argparse
+import ast
 import json
 import os
 import platform
@@ -49,18 +54,34 @@ def _numpy_build() -> dict:
     return {lib: {k: v for k, v in info.items() if k in BUILD_KEYS} for lib, info in deps.items()}
 
 
+def _workload_names(run: Path) -> tuple[str, ...]:
+    """``WORKLOAD_NAMES`` as the benchmark file ``run`` assigns it, read without running it."""
+    for node in ast.parse(run.read_text()).body:
+        if isinstance(node, ast.Assign) and any(
+            isinstance(t, ast.Name) and t.id == "WORKLOAD_NAMES" for t in node.targets
+        ):
+            return tuple(ast.literal_eval(node.value))
+    raise SystemExit(f"bench_snapshot: {run} assigns no WORKLOAD_NAMES")
+
+
 def snapshot(checkout: Path, seed: int, seconds: float) -> dict:
     run = checkout / "perfbench" / "run.py"
     if not run.is_file():
         raise SystemExit(f"bench_snapshot: no perfbench/run.py under {checkout}")
-    args = ["--workload", "all", "--seed", str(seed), "--seconds", str(seconds), "--trace", "0"]
-    proc = subprocess.run([sys.executable, str(run), *args], cwd=checkout, capture_output=True, text=True)
-    if proc.returncode != 0:
-        sys.stderr.write(proc.stderr)
-        raise SystemExit(f"bench_snapshot: the benchmark exited with {proc.returncode}")
-    results = [json.loads(line) for line in proc.stdout.splitlines() if line.startswith("{")]
+    args = ["--seed", str(seed), "--seconds", str(seconds), "--trace", "0"]
+    results = []
+    for name in _workload_names(run):
+        cmd = [sys.executable, str(run), "--workload", name, *args]
+        proc = subprocess.run(cmd, cwd=checkout, capture_output=True, text=True)
+        if proc.returncode != 0:
+            sys.stderr.write(proc.stderr)
+            raise SystemExit(f"bench_snapshot: the benchmark exited with {proc.returncode} on {name}")
+        lines = [line for line in proc.stdout.splitlines() if line.startswith("{")]
+        if len(lines) != 1:
+            raise SystemExit(f"bench_snapshot: {name} printed {len(lines)} result lines, not 1")
+        results.append(json.loads(lines[0]))
     return {
-        "command": ["python3", "perfbench/run.py", *args],
+        "command": ["python3", "perfbench/run.py", "--workload", "{workload}", *args],
         "commit": _commit(checkout),
         "results": results,
         "python": platform.python_version(),
