@@ -45,7 +45,6 @@ from .linalg import (
     det_sign_or_phase,
     hermitian_eig,
     norms,
-    polar_right,
     sqrt_psd,
     svd,
 )

@@ -11,14 +11,14 @@ regularizer on adjacent layers:
 Complex gradients follow the convention grad = d/dRe + i * d/dIm (twice the
 conjugate Wirtinger derivative), so one update rule covers both fields.
 
-All of this math is one batch kernel, :class:`_Kernel`.  It is built once
-per batch of problems, copies their layers into buffers it owns, and steps
-them in place with a fixed sequence of numpy calls on views it made once.
-Slots that would hold copies share memory instead: the layers sit in one
-buffer between the suffix and the prefix products, whose first suffix and
-top prefix are the bottom and top layers themselves, and the bottom slot of
-the descent direction is the first left factor.  A second copy of the
-layers lets numpy run the defect Gram products as gemm.
+All of this math is one real batch kernel, :class:`_Kernel`.  It is built
+once per batch of problems, copies their layers into buffers it owns, and
+steps them in place with a fixed sequence of numpy calls on views it made
+once.  Slots that would hold copies share memory instead: the layers sit in
+one buffer between the suffix and the prefix products, whose first suffix
+and top prefix are the bottom and top layers themselves, and the bottom
+slot of the descent direction is the first left factor.  A second copy of
+the layers lets numpy run the defect Gram products as gemm.
 
 The loss is made in two parts.  :meth:`_Kernel.measure` builds the
 products, the misfit and its squared Frobenius norm ``sq`` (one dot per
@@ -31,31 +31,34 @@ problem's ``sq`` is below :meth:`_Kernel.sq_bound`: 4 ``eps_conv`` where
 no problem with ``l_ori < eps_conv``; where it passes, the exact test
 decides.
 
-A complex problem is stepped as its real embedding ``E(A + iB) = [[A, -B],
-[B, A]]`` through the same kernel: one real matmul per complex matmul,
-which numpy dispatches faster than a small complex one.  ``E`` is an
-algebra homomorphism with ``E(Z^H) = E(Z)^T``, so products, defects and the
-descent direction keep the embedded form, and the embedding's ``l_ori`` and
-``l_reg`` are twice the complex ones, which the kernel halves.  Rounding
+The kernel does real arithmetic only.  A complex problem is stepped as its
+real embedding ``E(A + iB) = [[A, -B], [B, A]]``: one real matmul per
+complex matmul, which numpy dispatches faster than a small complex one.
+``E`` is an algebra homomorphism with ``E(Z^H) = E(Z)^T``, so products,
+defects and the descent direction keep the embedded form, and the
+embedding's ``l_ori`` and ``l_reg`` are twice the complex ones, which the
+kernel halves.  Rounding
 moves a stepped embedding off that form in the last bits, so every step
 ends by restoring it from the left blocks.  Complex trajectories differ
 from complex arithmetic's in the last bits; they stay deterministic and
-independent of the batch.  :func:`gd_step`, :func:`flow_step_rk4` and
-:func:`loss` step and evaluate as the run loop does; :func:`gradient` runs
-the kernel on the complex arrays.
+independent of the batch.  :func:`loss`, :func:`gradient`,
+:func:`gd_step` and :func:`flow_step_rk4` evaluate and step as the run loop
+does, a complex stack as its embedding; :func:`gradient` reads the complex
+gradient from the left blocks of the embedded one.  Only the balance
+defects of the monitors (:func:`_defects`) are computed in the problem's
+own field.
 
 Ownership: an array the kernel returns (its layers, ``l_ori``, a descent
 direction) is a view of its buffers, valid until its next step; a caller
 that keeps one, like a trajectory's records, copies it.  :func:`loss`,
-:func:`gradient`, :func:`gd_step`, :func:`flow_step_rk4` and
-:func:`balance_deltas` build a kernel of their own for each call, so they
-never write to their inputs, and what they return is not shared.
+:func:`gradient`, :func:`gd_step` and :func:`flow_step_rk4` build a
+kernel of their own for each call, so they never write to their inputs,
+and what they return is not shared.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field as dc_field, replace
-from typing import NamedTuple
 
 import numpy as np
 
@@ -172,27 +175,9 @@ def _left_product(layers) -> np.ndarray:
     return w
 
 
-def _gram_parts(x: np.ndarray) -> list[tuple[np.ndarray, np.ndarray]]:
-    """Pairs ``(a, b)`` whose products ``a @ b`` sum to each matrix's squared Frobenius norm.
-
-    ``x`` is a ``(..., d, d)`` array and each product is ``(..., 1, 1)``: a
-    real matrix is one flattened row times its transpose, a complex one its
-    real parts' product plus its imaginary parts'.  Views of ``x`` where it
-    is contiguous.
-    """
-    flat = x.reshape(x.shape[:-2] + (1, x.shape[-2] * x.shape[-1]))
-    parts = (flat.real, flat.imag) if flat.dtype.kind == "c" else (flat,)
-    return [(p, p.swapaxes(-1, -2)) for p in parts]
-
-
-def _squares_into(parts, out: np.ndarray, tmp: np.ndarray | None) -> np.ndarray:
-    """Squared Frobenius norms from ``_gram_parts`` views, written into ``(..., 1, 1)`` ``out``."""
-    (a, b), *rest = parts
-    np.matmul(a, b, out=out)
-    for a, b in rest:
-        np.matmul(a, b, out=tmp)
-        np.add(out, tmp, out=out)
-    return out
+def _flat_rows(x: np.ndarray) -> np.ndarray:
+    """Each matrix of a ``(..., d, d)`` array as one ``(1, d * d)`` row; a view where ``x`` is contiguous."""
+    return x.reshape(x.shape[:-2] + (1, x.shape[-2] * x.shape[-1]))
 
 
 def _frobenius(x: np.ndarray) -> np.ndarray:
@@ -202,42 +187,45 @@ def _frobenius(x: np.ndarray) -> np.ndarray:
     BLAS dot, called once per matrix, and for a complex matrix the dot of the
     real parts plus that of the imaginary parts.
     """
-    parts = _gram_parts(x)
-    out = np.empty(x.shape[:-2] + (1, 1))
-    sq = _squares_into(parts, out, np.empty_like(out) if len(parts) > 1 else None)
+    flat = _flat_rows(x)
+    parts = (flat.real, flat.imag) if flat.dtype.kind == "c" else (flat,)
+    sq = sum(p @ p.swapaxes(-1, -2) for p in parts)
     return np.sqrt(sq, out=sq)[..., 0, 0]
 
 
-class _Evaluation(NamedTuple):
-    """Layers and their loss terms, in the problem's own field: what a monitor record reads."""
+def _defects(w: np.ndarray) -> np.ndarray:
+    """Balance defects ``W_j W_j^H - W_{j+1}^H W_{j+1}`` of ``(..., N, d, d)`` layers, as ``(..., N-1, d, d)``.
 
-    w: np.ndarray
-    l_ori: np.ndarray | float
-    l_reg: np.ndarray | float
+    In the layers' own field.  The Gram products read the layers and their
+    conjugate, two buffers, so numpy runs them as gemm, as the kernel's do
+    (see :class:`_Kernel`).
+    """
+    c = np.conjugate(w)
+    upper, lower = w[..., :-1, :, :], w[..., 1:, :, :]
+    upper_h, lower_h = c[..., :-1, :, :].swapaxes(-1, -2), c[..., 1:, :, :].swapaxes(-1, -2)
+    return upper @ upper_h - lower_h @ lower
 
 
 class _Kernel:
-    """The loss, its descent direction and GD or RK4 steps of a batch of problems.
+    """The loss, its descent direction and GD or RK4 steps of a batch of real problems.
 
-    Built from ``(B, N, m, m)`` layers ``w`` and ``(B, m, m)`` targets
-    ``sigma`` (``None`` when only :meth:`defects_of` runs).  It copies the
-    layers into ``layers``, its own ``(B, N, m, m)`` array, which every step
-    updates in place; ``sigma`` is only read.  Each buffer is layer-major
-    (one contiguous ``(B, m, m)`` block per layer), and every per-layer and
-    transposed view is made here, once.  A step is a fixed sequence of
-    numpy calls that write into the buffers.
+    Built from real ``(B, N, m, m)`` layers ``w`` and ``(B, m, m)`` targets
+    ``sigma``; a complex batch enters as its embedding (:func:`_kernel`).
+    It copies the layers into ``layers``, its own ``(B, N, m, m)`` array,
+    which every step updates in place; ``sigma`` is only read.  Each buffer
+    is layer-major (one contiguous ``(B, m, m)`` block per layer), and every
+    per-layer and transposed view is made here, once.  A step is a fixed
+    sequence of numpy calls that write into the buffers.
 
     The chain buffer holds the suffix products, the layers and the prefix
     products in that order, the suffix and prefix products reversed, so the
     layers keep positive strides: an in-place update with a reversed
     operand makes numpy buffer it.  The two chains are independent, so
     each matmul over two-block views of the buffer advances both.  The
-    second copy of the layers, which the defect Gram products read, is
-    conjugated on a complex batch and sits in a buffer laid out like the
-    chain, where the conjugated products keep their strides too.  Over one
-    buffer read through a transposed view numpy would take its slower
-    ``syrk`` path (the same bits on the tested OpenBLAS build, which
-    ``TestGramPath`` pins).
+    defect Gram products read the layers and a second copy of them, which
+    each evaluation refreshes.  Over one buffer read through a transposed
+    view numpy would take its slower ``syrk`` path (the same bits on the
+    tested OpenBLAS build, which ``TestGramPath`` pins).
 
     ``embedded`` marks real embeddings of complex problems: ``l_ori`` and
     ``l_reg`` are halved, and every step ends by restoring the exact
@@ -253,18 +241,15 @@ class _Kernel:
     problem's values do not depend on the batch it is in.
     """
 
-    def __init__(
-        self, w: np.ndarray, sigma: np.ndarray | None, cfg: DynConfig, embedded: bool = False
-    ) -> None:
+    def __init__(self, w: np.ndarray, sigma: np.ndarray, cfg: DynConfig, embedded: bool = False) -> None:
         b, n, m, _ = w.shape
-        dtype = w.dtype if sigma is None else np.result_type(w, sigma)
         self.cfg, self.sigma, self.embedded = cfg, sigma, embedded
 
         def buf(k: int) -> np.ndarray:
-            return np.empty((k, b, m, m), dtype)
+            return np.empty((k, b, m, m))
 
         # chain = [suffix[n-1], ..., suffix[1], x[0], ..., x[n-1], prefix[n-3], ..., prefix[0]].
-        chain, chain_c = buf(3 * n - 3), buf(3 * n - 3)
+        chain = buf(3 * n - 3)
         x, suffix = chain[n - 1 : 2 * n - 1], chain[n - 1 :: -1]
         # lefts = [factors[n-1], ..., factors[1], direction[0], ..., direction[n-1]].
         lefts = buf(2 * n - 1)
@@ -292,20 +277,15 @@ class _Kernel:
         self._factors_low, self._factors_high = factors[:-1], factors[1:]
         self._direction_low, self._direction_high = direction[:-1], direction[1:]
         self._lower, self._upper = x[1:], x[:-1]
-        # The second copy of the layers, conjugated on a complex batch.  A
-        # complex batch also conjugates the chain's products, which the
-        # adjoint views below read; a real batch reads them in place.
-        self._conj = dtype.kind == "c"
-        xc = chain_c[n - 1 : 2 * n - 1]
-        self._xc, self._chain_tail, self._chain_c_tail = xc, chain[1:], chain_c[1:]
-        adj = chain_c if self._conj else chain
-        self._upper_h, self._lower_h = xc[:-1].swapaxes(-1, -2), xc[1:].swapaxes(-1, -2)
-        self._suffix_h = adj[n - 1 : 0 : -1].swapaxes(-1, -2)
-        self._prefix_h = adj[3 * n - 4 : 2 * n - 3 : -1].swapaxes(-1, -2)
+        # The second copy of the layers, which the defect Gram products read.
+        self._x2 = x2 = buf(n)
+        self._upper_h, self._lower_h = x2[:-1].swapaxes(-1, -2), x2[1:].swapaxes(-1, -2)
+        self._suffix_h = chain[n - 1 : 0 : -1].swapaxes(-1, -2)
+        self._prefix_h = chain[3 * n - 4 : 2 * n - 3 : -1].swapaxes(-1, -2)
 
         self._sq = np.empty((b, 1, 1))
-        self._sq_tmp = np.empty((b, 1, 1)) if self._conj else None
-        self._misfit_parts = _gram_parts(factors[-1])
+        self._misfit_row = _flat_rows(self._misfit)
+        self._misfit_col = self._misfit_row.swapaxes(-1, -2)
         self._sq_flat = self._sq[:, 0, 0]
         self._l_ori_scale = 0.25 if embedded else 0.5
         if cfg.integrator == "flow_rk4":
@@ -321,13 +301,6 @@ class _Kernel:
                 np.moveaxis(blocks[:, :, ::-1, :, 0], 2, 0), np.moveaxis(blocks[..., 1, :], 2, 0), two, two[0]
             )
 
-    @classmethod
-    def defects_of(cls, w: np.ndarray) -> np.ndarray:
-        """Balance defects ``W_j W_j^H - W_{j+1}^H W_{j+1}`` of ``(B, N, m, m)`` layers, as ``(B, N-1, m, m)``."""
-        kernel = cls(w, None, DynConfig())
-        kernel._defects()
-        return kernel._deltas.swapaxes(0, 1)
-
     def take(self, rows) -> "_Kernel":
         """A kernel of the problems ``rows`` (an index or mask on the batch axis), evaluated."""
         kernel = _Kernel(self.layers[rows], self.sigma[rows], self.cfg, self.embedded)
@@ -342,7 +315,7 @@ class _Kernel:
 
     def _defects(self) -> None:
         """Balance defects of the current layers, stacked on the layer axis."""
-        np.conjugate(self._x, out=self._xc)
+        np.copyto(self._x2, self._x)
         np.matmul(self._upper, self._upper_h, out=self._deltas)
         np.matmul(self._lower_h, self._lower, out=self._scratch)
         np.subtract(self._deltas, self._scratch, out=self._deltas)
@@ -361,8 +334,6 @@ class _Kernel:
         if cfg.omit_l_ori:
             direction.fill(0.0)
         else:
-            if self._conj:
-                np.conjugate(self._chain_tail, out=self._chain_c_tail)
             np.matmul(self._prefix_h, self._misfit_b, out=self._factors_low)
             np.matmul(self._factors_high, self._suffix_h, out=self._direction_high)
         if cfg.reg_a > 0:
@@ -382,7 +353,7 @@ class _Kernel:
         :meth:`finish`, which turns this same array into ``l_ori``).
         """
         self._products()
-        _squares_into(self._misfit_parts, self._sq, self._sq_tmp)
+        np.matmul(self._misfit_row, self._misfit_col, out=self._sq)
         if self.cfg.reg_a > 0:
             self._defects()
         return self._sq_flat
@@ -533,44 +504,16 @@ def _check_dims(stack: LayerStack, sigma: np.ndarray) -> None:
         raise DimMismatchError("target dimension does not match the stack")
 
 
-def _batch(a: np.ndarray, core: int) -> np.ndarray:
-    """``a`` with the axes before its last ``core`` flattened into one batch axis."""
-    return a.reshape((-1,) + a.shape[a.ndim - core :])
-
-
-def _evaluate(w: np.ndarray, sigma: np.ndarray, cfg: DynConfig) -> _Evaluation:
-    """The kernel's evaluation of ``(..., N, m, m)`` layers against ``(..., m, m)`` targets.
-
-    The arrays are evaluated as given, complex ones in complex arithmetic;
-    the loss terms have the layers' leading shape, and ``l_reg`` is 0.0
-    when the regularizer is off.
-    """
-    kernel = _Kernel(_batch(w, 3), _batch(sigma, 2), cfg)
-    lead = w.shape[:-3]
-    l_ori = kernel.evaluate().reshape(lead)
-    return _Evaluation(w, l_ori, kernel.l_reg().reshape(lead) if cfg.reg_a > 0 else 0.0)
-
-
-def _advance(ev: _Evaluation, sigma: np.ndarray, cfg: DynConfig, integrator: str) -> np.ndarray:
-    """Layers after one GD (``"gd"``) or RK4 (``"flow_rk4"``) step from ``ev``, as :func:`_evaluate` steps them."""
-    kernel = _Kernel(_batch(ev.w, 3), _batch(sigma, 2), replace(cfg, integrator=integrator))
-    kernel.evaluate()
-    kernel.step()
-    return kernel.layers.reshape(ev.w.shape)
-
-
-def _evaluate_stack(stack: LayerStack, target: TargetSpec, cfg: DynConfig) -> _Evaluation:
-    """The run loop's evaluation of one problem, in the problem's own field."""
+def _measured(stack: LayerStack, target: TargetSpec, cfg: DynConfig) -> _Kernel:
+    """The run loop's kernel of one problem, measured: a complex problem as its embedding."""
     _check_dims(stack, target.matrix)
     kernel = _kernel(stack.layers[None], target.matrix[None], cfg)
-    l_ori = float(kernel.evaluate()[0])
-    return _Evaluation(stack.layers, l_ori, float(kernel.l_reg()[0]))
+    kernel.measure()
+    return kernel
 
 
 def _step(stack: LayerStack, target: TargetSpec, cfg: DynConfig, integrator: str) -> LayerStack:
-    _check_dims(stack, target.matrix)
-    kernel = _kernel(stack.layers[None], target.matrix[None], replace(cfg, integrator=integrator))
-    kernel.evaluate()
+    kernel = _measured(stack, target, replace(cfg, integrator=integrator))
     kernel.step()
     layers = kernel.layers[0]
     return LayerStack(_unembed(layers) if kernel.embedded else layers)
@@ -578,21 +521,24 @@ def _step(stack: LayerStack, target: TargetSpec, cfg: DynConfig, integrator: str
 
 def balance_deltas(stack: LayerStack) -> np.ndarray:
     """Adjacent balance defects ``W_j W_j^H - W_{j+1}^H W_{j+1}``, j = 1..N-1, stacked."""
-    return _Kernel.defects_of(stack.layers[None])[0]
+    return _defects(stack.layers)
 
 
 def loss(stack: LayerStack, target: TargetSpec, cfg: DynConfig) -> tuple[float, float, float]:
     """Returns ``(l_ori, l_reg, total)``; ``l_ori`` reported even when omitted."""
-    ev = _evaluate_stack(stack, target, cfg)
-    return ev.l_ori, ev.l_reg, (0.0 if cfg.omit_l_ori else ev.l_ori) + ev.l_reg
+    kernel = _measured(stack, target, cfg)
+    l_ori, l_reg = float(kernel.finish()[0]), float(kernel.l_reg()[0])
+    return l_ori, l_reg, (0.0 if cfg.omit_l_ori else l_ori) + l_reg
 
 
 def gradient(stack: LayerStack, target: TargetSpec, cfg: DynConfig) -> np.ndarray:
-    """Exact gradient of the total loss with respect to every layer, as ``(N, d, d)``."""
-    _check_dims(stack, target.matrix)
-    kernel = _Kernel(stack.layers[None], target.matrix[None], cfg)
-    kernel.evaluate()
-    return -kernel.descent()[0]
+    """Exact gradient of the total loss with respect to every layer, as ``(N, d, d)``.
+
+    A complex stack's gradient is read from the left blocks of its embedding's.
+    """
+    kernel = _measured(stack, target, cfg)
+    grad = -kernel.descent()[0]
+    return _unembed(grad) if kernel.embedded else grad
 
 
 def gd_step(stack: LayerStack, target: TargetSpec, cfg: DynConfig) -> LayerStack:

@@ -17,10 +17,6 @@ class NotPSDError(FactorLabError):
     """Matrix is not positive semi-definite within tolerance."""
 
 
-class RankDeficientError(FactorLabError):
-    """Matrix is numerically rank deficient."""
-
-
 class SingularError(FactorLabError):
     """Matrix inversion failed or is numerically singular."""
 

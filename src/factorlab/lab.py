@@ -28,7 +28,6 @@ from .dynamics import (
     DynConfig,
     LayerStack,
     TargetSpec,
-    _Evaluation,
     _frobenius,
     _kernel,
     _unembed,
@@ -421,9 +420,8 @@ class _Trajectory:
         w = np.stack(ws)
         if self.cfg.field is FieldTag.COMPLEX:
             w = _unembed(w)
-        evs = [_Evaluation(*ev) for ev in zip(w, l_oris, l_regs)]
         times = [_time_of(self.cfg, step) for step in steps]
-        block = records(steps, times, evs, self.target, self.track)
+        block = records(steps, times, w, l_oris, l_regs, self.target, self.track)
         for rec, track in block:
             self.lines.append(record_to_csv_row(rec, self.cfg.d))
             if self.on_record is not None:
@@ -633,12 +631,13 @@ def _run_chunk(
     has not yet retired hides no other problem's convergence.  ``l_reg``
     is computed on record steps only, where records read it.
 
-    Complex problems are stepped as their real embeddings (see
-    ``dynamics``), restored to the exact embedded form after every step,
-    so a trajectory is bitwise the one ``gd_step`` or ``flow_step_rk4``
-    gives.  The convergence test and the outcome read the kernel's halved
-    embedded ``l_ori``, which is the complex one.  A record copies the
-    layers and the two losses, and unembeds the layers once per block.
+    The kernel does real arithmetic only: complex problems are stepped as
+    their real embeddings (see ``dynamics``), restored to the exact
+    embedded form after every step, so a trajectory is bitwise the one
+    ``gd_step`` or ``flow_step_rk4`` gives.  The convergence test and the
+    outcome read the kernel's halved embedded ``l_ori``, which is the
+    complex one.  A record copies the layers and the two losses, and
+    unembeds the layers once per block.
 
     Divergence guard: ``_bounded`` runs on the evaluated layers at step
     ``k`` whenever ``k`` is a multiple of 25, a record step or the last step
@@ -996,27 +995,33 @@ def emit_plots(csv_path: str | Path, script_path: str | Path | None = None) -> P
     """Write a standalone plotting script for a trajectory CSV.
 
     The script references only columns present in the CSV header.  Raises
-    MalformedCSVError when the CSV lacks metadata, the documented header, or
-    data rows.
+    MalformedCSVError when the CSV cannot be read as UTF-8 text or lacks
+    metadata, the documented header, or data rows, and ConfigError when the
+    script cannot be written.
     """
     csv_path = Path(csv_path)
-    if not csv_path.exists():
-        raise MalformedCSVError(f"no such CSV: {csv_path}")
     header = None
     n_rows = 0
     has_meta = False
-    with open(csv_path) as fh:
-        for line in fh:
-            line = line.strip()
-            if not line:
-                continue
-            if line.startswith("#"):
-                has_meta = True
-                continue
-            if header is None:
-                header = line.split(",")
-            else:
-                n_rows += 1
+    try:
+        with open(csv_path, encoding="utf-8") as fh:
+            for line in fh:
+                line = line.strip()
+                if not line:
+                    continue
+                if line.startswith("#"):
+                    has_meta = True
+                    continue
+                if header is None:
+                    header = line.split(",")
+                else:
+                    n_rows += 1
+    except FileNotFoundError:
+        raise MalformedCSVError(f"no such CSV: {csv_path}") from None
+    except OSError as exc:
+        raise MalformedCSVError(f"cannot read CSV {csv_path}: {exc.strerror}") from None
+    except UnicodeDecodeError:
+        raise MalformedCSVError(f"{csv_path}: not UTF-8 text") from None
     if not has_meta or header is None or n_rows == 0:
         raise MalformedCSVError(f"{csv_path}: expected metadata, header and data rows")
     sigma_cols = [c for c in header if c.startswith("sigma_w_")]
@@ -1039,7 +1044,10 @@ def emit_plots(csv_path: str | Path, script_path: str | Path | None = None) -> P
         extremes_png=str(base) + ".extremes.png",
         main_png=str(base) + ".main_term.png",
     )
-    script_path.write_text(text)
+    try:
+        script_path.write_text(text)
+    except OSError as exc:
+        raise ConfigError(f"cannot write plot script {script_path}: {exc.strerror}") from None
     return script_path
 
 
@@ -1051,9 +1059,11 @@ def emit_plots(csv_path: str | Path, script_path: str | Path | None = None) -> P
 def parse_config_file(path: str | Path) -> dict[str, str]:
     """Flat ``key = value`` format; blank lines and ``#`` comments ignored."""
     try:
-        text = Path(path).read_text()
+        text = Path(path).read_text(encoding="utf-8")
     except OSError as exc:
         raise ConfigError(f"cannot read config file {path}: {exc.strerror}") from None
+    except UnicodeDecodeError:
+        raise ConfigError(f"config file {path} is not UTF-8 text") from None
     out: dict[str, str] = {}
     for ln, raw in enumerate(text.splitlines(), start=1):
         line = raw.split("#", 1)[0].strip()

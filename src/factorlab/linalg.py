@@ -19,7 +19,6 @@ from .errors import (
     NotHermitianError,
     NotPSDError,
     PreconditionViolatedError,
-    RankDeficientError,
     SingularError,
 )
 
@@ -29,7 +28,6 @@ __all__ = [
     "adjoint",
     "svd",
     "hermitian_eig",
-    "polar_right",
     "sqrt_psd",
     "sqrt_perturbation_bound",
     "inverse_perturbation_residual",
@@ -113,19 +111,6 @@ def hermitian_eig(h: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         raise NotHermitianError("hermitian_eig: matrix is not Hermitian within tolerance")
     w, q = np.linalg.eigh(h)
     return w[::-1].copy(), q[:, ::-1].copy()
-
-
-def polar_right(m: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Right polar decomposition ``m = s @ q`` with ``s = (m m^H)^(1/2)`` PSD, ``q`` unitary.
-
-    Requires full rank (``sigma_min > 1e-13 * sigma_max``), else RankDeficientError.
-    """
-    r = svd(m)
-    if r.s[-1] <= 1e-13 * r.s[0]:
-        raise RankDeficientError("polar_right: matrix is numerically rank deficient")
-    s = (r.u * r.s) @ adjoint(r.u)
-    q = r.u @ adjoint(r.v)
-    return s, q
 
 
 def sqrt_psd(h: np.ndarray) -> np.ndarray:

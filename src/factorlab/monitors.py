@@ -7,12 +7,12 @@ singular-value terms, per-layer extreme singular values, and the assembly of
 one CSV row per recorded step.
 
 :func:`records` computes the records of a block of K recorded steps of one
-problem, and :func:`record` is a block of one.  They reuse the loss terms
-the run loop evaluated at the steps' layers, compute the balance defects of
-those layers in their own field (one kernel call for the block), and make
-each factorization once per block, not once per record: one SVD of all
-layers of the K steps, one solve for ``W_2^{-1} W_3^H W_4^H`` on the steps
-whose ``W_2`` passes the guard, one SVD each of the K main terms, products
+problem, and :func:`record` is a block of one.  They take the steps' layers
+in the problem's own field with the loss terms the run loop evaluated
+there, compute the balance defects of those layers in that field (one
+stacked call for the block), and make each factorization once per block,
+not once per record: one SVD of all layers of the K steps, one solve for
+``W_2^{-1} W_3^H W_4^H`` on the steps whose ``W_2`` passes the guard, one SVD each of the K main terms, products
 and half-sum terms, and one ``slogdet``.  Each is one LAPACK call per
 matrix, so a record is bitwise the one its step gets in a block of one.
 
@@ -41,20 +41,13 @@ the number of records the guard tripped in.
 from __future__ import annotations
 
 import logging
+from collections.abc import Sequence
 from dataclasses import dataclass, fields
 from operator import attrgetter
 
 import numpy as np
 
-from .dynamics import (
-    LayerStack,
-    TargetSpec,
-    _Evaluation,
-    _frobenius,
-    _Kernel,
-    _left_product,
-    balance_deltas,
-)
+from .dynamics import LayerStack, TargetSpec, _defects, _frobenius, _left_product, balance_deltas
 # Not called here: the benchmark's tracer wraps it under this name.
 from .dynamics import loss  # noqa: F401
 from .errors import IllConditionedError, NotReducedError, NotUnitaryError
@@ -358,18 +351,21 @@ class TrajectoryRecord:
 def records(
     steps: list[int],
     times: list[float],
-    evs: list[_Evaluation],
+    w: np.ndarray,
+    l_ori: Sequence[float],
+    l_reg: Sequence[float],
     target: TargetSpec,
     prev_track: SvdTrack | None = None,
 ) -> list[tuple[TrajectoryRecord, SvdTrack]]:
     """Assemble all monitors for a block of K recorded steps of one problem.
 
-    ``evs[k]`` holds the layers at ``steps[k]`` and the dynamics kernel's
-    loss terms there against ``target``, the ones the run loop steps from.
-    The balance defects are computed from the layers, so ``e_delta`` is
-    :func:`balance_errors`' value.  ``prev_track`` is the track of the step
-    before the block.  Returns ``(record, track)`` per step, in step order,
-    each track following the one before.
+    ``w[k]`` holds the ``(N, d, d)`` layers at ``steps[k]``, in the
+    problem's own field, and ``l_ori[k]`` and ``l_reg[k]`` the dynamics
+    kernel's loss terms there against ``target``, the ones the run loop
+    steps from.  The balance defects are computed from the layers, so
+    ``e_delta`` is :func:`balance_errors`' value.  ``prev_track`` is the
+    track of the step before the block.  Returns ``(record, track)`` per
+    step, in step order, each track following the one before.
 
     Each factorization is made once for the whole block: one SVD of all
     layers (the extremes and ``W_2``'s condition guard), one solve for
@@ -383,8 +379,7 @@ def records(
     block and guard kind.
     """
     n = len(steps)
-    w = np.stack([ev.w for ev in evs])
-    e_delta = _defect_size(_Kernel.defects_of(w)).tolist()
+    e_delta = _defect_size(_defects(w)).tolist()
     svs = np.linalg.svd(w, compute_uv=False)
     sig_max, sig_min = (x.tolist() for x in _extremes(svs))
     span = f"steps {steps[0]}-{steps[-1]}"
@@ -401,7 +396,7 @@ def records(
                 span, n - int(ok.sum()), n,
             )
 
-    # Associated from the left like ``dynamics.product``, not ``ev.suffix[-1]``.
+    # Associated from the left like ``dynamics.product``.
     tracks, u, v, sigma_w = _tracks(_left_product(np.moveaxis(w, 1, 0)), w.shape[1], prev_track)
 
     half_sum: list[np.ndarray | None] = [None] * n
@@ -419,8 +414,8 @@ def records(
             TrajectoryRecord(
                 step=steps[k],
                 time=times[k],
-                l_ori=float(ev.l_ori),
-                l_reg=float(ev.l_reg),
+                l_ori=float(l_ori[k]),
+                l_reg=float(l_reg[k]),
                 e_delta=e_delta[k],
                 sig_max=sig_max[k],
                 sig_min=sig_min[k],
@@ -433,26 +428,30 @@ def records(
             ),
             t,
         )
-        for k, (ev, t) in enumerate(zip(evs, tracks))
+        for k, t in enumerate(tracks)
     ]
 
 
 def record(
     step: int,
     time: float,
-    ev: _Evaluation,
+    stack: LayerStack,
+    l_ori: float,
+    l_reg: float,
     target: TargetSpec,
     prev_track: SvdTrack | None = None,
 ) -> tuple[TrajectoryRecord, SvdTrack]:
     """Assemble all monitors for one step: :func:`records` on a block of one.
 
-    Returns the record and the new track.  Each of the block's
-    factorizations (the layer SVD, the solve, the main-term, product and
-    half-sum SVDs and the ``slogdet``) is made once per block, here for this
-    step alone.  A caller holding only a stack evaluates it first
-    (``dynamics._evaluate_stack``).
+    ``l_ori`` and ``l_reg`` are the loss terms at ``stack``, as
+    :func:`dynamics.loss` gives them: the kernel does real arithmetic only,
+    so a complex stack's are its embedding's, halved.  The monitors
+    themselves read ``stack`` in its own field.  Returns the record and the
+    new track.  Each of the block's factorizations (the layer SVD, the
+    solve, the main-term, product and half-sum SVDs and the ``slogdet``) is
+    made once per block, here for this step alone.
     """
-    return records([step], [time], [ev], target, prev_track)[0]
+    return records([step], [time], stack.layers[None], [l_ori], [l_reg], target, prev_track)[0]
 
 
 # The CSV columns are the record's fields in order.  A field is an int, a

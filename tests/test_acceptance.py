@@ -14,8 +14,8 @@ from factorlab.dynamics import (
     DynConfig,
     LayerStack,
     TargetSpec,
-    _advance,
-    _evaluate,
+    _kernel,
+    _unembed,
     gd_step,
     loss,
     product,
@@ -382,9 +382,12 @@ def test_target_reduction_commutes_with_dynamics(field, integrator):
     target, reduced = reduce_target(sigma, stack)
 
     def steps(w, sigma):
+        # The run loop's held kernel, a complex problem as its embedding.
+        kernel = _kernel(w[None], sigma[None], cfg)
         for _ in range(2000):
-            w = _advance(_evaluate(w, sigma, cfg), sigma, cfg, integrator)
-        return w
+            kernel.measure()
+            kernel.step()
+        return _unembed(kernel.layers[0]) if kernel.embedded else kernel.layers[0].copy()
 
     want = steps(stack.layers, sigma)
     got = steps(reduced.layers, target.matrix)

@@ -9,8 +9,8 @@ import pytest
 sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "tools"))
 import bench_snapshot  # noqa: E402
 
-# A benchmark that echoes, as its result line, the workload it was given
-# and the process it ran in.
+# A benchmark that echoes, as its result line, the arguments it was given
+# but the workload, and the process it ran in.
 STUB_RUN = '''
 import argparse, json, os
 WORKLOAD_NAMES = ("second-alpha", "first-beta", "gamma")
@@ -21,7 +21,7 @@ ap.add_argument("--seconds", type=float)
 ap.add_argument("--trace", type=int)
 args = ap.parse_args()
 print("report line")
-print(json.dumps({"correct": True, "failed": 0, "workload": args.workload, "seed": args.seed,
+print(json.dumps({"correct": True, "failed": 0, "seed": args.seed,
                   "seconds": args.seconds, "trace": args.trace, "pid": os.getpid()}))
 '''
 
@@ -40,7 +40,9 @@ def test_one_process_per_workload_in_names_order(tmp_path):
     assert bench_snapshot.main(argv) == 0
     data = json.loads((out / "BENCH_stub.json").read_text())
     results = data["results"]
+    # The workload is the tool's to write: the stub does not print it.
     assert [r["workload"] for r in results] == ["second-alpha", "first-beta", "gamma"]
+    assert all(list(r)[:3] == ["workload", "correct", "failed"] for r in results)
     assert all((r["seed"], r["seconds"], r["trace"]) == (7, 2.5, 0) for r in results)
     assert len({r["pid"] for r in results}) == 3
     assert data["command"] == [

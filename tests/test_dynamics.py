@@ -9,10 +9,8 @@ from factorlab.dynamics import (
     DynConfig,
     LayerStack,
     TargetSpec,
-    _advance,
+    _defects,
     _embed,
-    _evaluate,
-    _evaluate_stack,
     _frobenius,
     _kernel,
     _Kernel,
@@ -333,8 +331,10 @@ class TestConfigs:
 
 # ---------------------------------------------------------------------------
 # The kernel as first written: a list of suffix products, a zeroed gradient
-# filled with one negated product per layer, and ``w - eta * grad``.  The
-# leaner kernel must reproduce its every bit.
+# filled with one negated product per layer, and ``w - eta * grad``.  On
+# real arrays, an embedding's included, the leaner kernel must reproduce its
+# every bit; on complex arrays it is the complex-arithmetic oracle that the
+# embedded dynamics track.
 # ---------------------------------------------------------------------------
 
 
@@ -424,15 +424,30 @@ class TestKernelBits:
         [pytest.param("gd", 40, id="gd"), pytest.param("flow_rk4", 10, id="rk4")],
     )
     def test_steps_match_reference(self, integrator, steps, field, regime, n, batch):
+        # The run loop's held kernel, stepped in place; a complex problem is
+        # its embedding, restored to the embedded form after each step, and
+        # its losses are the halves of the embedding's.
         cfg = DynConfig(eta=0.05, step_h=0.05, integrator=integrator, **REGIMES[regime])
         w, sigma = _problem(field, n, batch, seed=10 * n + len(regime))
-        start = ref = w
+        lead = w.shape[:-3]
+        kernel = _kernel(w.reshape((-1,) + w.shape[-3:]), sigma.reshape((-1,) + sigma.shape[-2:]), cfg)
+        embedded = field is FieldTag.COMPLEX
+        assert kernel.embedded == embedded
+        ref, ref_sigma = (_embed(w), _embed(sigma)) if embedded else (w, sigma)
+        half = 0.5 if embedded else 1.0
+        start = kernel.layers.copy()
         for _ in range(steps):
-            ev, ref_ev = _evaluate(w, sigma, cfg), _ref_evaluate(ref, sigma, cfg)
-            assert np.array_equal(ev.l_ori, ref_ev[4]) and np.array_equal(ev.l_reg, ref_ev[5])
-            w, ref = _advance(ev, sigma, cfg, integrator), _ref_advance(ref_ev, sigma, cfg)
-            assert np.array_equal(w, ref)
-        assert np.all(np.isfinite(w)) and not np.array_equal(w, start)
+            l_ori = kernel.evaluate().reshape(lead)
+            l_reg = kernel.l_reg().reshape(lead)
+            ref_ev = _ref_evaluate(ref, ref_sigma, cfg)
+            assert np.array_equal(l_ori, half * ref_ev[4])
+            assert np.array_equal(l_reg, np.broadcast_to(half * ref_ev[5], lead))
+            kernel.step()
+            ref = _ref_advance(ref_ev, ref_sigma, cfg)
+            if embedded:
+                ref = _embed(_unembed(ref))
+            assert np.array_equal(kernel.layers.reshape(ref.shape), ref)
+        assert np.all(np.isfinite(kernel.layers)) and not np.array_equal(kernel.layers, start)
 
     @pytest.mark.parametrize("n", [2, 3, 4])
     @pytest.mark.parametrize("regime", list(REGIMES))
@@ -440,8 +455,16 @@ class TestKernelBits:
     def test_gradient_matches_reference(self, field, regime, n):
         cfg = DynConfig(**REGIMES[regime])
         w, sigma = _problem(field, n, None, seed=n)
-        want = _ref_gradient(_ref_evaluate(w, sigma, cfg), cfg)
-        assert np.array_equal(gradient(LayerStack(w), TargetSpec(sigma), cfg), want)
+        got = gradient(LayerStack(w), TargetSpec(sigma), cfg)
+        direct = _ref_gradient(_ref_evaluate(w, sigma, cfg), cfg)
+        if field is FieldTag.COMPLEX:
+            # Bitwise the reference on the embedding, and within rounding of
+            # complex arithmetic.
+            want = _unembed(_ref_gradient(_ref_evaluate(_embed(w), _embed(sigma), cfg), cfg))
+            assert np.abs(got - direct).max() <= 1e-15 * np.abs(direct).max()
+        else:
+            want = direct
+        assert np.array_equal(got, want)
 
 
 class TestEmbedding:
@@ -471,29 +494,30 @@ class TestEmbedding:
     def test_halved_losses_are_the_complex_ones(self, regime):
         cfg = DynConfig(**REGIMES[regime])
         w, sigma = _problem(FieldTag.COMPLEX, 4, 8, seed=5)
-        direct, embedded = _evaluate(w, sigma, cfg), _evaluate(_embed(w), _embed(sigma), cfg)
-        for want, got in ((direct.l_ori, embedded.l_ori), (direct.l_reg, embedded.l_reg)):
-            assert np.all(np.abs(0.5 * np.asarray(got) - want) <= 1e-15 * np.asarray(want))
+        kernel = _kernel(w, sigma, cfg)
+        got = kernel.evaluate(), kernel.l_reg()
+        for x, y in zip(got, _ref_evaluate(w, sigma, cfg)[4:]):
+            assert np.all(np.abs(x - y) <= 1e-15 * np.asarray(y))
 
     @pytest.mark.parametrize("regime", ["plain", "regularized"])
     @pytest.mark.parametrize(
         "integrator, steps",
         [pytest.param("gd", 6000, id="gd"), pytest.param("flow_rk4", 500, id="rk4")],
     )
-    def test_trajectory_tracks_the_complex_kernel(self, integrator, steps, regime):
-        # Rounding differs between the two, and the embedded layers drift
-        # from the exact embedded form in the last bits; neither grows.
-        # Measured up to 2.8e-14 over 6 seeds of each case, with layers of
-        # order 1 that move by 0.5 to 1.
+    def test_trajectory_tracks_complex_arithmetic(self, integrator, steps, regime):
+        # The run loop's held kernel against the reference stepped in
+        # complex arithmetic: rounding differs between the two, and does
+        # not grow.  Layers of order 1 that move by 0.5 to 1.
         cfg = DynConfig(eta=0.05, step_h=0.05, integrator=integrator, **REGIMES[regime])
         w, sigma = _problem(FieldTag.COMPLEX, 4, 3, seed=5)
-        x, x_sigma = _embed(w), _embed(sigma)
+        kernel = _kernel(w, sigma, cfg)
         start = w
         for _ in range(steps):
-            w = _advance(_evaluate(w, sigma, cfg), sigma, cfg, integrator)
-            x = _advance(_evaluate(x, x_sigma, cfg), x_sigma, cfg, integrator)
+            kernel.measure()
+            kernel.step()
+            w = _ref_advance(_ref_evaluate(w, sigma, cfg), sigma, cfg)
         assert np.abs(w - start).max() > 0.5
-        assert np.abs(_unembed(x) - w).max() < 1e-12
+        assert np.abs(_unembed(kernel.layers) - w).max() < 1e-12
 
 
     @pytest.mark.parametrize("batch", [1, 7])
@@ -559,7 +583,7 @@ class TestKernelOwnership:
         layers, matrix = stack.layers.tobytes(), target.matrix.tobytes()
         for integrator in ("gd", "flow_rk4"):
             cfg = DynConfig(reg_a=reg_a, eta=0.05, step_h=0.05, integrator=integrator)
-            for fn in (gd_step, flow_step_rk4, loss, gradient, _evaluate_stack):
+            for fn in (gd_step, flow_step_rk4, loss, gradient):
                 out = fn(stack, target, cfg)
                 assert stack.layers.tobytes() == layers and target.matrix.tobytes() == matrix
                 if isinstance(out, LayerStack):
@@ -568,32 +592,31 @@ class TestKernelOwnership:
     @pytest.mark.parametrize("integrator", ["gd", "flow_rk4"])
     @pytest.mark.parametrize("reg_a", [0.0, 1.0])
     @pytest.mark.parametrize("field", FIELDS, ids=lambda f: f.value)
-    def test_evaluation_outlives_the_next_step(self, field, reg_a, integrator):
+    def test_results_outlive_later_calls(self, field, reg_a, integrator):
         cfg = DynConfig(reg_a=reg_a, eta=0.05, step_h=0.05, integrator=integrator)
-        w, sigma = _problem(field, 4, 3, seed=9)
-        start = w.tobytes()
-        ev = _evaluate(w, sigma, cfg)
-        kept = [np.asarray(x).tobytes() for x in ev]
-        w2 = _advance(ev, sigma, cfg, integrator)
-        _advance(_evaluate(w2, sigma, cfg), sigma, cfg, integrator)
-        assert [np.asarray(x).tobytes() for x in ev] == kept
-        assert w.tobytes() == start and not np.array_equal(w2, w)
+        w, sigma = _problem(field, 4, None, seed=9)
+        stack, target = LayerStack(w), TargetSpec(sigma)
+        step = gd_step if integrator == "gd" else flow_step_rk4
+        out = [step(stack, target, cfg).layers, gradient(stack, target, cfg)]
+        kept = [x.tobytes() for x in out]
+        later = step(LayerStack(out[0]), target, cfg)
+        gradient(later, target, cfg)
+        assert [x.tobytes() for x in out] == kept and not np.array_equal(later.layers, out[0])
 
     @pytest.mark.parametrize("reg_a", [0.0, 1.0])
-    @pytest.mark.parametrize("form", ["real", "complex", "complex-direct"])
+    @pytest.mark.parametrize("form", ["real", "complex"])
     @pytest.mark.parametrize(
         "integrator, steps", [pytest.param("gd", 50, id="gd"), pytest.param("flow_rk4", 10, id="rk4")]
     )
     def test_a_step_allocates_no_layer(self, integrator, steps, form, reg_a):
         # The run loop's kernel at B = 16, a complex batch as its real
-        # embedding; "complex-direct" steps complex arrays, as gradient() does.
-        # The run loop's sequence per step (measure, the convergence check,
+        # embedding.  The run loop's sequence per step (measure, the convergence check,
         # finish on the steps that need it, step) writes into the kernel's
         # buffers only, so the traced peak grows by less than one layer of
         # the batch.
         cfg = DynConfig(reg_a=reg_a, eta=0.01, step_h=0.01, integrator=integrator)
         w, sigma = _problem(FieldTag.REAL if form == "real" else FieldTag.COMPLEX, 4, 16, seed=12)
-        kernel = (_Kernel if form == "complex-direct" else _kernel)(w, sigma, cfg)
+        kernel = _kernel(w, sigma, cfg)
         near = kernel.sq_bound(1e-8)
         kernel.evaluate()
         kernel.step()
@@ -619,11 +642,12 @@ class TestGramPath:
     Over one buffer read through a transposed view numpy takes its ``syrk``
     path instead.  The two give the same bits on this BLAS; where they do
     not, this fails rather than the trajectories moving in the last bits.
+    The monitors' ``_defects`` and the kernel's own agree bit for bit.
     """
 
     @pytest.mark.parametrize("batch", [1, 60, 256])
     @pytest.mark.parametrize("form", ["real", "embedded", "complex"])
-    def test_defects_match_one_and_two_buffer_forms(self, form, batch):
+    def test_defects_match_the_kernel_and_the_one_buffer_form(self, form, batch):
         rng = make_rng(batch)
         field = FieldTag.REAL if form == "real" else FieldTag.COMPLEX
         w = np.stack([rand_stack(5, 4, field, rng).layers for _ in range(batch)])
@@ -632,8 +656,9 @@ class TestGramPath:
         upper, lower = w[:, :-1], w[:, 1:]
         # adjoint() of a real array is a transposed view of that same array.
         one_buffer = upper @ adjoint(upper) - adjoint(lower) @ lower
-        upper_2, lower_2 = upper.copy(), lower.copy()
-        two_buffers = upper @ adjoint(upper_2) - adjoint(lower_2) @ lower
-        got = _Kernel.defects_of(w)
+        got = _defects(w)
         assert got.tobytes() == one_buffer.tobytes()
-        assert got.tobytes() == two_buffers.tobytes()
+        if form != "complex":
+            kernel = _Kernel(w, np.zeros((batch,) + w.shape[-2:]), DynConfig(reg_a=1.0))
+            kernel.measure()
+            assert got.tobytes() == kernel._deltas.swapaxes(0, 1).tobytes()

@@ -21,10 +21,7 @@ from factorlab.dynamics import (
     DynConfig,
     LayerStack,
     TargetSpec,
-    _advance,
     _embed,
-    _evaluate,
-    _evaluate_stack,
     _frobenius,
     _unembed,
     flow_step_rk4,
@@ -54,6 +51,7 @@ from factorlab.lab import (
 )
 from factorlab.linalg import FieldTag, det_sign_or_phase
 from factorlab.monitors import balance_errors, record, record_to_csv_row, records
+from test_dynamics import _ref_advance, _ref_evaluate
 
 
 def tiny_cfg(**kw):
@@ -310,9 +308,10 @@ def _check_rows_from_scratch(cfg, s, recs):
     dt = cfg.dyn.eta if cfg.dyn.integrator == "gd" else cfg.dyn.step_h
     track = None
     for step, (row, rec) in enumerate(zip(rows, recs)):
-        fresh, track = record(step, step * dt, _evaluate_stack(stack, target, cfg.dyn), target, track)
+        l_ori, l_reg, _ = loss(stack, target, cfg.dyn)
+        fresh, track = record(step, step * dt, stack, l_ori, l_reg, target, track)
         assert row == record_to_csv_row(fresh, cfg.d)
-        assert (rec.l_ori, rec.l_reg) == loss(stack, target, cfg.dyn)[:2]
+        assert (rec.l_ori, rec.l_reg) == (l_ori, l_reg)
         assert rec.e_delta == balance_errors(stack)[1]
         if step < s.steps_run:
             stack = step_fn(stack, target, cfg.dyn)
@@ -723,28 +722,28 @@ class TestSweep:
 
     @staticmethod
     def _complex_kernel_outcomes(cfgs):
-        # The run loop's rules, stepped on the complex arrays themselves:
-        # the guard at multiples of 25, at the last step and where a run
-        # converges, on the complex layer norms.
+        # The run loop's rules, stepped in complex arithmetic by the test
+        # reference: the guard at multiples of 25, at the last step and where
+        # a run converges, on the complex layer norms.
         problems = [prepare_problem(c) for c in cfgs]
         w = np.stack([stack.layers for _, stack, _ in problems])
         sigma = np.stack([target.matrix for target, _, _ in problems])
         cfg, out = cfgs[0], [None] * len(cfgs)
         with np.errstate(all="ignore"):
             for step in range(cfg.steps + 1):
-                ev = _evaluate(w, sigma, cfg.dyn)
+                ev = _ref_evaluate(w, sigma, cfg.dyn)
                 ok = (_frobenius(w) <= lab.DIVERGENCE_GUARD).all(axis=-1)
                 for i in range(len(cfgs)):
                     if out[i] is not None:
                         continue
-                    conv = ev.l_ori[i] < cfg.eps_conv
+                    conv = ev[4][i] < cfg.eps_conv
                     if not ok[i] and (conv or step % 25 == 0 or step == cfg.steps):
                         out[i] = ("diverged", step)
                     elif conv:
                         out[i] = ("converged", step)
                     elif step == cfg.steps:
                         out[i] = ("exhausted", step)
-                w = _advance(ev, sigma, cfg.dyn, cfg.dyn.integrator)
+                w = _ref_advance(ev, sigma, cfg.dyn)
         return out
 
     @pytest.mark.parametrize("case", ["mixed", "near-guard"])
@@ -834,9 +833,10 @@ class TestConvergenceCheck:
 
     @staticmethod
     def _reference(cfgs, problems):
-        # The run loop's rules with l_ori finished on every step, as the
-        # kernel's own: a complex batch as its real embedding, whose loss
-        # the kernel quarters where _evaluate halves (both scalings exact).
+        # The run loop's rules with l_ori finished on every step, stepped by
+        # the test reference as the kernel steps: a complex batch as its real
+        # embedding, whose loss the kernel quarters where the reference
+        # halves (both scalings exact).
         cfg = cfgs[0]
         w = np.stack([stack.layers for _, stack, _ in problems])
         sigma = np.stack([target.matrix for target, _, _ in problems])
@@ -846,8 +846,8 @@ class TestConvergenceCheck:
         out, history = [None] * len(cfgs), []
         with np.errstate(all="ignore"):
             for step in range(cfg.steps + 1):
-                ev = _evaluate(w, sigma, cfg.dyn)
-                l_ori = 0.5 * ev.l_ori if embedded else ev.l_ori
+                ev = _ref_evaluate(w, sigma, cfg.dyn)
+                l_ori = 0.5 * ev[4] if embedded else ev[4]
                 history.append(l_ori)
                 ok = lab._bounded(w[..., : cfg.d, :])
                 cadence = step % 25 == 0 or step == cfg.steps
@@ -859,7 +859,7 @@ class TestConvergenceCheck:
                         out[i] = ("diverged", step, float("inf"))
                     elif conv or step == cfg.steps:
                         out[i] = ("converged" if conv else "exhausted", step, float(l_ori[i]))
-                w = _advance(ev, sigma, cfg.dyn, cfg.dyn.integrator)
+                w = _ref_advance(ev, sigma, cfg.dyn)
                 if embedded:
                     w = _embed(_unembed(w))
         return out, history
@@ -1165,6 +1165,35 @@ class TestCli:
         s = run_scenario(tiny_cfg(), out_dir=tmp_path)
         rc = main(["plots", s.csv_path])
         assert rc == 0
+
+    @pytest.mark.parametrize("case", ["csv-directory", "csv-not-utf8", "script-directory", "script-missing-dir"])
+    def test_plots_bad_path_is_one_line(self, tmp_path, capsys, case):
+        # A path the command cannot read or write exits 1 with one line, not a traceback.
+        message = "malformed CSV: " if case.startswith("csv") else "config error: "
+        s = run_scenario(tiny_cfg(), out_dir=tmp_path / "run")
+        capsys.readouterr()
+        argv = ["plots", str(s.csv_path)]
+        if case == "csv-directory":
+            argv[1] = str(tmp_path)
+        elif case == "csv-not-utf8":
+            bad = tmp_path / "bad.csv"
+            bad.write_bytes(Path(s.csv_path).read_bytes().replace(b"step", b"st\xffep", 1))
+            argv[1] = str(bad)
+        elif case == "script-directory":
+            argv += ["--script", str(tmp_path)]
+        else:
+            argv += ["--script", str(tmp_path / "missing" / "plot.py")]
+        assert main(argv) == 1
+        out, err = capsys.readouterr()
+        assert out == "" and err.startswith(message) and err.count("\n") == 1
+
+    def test_config_not_utf8_is_a_config_error(self, tmp_path, capsys):
+        p = tmp_path / "bad.cfg"
+        p.write_bytes(b"steps = 5\nname = caf\xe9\n")
+        assert main(["run", "--config", str(p), "--out", str(tmp_path / "out")]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("config error: ") and err.count("\n") == 1 and "UTF-8" in err
+        assert list(tmp_path.iterdir()) == [p]
 
     def test_usage_error_exit_code(self, capsys):
         # argparse's own exit code 2 would read as "diverged"

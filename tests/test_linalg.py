@@ -10,7 +10,6 @@ from factorlab.errors import (
     NotHermitianError,
     NotPSDError,
     PreconditionViolatedError,
-    RankDeficientError,
     SingularError,
 )
 from factorlab.linalg import (
@@ -20,7 +19,6 @@ from factorlab.linalg import (
     hermitian_eig,
     inverse_perturbation_residual,
     norms,
-    polar_right,
     sqrt_perturbation_bound,
     sqrt_psd,
     svd,
@@ -134,41 +132,6 @@ class TestHermitianEig:
     def test_not_hermitian_rejected(self):
         with pytest.raises(NotHermitianError):
             hermitian_eig(np.array([[0.0, 1.0], [0.0, 0.0]]))
-
-
-class TestPolarRight:
-    def test_isometry(self):
-        q0, _ = np.linalg.qr(RNG.standard_normal((4, 4)))
-        s, q = polar_right(q0)
-        np.testing.assert_allclose(s, np.eye(4), atol=1e-12)
-        np.testing.assert_allclose(q, q0, atol=1e-12)
-
-    def test_psd_input(self):
-        m = np.diag([2.0, 5.0])
-        s, q = polar_right(m)
-        np.testing.assert_allclose(s, m, atol=1e-12)
-        np.testing.assert_allclose(q, np.eye(2), atol=1e-12)
-
-    def test_reconstruction(self):
-        for field in FIELDS:
-            m = rand_matrix(5, field)
-            s, q = polar_right(m)
-            assert np.linalg.norm(s @ q - m) < 1e-10 * (1 + np.linalg.norm(m))
-            assert np.linalg.norm(adjoint(q) @ q - np.eye(5)) < 1e-12
-            # s is the PSD square root of m m^H
-            np.testing.assert_allclose(s @ s, m @ adjoint(m), atol=1e-10 * (1 + norms(m).op ** 2))
-
-    def test_idempotent(self):
-        m = rand_matrix(4, FieldTag.COMPLEX)
-        s, q = polar_right(m)
-        s2, q2 = polar_right(s @ q)
-        assert np.linalg.norm(s2 - s) < 1e-10 * (1 + np.linalg.norm(s))
-        assert np.linalg.norm(q2 - q) < 1e-10
-
-    def test_rank_deficient_rejected(self):
-        m = np.diag([1.0, 0.0])
-        with pytest.raises(RankDeficientError):
-            polar_right(m)
 
 
 class TestSqrtPsd:

@@ -12,11 +12,10 @@ from factorlab.dynamics import (
     DynConfig,
     LayerStack,
     TargetSpec,
-    _evaluate_stack,
-    _Evaluation,
     _left_product,
     flow_step_rk4,
     gd_step,
+    loss,
     product,
 )
 from factorlab.ensembles import InitScheme, balanced_init, gaussian_matrix, haar_unitary, make_rng
@@ -44,8 +43,8 @@ FIELDS = (FieldTag.REAL, FieldTag.COMPLEX)
 
 
 def record_stack(step, time, stack, target, cfg, prev_track=None):
-    """``record`` for a caller that holds only a stack: evaluate it, then record."""
-    return record(step, time, _evaluate_stack(stack, target, cfg), target, prev_track)
+    """``record`` for a caller that holds only a stack: its losses, then the record."""
+    return record(step, time, stack, *loss(stack, target, cfg)[:2], target, prev_track)
 
 
 class TestBalanceErrors:
@@ -352,10 +351,9 @@ class TestRecord:
         # of the kernel's right-associated W_4 (W_3 (W_2 W_1)): the two differ
         # in the last bits, and trajectory CSVs are pinned to the first.
         st = LayerStack(tuple(gaussian_matrix(5, field, make_rng(21)) for _ in range(4)))
-        ev = _evaluate_stack(st, TargetSpec.identity(5), self._cfg())
         w1, w2, w3, w4 = st.layers
         assert not np.array_equal(w4 @ (w3 @ (w2 @ w1)), product(st))
-        _, track = record(0, 0.0, ev, TargetSpec.identity(5), None)
+        _, track = record_stack(0, 0.0, st, TargetSpec.identity(5), self._cfg(), None)
         want = track_svd(product(st), 4)
         assert np.array_equal(track.sigma_w, want.sigma_w) and np.array_equal(track.u, want.u)
 
@@ -373,7 +371,7 @@ class TestRecord:
 
 @hst.composite
 def _record_blocks(draw):
-    """One problem's evaluations at K steps near each other, some with a rank-deficient W_2."""
+    """One problem's stacks and losses at K steps near each other, some with a rank-deficient W_2."""
     field = draw(hst.sampled_from(FIELDS))
     n = draw(hst.sampled_from([3, 4]))
     k = draw(hst.integers(1, 6))
@@ -393,29 +391,30 @@ def _record_blocks(draw):
     else:
         target = TargetSpec.diagonal(np.abs(rng.standard_normal(d)))
     cfg = DynConfig(reg_a=draw(hst.sampled_from([0.0, 1.0])))
-    evs = [_evaluate_stack(st, target, cfg) for st in stacks]
+    losses = [loss(st, target, cfg)[:2] for st in stacks]
     # The step before the block gives the track the block follows, or none.
-    prev = record(9, 0.9, evs[0], target, None)[1] if draw(hst.booleans()) else None
-    return evs[1:], target, prev, trips[1:]
+    prev = record(9, 0.9, stacks[0], *losses[0], target, None)[1] if draw(hst.booleans()) else None
+    return stacks[1:], losses[1:], target, prev, trips[1:]
 
 
 class TestRecords:
     @settings(max_examples=80, deadline=None)
     @given(_record_blocks())
     def test_block_equals_sequential_records(self, block):
-        evs, target, prev, trips = block
-        steps = list(range(10, 10 + len(evs)))
+        stacks, losses, target, prev, trips = block
+        steps = list(range(10, 10 + len(stacks)))
         times = [0.1 * s for s in steps]
-        got = records(steps, times, evs, target, prev)
-        assert len(got) == len(evs)
+        l_ori, l_reg = zip(*losses)
+        got = records(steps, times, np.stack([st.layers for st in stacks]), l_ori, l_reg, target, prev)
+        assert len(got) == len(stacks)
         track = prev
-        for (rec, tr), step, time, ev, trip in zip(got, steps, times, evs, trips):
-            want, track = record(step, time, ev, target, track)
+        for (rec, tr), step, time, st, (lo, lr), trip in zip(got, steps, times, stacks, losses, trips):
+            want, track = record(step, time, st, lo, lr, target, track)
             assert record_to_csv_row(rec, 4) == record_to_csv_row(want, 4)
             for name in ("u", "v", "sigma_w"):
                 assert np.array_equal(getattr(tr, name), getattr(track, name))
             assert tr.aligned == track.aligned
-            assert (rec.skew_err is None) == (len(ev.w) != 4 or trip)
+            assert (rec.skew_err is None) == (st.depth != 4 or trip)
             assert (rec.half_sum_sv is None) == (not target.reduced)
 
     def test_guard_warnings_once_per_block(self, caplog):
@@ -423,9 +422,11 @@ class TestRecords:
         zero = LayerStack(tuple(np.zeros((4, 4)) for _ in range(4)))
         clean = balanced_init(4, 4, InitScheme(kind="balanced", epsilon=0.3), FieldTag.REAL, make_rng(22))
         cfg = DynConfig(reg_a=1.0)
-        evs = [_evaluate_stack(st, target, cfg) for st in (zero, clean, zero, clean, zero)]
+        stacks = (zero, clean, zero, clean, zero)
+        l_ori, l_reg, _ = zip(*(loss(st, target, cfg) for st in stacks))
+        w = np.stack([st.layers for st in stacks])
         with caplog.at_level(logging.WARNING, logger="factorlab"):
-            block = records([10, 11, 12, 13, 14], [0.0] * 5, evs, target)
+            block = records([10, 11, 12, 13, 14], [0.0] * 5, w, l_ori, l_reg, target)
         assert [rec.skew_err is None for rec, _ in block] == [True, False, True, False, True]
         assert all(rec.half_sum_sv is None and rec.skew_uv is None for rec, _ in block)
         assert [r.getMessage() for r in caplog.records] == [
@@ -494,8 +495,8 @@ def _blocks_against_reference(target, layers, fresh):
         if i in fresh:
             track = ref_track = None
         steps = list(range(start, start + len(w)))
-        evs = [_Evaluation(x, 0.0, 0.0) for x in w]
-        got = records(steps, [0.0] * len(w), evs, target, track)
+        zeros = [0.0] * len(w)
+        got = records(steps, zeros, w, zeros, zeros, target, track)
         want = _ref_tracks(_left_product(np.moveaxis(w, 1, 0)), w.shape[1], ref_track)
         halves, skew_uv = _ref_uv_terms(want, target)
         det_ind = _ref_det_ind(want)

@@ -11,7 +11,7 @@ the running peak of the workloads before it.  It writes
 ``BENCH_<label>.json`` into ``--out`` (the current directory by default).
 The file holds the command, with ``{workload}`` for W, the checkout's
 commit, each workload's result line (the JSON object the benchmark prints,
-in ``WORKLOAD_NAMES`` order),
+in ``WORKLOAD_NAMES`` order, with ``"workload": W`` put first),
 the Python and numpy versions, numpy's BLAS and LAPACK build from
 ``np.show_config(mode="dicts")`` (without its build-machine directories),
 the CPUs this process may run on, and the thread variables it passes on.
@@ -79,7 +79,7 @@ def snapshot(checkout: Path, seed: int, seconds: float) -> dict:
         lines = [line for line in proc.stdout.splitlines() if line.startswith("{")]
         if len(lines) != 1:
             raise SystemExit(f"bench_snapshot: {name} printed {len(lines)} result lines, not 1")
-        results.append(json.loads(lines[0]))
+        results.append({"workload": name, **json.loads(lines[0])})
     return {
         "command": ["python3", "perfbench/run.py", "--workload", "{workload}", *args],
         "commit": _commit(checkout),
