@@ -519,6 +519,41 @@ class TestEmbedding:
         assert np.abs(w - start).max() > 0.5
         assert np.abs(_unembed(kernel.layers) - w).max() < 1e-12
 
+    @pytest.mark.parametrize("complex_w, complex_sigma", [
+        pytest.param(False, False, id="real"),
+        pytest.param(True, False, id="complex-layers"),
+        pytest.param(False, True, id="complex-target"),
+        pytest.param(True, True, id="complex"),
+    ])
+    def test_kernel_embeds_any_complex_operand(self, complex_w, complex_sigma):
+        # The kernel holds real arrays only: a complex operand on either
+        # side makes the whole batch its embedding.
+        w, sigma = _problem(FieldTag.REAL, 3, 2, seed=4)
+        if complex_w:
+            w = w + 0.5j * w[:, ::-1]
+        if complex_sigma:
+            sigma = sigma * np.exp(0.3j)
+        kernel = _kernel(w, sigma, DynConfig(reg_a=1.0))
+        embedded = complex_w or complex_sigma
+        assert kernel.embedded == embedded and kernel.layers.dtype == np.float64
+        assert kernel.layers.tobytes() == (_embed(w) if embedded else w).tobytes()
+        assert kernel.sigma.tobytes() == (_embed(sigma) if embedded else sigma).tobytes()
+
+    @pytest.mark.parametrize("field", FIELDS, ids=lambda f: f.value)
+    @pytest.mark.parametrize("integrator", ["gd", "flow_rk4"])
+    def test_wrapper_steps_are_the_kernel_steps(self, integrator, field):
+        # gd_step and flow_step_rk4 return the held kernel's step bit for
+        # bit, in the stack's own field.
+        cfg = DynConfig(reg_a=1.0, eta=0.05, step_h=0.05, integrator=integrator)
+        w, sigma = _problem(field, 3, None, seed=6)
+        step = gd_step if integrator == "gd" else flow_step_rk4
+        got = step(LayerStack(w), TargetSpec(sigma), cfg).layers
+        kernel = _kernel(w[None], sigma[None], cfg)
+        kernel.measure()
+        kernel.step()
+        want = _unembed(kernel.layers[0]) if field is FieldTag.COMPLEX else kernel.layers[0]
+        assert got.dtype == w.dtype and got.tobytes() == want.tobytes()
+
 
     @pytest.mark.parametrize("batch", [1, 7])
     def test_reembed_matches_five_call_restore(self, batch):
