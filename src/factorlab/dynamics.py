@@ -15,21 +15,26 @@ All of this math is one real batch kernel, :class:`_Kernel`.  It is built
 once per batch of problems, copies their layers into buffers it owns, and
 steps them in place with a fixed sequence of numpy calls on views it made
 once.  Slots that would hold copies share memory instead: the layers sit in
-one buffer between the suffix and the prefix products, whose first suffix
-and top prefix are the bottom and top layers themselves, and the bottom
-slot of the descent direction is the first left factor.  A second copy of
-the layers lets numpy run the defect Gram products as gemm.
+one buffer with the suffix and the prefix products, whose first suffix and
+top prefix are the bottom and top layers themselves, and the bottom slot of
+the descent direction is the first left factor.  No call writes an output
+whose memory span encloses another view it reads: numpy cannot cheaply
+prove such views apart, so it would copy the inputs on every call.  A
+second copy of the layers lets numpy run the defect Gram products as gemm.
 
 The loss is made in two parts.  :meth:`_Kernel.measure` builds the
 products, the misfit and its squared Frobenius norm ``sq`` (one dot per
 problem), and :meth:`_Kernel.finish` turns ``sq`` into ``l_ori`` (a square
-root, ``n * n`` and a halving).  The run loop tests convergence on ``sq``
-and finishes ``l_ori`` only on guard and record steps and where some
-problem's ``sq`` is below :meth:`_Kernel.sq_bound`: 4 ``eps_conv`` where
-``l_ori`` is about ``sq / 2``, 8 on an embedding, where it is about ``sq /
-4``.  ``finish`` is monotone in ``sq``, so a step that fails this test has
-no problem with ``l_ori < eps_conv``; where it passes, the exact test
-decides.
+root, ``n * n`` and a halving), elementwise.  The run loop finishes
+``l_ori`` on guard and record steps.  Between them it runs
+:meth:`_Kernel.advance`, which keeps each step's ``sq`` in a history and
+tests nothing per step; the loop then screens the history once against
+:meth:`_Kernel.sq_bound`: 4 ``eps_conv`` where ``l_ori`` is about ``sq /
+2``, 8 on an embedding, where it is about ``sq / 4``.  ``finish`` is
+monotone in ``sq``, so a value that fails this test has ``l_ori >=
+eps_conv``; where it passes, the exact test on the finished value decides,
+and a problem that converged there is stepped again alone to that step
+(:meth:`_Kernel.replay`).
 
 The kernel does real arithmetic only.  A complex problem is stepped as its
 real embedding ``E(A + iB) = [[A, -B], [B, A]]``: one real matmul per
@@ -217,11 +222,16 @@ class _Kernel:
     per-layer and transposed view is made here, once.  A step is a fixed
     sequence of numpy calls that write into the buffers.
 
-    The chain buffer holds the suffix products, the layers and the prefix
-    products in that order, the suffix and prefix products reversed, so the
-    layers keep positive strides: an in-place update with a reversed
-    operand makes numpy buffer it.  The two chains are independent, so
-    each matmul over two-block views of the buffer advances both.  The
+    The chain buffer holds the layers and the suffix and prefix products
+    in ``N^2 - N + 1`` slots: layer ``j`` in slot ``j``, ``suffix[j]`` in
+    slot ``j N`` and ``prefix[j]`` in slot ``N - 1 + (N - 2 - j) N``.  The
+    layers keep positive strides, since an in-place update with a reversed
+    operand makes numpy buffer it, and the suffix products, read by the
+    descent direction, form one strided view, as do the prefix products.
+    The two chains are independent, so each matmul over two-block views of
+    the buffer advances both.  Chain step ``t`` writes slots ``t N`` and
+    ``t N + N - 1``, above every slot it reads, so no output pair's span
+    encloses an operand and numpy copies none (``TestChainLayout``).  The
     defect Gram products read the layers and a second copy of them, which
     each evaluation refreshes.  Over one buffer read through a transposed
     view numpy would take its slower ``syrk`` path (the same bits on the
@@ -236,6 +246,9 @@ class _Kernel:
     :meth:`measure` (or :meth:`evaluate`, which is :meth:`measure` then
     :meth:`finish`) must precede each :meth:`step`, :meth:`l_reg` and
     :meth:`descent`; what they return is a view valid until the next step.
+    :meth:`advance` runs several rounds of :meth:`measure` and :meth:`step`,
+    and :meth:`replay` steps one problem alone from the start of the last
+    :meth:`advance`.
     Every operation acts on each problem's matrices alone, and each matrix
     product keeps the operands and association of a per-problem loop, so a
     problem's values do not depend on the batch it is in.
@@ -248,9 +261,10 @@ class _Kernel:
         def buf(k: int) -> np.ndarray:
             return np.empty((k, b, m, m))
 
-        # chain = [suffix[n-1], ..., suffix[1], x[0], ..., x[n-1], prefix[n-3], ..., prefix[0]].
-        chain = buf(3 * n - 3)
-        x, suffix = chain[n - 1 : 2 * n - 1], chain[n - 1 :: -1]
+        # chain: x[j] in slot j, suffix[j] in slot j n and prefix[j] in slot
+        # n - 1 + (n - 2 - j) n, as the class docstring lays out.
+        chain = buf(n * n - n + 1)
+        x, suffix, prefix = chain[:n], chain[::n], chain[n - 1 :: n][::-1]
         # lefts = [factors[n-1], ..., factors[1], direction[0], ..., direction[n-1]].
         lefts = buf(2 * n - 1)
         factors, direction = lefts[n - 1 :: -1], lefts[n - 1 :]
@@ -259,16 +273,19 @@ class _Kernel:
         self.layers = x.swapaxes(0, 1)
         self._x, self._suffix, self._direction = x, suffix, direction
         self._deltas, self._scratch = deltas, scratch
+        # The layers at the start of the last advance, which replay starts from.
+        self._snapshot = buf(n)
         # suffix[j] = W_{j+1} ... W_1, right-associated, so suffix[-1] = W.
         # prefix[j] = W_N ... W_{j+2}, the product of the layers above layer
         # j + 1, built from the left: prefix[-1] = W_N, prefix[j-1] = prefix[j] W_{j+1}.
         # Step t makes suffix[t] and, but on the last step, prefix[n-2-t].
 
         def pair(i: int, j: int) -> np.ndarray:
-            return chain[i : j + 1 : j - i]  # chain[i] and chain[j], i < j
+            """``chain[i]`` and ``chain[j]`` as one two-block view."""
+            return chain[i : j + 1 : j - i] if i < j else chain[j : i + 1 : i - j][::-1]
 
         self._chain_ops = [
-            (pair(n - 1 + t, 2 * n - 3 + t), pair(n - t, 2 * n - 2 - t), pair(n - 1 - t, 2 * n - 2 + t))
+            (pair(t, t * n - 1), pair((t - 1) * n, n - 1 - t), pair(t * n, t * n + n - 1))
             for t in range(1, n - 1)
         ] + [(x[n - 1], suffix[n - 2], suffix[n - 1])]
         # factors[j] = prefix[j]^H M below the top slot, which is the misfit M.
@@ -280,8 +297,8 @@ class _Kernel:
         # The second copy of the layers, which the defect Gram products read.
         self._x2 = x2 = buf(n)
         self._upper_h, self._lower_h = x2[:-1].swapaxes(-1, -2), x2[1:].swapaxes(-1, -2)
-        self._suffix_h = chain[n - 1 : 0 : -1].swapaxes(-1, -2)
-        self._prefix_h = chain[3 * n - 4 : 2 * n - 3 : -1].swapaxes(-1, -2)
+        self._suffix_h = suffix[:-1].swapaxes(-1, -2)
+        self._prefix_h = prefix.swapaxes(-1, -2)
 
         self._sq = np.empty((b, 1, 1))
         self._misfit_row = _flat_rows(self._misfit)
@@ -295,17 +312,15 @@ class _Kernel:
             # Each layer's blocks on the axes (row block, i, column block, j);
             # then [lower left, upper left] and [upper right, lower right],
             # block first, and a buffer of the two blocks of every layer.
-            blocks = chain[n - 1 : 2 * n - 1].reshape(n, b, 2, h, 2, h)
+            blocks = x.reshape(n, b, 2, h, 2, h)
             two = np.empty((2, n, b, h, h))
             self._reembed_views = (
                 np.moveaxis(blocks[:, :, ::-1, :, 0], 2, 0), np.moveaxis(blocks[..., 1, :], 2, 0), two, two[0]
             )
 
     def take(self, rows) -> "_Kernel":
-        """A kernel of the problems ``rows`` (an index or mask on the batch axis), evaluated."""
-        kernel = _Kernel(self.layers[rows], self.sigma[rows], self.cfg, self.embedded)
-        kernel.evaluate()
-        return kernel
+        """A kernel of the problems ``rows`` (an index or mask on the batch axis), not yet measured."""
+        return _Kernel(self.layers[rows], self.sigma[rows], self.cfg, self.embedded)
 
     def _products(self) -> None:
         """Suffix and prefix products and the misfit ``Sigma - W`` of the current layers."""
@@ -345,6 +360,13 @@ class _Kernel:
             np.multiply(s, a, out=s)
             np.subtract(self._direction_low, s, out=self._direction_low)
 
+    def _measure(self, sq: np.ndarray) -> None:
+        """Products, misfit and (regularizer on) defects of the layers, and ``sq`` into the ``(B, 1, 1)`` array ``sq``."""
+        self._products()
+        np.matmul(self._misfit_row, self._misfit_col, out=sq)
+        if self.cfg.reg_a > 0:
+            self._defects()
+
     def measure(self) -> np.ndarray:
         """Products, misfit and (regularizer on) defects of the layers; returns ``sq`` per problem.
 
@@ -352,29 +374,58 @@ class _Kernel:
         problem, before the rounding steps that make it ``l_ori`` (see
         :meth:`finish`, which turns this same array into ``l_ori``).
         """
-        self._products()
-        np.matmul(self._misfit_row, self._misfit_col, out=self._sq)
-        if self.cfg.reg_a > 0:
-            self._defects()
+        self._measure(self._sq)
         return self._sq_flat
 
-    def finish(self) -> np.ndarray:
-        """``l_ori`` per problem from the last :meth:`measure`, in place of its ``sq``.
+    def finish(self, sq: np.ndarray | None = None) -> np.ndarray:
+        """``l_ori`` in place of squared misfit norms: by default the last :meth:`measure`'s ``sq``.
 
-        The norm ``sqrt(sq)`` is squared as ``n * n`` and halved, or on an
+        Any array of them may be given instead, such as rows of an
+        :meth:`advance` history; each value is finished alone, so its
+        ``l_ori`` has the bits :meth:`measure` would have given it.  The
+        norm ``sqrt(sq)`` is squared as ``n * n`` and halved, or on an
         embedding quartered, which gives the bits of two halvings: scaling
         by a power of two rounds only below the normal range, and there
         one quartering and two halvings round alike.
         """
-        sq = np.sqrt(self._sq, out=self._sq)
+        if sq is None:
+            sq = self._sq_flat
+        np.sqrt(sq, out=sq)
         np.multiply(sq, sq, out=sq)
         np.multiply(sq, self._l_ori_scale, out=sq)
-        return self._sq_flat
+        return sq
 
     def evaluate(self) -> np.ndarray:
         """:meth:`measure` then :meth:`finish`: returns ``l_ori`` per problem."""
         self.measure()
         return self.finish()
+
+    def advance(self, rounds: int) -> np.ndarray:
+        """``rounds`` rounds of :meth:`measure` then :meth:`step`; returns their ``(rounds, B)`` ``sq`` history.
+
+        Row ``t`` holds the ``sq`` of the layers ``t`` steps past the start,
+        which are snapshotted for :meth:`replay`.  Nothing is reduced per
+        round, so the caller screens the whole history at once.  The layers
+        end ``rounds`` steps on, not yet measured.
+        """
+        np.copyto(self._snapshot, self._x)
+        history = np.empty((rounds,) + self._sq.shape)
+        for sq in history:
+            self._measure(sq)
+            self.step()
+        return history[..., 0, 0]
+
+    def replay(self, row: int, rounds: int) -> "_Kernel":
+        """A kernel of problem ``row`` alone, ``rounds`` steps past the start of the last :meth:`advance`, measured.
+
+        Every operation acts on each problem alone, so its layers, ``sq``
+        and defects have the bits the batch had there.
+        """
+        layers = self._snapshot[:, row : row + 1].swapaxes(0, 1)
+        kernel = _Kernel(layers, self.sigma[row : row + 1], self.cfg, self.embedded)
+        kernel.advance(rounds)
+        kernel.measure()
+        return kernel
 
     def sq_bound(self, eps: float) -> float:
         """A bound that :meth:`measure`'s ``sq`` lies below wherever ``l_ori < eps``.

@@ -85,11 +85,12 @@ DIVERGENCE_GUARD = 1e12
 # well before this, and it bounds a worker's memory.
 MAX_SWEEP_BATCH = 256
 # Fewest seeds a chunk of a split sweep holds.  A GD step's cost is mostly a
-# fixed 28-50 us of numpy dispatch (one seed, regularizer off and on),
-# against 1.6-5.7 us per seed in the batch (best of 5 runs of 1,500 steps
-# at 1 to 128 seeds; 2 vCPUs, one BLAS thread), so each extra chunk adds one
-# fixed cost per step and saves wall time only once a chunk's per-seed cost
-# outweighs it, at about 10-20 seeds.  32 was set when that was 10-40.
+# fixed 20-36 us of numpy dispatch (one seed, regularizer off and on),
+# against 1.7-4.2 us per seed in the batch (best of 5 runs of 1,500 steps
+# at 1 to 128 seeds of the balanced fig-h1 family; 2 vCPUs, one BLAS
+# thread), so each extra chunk adds one fixed cost per step and saves wall
+# time only once a chunk's per-seed cost outweighs it, at about 10 seeds.
+# 32 was set when that was 10-40.
 MIN_SWEEP_CHUNK = 32
 # Recorded steps a trajectory computes as one block of monitor records: the
 # per-record cost levels off well before this, and it bounds the evaluations
@@ -621,15 +622,24 @@ def _run_chunk(
     problems step in place on one dynamics kernel (``dynamics._Kernel``)
     with either integrator, built once and rebuilt only when problems
     leave.  A problem leaves the batch when it converges (``l_ori <
-    eps_conv``, checked every step), exhausts the budget, or diverges.
-    Each step measures the squared misfit norms ``sq`` and finishes
-    ``l_ori`` from them only on guard and record steps and where the
-    smallest ``sq`` is below the kernel's ``sq_bound(eps_conv)``, which no
-    ``sq`` of a converging problem reaches (see ``dynamics``); the test
-    itself is always the exact ``l_ori < eps_conv``.  The smallest ``sq``
-    is taken with ``np.fmin``, so the NaN of a diverging run that the guard
-    has not yet retired hides no other problem's convergence.  ``l_reg``
-    is computed on record steps only, where records read it.
+    eps_conv``, checked for every step), exhausts the budget, or diverges.
+
+    Guard, record and last steps finish ``l_ori`` and test it.  The steps
+    between two of them are a quiet block, which the kernel's ``advance``
+    runs with no test per step, keeping each step's squared misfit norm
+    ``sq``.  One screen of that history then selects the problems whose
+    ``sq`` fell below the kernel's ``sq_bound(eps_conv)``, which every
+    ``sq`` of a converging problem lies below (see ``dynamics``).  Its
+    smallest value is taken with ``np.fmin``, so the NaN of a diverging
+    run that the guard has not yet retired hides no other problem's
+    convergence.  For the selected problems ``l_ori`` is finished from the
+    history, and the test itself is always the exact ``l_ori < eps_conv``.
+    A problem that converged at a quiet step is replayed alone from the
+    block's start to that step (the kernel's ``replay``), for its guard,
+    record and outcome; the rest of the batch goes on where the block left
+    it.  Replay gives the batch's bits, since the kernel acts on each
+    problem alone.  ``l_reg`` is computed on record steps only, where
+    records read it.
 
     The kernel does real arithmetic only: complex problems are stepped as
     their real embeddings (see ``dynamics``), restored to the exact
@@ -641,8 +651,9 @@ def _run_chunk(
 
     Divergence guard: ``_bounded`` runs on the evaluated layers at step
     ``k`` whenever ``k`` is a multiple of 25, a record step or the last step
-    of the run; a problem that fails it is diverged with ``steps_run = k``
-    and is not recorded there.  On an embedded layer it measures the top
+    of the run, and on a problem that converges at a quiet step; a problem
+    that fails it is diverged with ``steps_run = k`` and is not recorded
+    there.  On an embedded layer it measures the top
     ``d`` rows ``[A, -B]``, whose norm has exactly the complex layer norm's
     terms, so the guard bound means the same in both fields.  Stepping
     ignores overflow meanwhile; recording does not.  The kernel acts on
@@ -666,53 +677,77 @@ def _run_chunk(
     near = kernel.sq_bound(cfg.eps_conv) if measure_l_ori else 0.0
     errors = np.geterr()
 
-    def add_records(rows, leaving=()) -> None:
+    def end(k: int, status: str, step: int, l_ori: float) -> None:
+        final = float("inf") if status == "diverged" else float(l_ori)
+        outcomes[k] = SeedOutcome(cfgs[k].seed, status, status == "converged", step, final, problems[k][2])
+
+    def add_records(kernel, step, l_ori, rows, ids, leaving=()) -> None:
+        """Record rows ``rows`` of ``kernel``, problems ``ids``, at ``step``; flush the problems ``leaving``."""
         l_reg = kernel.l_reg()
         with np.errstate(**errors):
-            for i in rows:
-                trajectories[active[i]].add(step, kernel.layers[i], l_ori[i], l_reg[i])
-            for i in leaving:
-                trajectories[active[i]].flush()
+            for i, k in zip(rows, ids):
+                trajectories[k].add(step, kernel.layers[i], l_ori[i], l_reg[i])
+            for k in leaving:
+                trajectories[k].flush()
 
     # A diverging run overflows until the guard retires it; that is a
     # documented outcome, not a fault.
     with np.errstate(over="ignore", invalid="ignore"):
-        for step in range(cfg.steps + 1):
-            sq = kernel.measure()
+        step = 0
+        while True:
+            # A guard, record or last step: the steps between them run below.
+            kernel.measure()
+            l_ori = kernel.finish()
             last = step == cfg.steps
             record_step = trajectories is not None and step % cfg.record_stride == 0
-            cadence = step % 25 == 0 or record_step or last
-            if cadence or np.fmin.reduce(sq) < near:
-                l_ori = kernel.finish()
-                converging = measure_l_ori and np.logical_or.reduce(l_ori < cfg.eps_conv)
-            else:
-                converging = False
-            if cadence or converging:
-                ok = _bounded(kernel.layers[..., : cfg.d, :])
-                if last or converging or not ok.all():
-                    # Some runs end here; off the cadence only they are guarded.
-                    converged = (l_ori < cfg.eps_conv) & measure_l_ori
-                    bad = ~ok if cadence else ~ok & converged
-                    converged &= ok
-                    done = bad | converged | last
-                    if trajectories is not None:
-                        recorded = np.flatnonzero(~bad & (done | record_step))
-                        add_records(recorded, leaving=np.flatnonzero(done))
-                    for i in np.flatnonzero(done):
-                        status = (
-                            "diverged" if bad[i] else "converged" if converged[i] else "exhausted"
-                        )
-                        k = active[i]
-                        final = float("inf") if bad[i] else float(l_ori[i])
-                        outcomes[k] = SeedOutcome(
-                            cfgs[k].seed, status, status == "converged", step, final, problems[k][2]
-                        )
+            converging = measure_l_ori and np.logical_or.reduce(l_ori < cfg.eps_conv)
+            ok = _bounded(kernel.layers[..., : cfg.d, :])
+            if last or converging or not ok.all():
+                converged = (l_ori < cfg.eps_conv) & ok & measure_l_ori
+                done = ~ok | converged | last
+                if trajectories is not None:
+                    recorded = np.flatnonzero(ok & (done | record_step))
+                    add_records(kernel, step, l_ori, recorded, active[recorded], active[done])
+                for i in np.flatnonzero(done):
+                    status = "diverged" if not ok[i] else "converged" if converged[i] else "exhausted"
+                    end(active[i], status, step, l_ori[i])
+                if done.all():
+                    break
+                active, kernel = active[~done], kernel.take(~done)
+                kernel.measure()
+            elif record_step:
+                add_records(kernel, step, l_ori, range(len(active)), active)
+            kernel.step()
+            following = min(cfg.steps, (step // 25 + 1) * 25)
+            if trajectories is not None:
+                following = min(following, (step // cfg.record_stride + 1) * cfg.record_stride)
+            if following > step + 1:
+                # Quiet steps: one screen of their sq history.  A problem that
+                # converged at one of them is replayed alone to that step for
+                # its guard, record and outcome; off the guard's cadence only
+                # a converged run is guarded.
+                history = kernel.advance(following - step - 1)
+                if np.fmin.reduce(history, axis=None) < near:
+                    rows = np.flatnonzero(np.logical_or.reduce(history < near))
+                    hits = kernel.finish(history[:, rows]) < cfg.eps_conv
+                    done = np.zeros(len(active), dtype=bool)
+                    for i, hit in zip(rows, hits.T):
+                        if not hit.any():
+                            continue
+                        t = int(hit.argmax())
+                        alone = kernel.replay(i, t)
+                        at, k = step + 1 + t, active[i]
+                        l_ori_i = alone.finish()
+                        good = bool(_bounded(alone.layers[..., : cfg.d, :])[0])
+                        if trajectories is not None:
+                            add_records(alone, at, l_ori_i, [0] if good else [], [k], [k])
+                        end(k, "converged" if good else "diverged", at, l_ori_i[0])
+                        done[i] = True
                     if done.all():
                         break
-                    active, kernel = active[~done], kernel.take(~done)
-                elif record_step:
-                    add_records(range(len(active)))
-            kernel.step()
+                    if done.any():
+                        active, kernel = active[~done], kernel.take(~done)
+            step = following
     return outcomes
 
 
@@ -931,17 +966,28 @@ _PLOT_TEMPLATE = '''\
 #!/usr/bin/env python3
 """Render trajectory plots from {csv_name}.
 
-Generated file: reads the trajectory CSV next to it and writes PNGs.
+Generated file: reads the trajectory CSV and writes PNGs beside it.  Both
+are named relative to this script's own directory, so it runs from any
+working directory.
 Columns used: {used_columns}.
 """
+from pathlib import Path
+
 import numpy as np
 import matplotlib
 
 matplotlib.use("Agg")
 import matplotlib.pyplot as plt
 
-CSV = {csv_path!r}
-data = np.genfromtxt(CSV, delimiter=",", names=True, comments="#")
+HERE = Path(__file__).resolve().parent
+CSV = HERE / {csv_path!r}
+SINGULAR_PNG = HERE / {singular_png!r}
+EXTREMES_PNG = HERE / {extremes_png!r}
+MAIN_PNG = HERE / {main_png!r}
+# The metadata lines are dropped first: genfromtxt would take the first
+# comment line for the column names.
+with open(CSV, encoding="utf-8") as fh:
+    data = np.genfromtxt([ln for ln in fh if not ln.startswith("#")], delimiter=",", names=True)
 step = np.atleast_1d(data["step"])
 
 
@@ -965,7 +1011,7 @@ ax.set_ylabel("log10 value")
 ax.set_title("singular values of the product root (solid) and half-sum term (dashed)")
 ax.legend(fontsize=7)
 fig.tight_layout()
-fig.savefig({singular_png!r}, dpi=150)
+fig.savefig(SINGULAR_PNG, dpi=150)
 
 # Extreme layer singular values.
 fig, ax = plt.subplots(figsize=(8, 5))
@@ -976,7 +1022,7 @@ ax.set_ylabel("log10 value")
 ax.set_title("extreme singular values over all layers")
 ax.legend()
 fig.tight_layout()
-fig.savefig({extremes_png!r}, dpi=150)
+fig.savefig(EXTREMES_PNG, dpi=150)
 
 # Smallest singular value of the Hermitian main term.
 fig, ax = plt.subplots(figsize=(8, 5))
@@ -986,18 +1032,20 @@ ax.set_ylabel("log10 value")
 ax.set_title("sigma_min of the Hermitian main term")
 ax.legend()
 fig.tight_layout()
-fig.savefig({main_png!r}, dpi=150)
-print("wrote", {singular_png!r}, {extremes_png!r}, {main_png!r})
+fig.savefig(MAIN_PNG, dpi=150)
+print("wrote", SINGULAR_PNG, EXTREMES_PNG, MAIN_PNG)
 '''
 
 
 def emit_plots(csv_path: str | Path, script_path: str | Path | None = None) -> Path:
     """Write a standalone plotting script for a trajectory CSV.
 
-    The script references only columns present in the CSV header.  Raises
+    The script references only columns present in the CSV header, and names
+    the CSV and its PNGs (beside the CSV) by their paths relative to its
+    own directory, so it runs from any working directory.  Raises
     MalformedCSVError when the CSV cannot be read as UTF-8 text or lacks
     metadata, the documented header, or data rows, and ConfigError when the
-    script cannot be written.
+    script path is the CSV's or the script cannot be written.
     """
     csv_path = Path(csv_path)
     header = None
@@ -1031,18 +1079,22 @@ def emit_plots(csv_path: str | Path, script_path: str | Path | None = None) -> P
     if not sigma_cols or not required.issubset(header):
         raise MalformedCSVError(f"{csv_path}: missing documented trajectory columns")
 
-    base = csv_path.with_suffix("")
     script_path = Path(script_path) if script_path else csv_path.with_suffix(".plot.py")
+    if script_path.resolve() == csv_path.resolve():
+        raise ConfigError(f"plot script {script_path} would overwrite the CSV it plots")
+    here = script_path.resolve().parent
+    csv_rel = os.path.relpath(csv_path.resolve(), here)
+    base = csv_rel.removesuffix(csv_path.suffix)
     used = ["step", "sig_max", "sig_min", "main_sv_min"]
     used += [f"sigma_w_{k}" for k in range(d)] + [f"half_sum_sv_{k}" for k in range(d)]
     text = _PLOT_TEMPLATE.format(
         csv_name=csv_path.name,
         used_columns=", ".join(used),
-        csv_path=str(csv_path),
+        csv_path=csv_rel,
         d=d,
-        singular_png=str(base) + ".singular_values.png",
-        extremes_png=str(base) + ".extremes.png",
-        main_png=str(base) + ".main_term.png",
+        singular_png=base + ".singular_values.png",
+        extremes_png=base + ".extremes.png",
+        main_png=base + ".main_term.png",
     )
     try:
         script_path.write_text(text)

@@ -5,6 +5,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
+from factorlab import dynamics
 from factorlab.dynamics import (
     DynConfig,
     LayerStack,
@@ -645,10 +646,11 @@ class TestKernelOwnership:
     )
     def test_a_step_allocates_no_layer(self, integrator, steps, form, reg_a):
         # The run loop's kernel at B = 16, a complex batch as its real
-        # embedding.  The run loop's sequence per step (measure, the convergence check,
-        # finish on the steps that need it, step) writes into the kernel's
-        # buffers only, so the traced peak grows by less than one layer of
-        # the batch.
+        # embedding.  The run loop's sequence (on a guard step measure,
+        # finish and step; then a quiet block of measures and steps, whose
+        # sq history is screened once) writes into the kernel's buffers
+        # only, but for the history, so the traced peak grows by less than
+        # one layer of the batch.
         cfg = DynConfig(reg_a=reg_a, eta=0.01, step_h=0.01, integrator=integrator)
         w, sigma = _problem(FieldTag.REAL if form == "real" else FieldTag.COMPLEX, 4, 16, seed=12)
         kernel = _kernel(w, sigma, cfg)
@@ -659,16 +661,79 @@ class TestKernelOwnership:
         tracemalloc.start()
         try:
             before = tracemalloc.get_traced_memory()[0]
-            for k in range(steps):
-                sq = kernel.measure()
-                if k % 5 == 0 or np.fmin.reduce(sq) < near:
-                    kernel.finish()
+            for _ in range(steps // 5):
+                kernel.measure()
+                kernel.finish()
                 kernel.step()
+                history = kernel.advance(4)
+                if np.fmin.reduce(history, axis=None) < near:
+                    kernel.finish(history.copy())
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
         assert peak - before < layer_bytes
         assert np.all(np.isfinite(kernel.layers))
+
+
+class _OutOverlaps:
+    """numpy as the kernel sees it, noting each call whose output may share memory with another view it reads.
+
+    numpy cannot cheaply prove such an output apart from the input, so it
+    copies the input first.  An input that is the output itself (the same
+    data, shape and strides) is an in-place update and is not noted.
+    """
+
+    WRITERS = ("matmul", "add", "subtract", "multiply", "negative", "sqrt", "copyto")
+
+    def __init__(self):
+        self.calls, self.overlaps = [], []
+
+    def __getattr__(self, name):
+        fn = getattr(np, name)
+        if name not in self.WRITERS:
+            return fn
+
+        def call(*args, **kwargs):
+            out, inputs = (args[0], args[1:]) if name == "copyto" else (kwargs.get("out"), args)
+            if out is not None:
+                self.calls.append(name)
+                self.overlaps += [
+                    (name, a.shape, out.shape)
+                    for a in inputs
+                    if isinstance(a, np.ndarray) and not self._same_view(a, out) and np.may_share_memory(a, out)
+                ]
+            return fn(*args, **kwargs)
+
+        return call
+
+    @staticmethod
+    def _same_view(a, b):
+        return (a.__array_interface__["data"][0], a.shape, a.strides) == (
+            b.__array_interface__["data"][0], b.shape, b.strides
+        )
+
+
+class TestChainLayout:
+    """No kernel call writes an output whose memory span encloses a view it reads."""
+
+    @pytest.mark.parametrize("batch", [1, 2])
+    @pytest.mark.parametrize("integrator", ["gd", "flow_rk4"])
+    @pytest.mark.parametrize("field", FIELDS, ids=["real", "embedded"])
+    @pytest.mark.parametrize("n", [2, 3, 4, 6])
+    def test_no_output_overlaps_another_input(self, monkeypatch, n, field, integrator, batch):
+        # The regularizer on, so that the defect and regularizer calls run too.
+        cfg = DynConfig(reg_a=1.0, eta=0.05, step_h=0.05, integrator=integrator)
+        w, sigma = _problem(field, n, batch, seed=n)
+        kernel = _kernel(w, sigma, cfg)
+        spy = _OutOverlaps()
+        monkeypatch.setattr(dynamics, "np", spy)
+        kernel.measure()
+        kernel.finish()
+        kernel.step()
+        assert spy.overlaps == []
+        # Every chain matmul ran, and both RK4 stages' updates.
+        want = len(kernel._chain_ops) * (4 if integrator == "flow_rk4" else 1)
+        assert spy.calls.count("matmul") >= want + 2 and "add" in spy.calls
 
 
 class TestGramPath:

@@ -6,9 +6,12 @@ import itertools
 import operator
 import os
 import re
+import runpy
+import sys
 import warnings
 from dataclasses import replace
 from pathlib import Path
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -896,6 +899,129 @@ class TestConvergenceCheck:
         if eps_conv == 5e-324 and regime != "omit_l_ori":
             assert want[0][:2] == ("converged", 0) and want[1][0] == "converged"
 
+    @staticmethod
+    def _per_step_trajectory(cfg, problem):
+        # One problem's CSV lines and summary values under the run loop's
+        # rules, with l_ori finished and tested on every step: the guard at
+        # multiples of 25, record and last steps and where the run converges.
+        target, stack, _ = problem
+        traj = lab._Trajectory(cfg)
+        traj.start(target)
+        kernel = dynamics._kernel(stack.layers[None], target.matrix[None], cfg.dyn)
+        errors = np.geterr()
+        with np.errstate(over="ignore", invalid="ignore"):
+            for step in range(cfg.steps + 1):
+                l_ori = float(kernel.evaluate()[0])
+                conv = not cfg.dyn.omit_l_ori and l_ori < cfg.eps_conv
+                ends = conv or step == cfg.steps
+                record = ends or step % cfg.record_stride == 0
+                if (record or step % 25 == 0) and not lab._bounded(kernel.layers[..., : cfg.d, :])[0]:
+                    with np.errstate(**errors):
+                        traj.flush()
+                    return traj.lines, ("diverged", step, float("inf"), float("inf"), float("inf"))
+                if record:
+                    with np.errstate(**errors):
+                        traj.add(step, kernel.layers[0], l_ori, kernel.l_reg()[0])
+                if ends:
+                    with np.errstate(**errors):
+                        traj.flush()
+                    status = "converged" if conv else "exhausted"
+                    return traj.lines, (status, step, l_ori, traj.rec.l_reg, traj.rec.e_delta)
+                kernel.step()
+
+    @pytest.mark.parametrize("integrator", ["gd", "flow_rk4"])
+    @pytest.mark.parametrize("field", [FieldTag.REAL, FieldTag.COMPLEX], ids=lambda f: f.value)
+    def test_trajectories_match_a_loop_that_finishes_every_step(self, monkeypatch, tmp_path, field, integrator):
+        # Two problems converge at different quiet steps of one block (no
+        # guard or record step between them), beside one that blows up to
+        # NaN and seeded ones.  Each converged one is replayed alone once.
+        dyn = DynConfig(eta=0.15, step_h=0.15, integrator=integrator, reg_a=1.0)
+        base = tiny_cfg(
+            d=5, field=field, init=InitScheme(kind="random", epsilon=0.55), dyn=dyn, steps=60,
+            record_stride=10, eps_conv=1e-8,
+        )
+        crafted = {1: ("near", 1e-3), 2: ("near", 1e-2), 3: ("blow-up", 1e5)}
+        cfgs = [replace(base, seed=s, name=f"crafted{s}") for s in crafted]
+        cfgs += [replace(c, name=f"seeded{i}") for i, c in enumerate(TestSweep._seed_cfgs(base, 3))]
+        prepare = lab.prepare_problem
+        monkeypatch.setattr(
+            lab,
+            "prepare_problem",
+            lambda c: self._crafted(c, *crafted[c.seed]) if c.seed in crafted else prepare(c),
+        )
+        want = [self._per_step_trajectory(c, lab.prepare_problem(c)) for c in cfgs]
+        (_, (_, k1, *_)), (_, (_, k2, *_)) = want[:2]
+        assert want[0][1][0] == want[1][1][0] == "converged" and k1 != k2 and k1 // 10 == k2 // 10
+        assert k1 % 10 and k2 % 10 and want[2][1][:2] == ("diverged", 10)
+        blow_up = dynamics._kernel(lab.prepare_problem(cfgs[2])[1].layers[None], np.eye(5)[None], dyn)
+        with np.errstate(all="ignore"):
+            blow_up.advance(min(k1, k2))
+            assert np.isnan(blow_up.measure()[0])  # NaN in the history beside both convergences
+        replays = []
+        replay = dynamics._Kernel.replay
+        monkeypatch.setattr(
+            dynamics._Kernel, "replay", lambda kernel, row, rounds: replays.append(rounds) or replay(kernel, row, rounds)
+        )
+        got = run_scenarios(cfgs, out_dir=tmp_path)
+        off_cadence = [w for _, w in want if w[0] == "converged" and w[1] % 10 and w[1] % 25]
+        assert len(replays) == len(off_cadence) >= 2
+        for cfg, s, (lines, values) in zip(cfgs, got, want):
+            assert (tmp_path / f"{cfg.name}.csv").read_text() == "\n".join(lines) + "\n"
+            assert (s.status, s.steps_run, s.final_l_ori, s.final_l_reg, s.final_e_delta) == values
+
+    @pytest.mark.parametrize("integrator", ["gd", "flow_rk4"])
+    @pytest.mark.parametrize("field", [FieldTag.REAL, FieldTag.COMPLEX], ids=lambda f: f.value)
+    def test_a_run_past_the_guard_at_a_quiet_convergence_diverges(self, monkeypatch, tmp_path, field, integrator):
+        # Identity layers toward a target with one off-diagonal entry: the
+        # layers grow as the run converges.  With the guard bound between
+        # the largest layer norm at step 0 and at the quiet step where the
+        # run converges, the replay's guard retires it there as diverged,
+        # unrecorded.
+        dyn = DynConfig(eta=0.15, step_h=0.15, integrator=integrator)
+        cfg = tiny_cfg(d=5, field=field, dyn=dyn, steps=60, eps_conv=1e-8)
+        dtype = complex if field is FieldTag.COMPLEX else float
+        target, layers = np.eye(5, dtype=dtype), np.stack([np.eye(5, dtype=dtype)] * cfg.n_layers)
+        target[1, 2] = 1e-2
+        problem = (TargetSpec(target), LayerStack(layers), 1.0)
+        _, (status, k, *_) = self._per_step_trajectory(cfg, problem)
+        assert status == "converged" and k % 10
+        kernel = dynamics._kernel(layers[None], target[None], dyn)
+        norms = [_frobenius(kernel.layers[..., :5, :]).max()]
+        kernel.advance(k)
+        norms.append(_frobenius(kernel.layers[..., :5, :]).max())
+        assert norms[0] < norms[1]
+        monkeypatch.setattr(lab, "DIVERGENCE_GUARD", sum(norms) / 2)
+        monkeypatch.setattr(lab, "prepare_problem", lambda c: problem)
+        lines, want = self._per_step_trajectory(cfg, problem)
+        assert want[:2] == ("diverged", k)
+        (s,) = run_scenarios([cfg], out_dir=tmp_path)
+        assert (tmp_path / f"{cfg.name}.csv").read_text() == "\n".join(lines) + "\n"
+        assert (s.status, s.steps_run, s.final_l_ori, s.final_l_reg, s.final_e_delta) == want
+
+    @pytest.mark.parametrize("field", [FieldTag.REAL, FieldTag.COMPLEX], ids=lambda f: f.value)
+    def test_a_screen_hit_short_of_eps_replays_nothing(self, monkeypatch, field):
+        # A saddle with a constant misfit: W = diag(1, 1, 1, 1, 0) and target
+        # diag(1, 1, 1, 1, 1e-4), so l_ori = 5e-9 on every step, at or above
+        # eps_conv = 4e-9 but with sq below sq_bound(eps_conv).
+        base = tiny_cfg(d=5, field=field, dyn=DynConfig(eta=0.15, reg_a=1.0), steps=60, eps_conv=4e-9)
+        eye = np.eye(5)
+        target, layers = eye.copy(), np.stack([eye] * base.n_layers)
+        target[-1, -1], layers[:, -1, -1] = 1e-4, 0.0
+        if field is FieldTag.COMPLEX:
+            target, layers = target.astype(complex), layers.astype(complex)
+        monkeypatch.setattr(lab, "prepare_problem", lambda c: (TargetSpec(target, True), LayerStack(layers), 0.0))
+        finished, replays = [], []
+        finish, replay = dynamics._Kernel.finish, dynamics._Kernel.replay
+        monkeypatch.setattr(
+            dynamics._Kernel, "finish", lambda kernel, sq=None: finished.append(sq is not None) or finish(kernel, sq)
+        )
+        monkeypatch.setattr(
+            dynamics._Kernel, "replay", lambda kernel, row, rounds: replays.append(rounds) or replay(kernel, row, rounds)
+        )
+        (got,) = _run_chunk([base])
+        assert (got.status, got.steps_run, got.final_l_ori) == ("exhausted", 60, 5e-9)
+        assert sum(finished) == 3 and replays == []  # a screen hit in each quiet block
+
 
 class TestMaxWorkers:
     # The CPU set is faked; nothing here starts a process.
@@ -999,6 +1125,29 @@ class TestEmitPlots:
         assert (tmp_path / "tiny.singular_values.png").exists()
         assert (tmp_path / "tiny.extremes.png").exists()
         assert (tmp_path / "tiny.main_term.png").exists()
+
+    @pytest.mark.parametrize("script", [None, "scripts/plot.py"], ids=["beside-csv", "elsewhere"])
+    def test_script_finds_its_files_from_its_own_directory(self, tmp_path, monkeypatch, script):
+        # Emitted with paths relative to one directory, the script is run
+        # from another, its own, on a stub matplotlib that notes the files
+        # it saves.  It must read the CSV and name the PNGs beside it.
+        monkeypatch.chdir(tmp_path)
+        run_scenario(tiny_cfg(), out_dir="run")
+        if script is not None:
+            Path(script).parent.mkdir()
+        script = emit_plots("run/tiny.csv", script)
+        monkeypatch.chdir(script.parent)
+        fig, ax = mock.MagicMock(), mock.MagicMock()
+        plt = mock.MagicMock(rcParams={"axes.prop_cycle": mock.Mock(by_key=lambda: {"color": ["C0"]})})
+        plt.subplots.return_value = (fig, ax)
+        monkeypatch.setitem(sys.modules, "matplotlib", mock.MagicMock(pyplot=plt))
+        monkeypatch.setitem(sys.modules, "matplotlib.pyplot", plt)
+        ns = runpy.run_path(script.name)
+        run = tmp_path.resolve() / "run"
+        assert ns["CSV"].resolve() == run / "tiny.csv" and len(ns["step"]) == 6
+        assert [c.args[0].resolve() for c in fig.savefig.call_args_list] == [
+            run / f"tiny.{kind}.png" for kind in ("singular_values", "extremes", "main_term")
+        ]
 
     def test_empty_csv_rejected(self, tmp_path):
         p = tmp_path / "empty.csv"
@@ -1166,9 +1315,12 @@ class TestCli:
         rc = main(["plots", s.csv_path])
         assert rc == 0
 
-    @pytest.mark.parametrize("case", ["csv-directory", "csv-not-utf8", "script-directory", "script-missing-dir"])
+    @pytest.mark.parametrize(
+        "case", ["csv-directory", "csv-not-utf8", "script-directory", "script-missing-dir", "script-is-csv"]
+    )
     def test_plots_bad_path_is_one_line(self, tmp_path, capsys, case):
-        # A path the command cannot read or write exits 1 with one line, not a traceback.
+        # A path the command cannot read or write, or the CSV itself as the
+        # script, exits 1 with one line, not a traceback, and the CSV stays.
         message = "malformed CSV: " if case.startswith("csv") else "config error: "
         s = run_scenario(tiny_cfg(), out_dir=tmp_path / "run")
         capsys.readouterr()
@@ -1181,11 +1333,15 @@ class TestCli:
             argv[1] = str(bad)
         elif case == "script-directory":
             argv += ["--script", str(tmp_path)]
+        elif case == "script-is-csv":
+            argv += ["--script", str(tmp_path / "run" / ".." / "run" / "tiny.csv")]
         else:
             argv += ["--script", str(tmp_path / "missing" / "plot.py")]
+        kept = Path(s.csv_path).read_bytes()
         assert main(argv) == 1
         out, err = capsys.readouterr()
         assert out == "" and err.startswith(message) and err.count("\n") == 1
+        assert Path(s.csv_path).read_bytes() == kept
 
     def test_config_not_utf8_is_a_config_error(self, tmp_path, capsys):
         p = tmp_path / "bad.cfg"
