@@ -7,7 +7,8 @@ statistics battery), ``gradcheck`` (finite-difference gradient check),
 
 Exit codes: 0 ok, 1 config error, 2 diverged, 3 validation failure.  A
 usage error (unknown flag, invalid choice, malformed number) is a config
-error.  ``LAB_THREADS`` caps sweep parallelism.
+error, and so is a problem too large for memory.  ``LAB_THREADS`` caps
+sweep parallelism.
 """
 
 from __future__ import annotations
@@ -69,9 +70,9 @@ def _collect_overrides(args: argparse.Namespace) -> dict[str, str]:
         over["field"] = args.field
     if args.seed is not None:
         over["seed"] = str(args.seed)
-    if getattr(args, "det", None):
+    if args.det:
         over["det"] = args.det
-    if getattr(args, "steps", None) is not None:
+    if args.steps is not None:
         over["steps"] = str(args.steps)
     return over
 
@@ -87,7 +88,7 @@ def _configs_from_args(args: argparse.Namespace, sweep: bool = False) -> list[Ru
         if args.field:
             cfgs = [c for c in cfgs if c.field is FieldTag.parse(args.field)]
             over.pop("field")
-        if getattr(args, "det", None):
+        if args.det:
             # The real configs left are the wanted det variant, or a preset
             # without det variants, which takes the sign.
             want = CONFIG_KEYS["det"].parse(args.det)
@@ -235,6 +236,9 @@ def main(argv: list[str] | None = None) -> int:
     except FactorLabError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_VALIDATION
+    except MemoryError as exc:
+        print(f"out of memory: {exc}", file=sys.stderr)
+        return EXIT_CONFIG
 
 
 if __name__ == "__main__":

@@ -28,13 +28,10 @@ problem), and :meth:`_Kernel.finish` turns ``sq`` into ``l_ori`` (a square
 root, ``n * n`` and a halving), elementwise.  The run loop finishes
 ``l_ori`` on guard and record steps.  Between them it runs
 :meth:`_Kernel.advance`, which keeps each step's ``sq`` in a history and
-tests nothing per step; the loop then screens the history once against
-:meth:`_Kernel.sq_bound`: 4 ``eps_conv`` where ``l_ori`` is about ``sq /
-2``, 8 on an embedding, where it is about ``sq / 4``.  ``finish`` is
-monotone in ``sq``, so a value that fails this test has ``l_ori >=
-eps_conv``; where it passes, the exact test on the finished value decides,
-and a problem that converged there is stepped again alone to that step
-(:meth:`_Kernel.replay`).
+tests nothing per step; :meth:`_Kernel.converged` then screens the history
+once and finishes ``l_ori`` only where ``sq`` may give ``l_ori <
+eps_conv``, and a problem that converged there is stepped again alone to
+that step (:meth:`_Kernel.replay`).
 
 The kernel does real arithmetic only.  A complex problem is stepped as its
 real embedding ``E(A + iB) = [[A, -B], [B, A]]``: one real matmul per
@@ -247,7 +244,8 @@ class _Kernel:
     :meth:`finish`) must precede each :meth:`step`, :meth:`l_reg` and
     :meth:`descent`; what they return is a view valid until the next step.
     :meth:`advance` runs several rounds of :meth:`measure` and :meth:`step`,
-    and :meth:`replay` steps one problem alone from the start of the last
+    :meth:`converged` finds the problems that converged in them, and
+    :meth:`replay` steps one problem alone from the start of the last
     :meth:`advance`.
     Every operation acts on each problem's matrices alone, and each matrix
     product keeps the operands and association of a per-problem loop, so a
@@ -427,15 +425,25 @@ class _Kernel:
         kernel.measure()
         return kernel
 
-    def sq_bound(self, eps: float) -> float:
-        """A bound that :meth:`measure`'s ``sq`` lies below wherever ``l_ori < eps``.
+    def converged(self, history: np.ndarray, eps: float) -> list[tuple[int, int]]:
+        """``(row, t)`` for each problem whose ``l_ori`` fell below ``eps`` in an :meth:`advance` history, at the first such ``t``.
 
-        :meth:`finish` maps ``sq`` to ``l_ori`` by correctly rounded, and
-        so non-decreasing, steps, which take ``sq`` = 4 eps (8 eps on an
-        embedding) to about 2 eps, subnormal ``eps`` included.  So a
-        problem with ``sq`` at or above the bound has ``l_ori >= eps``.
+        One screen of the whole ``sq`` history: :meth:`finish` maps ``sq`` to
+        ``l_ori`` by correctly rounded, and so non-decreasing, steps, which
+        take ``sq`` = 4 eps (8 eps on an embedding) to about 2 eps,
+        subnormal ``eps`` included.  So only the rows with some ``sq`` below
+        that bound are finished, and the exact ``l_ori < eps`` decides.  The
+        smallest ``sq`` is taken with ``np.fmin``, so a diverging problem's
+        NaN hides no other problem's convergence.  Without ``l_ori``
+        (``omit_l_ori``) nothing converges.
         """
-        return (8.0 if self.embedded else 4.0) * eps
+        # No sq is below 0, so without l_ori nothing is near.
+        near = 0.0 if self.cfg.omit_l_ori else (8.0 if self.embedded else 4.0) * eps
+        if not np.fmin.reduce(history, axis=None) < near:
+            return []
+        rows = np.flatnonzero(np.logical_or.reduce(history < near))
+        hits = self.finish(history[:, rows]) < eps
+        return [(int(i), int(hit.argmax())) for i, hit in zip(rows, hits.T) if hit.any()]
 
     def l_reg(self) -> np.ndarray:
         """``l_reg`` per problem at the last evaluation: the squared defect norms summed in layer order.

@@ -378,7 +378,7 @@ class _Trajectory:
     """One problem's records in a batched run: CSV lines, SVD track, last record.
 
     Recorded steps are buffered and computed ``RECORD_BLOCK`` at a time, and
-    when the problem leaves the batch; ``on_record`` sees them in step order.
+    after the run loop; ``on_record`` sees them in step order.
     """
 
     def __init__(self, cfg: RunConfig, on_record=None) -> None:
@@ -448,11 +448,13 @@ def run_scenarios(
     ``on_record(i, record, track)`` is invoked for every recorded step of
     ``cfgs[i]``, in step order.
 
-    A run ends when ``l_ori < eps_conv`` (unless ``omit_l_ori``), when its
-    budget is spent, or when it fails the divergence guard.  The guard runs
-    at step ``k`` whenever ``k`` is a multiple of 25, a record step or the
-    last step of the run; a run that fails it is diverged with ``steps_run
-    = k``, and its final losses are infinite.
+    When a run ends: it converges at the first step ``k`` with ``l_ori <
+    eps_conv`` (never under ``omit_l_ori``), and it is exhausted at ``k =
+    steps``, unless it converged there.  The divergence guard runs at step
+    ``k`` whenever ``k`` is a multiple of 25, a record step, the last step
+    or the step the run converges at; a run that fails it is diverged with
+    ``steps_run = k``, is not recorded there, and its final losses are
+    infinite.  Every other run records the step it ends at.
     """
     for cfg in cfgs:
         cfg.validate()
@@ -534,13 +536,10 @@ def run_scenario(
     out_dir: str | Path | None = None,
     on_record=None,
 ) -> RunSummary:
-    """Execute one configured trajectory: ``run_scenarios`` on a batch of one.
+    """Execute one configured trajectory: ``run_scenarios`` on a batch of one, which says when a run ends.
 
     ``on_record(record, track)`` is invoked at every recorded step, which is
-    how the test suites observe per-step monitor state.  The divergence
-    guard runs at step ``k`` whenever ``k`` is a multiple of 25, a record
-    step or the last step of the run; a run that fails it is diverged with
-    ``steps_run = k``.
+    how the test suites observe per-step monitor state.
     """
     callback = None if on_record is None else (lambda _, rec, track: on_record(rec, track))
     return run_scenarios([cfg], out_dir, callback)[0]
@@ -609,56 +608,39 @@ def _sweep_seeds(base_seed: int, n: int) -> list[int]:
 def _run_chunk(
     cfgs: list[RunConfig], trajectories: list[_Trajectory] | None = None
 ) -> list[SeedOutcome]:
-    """Runs of several configs, stepped together.
+    """Runs of several configs, stepped together; a run ends as ``run_scenarios`` states.
 
     ``cfgs`` share field, ``d``, ``n_layers``, dynamics, ``steps``,
     ``record_stride`` and ``eps_conv``; name, seed, target and
-    initialization may differ.  This is the one stepping loop: a sweep chunk runs without
-    ``trajectories``, and trajectories run with one ``_Trajectory`` per
-    config, which records its problem every ``record_stride`` steps and at
-    the step its run ends.  It computes the records in blocks of up to
-    ``RECORD_BLOCK`` steps, when a block fills and when the problem leaves
-    the batch, under the caller's floating-point error state.  All
-    problems step in place on one dynamics kernel (``dynamics._Kernel``)
-    with either integrator, built once and rebuilt only when problems
-    leave.  A problem leaves the batch when it converges (``l_ori <
-    eps_conv``, checked for every step), exhausts the budget, or diverges.
+    initialization may differ.  This is the one stepping loop: a sweep
+    chunk runs without ``trajectories``, and trajectories run with one
+    ``_Trajectory`` per config.  All problems step in place on one dynamics
+    kernel (``dynamics._Kernel``) with either integrator, built once and
+    rebuilt only when problems leave.
 
-    Guard, record and last steps finish ``l_ori`` and test it.  The steps
-    between two of them are a quiet block, which the kernel's ``advance``
-    runs with no test per step, keeping each step's squared misfit norm
-    ``sq``.  One screen of that history then selects the problems whose
-    ``sq`` fell below the kernel's ``sq_bound(eps_conv)``, which every
-    ``sq`` of a converging problem lies below (see ``dynamics``).  Its
-    smallest value is taken with ``np.fmin``, so the NaN of a diverging
-    run that the guard has not yet retired hides no other problem's
-    convergence.  For the selected problems ``l_ori`` is finished from the
-    history, and the test itself is always the exact ``l_ori < eps_conv``.
-    A problem that converged at a quiet step is replayed alone from the
-    block's start to that step (the kernel's ``replay``), for its guard,
-    record and outcome; the rest of the batch goes on where the block left
-    it.  Replay gives the batch's bits, since the kernel acts on each
-    problem alone.  ``l_reg`` is computed on record steps only, where
-    records read it.
+    ``settle`` is the one place that ends runs and records them.  It
+    finishes ``l_ori``, runs the divergence guard ``_bounded`` and builds
+    each outcome.  The loop calls it on every guard, record and last step.
+    The steps between two of them are a quiet block, which the kernel's
+    ``advance`` runs with no test per step, keeping each step's squared
+    misfit norm; the kernel's ``converged`` screens that history once.  A
+    problem that converged at a quiet step is replayed alone from the
+    block's start to that step (the kernel's ``replay``) and settled there;
+    the rest of the batch goes on where the block left it.  Replay gives the
+    batch's bits, since the kernel acts on each problem alone.  ``l_reg`` is
+    computed on record steps only, where records read it.
 
-    The kernel does real arithmetic only: complex problems are stepped as
-    their real embeddings (see ``dynamics``), restored to the exact
-    embedded form after every step, so a trajectory is bitwise the one
-    ``gd_step`` or ``flow_step_rk4`` gives.  The convergence test and the
-    outcome read the kernel's halved embedded ``l_ori``, which is the
-    complex one.  A record copies the layers and the two losses, and
-    unembeds the layers once per block.
-
-    Divergence guard: ``_bounded`` runs on the evaluated layers at step
-    ``k`` whenever ``k`` is a multiple of 25, a record step or the last step
-    of the run, and on a problem that converges at a quiet step; a problem
-    that fails it is diverged with ``steps_run = k`` and is not recorded
-    there.  On an embedded layer it measures the top
-    ``d`` rows ``[A, -B]``, whose norm has exactly the complex layer norm's
-    terms, so the guard bound means the same in both fields.  Stepping
-    ignores overflow meanwhile; recording does not.  The kernel acts on
-    each problem's matrices alone, so a problem's outcome and records are
-    bitwise independent of the batch it runs in.
+    Complex problems are stepped as their real embeddings (see
+    ``dynamics``), restored to the exact embedded form after every step, so
+    a trajectory is bitwise the one ``gd_step`` or ``flow_step_rk4`` gives.
+    The convergence test and the outcome read the kernel's halved embedded
+    ``l_ori``, which is the complex one.  The guard measures an embedded
+    layer's top ``d`` rows ``[A, -B]``, whose norm has exactly the complex
+    layer norm's terms, so its bound means the same in both fields.  A
+    record copies the layers and the two losses, and unembeds the layers
+    once per block.  Stepping ignores overflow; recording does not: the
+    records are computed ``RECORD_BLOCK`` at a time and after the stepping
+    loop, under the caller's floating-point error state.
     """
     cfg = cfgs[0]
     problems = [prepare_problem(c) for c in cfgs]
@@ -673,81 +655,67 @@ def _run_chunk(
     active = np.arange(len(cfgs))  # batch row -> index into cfgs
     outcomes: list[SeedOutcome | None] = [None] * len(cfgs)
     measure_l_ori = not cfg.dyn.omit_l_ori
-    # No squared misfit norm is below 0, so without l_ori nothing is near.
-    near = kernel.sq_bound(cfg.eps_conv) if measure_l_ori else 0.0
     errors = np.geterr()
 
-    def end(k: int, status: str, step: int, l_ori: float) -> None:
-        final = float("inf") if status == "diverged" else float(l_ori)
-        outcomes[k] = SeedOutcome(cfgs[k].seed, status, status == "converged", step, final, problems[k][2])
+    def settle(kernel, ids, step: int) -> np.ndarray | None:
+        """End and record the problems ``ids``, the rows of the measured ``kernel``, at ``step``.
 
-    def add_records(kernel, step, l_ori, rows, ids, leaving=()) -> None:
-        """Record rows ``rows`` of ``kernel``, problems ``ids``, at ``step``; flush the problems ``leaving``."""
-        l_reg = kernel.l_reg()
-        with np.errstate(**errors):
-            for i, k in zip(rows, ids):
-                trajectories[k].add(step, kernel.layers[i], l_ori[i], l_reg[i])
-            for k in leaving:
-                trajectories[k].flush()
+        Returns the mask of the rows whose runs ended there, or None when
+        none did.
+        """
+        l_ori = kernel.finish()
+        last = step == cfg.steps
+        record = trajectories is not None and step % cfg.record_stride == 0
+        converging = measure_l_ori and np.logical_or.reduce(l_ori < cfg.eps_conv)
+        ok = _bounded(kernel.layers[..., : cfg.d, :])
+        done = None
+        if last or converging or not ok.all():
+            converged = (l_ori < cfg.eps_conv) & ok & measure_l_ori
+            done = ~ok | converged | last
+            for i in np.flatnonzero(done):
+                status = "diverged" if not ok[i] else "converged" if converged[i] else "exhausted"
+                final = float(l_ori[i]) if ok[i] else float("inf")
+                k = ids[i]
+                outcomes[k] = SeedOutcome(cfgs[k].seed, status, status == "converged", step, final, problems[k][2])
+            rows = np.flatnonzero(ok & (done | record)).tolist() if trajectories is not None else ()
+        else:
+            rows = range(len(ids)) if record else ()
+        if rows:
+            l_reg = kernel.l_reg()
+            with np.errstate(**errors):
+                for i in rows:
+                    trajectories[ids[i]].add(step, kernel.layers[i], l_ori[i], l_reg[i])
+        return done
 
     # A diverging run overflows until the guard retires it; that is a
     # documented outcome, not a fault.
     with np.errstate(over="ignore", invalid="ignore"):
         step = 0
         while True:
-            # A guard, record or last step: the steps between them run below.
             kernel.measure()
-            l_ori = kernel.finish()
-            last = step == cfg.steps
-            record_step = trajectories is not None and step % cfg.record_stride == 0
-            converging = measure_l_ori and np.logical_or.reduce(l_ori < cfg.eps_conv)
-            ok = _bounded(kernel.layers[..., : cfg.d, :])
-            if last or converging or not ok.all():
-                converged = (l_ori < cfg.eps_conv) & ok & measure_l_ori
-                done = ~ok | converged | last
-                if trajectories is not None:
-                    recorded = np.flatnonzero(ok & (done | record_step))
-                    add_records(kernel, step, l_ori, recorded, active[recorded], active[done])
-                for i in np.flatnonzero(done):
-                    status = "diverged" if not ok[i] else "converged" if converged[i] else "exhausted"
-                    end(active[i], status, step, l_ori[i])
+            done = settle(kernel, active, step)
+            if done is not None:
                 if done.all():
                     break
                 active, kernel = active[~done], kernel.take(~done)
                 kernel.measure()
-            elif record_step:
-                add_records(kernel, step, l_ori, range(len(active)), active)
             kernel.step()
             following = min(cfg.steps, (step // 25 + 1) * 25)
             if trajectories is not None:
                 following = min(following, (step // cfg.record_stride + 1) * cfg.record_stride)
             if following > step + 1:
-                # Quiet steps: one screen of their sq history.  A problem that
-                # converged at one of them is replayed alone to that step for
-                # its guard, record and outcome; off the guard's cadence only
-                # a converged run is guarded.
                 history = kernel.advance(following - step - 1)
-                if np.fmin.reduce(history, axis=None) < near:
-                    rows = np.flatnonzero(np.logical_or.reduce(history < near))
-                    hits = kernel.finish(history[:, rows]) < cfg.eps_conv
+                hits = kernel.converged(history, cfg.eps_conv)
+                if hits:
                     done = np.zeros(len(active), dtype=bool)
-                    for i, hit in zip(rows, hits.T):
-                        if not hit.any():
-                            continue
-                        t = int(hit.argmax())
-                        alone = kernel.replay(i, t)
-                        at, k = step + 1 + t, active[i]
-                        l_ori_i = alone.finish()
-                        good = bool(_bounded(alone.layers[..., : cfg.d, :])[0])
-                        if trajectories is not None:
-                            add_records(alone, at, l_ori_i, [0] if good else [], [k], [k])
-                        end(k, "converged" if good else "diverged", at, l_ori_i[0])
-                        done[i] = True
+                    for i, t in hits:
+                        done[i] = settle(kernel.replay(i, t), active[i : i + 1], step + 1 + t)[0]
                     if done.all():
                         break
-                    if done.any():
-                        active, kernel = active[~done], kernel.take(~done)
+                    active, kernel = active[~done], kernel.take(~done)
             step = following
+    for traj in trajectories or ():
+        traj.flush()
     return outcomes
 
 

@@ -648,13 +648,12 @@ class TestKernelOwnership:
         # The run loop's kernel at B = 16, a complex batch as its real
         # embedding.  The run loop's sequence (on a guard step measure,
         # finish and step; then a quiet block of measures and steps, whose
-        # sq history is screened once) writes into the kernel's buffers
+        # sq history the kernel screens once) writes into the kernel's buffers
         # only, but for the history, so the traced peak grows by less than
         # one layer of the batch.
         cfg = DynConfig(reg_a=reg_a, eta=0.01, step_h=0.01, integrator=integrator)
         w, sigma = _problem(FieldTag.REAL if form == "real" else FieldTag.COMPLEX, 4, 16, seed=12)
         kernel = _kernel(w, sigma, cfg)
-        near = kernel.sq_bound(1e-8)
         kernel.evaluate()
         kernel.step()
         layer_bytes = kernel.layers[:, 0].nbytes
@@ -665,9 +664,7 @@ class TestKernelOwnership:
                 kernel.measure()
                 kernel.finish()
                 kernel.step()
-                history = kernel.advance(4)
-                if np.fmin.reduce(history, axis=None) < near:
-                    kernel.finish(history.copy())
+                kernel.converged(kernel.advance(4), 1e-8)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()

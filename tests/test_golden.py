@@ -1,0 +1,26 @@
+"""A cheap subset of the outputs keeps the bits committed in ``GOLDEN.json`` (``tools/golden.py``)."""
+
+import json
+import sys
+from pathlib import Path
+
+import pytest
+
+sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "tools"))
+import golden  # noqa: E402
+
+
+def test_outputs_match_the_committed_digests():
+    want = json.loads(golden.GOLDEN.read_text())
+    if golden.build() != {k: want[k] for k in ("numpy", "numpy_build")}:
+        pytest.fail(
+            f"GOLDEN.json was made on another numpy build (numpy {want['numpy']} there, "
+            f"{golden.build()['numpy']} here, or another BLAS/LAPACK); regenerate it with "
+            f"`{golden.REGENERATE}` on the commit before the change under test, then run this test again"
+        )
+    got = golden.golden()
+    # The subset reaches the replay of a quiet-step convergence.
+    assert got["quiet_convergences"]["fig-h1"] and got["quiet_convergences"]["sweep"]
+    assert golden.differences(want, got) == [], (
+        f"outputs moved; a change that moves bits on purpose regenerates with `{golden.REGENERATE}`"
+    )

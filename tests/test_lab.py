@@ -18,7 +18,7 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from factorlab import dynamics, lab
+from factorlab import cli, dynamics, lab
 from factorlab.cli import main
 from factorlab.dynamics import (
     DynConfig,
@@ -998,11 +998,42 @@ class TestConvergenceCheck:
         assert (tmp_path / f"{cfg.name}.csv").read_text() == "\n".join(lines) + "\n"
         assert (s.status, s.steps_run, s.final_l_ori, s.final_l_reg, s.final_e_delta) == want
 
+    @pytest.mark.parametrize("integrator", ["gd", "flow_rk4"])
+    @pytest.mark.parametrize("field", [FieldTag.REAL, FieldTag.COMPLEX], ids=lambda f: f.value)
+    def test_a_quiet_divergence_leaves_the_rest_of_the_batch_running(self, monkeypatch, tmp_path, field, integrator):
+        # The growing run of the test above, beside seeded problems whose
+        # small random layers stay within the guard: it is retired at its
+        # quiet step as diverged while they run on to the budget.
+        dyn = DynConfig(eta=0.15, step_h=0.15, integrator=integrator)
+        base = tiny_cfg(d=5, field=field, dyn=dyn, steps=60, eps_conv=1e-8)
+        dtype = complex if field is FieldTag.COMPLEX else float
+        target, layers = np.eye(5, dtype=dtype), np.stack([np.eye(5, dtype=dtype)] * base.n_layers)
+        target[1, 2] = 1e-2
+        growing = (TargetSpec(target), LayerStack(layers), 1.0)
+        _, (_, k, *_) = self._per_step_trajectory(base, growing)
+        kernel = dynamics._kernel(layers[None], target[None], dyn)
+        norms = [_frobenius(kernel.layers[..., :5, :]).max()]
+        kernel.advance(k)
+        norms.append(_frobenius(kernel.layers[..., :5, :]).max())
+        monkeypatch.setattr(lab, "DIVERGENCE_GUARD", sum(norms) / 2)
+        small = replace(base, init=InitScheme(kind="random", epsilon=0.1))
+        cfgs = [replace(base, name="growing")]
+        cfgs += [replace(c, name=f"seeded{i}") for i, c in enumerate(TestSweep._seed_cfgs(small, 3))]
+        prepare = lab.prepare_problem
+        monkeypatch.setattr(lab, "prepare_problem", lambda c: growing if c.name == "growing" else prepare(c))
+        want = [self._per_step_trajectory(c, lab.prepare_problem(c)) for c in cfgs]
+        assert k % 10 and want[0][1][:2] == ("diverged", k)
+        assert [w[:2] for _, w in want[1:]] == [("exhausted", 60)] * 3
+        got = run_scenarios(cfgs, out_dir=tmp_path)
+        for cfg, s, (lines, values) in zip(cfgs, got, want):
+            assert (tmp_path / f"{cfg.name}.csv").read_text() == "\n".join(lines) + "\n"
+            assert (s.status, s.steps_run, s.final_l_ori, s.final_l_reg, s.final_e_delta) == values
+
     @pytest.mark.parametrize("field", [FieldTag.REAL, FieldTag.COMPLEX], ids=lambda f: f.value)
     def test_a_screen_hit_short_of_eps_replays_nothing(self, monkeypatch, field):
         # A saddle with a constant misfit: W = diag(1, 1, 1, 1, 0) and target
         # diag(1, 1, 1, 1, 1e-4), so l_ori = 5e-9 on every step, at or above
-        # eps_conv = 4e-9 but with sq below sq_bound(eps_conv).
+        # eps_conv = 4e-9 but with sq below the kernel's screen bound.
         base = tiny_cfg(d=5, field=field, dyn=DynConfig(eta=0.15, reg_a=1.0), steps=60, eps_conv=4e-9)
         eye = np.eye(5)
         target, layers = eye.copy(), np.stack([eye] * base.n_layers)
@@ -1342,6 +1373,19 @@ class TestCli:
         out, err = capsys.readouterr()
         assert out == "" and err.startswith(message) and err.count("\n") == 1
         assert Path(s.csv_path).read_bytes() == kept
+
+    @pytest.mark.parametrize("argv, command", [(["run"], "_cmd_run"), (["gradcheck"], "_cmd_gradcheck")])
+    def test_out_of_memory_is_one_line(self, capsys, monkeypatch, argv, command):
+        # As numpy reports an allocation it cannot make, such as the chain
+        # buffer of `run` at d = 1000000 or of `gradcheck --n-layers 100000`;
+        # the command raises without allocating.
+        def too_large(args):
+            raise MemoryError("Unable to allocate 7.28 TiB for an array with shape (1000000, 1000000)")
+
+        monkeypatch.setattr(cli, command, too_large)
+        assert main(argv) == 1
+        out, err = capsys.readouterr()
+        assert out == "" and err.startswith("out of memory: Unable to allocate") and err.count("\n") == 1
 
     def test_config_not_utf8_is_a_config_error(self, tmp_path, capsys):
         p = tmp_path / "bad.cfg"
