@@ -33,6 +33,7 @@ from .lab import (
     rmt_validate,
     run_scenarios,
     sweep_convergence,
+    sweep_workers,
 )
 # Not called here: the benchmark's tracer wraps it under this name.
 from .lab import run_scenario  # noqa: F401
@@ -125,34 +126,35 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
     for base in bases:
         base.validate()
     check_distinct_names(bases, "their sweep.csv rows could not be told apart")
-    out = make_out_dir(args.out, ["sweep.csv"])
+    workers = sweep_workers(args.seeds)
     # Config echo: each base config's block rebuilds it as a config file.
     rows = [f"# factorlab sweep, seeds = {args.seeds}"]
     for base in bases:
         rows.append(f"# [base {base.name}]")
         rows += [f"# {item}" for item in base.echo()]
     rows.append("name,seed,status,converged,steps_run,final_l_ori,det_w0")
-    for base in bases:
-        result = sweep_convergence(base, args.seeds)
-        print(
-            f"sweep({base.name}, field={base.field.value}): {result.n_converged}/{result.n_seeds} "
-            f"converged, fraction={result.fraction:.3f}"
-        )
-        if result.n_det_plus or result.n_det_minus:
+    with make_out_dir(args.out, ["sweep.csv"]) as out:
+        for base in bases:
+            result = sweep_convergence(base, args.seeds, workers)
             print(
-                f"  det>0: {result.n_det_plus_converged}/{result.n_det_plus} "
-                f"(fraction={result.fraction_det_plus:.3f}); "
-                f"det<0: {result.n_det_minus_converged}/{result.n_det_minus} "
-                f"(fraction={result.fraction_det_minus:.3f})"
+                f"sweep({base.name}, field={base.field.value}): {result.n_converged}/{result.n_seeds} "
+                f"converged, fraction={result.fraction:.3f}"
             )
-        rows += [
-            f"{base.name},{o.seed},{o.status},{int(o.converged)},{o.steps_run},"
-            f"{o.final_l_ori!r},{o.det_w0!r}"
-            for o in result.outcomes
-        ]
-    path = out / "sweep.csv"
-    path.write_text("\n".join(rows) + "\n")
-    print(f"  per-seed results -> {path}")
+            if result.n_det_plus or result.n_det_minus:
+                print(
+                    f"  det>0: {result.n_det_plus_converged}/{result.n_det_plus} "
+                    f"(fraction={result.fraction_det_plus:.3f}); "
+                    f"det<0: {result.n_det_minus_converged}/{result.n_det_minus} "
+                    f"(fraction={result.fraction_det_minus:.3f})"
+                )
+            rows += [
+                f"{base.name},{o.seed},{o.status},{int(o.converged)},{o.steps_run},"
+                f"{o.final_l_ori!r},{o.det_w0!r}"
+                for o in result.outcomes
+            ]
+        path = out / "sweep.csv"
+        path.write_text("\n".join(rows) + "\n")
+        print(f"  per-seed results -> {path}")
     return EXIT_OK
 
 

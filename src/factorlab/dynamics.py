@@ -19,8 +19,12 @@ one buffer with the suffix and the prefix products, whose first suffix and
 top prefix are the bottom and top layers themselves, and the bottom slot of
 the descent direction is the first left factor.  No call writes an output
 whose memory span encloses another view it reads: numpy cannot cheaply
-prove such views apart, so it would copy the inputs on every call.  A
-second copy of the layers lets numpy run the defect Gram products as gemm.
+prove such views apart, so it would copy the inputs on every call.  With
+the regularizer on, the buffer also holds the layers' transposes, copied
+in once per evaluation: the defect Gram products and the descent direction
+then read no transposed right operand, which costs numpy's small batched
+gemm 2-3x as much as a stored one.  Without the regularizer that copy
+would cost more than it saves, so that layout stays without it.
 
 The loss is made in two parts.  :meth:`_Kernel.measure` builds the
 products, the misfit and its squared Frobenius norm ``sq`` (one dot per
@@ -219,20 +223,44 @@ class _Kernel:
     per-layer and transposed view is made here, once.  A step is a fixed
     sequence of numpy calls that write into the buffers.
 
-    The chain buffer holds the layers and the suffix and prefix products
-    in ``N^2 - N + 1`` slots: layer ``j`` in slot ``j``, ``suffix[j]`` in
-    slot ``j N`` and ``prefix[j]`` in slot ``N - 1 + (N - 2 - j) N``.  The
-    layers keep positive strides, since an in-place update with a reversed
-    operand makes numpy buffer it, and the suffix products, read by the
-    descent direction, form one strided view, as do the prefix products.
-    The two chains are independent, so each matmul over two-block views of
-    the buffer advances both.  Chain step ``t`` writes slots ``t N`` and
-    ``t N + N - 1``, above every slot it reads, so no output pair's span
-    encloses an operand and numpy copies none (``TestChainLayout``).  The
-    defect Gram products read the layers and a second copy of them, which
-    each evaluation refreshes.  Over one buffer read through a transposed
-    view numpy would take its slower ``syrk`` path (the same bits on the
-    tested OpenBLAS build, which ``TestGramPath`` pins).
+    The chain buffer holds the layers and the suffix and prefix products.
+    The layers keep positive strides, since an in-place update with a
+    reversed operand makes numpy buffer it, and the suffix products, read
+    by the descent direction, form one strided view, as do the prefix
+    products.  The two chains are independent, so each matmul over
+    two-block views of the buffer advances both, and every chain output
+    pair sits above every slot it reads, so no output pair's span encloses
+    an operand and numpy copies none (``TestChainLayout``).  The layout is
+    chosen from ``cfg.reg_a``:
+
+    - Regularizer off: ``N^2 - N + 1`` slots, layer ``j`` in slot ``j``,
+      ``suffix[j]`` in slot ``j N`` and ``prefix[j]`` in slot
+      ``N - 1 + (N - 2 - j) N``.  Chain step ``t`` writes slots ``t N`` and
+      ``t N + N - 1``.  The direction reads the suffix products through a
+      transposed view.
+    - Regularizer on: ``N^2 + N`` slots, layer ``j`` in slot ``j``, its
+      transpose in slot ``N + j``, ``suffix[t]^T`` in slot
+      ``N + t (N + 1)`` and ``prefix[N - 2 - t]`` in slot
+      ``N - 1 + t (N + 1)``.  Every evaluation first stores the layers'
+      transposes; the suffix chain builds ``suffix[t]^T = suffix[t-1]^T
+      W_{t+1}^T`` from them, and its last product ``W = W_N
+      (suffix[N-2]^T)^T`` goes to the last slot, untransposed, so the
+      misfit subtracts contiguous operands.  The defect Grams ``W_j
+      W_j^T`` and ``W_{j+1}^T W_{j+1}`` and the direction ``F suffix^T``
+      then multiply stored operands; the last product is the one matmul
+      whose right operand is a transposed view.  numpy's batched gemm of
+      5x5 matrices over 3 layer slots takes 13.2 against 4.8 us at B = 25
+      with that operand transposed against stored (2.0 against 1.5 us at
+      B = 1; 2 vCPUs, one OpenBLAS 0.3.31 thread), so a regularized real
+      GD step of 25 problems is about 15% cheaper.  The same layout
+      without the regularizer would add the transposing copy to save one
+      transposed product, and measured 6-8% dearer per step at B = 1 and
+      2, real or embedded.
+
+    The Gram products read two buffers, so numpy runs them as gemm: over
+    one buffer read through a transposed view it would take its ``syrk``
+    path (the same bits on the tested OpenBLAS build, which
+    ``TestGramPath`` pins).
 
     ``embedded`` marks real embeddings of complex problems: ``l_ori`` and
     ``l_reg`` are halved, and every step ends by restoring the exact
@@ -259,43 +287,55 @@ class _Kernel:
         def buf(k: int) -> np.ndarray:
             return np.empty((k, b, m, m))
 
-        # chain: x[j] in slot j, suffix[j] in slot j n and prefix[j] in slot
-        # n - 1 + (n - 2 - j) n, as the class docstring lays out.
-        chain = buf(n * n - n + 1)
-        x, suffix, prefix = chain[:n], chain[::n], chain[n - 1 :: n][::-1]
+        def pair(i: int, j: int) -> np.ndarray:
+            """``chain[i]`` and ``chain[j]`` as one two-block view."""
+            return chain[i : j + 1 : j - i] if i < j else chain[j : i + 1 : i - j][::-1]
+
+        # suffix[j] = W_{j+1} ... W_1, right-associated, so suffix[-1] = W.
+        # prefix[j] = W_N ... W_{j+2}, the product of the layers above layer
+        # j + 1, built from the left: prefix[-1] = W_N, prefix[j-1] = prefix[j] W_{j+1}.
+        # Step t makes suffix[t] and, but on the last step, prefix[n-2-t].
+        if cfg.reg_a > 0:
+            # x[j] in slot j, x[j]^T in slot n + j, suffix[t]^T in slot
+            # n + t (n + 1) and prefix[n-2-t] in slot n - 1 + t (n + 1), as
+            # the class docstring lays out; the last suffix slot holds W.
+            chain = buf(n * n + n)
+            x, self._xt = chain[:n], chain[n : 2 * n]
+            suffix_t, prefix = chain[n :: n + 1], chain[n - 1 :: n + 1][: n - 1][::-1]
+            # Step t: [prefix[n-1-t], suffix[t-1]^T] @ [x[n-1-t], x[t]^T], into slots k, k + 1.
+            steps = [(t, n - 1 + t * (n + 1)) for t in range(1, n - 1)]
+            self._chain_ops = [
+                (pair(k - n - 1, k - n), pair(n - 1 - t, n + t), pair(k, k + 1)) for t, k in steps
+            ] + [(x[n - 1], suffix_t[n - 2].swapaxes(-1, -2), suffix_t[n - 1])]
+            self._product, self._suffix_t = suffix_t[n - 1], suffix_t[:-1]
+            self._x_swapped = x.swapaxes(-1, -2)
+            self._upper_t, self._lower_t = self._xt[:-1], self._xt[1:]
+        else:
+            # x[j] in slot j, suffix[j] in slot j n and prefix[j] in slot
+            # n - 1 + (n - 2 - j) n, as the class docstring lays out.
+            chain = buf(n * n - n + 1)
+            x, suffix, prefix = chain[:n], chain[::n], chain[n - 1 :: n][::-1]
+            self._chain_ops = [
+                (pair(t, t * n - 1), pair((t - 1) * n, n - 1 - t), pair(t * n, t * n + n - 1))
+                for t in range(1, n - 1)
+            ] + [(x[n - 1], suffix[n - 2], suffix[n - 1])]
+            self._product, self._suffix_t = suffix[n - 1], suffix[:-1].swapaxes(-1, -2)
         # lefts = [factors[n-1], ..., factors[1], direction[0], ..., direction[n-1]].
         lefts = buf(2 * n - 1)
         factors, direction = lefts[n - 1 :: -1], lefts[n - 1 :]
         deltas, scratch = buf(n - 1), buf(n - 1)
         x[...] = w.swapaxes(0, 1)
         self.layers = x.swapaxes(0, 1)
-        self._x, self._suffix, self._direction = x, suffix, direction
+        self._x, self._direction = x, direction
         self._deltas, self._scratch = deltas, scratch
         # The layers at the start of the last advance, which replay starts from.
         self._snapshot = buf(n)
-        # suffix[j] = W_{j+1} ... W_1, right-associated, so suffix[-1] = W.
-        # prefix[j] = W_N ... W_{j+2}, the product of the layers above layer
-        # j + 1, built from the left: prefix[-1] = W_N, prefix[j-1] = prefix[j] W_{j+1}.
-        # Step t makes suffix[t] and, but on the last step, prefix[n-2-t].
-
-        def pair(i: int, j: int) -> np.ndarray:
-            """``chain[i]`` and ``chain[j]`` as one two-block view."""
-            return chain[i : j + 1 : j - i] if i < j else chain[j : i + 1 : i - j][::-1]
-
-        self._chain_ops = [
-            (pair(t, t * n - 1), pair((t - 1) * n, n - 1 - t), pair(t * n, t * n + n - 1))
-            for t in range(1, n - 1)
-        ] + [(x[n - 1], suffix[n - 2], suffix[n - 1])]
         # factors[j] = prefix[j]^H M below the top slot, which is the misfit M.
         self._misfit = factors[-1]
         self._misfit_b = factors[-1][None]
         self._factors_low, self._factors_high = factors[:-1], factors[1:]
         self._direction_low, self._direction_high = direction[:-1], direction[1:]
         self._lower, self._upper = x[1:], x[:-1]
-        # The second copy of the layers, which the defect Gram products read.
-        self._x2 = x2 = buf(n)
-        self._upper_h, self._lower_h = x2[:-1].swapaxes(-1, -2), x2[1:].swapaxes(-1, -2)
-        self._suffix_h = suffix[:-1].swapaxes(-1, -2)
         self._prefix_h = prefix.swapaxes(-1, -2)
 
         self._sq = np.empty((b, 1, 1))
@@ -324,13 +364,12 @@ class _Kernel:
         """Suffix and prefix products and the misfit ``Sigma - W`` of the current layers."""
         for a, b, out in self._chain_ops:
             np.matmul(a, b, out=out)
-        np.subtract(self.sigma, self._suffix[-1], out=self._misfit)
+        np.subtract(self.sigma, self._product, out=self._misfit)
 
     def _defects(self) -> None:
-        """Balance defects of the current layers, stacked on the layer axis."""
-        np.copyto(self._x2, self._x)
-        np.matmul(self._upper, self._upper_h, out=self._deltas)
-        np.matmul(self._lower_h, self._lower, out=self._scratch)
+        """Balance defects of the current layers, stacked on the layer axis, from them and their stored transposes."""
+        np.matmul(self._upper, self._upper_t, out=self._deltas)
+        np.matmul(self._lower_t, self._lower, out=self._scratch)
         np.subtract(self._deltas, self._scratch, out=self._deltas)
 
     def _descend(self) -> None:
@@ -348,7 +387,7 @@ class _Kernel:
             direction.fill(0.0)
         else:
             np.matmul(self._prefix_h, self._misfit_b, out=self._factors_low)
-            np.matmul(self._factors_high, self._suffix_h, out=self._direction_high)
+            np.matmul(self._factors_high, self._suffix_t, out=self._direction_high)
         if cfg.reg_a > 0:
             a, s = cfg.reg_a, self._scratch
             np.matmul(self._lower, self._deltas, out=s)
@@ -360,9 +399,12 @@ class _Kernel:
 
     def _measure(self, sq: np.ndarray) -> None:
         """Products, misfit and (regularizer on) defects of the layers, and ``sq`` into the ``(B, 1, 1)`` array ``sq``."""
+        regularized = self.cfg.reg_a > 0
+        if regularized:  # the layers' transposes, which the chain and defects read
+            np.copyto(self._xt, self._x_swapped)
         self._products()
         np.matmul(self._misfit_row, self._misfit_col, out=sq)
-        if self.cfg.reg_a > 0:
+        if regularized:
             self._defects()
 
     def measure(self) -> np.ndarray:
@@ -467,9 +509,12 @@ class _Kernel:
 
     def _stage(self) -> None:
         """An RK4 stage's direction at the layers: only what it reads, and no loss terms."""
+        regularized = self.cfg.reg_a > 0
+        if regularized:
+            np.copyto(self._xt, self._x_swapped)
         if not self.cfg.omit_l_ori:
             self._products()
-        if self.cfg.reg_a > 0:
+        if regularized:
             self._defects()
         self._descend()
 

@@ -17,10 +17,11 @@ import csv
 import os
 import time as _time
 from concurrent.futures import ProcessPoolExecutor
+from contextlib import contextmanager, nullcontext
 from dataclasses import dataclass, field as dc_field, replace
 from functools import partial, reduce
 from pathlib import Path
-from typing import Callable, Iterable, NamedTuple
+from typing import Callable, Iterable, Iterator, NamedTuple
 
 import numpy as np
 
@@ -72,6 +73,7 @@ __all__ = [
     "run_scenarios",
     "check_distinct_names",
     "make_out_dir",
+    "sweep_workers",
     "sweep_convergence",
     "rmt_validate",
     "gradcheck",
@@ -85,12 +87,13 @@ DIVERGENCE_GUARD = 1e12
 # well before this, and it bounds a worker's memory.
 MAX_SWEEP_BATCH = 256
 # Fewest seeds a chunk of a split sweep holds.  A GD step's cost is mostly a
-# fixed 20-36 us of numpy dispatch (one seed, regularizer off and on),
-# against 1.7-4.2 us per seed in the batch (best of 5 runs of 1,500 steps
-# at 1 to 128 seeds of the balanced fig-h1 family; 2 vCPUs, one BLAS
-# thread), so each extra chunk adds one fixed cost per step and saves wall
-# time only once a chunk's per-seed cost outweighs it, at about 10 seeds.
-# 32 was set when that was 10-40.
+# fixed 20-34 us of numpy dispatch (one seed, regularizer off and on),
+# against 1.5-2.1 us per seed in the batch with the regularizer off and
+# 2.4-2.7 us with it on (least-squares fits to the best of 7 and of 9 runs
+# of 1,500 steps at 1 to 128 seeds of the balanced fig-h1 family; 2 vCPUs,
+# one BLAS thread), so each extra chunk adds one fixed cost per step and
+# saves wall time only once a chunk's per-seed cost outweighs it, at about
+# 10-15 seeds.  32 was set when that was 10-40.
 MIN_SWEEP_CHUNK = 32
 # Recorded steps a trajectory computes as one block of monitor records: the
 # per-record cost levels off well before this, and it bounds the evaluations
@@ -458,48 +461,48 @@ def run_scenarios(
     """
     for cfg in cfgs:
         cfg.validate()
+    made = nullcontext()
     if out_dir is not None:
         check_distinct_names(cfgs, "their output files would overwrite each other")
-        out_dir = make_out_dir(
-            out_dir, [f"{c.name}{ext}" for c in cfgs for ext in (".csv", ".summary.txt")]
-        )
-    batches: dict[tuple, list[int]] = {}
-    for i, c in enumerate(cfgs):
-        key = (c.field, c.d, c.n_layers, c.dyn, c.steps, c.record_stride, c.eps_conv)
-        batches.setdefault(key, []).append(i)
-    summaries: list[RunSummary | None] = [None] * len(cfgs)
-    for rows in batches.values():
-        t0 = _time.perf_counter()
-        trajs = [
-            _Trajectory(cfgs[i], None if on_record is None else partial(on_record, i))
-            for i in rows
-        ]
-        outcomes = _run_chunk([cfgs[i] for i in rows], trajs)
-        csv_paths = [None] * len(rows)
-        if out_dir is not None:
-            for k, traj in enumerate(trajs):
-                csv_paths[k] = str(out_dir / f"{traj.cfg.name}.csv")
-                with open(csv_paths[k], "w", newline="\n") as fh:
-                    fh.write("\n".join(traj.lines) + "\n")
-        wall = _time.perf_counter() - t0
-        for i, traj, o, csv_path in zip(rows, trajs, outcomes, csv_paths):
-            # A run that did not diverge ends on a recorded step.
-            diverged = o.status == "diverged"
-            summaries[i] = RunSummary(
-                name=cfgs[i].name,
-                status=o.status,
-                steps_run=o.steps_run,
-                converged_step=o.steps_run if o.converged else None,
-                final_l_ori=o.final_l_ori,
-                final_l_reg=float("inf") if diverged else traj.rec.l_reg,
-                final_e_delta=float("inf") if diverged else traj.rec.e_delta,
-                det_w0=o.det_w0,
-                wall_time_s=wall,
-                csv_path=csv_path,
-            )
+        made = make_out_dir(out_dir, [f"{c.name}{ext}" for c in cfgs for ext in (".csv", ".summary.txt")])
+    with made as out_dir:
+        batches: dict[tuple, list[int]] = {}
+        for i, c in enumerate(cfgs):
+            key = (c.field, c.d, c.n_layers, c.dyn, c.steps, c.record_stride, c.eps_conv)
+            batches.setdefault(key, []).append(i)
+        summaries: list[RunSummary | None] = [None] * len(cfgs)
+        for rows in batches.values():
+            t0 = _time.perf_counter()
+            trajs = [
+                _Trajectory(cfgs[i], None if on_record is None else partial(on_record, i))
+                for i in rows
+            ]
+            outcomes = _run_chunk([cfgs[i] for i in rows], trajs)
+            csv_paths = [None] * len(rows)
             if out_dir is not None:
-                _write_summary(out_dir / f"{cfgs[i].name}.summary.txt", cfgs[i], summaries[i])
-    return summaries
+                for k, traj in enumerate(trajs):
+                    csv_paths[k] = str(out_dir / f"{traj.cfg.name}.csv")
+                    with open(csv_paths[k], "w", newline="\n") as fh:
+                        fh.write("\n".join(traj.lines) + "\n")
+            wall = _time.perf_counter() - t0
+            for i, traj, o, csv_path in zip(rows, trajs, outcomes, csv_paths):
+                # A run that did not diverge ends on a recorded step.
+                diverged = o.status == "diverged"
+                summaries[i] = RunSummary(
+                    name=cfgs[i].name,
+                    status=o.status,
+                    steps_run=o.steps_run,
+                    converged_step=o.steps_run if o.converged else None,
+                    final_l_ori=o.final_l_ori,
+                    final_l_reg=float("inf") if diverged else traj.rec.l_reg,
+                    final_e_delta=float("inf") if diverged else traj.rec.e_delta,
+                    det_w0=o.det_w0,
+                    wall_time_s=wall,
+                    csv_path=csv_path,
+                )
+                if out_dir is not None:
+                    _write_summary(out_dir / f"{cfgs[i].name}.summary.txt", cfgs[i], summaries[i])
+        return summaries
 
 
 def check_distinct_names(cfgs: list[RunConfig], why: str) -> None:
@@ -510,17 +513,21 @@ def check_distinct_names(cfgs: list[RunConfig], why: str) -> None:
         raise ConfigError(f"configs share the name {', '.join(map(repr, shared))}: {why}")
 
 
-def make_out_dir(out_dir: str | Path, files: Iterable[str] = ()) -> Path:
-    """Create the output directory ``out_dir`` and its parents where missing.
+@contextmanager
+def make_out_dir(out_dir: str | Path, files: Iterable[str] = ()) -> Iterator[Path]:
+    """The output directory ``out_dir``, made with its parents where missing, for the block that writes into it.
 
-    Callers make it before any stepping and name the ``files`` they will
+    Callers enter it before any stepping and name the ``files`` they will
     write in it, so that a path that cannot be a directory (an existing
     file, or a path beneath one), or an output file that is an existing
     directory, is a ConfigError raised before the work, not an OSError
-    after it.
+    after it.  If the block raises, the directories made here are removed
+    again, deepest first, while they are empty: a run that fails before it
+    writes, such as out of memory, leaves nothing behind.
     """
     path = Path(out_dir)
     try:
+        made = [p for p in (path, *path.parents) if not p.exists()]
         path.mkdir(parents=True, exist_ok=True)
     except OSError as exc:
         reason = exc.strerror or exc
@@ -528,7 +535,15 @@ def make_out_dir(out_dir: str | Path, files: Iterable[str] = ()) -> Path:
     for name in files:
         if (path / name).is_dir():
             raise ConfigError(f"cannot write output file {str(path / name)!r}: it is a directory")
-    return path
+    try:
+        yield path
+    except BaseException:
+        for p in made:
+            try:
+                p.rmdir()
+            except OSError:  # written into, or not ours to remove
+                break
+        raise
 
 
 def run_scenario(
@@ -731,6 +746,20 @@ def _max_workers() -> int:
     return cpus
 
 
+def sweep_workers(n_seeds: int, workers: int | None = None) -> int:
+    """The worker cap of a sweep of ``n_seeds`` seeds: ``workers``, by default ``LAB_THREADS`` or the CPUs.
+
+    Raises ConfigError for fewer than one seed or worker and for a
+    ``LAB_THREADS`` that is not an integer, so a caller can check a sweep
+    before it makes its output directory.
+    """
+    if n_seeds < 1:
+        raise ConfigError("n_seeds must be at least 1")
+    if workers is not None and workers < 1:
+        raise ConfigError(f"workers must be at least 1, got {workers}")
+    return workers if workers is not None else _max_workers()
+
+
 def _sweep_chunks(items: list, workers: int) -> list[list]:
     """``items`` split in order into even chunks, one per worker at most.
 
@@ -764,15 +793,11 @@ def sweep_convergence(
     sign of the initial product determinant.
     """
     base_cfg.validate()
-    if n_seeds < 1:
-        raise ConfigError("n_seeds must be at least 1")
-    if workers is not None and workers < 1:
-        raise ConfigError(f"workers must be at least 1, got {workers}")
+    workers = sweep_workers(n_seeds, workers)
     cfgs = [
         replace(base_cfg, seed=s, name=f"{base_cfg.name}-seed{i}")
         for i, s in enumerate(_sweep_seeds(base_cfg.seed, n_seeds))
     ]
-    workers = workers if workers is not None else _max_workers()
     chunks = _sweep_chunks(cfgs, workers)
     if workers > 1 and len(chunks) > 1:
         with ProcessPoolExecutor(max_workers=min(workers, len(chunks))) as ex:
@@ -834,28 +859,29 @@ def rmt_validate(
         (validate_haar_invariance, (d, 5000), None),
         (validate_det_minus_zero_mode, (d, 200), None),
     ]
-    out = None
+    made = nullcontext()
     if out_dir is not None:
-        out = make_out_dir(out_dir, [report_file] + [f for _, _, f in battery if f is not None])
-    streams = [
-        np.random.Generator(np.random.Philox(c))
-        for c in np.random.SeedSequence(seed).spawn(len(battery))
-    ]
-    results = [fn(*args, rng) for (fn, args, _), rng in zip(battery, streams)]
-    if out is not None:
-        report = [("test", "statistic", "rule", "threshold", "verdict", "detail")]
-        for (_, _, hist_file), r in zip(battery, results):
-            verdict = "pass" if r.passed else "FAIL"
-            report.append((r.name, repr(r.statistic), r.rule, repr(r.threshold), verdict, r.detail))
-            if hist_file is not None:
-                hist_lines = ["bin_lo,bin_hi,empirical,analytic"]
-                hist_lines += [
-                    ",".join(repr(float(x)) for x in row) for row in r.histogram
-                ]
-                (out / hist_file).write_text("\n".join(hist_lines) + "\n")
-        # Quoted where needed: names and details hold commas.
-        with open(out / report_file, "w", newline="") as fh:
-            csv.writer(fh, lineterminator="\n").writerows(report)
+        made = make_out_dir(out_dir, [report_file] + [f for _, _, f in battery if f is not None])
+    with made as out:
+        streams = [
+            np.random.Generator(np.random.Philox(c))
+            for c in np.random.SeedSequence(seed).spawn(len(battery))
+        ]
+        results = [fn(*args, rng) for (fn, args, _), rng in zip(battery, streams)]
+        if out is not None:
+            report = [("test", "statistic", "rule", "threshold", "verdict", "detail")]
+            for (_, _, hist_file), r in zip(battery, results):
+                verdict = "pass" if r.passed else "FAIL"
+                report.append((r.name, repr(r.statistic), r.rule, repr(r.threshold), verdict, r.detail))
+                if hist_file is not None:
+                    hist_lines = ["bin_lo,bin_hi,empirical,analytic"]
+                    hist_lines += [
+                        ",".join(repr(float(x)) for x in row) for row in r.histogram
+                    ]
+                    (out / hist_file).write_text("\n".join(hist_lines) + "\n")
+            # Quoted where needed: names and details hold commas.
+            with open(out / report_file, "w", newline="") as fh:
+                csv.writer(fh, lineterminator="\n").writerows(report)
     return results
 
 

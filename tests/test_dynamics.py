@@ -677,13 +677,15 @@ class _OutOverlaps:
 
     numpy cannot cheaply prove such an output apart from the input, so it
     copies the input first.  An input that is the output itself (the same
-    data, shape and strides) is an in-place update and is not noted.
+    data, shape and strides) is an in-place update and is not noted.  The
+    outputs of the matmuls whose right operand is a transposed view (last
+    stride not the item size, over more than one column) are noted too.
     """
 
     WRITERS = ("matmul", "add", "subtract", "multiply", "negative", "sqrt", "copyto")
 
     def __init__(self):
-        self.calls, self.overlaps = [], []
+        self.calls, self.overlaps, self.transposed_right = [], [], []
 
     def __getattr__(self, name):
         fn = getattr(np, name)
@@ -699,6 +701,9 @@ class _OutOverlaps:
                     for a in inputs
                     if isinstance(a, np.ndarray) and not self._same_view(a, out) and np.may_share_memory(a, out)
                 ]
+                right = args[1] if name == "matmul" else None
+                if right is not None and right.shape[-1] > 1 and right.strides[-1] != right.itemsize:
+                    self.transposed_right.append(out)
             return fn(*args, **kwargs)
 
         return call
@@ -713,13 +718,14 @@ class _OutOverlaps:
 class TestChainLayout:
     """No kernel call writes an output whose memory span encloses a view it reads."""
 
+    @pytest.mark.parametrize("reg_a", [0.0, 1.0], ids=["plain", "regularized"])
     @pytest.mark.parametrize("batch", [1, 2])
     @pytest.mark.parametrize("integrator", ["gd", "flow_rk4"])
     @pytest.mark.parametrize("field", FIELDS, ids=["real", "embedded"])
     @pytest.mark.parametrize("n", [2, 3, 4, 6])
-    def test_no_output_overlaps_another_input(self, monkeypatch, n, field, integrator, batch):
-        # The regularizer on, so that the defect and regularizer calls run too.
-        cfg = DynConfig(reg_a=1.0, eta=0.05, step_h=0.05, integrator=integrator)
+    def test_no_output_overlaps_another_input(self, monkeypatch, n, field, integrator, batch, reg_a):
+        # Each layout: with the regularizer on, the defect and regularizer calls run too.
+        cfg = DynConfig(reg_a=reg_a, eta=0.05, step_h=0.05, integrator=integrator)
         w, sigma = _problem(field, n, batch, seed=n)
         kernel = _kernel(w, sigma, cfg)
         spy = _OutOverlaps()
@@ -731,6 +737,29 @@ class TestChainLayout:
         # Every chain matmul ran, and both RK4 stages' updates.
         want = len(kernel._chain_ops) * (4 if integrator == "flow_rk4" else 1)
         assert spy.calls.count("matmul") >= want + 2 and "add" in spy.calls
+
+    @pytest.mark.parametrize("reg_a", [0.0, 1.0], ids=["plain", "regularized"])
+    @pytest.mark.parametrize("integrator", ["gd", "flow_rk4"])
+    @pytest.mark.parametrize("field", FIELDS, ids=["real", "embedded"])
+    @pytest.mark.parametrize("n", [2, 3, 4, 6])
+    def test_one_product_reads_a_transposed_right_operand(self, monkeypatch, n, field, integrator, reg_a):
+        # numpy's small batched gemm costs 2-3x as much with a transposed
+        # right operand as with that operand stored.  The regularized kernel
+        # stores the layers' transposes, so only the chain's last product,
+        # W = W_N (suffix[n-2]^T)^T, reads one; the plain kernel keeps its
+        # layout, where only the direction product reads the suffix products
+        # transposed.
+        cfg = DynConfig(reg_a=reg_a, eta=0.05, step_h=0.05, integrator=integrator)
+        w, sigma = _problem(field, n, 2, seed=n)
+        kernel = _kernel(w, sigma, cfg)
+        spy = _OutOverlaps()
+        monkeypatch.setattr(dynamics, "np", spy)
+        kernel.evaluate()
+        kernel.step()
+        want = kernel._product if reg_a > 0 else kernel._direction_high
+        stages = 4 if integrator == "flow_rk4" else 1
+        assert len(spy.transposed_right) == stages
+        assert all(_OutOverlaps._same_view(out, want) for out in spy.transposed_right)
 
 
 class TestGramPath:

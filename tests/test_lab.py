@@ -1406,13 +1406,15 @@ class TestCli:
         [
             ["run", "--seed", "-1", "--steps", "5"],
             ["sweep", "--preset", "sweep", "--seed", "-1", "--seeds", "2", "--steps", "5"],
+            ["sweep", "--preset", "sweep", "--seeds", "0", "--steps", "5"],
             ["run", "--config", "missing.cfg"],
             ["gradcheck", "--a", "-1"],
             ["gradcheck", "--d", "0"],
             ["rmt-validate", "--d", "0"],
         ],
         ids=[
-            "negative-seed", "sweep-negative-seed", "missing-config", "negative-a", "zero-d", "rmt-zero-d",
+            "negative-seed", "sweep-negative-seed", "sweep-zero-seeds", "missing-config", "negative-a", "zero-d",
+            "rmt-zero-d",
         ],
     )
     def test_bad_input_exit_code(self, tmp_path, capsys, monkeypatch, argv):
@@ -1420,6 +1422,42 @@ class TestCli:
         assert main(argv) == 1
         assert "config error" in capsys.readouterr().err
         assert not any(tmp_path.iterdir())
+
+    def test_bad_lab_threads_is_refused_before_the_out_dir(self, tmp_path, capsys, monkeypatch):
+        monkeypatch.chdir(tmp_path)
+        monkeypatch.setenv("LAB_THREADS", "abc")
+        assert main(["sweep", "--preset", "sweep", "--seeds", "2", "--steps", "5"]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("config error: LAB_THREADS") and err.count("\n") == 1
+        assert not any(tmp_path.iterdir())
+
+    @pytest.mark.parametrize("existing", [False, True], ids=["new", "existing"])
+    @pytest.mark.parametrize(
+        "argv, work",
+        [
+            (["run", "--steps", "5"], "_run_chunk"),
+            (["sweep", "--preset", "sweep", "--steps", "5", "--seeds", "2"], "_run_chunk"),
+            (["rmt-validate"], "validate_cue_uniformity"),
+        ],
+        ids=["run", "sweep", "rmt-validate"],
+    )
+    def test_out_of_memory_leaves_no_out_dir(self, tmp_path, capsys, monkeypatch, argv, work, existing):
+        # The work fails as an allocation would, before anything is written:
+        # the directories the command made go, one that existed stays.
+        def too_large(*args, **kwargs):
+            raise MemoryError("Unable to allocate 7.28 TiB for an array with shape (1000000, 1000000)")
+
+        monkeypatch.setattr(lab, work, too_large)
+        out = tmp_path / "made" / "out"
+        if existing:
+            out.mkdir(parents=True)
+        assert main(argv + ["--out", str(out)]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("out of memory: Unable to allocate") and err.count("\n") == 1
+        if existing:
+            assert out.is_dir() and not any(out.iterdir())
+        else:
+            assert not any(tmp_path.iterdir())
 
     @pytest.mark.parametrize("beneath", [False, True], ids=["file", "beneath-file"])
     @pytest.mark.parametrize(
