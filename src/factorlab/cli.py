@@ -14,6 +14,7 @@ sweep parallelism.
 from __future__ import annotations
 
 import argparse
+import csv
 import sys
 from dataclasses import replace
 from pathlib import Path
@@ -22,6 +23,7 @@ from .errors import ConfigError, FactorLabError, MalformedCSVError
 from .lab import (
     CONFIG_KEYS,
     PRESET_NAMES,
+    SWEEP_CSV_COLUMNS,
     RunConfig,
     build_config,
     check_distinct_names,
@@ -33,6 +35,7 @@ from .lab import (
     rmt_validate,
     run_scenarios,
     sweep_convergence,
+    sweep_csv_row,
     sweep_workers,
 )
 # Not called here: the benchmark's tracer wraps it under this name.
@@ -128,11 +131,11 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
     check_distinct_names(bases, "their sweep.csv rows could not be told apart")
     workers = sweep_workers(args.seeds)
     # Config echo: each base config's block rebuilds it as a config file.
-    rows = [f"# factorlab sweep, seeds = {args.seeds}"]
+    comments = [f"# factorlab sweep, seeds = {args.seeds}"]
     for base in bases:
-        rows.append(f"# [base {base.name}]")
-        rows += [f"# {item}" for item in base.echo()]
-    rows.append("name,seed,status,converged,steps_run,final_l_ori,det_w0")
+        comments.append(f"# [base {base.name}]")
+        comments += [f"# {item}" for item in base.echo()]
+    table = [SWEEP_CSV_COLUMNS]
     with make_out_dir(args.out, ["sweep.csv"]) as out:
         for base in bases:
             result = sweep_convergence(base, args.seeds, workers)
@@ -147,13 +150,12 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
                     f"det<0: {result.n_det_minus_converged}/{result.n_det_minus} "
                     f"(fraction={result.fraction_det_minus:.3f})"
                 )
-            rows += [
-                f"{base.name},{o.seed},{o.status},{int(o.converged)},{o.steps_run},"
-                f"{o.final_l_ori!r},{o.det_w0!r}"
-                for o in result.outcomes
-            ]
+            table += [sweep_csv_row(base.name, o) for o in result.outcomes]
         path = out / "sweep.csv"
-        path.write_text("\n".join(rows) + "\n")
+        # Quoted where needed: a config name may hold a comma.
+        with open(path, "w", newline="") as fh:
+            fh.write("\n".join(comments) + "\n")
+            csv.writer(fh, lineterminator="\n").writerows(table)
         print(f"  per-seed results -> {path}")
     return EXIT_OK
 

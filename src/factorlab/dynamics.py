@@ -47,19 +47,27 @@ kernel halves.  Rounding
 moves a stepped embedding off that form in the last bits, so every step
 ends by restoring it from the left blocks.  Complex trajectories differ
 from complex arithmetic's in the last bits; they stay deterministic and
-independent of the batch.  :func:`loss`, :func:`gradient`,
-:func:`gd_step` and :func:`flow_step_rk4` evaluate and step as the run loop
-does, a complex stack as its embedding; :func:`gradient` reads the complex
-gradient from the left blocks of the embedded one.  Only the balance
-defects of the monitors (:func:`_defects`) are computed in the problem's
-own field.
+independent of the batch, and :func:`gd_step` and :func:`flow_step_rk4`
+step a complex stack bitwise as the run loop does.  Only the balance
+defects of the monitors (:func:`_defects`) are computed in complex
+arithmetic.
 
-Ownership: an array the kernel returns (its layers, ``l_ori``, a descent
-direction) is a view of its buffers, valid until its next step; a caller
-that keeps one, like a trajectory's records, copies it.  :func:`loss`,
-:func:`gradient`, :func:`gd_step` and :func:`flow_step_rk4` build a
-kernel of their own for each call, so they never write to their inputs,
-and what they return is not shared.
+The embedding stays inside the kernel: ``_Kernel.layers`` is the one
+thing it holds that may be embedded.  Everything else it hands out is in
+the problems' own field: the losses, which are halved; the layers of one
+problem, copied and read from the left blocks
+(:meth:`_Kernel.own_layers`); the layer norms of the divergence guard
+(:meth:`_Kernel.layer_norms`), taken over an embedded layer's top rows
+``[A, -B]``, which hold exactly the complex norm's terms, so the guard's
+bound means the same in both fields; and the descent direction
+(:meth:`_Kernel.descent`), whose left blocks are the complex one.
+
+Ownership: an array the kernel returns (``layers``, ``l_ori``, a real
+problem's descent direction) is a view of its buffers, valid until its
+next step; :meth:`_Kernel.own_layers` copies, so a trajectory's records
+keep what it gives.  :func:`loss`, :func:`gradient`, :func:`gd_step` and
+:func:`flow_step_rk4` build a kernel of their own for each call, so they
+never write to their inputs, and what they return is not shared.
 """
 
 from __future__ import annotations
@@ -266,7 +274,9 @@ class _Kernel:
     ``l_reg`` are halved, and every step ends by restoring the exact
     embedded form from the left blocks.  Off it the real dynamics have
     directions that the complex dynamics lack, which can be unstable where
-    the complex run is not.
+    the complex run is not.  ``layers`` is the only embedded thing the
+    kernel hands out; :meth:`own_layers`, :meth:`layer_norms` and
+    :meth:`descent` give the problems' own field.
 
     :meth:`measure` (or :meth:`evaluate`, which is :meth:`measure` then
     :meth:`finish`) must precede each :meth:`step`, :meth:`l_reg` and
@@ -326,6 +336,8 @@ class _Kernel:
         deltas, scratch = buf(n - 1), buf(n - 1)
         x[...] = w.swapaxes(0, 1)
         self.layers = x.swapaxes(0, 1)
+        # An embedded layer's top rows [A, -B]: its own-field norm's terms.
+        self._norm_rows = self.layers[..., : m // 2 if embedded else m, :]
         self._x, self._direction = x, direction
         self._deltas, self._scratch = deltas, scratch
         # The layers at the start of the last advance, which replay starts from.
@@ -397,13 +409,20 @@ class _Kernel:
             np.multiply(s, a, out=s)
             np.subtract(self._direction_low, s, out=self._direction_low)
 
-    def _measure(self, sq: np.ndarray) -> None:
-        """Products, misfit and (regularizer on) defects of the layers, and ``sq`` into the ``(B, 1, 1)`` array ``sq``."""
+    def _measure(self, sq: np.ndarray | None = None) -> None:
+        """Products, misfit and (regularizer on) defects of the layers, and ``sq`` into the ``(B, 1, 1)`` array ``sq``.
+
+        Without ``sq``, as for an RK4 stage, only what :meth:`_descend`
+        reads: under ``omit_l_ori`` no products either.
+        """
         regularized = self.cfg.reg_a > 0
         if regularized:  # the layers' transposes, which the chain and defects read
             np.copyto(self._xt, self._x_swapped)
-        self._products()
-        np.matmul(self._misfit_row, self._misfit_col, out=sq)
+        if sq is not None:
+            self._products()
+            np.matmul(self._misfit_row, self._misfit_col, out=sq)
+        elif not self.cfg.omit_l_ori:
+            self._products()
         if regularized:
             self._defects()
 
@@ -503,20 +522,34 @@ class _Kernel:
         return 0.5 * l_reg if self.embedded else l_reg
 
     def descent(self) -> np.ndarray:
-        """The ``(B, N, m, m)`` descent direction at the last evaluation."""
+        """The ``(B, N, d, d)`` descent direction at the last evaluation, in the problems' own field."""
         self._descend()
-        return self._direction.swapaxes(0, 1)
+        direction = self._direction.swapaxes(0, 1)
+        return _unembed(direction) if self.embedded else direction
 
-    def _stage(self) -> None:
-        """An RK4 stage's direction at the layers: only what it reads, and no loss terms."""
-        regularized = self.cfg.reg_a > 0
-        if regularized:
-            np.copyto(self._xt, self._x_swapped)
-        if not self.cfg.omit_l_ori:
-            self._products()
-        if regularized:
-            self._defects()
-        self._descend()
+    def own_layers(self, row: int, out: np.ndarray | None = None) -> np.ndarray:
+        """Problem ``row``'s ``(N, d, d)`` layers in its own field, copied into ``out`` or a new array.
+
+        No later step writes what this returns.
+        """
+        layers = self.layers[row]
+        if self.embedded:
+            return _unembed(layers, out)
+        if out is None:
+            return layers.copy()
+        np.copyto(out, layers)
+        return out
+
+    def layer_norms(self) -> np.ndarray:
+        """``(B, N)`` Frobenius norms of the problems' own-field layers.
+
+        An embedded layer's top rows ``[A, -B]`` hold exactly the terms of
+        the complex layer's norm, so it is their norm: no layer is
+        unembedded, and only the summation order differs from the
+        complex dot's.  A NaN or Inf entry makes its layer's norm NaN or
+        Inf.
+        """
+        return _frobenius(self._norm_rows)
 
     def step(self) -> None:
         """One GD or RK4 step (``cfg.integrator``) of the layers, in place, from the last measure.
@@ -544,7 +577,8 @@ class _Kernel:
                 if weighted:
                     np.multiply(d, 2.0, out=d)
                     np.add(acc, d, out=acc)
-                self._stage()
+                self._measure()
+                self._descend()
             np.add(acc, d, out=acc)
             np.multiply(acc, h / 6.0, out=acc)
             np.add(start, acc, out=x)
@@ -576,13 +610,13 @@ def _embed(z: np.ndarray) -> np.ndarray:
     return np.concatenate([np.concatenate([a, -b], -1), np.concatenate([b, a], -1)], -2)
 
 
-def _unembed(x: np.ndarray) -> np.ndarray:
-    """Complex ``(..., d, d)`` matrices whose embeddings ``x`` holds, read from the left blocks.
+def _unembed(x: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
+    """Complex ``(..., d, d)`` matrices whose embeddings ``x`` holds, read from the left blocks into ``out`` or a new array.
 
     ``_unembed(_embed(z))`` is ``z`` bit for bit.
     """
     d = x.shape[-1] // 2
-    z = np.empty(x.shape[:-2] + (d, d), dtype=complex)
+    z = np.empty(x.shape[:-2] + (d, d), dtype=complex) if out is None else out
     z.real = x[..., :d, :d]
     z.imag = x[..., d:, :d]
     return z
@@ -619,8 +653,7 @@ def _measured(stack: LayerStack, target: TargetSpec, cfg: DynConfig) -> _Kernel:
 def _step(stack: LayerStack, target: TargetSpec, cfg: DynConfig, integrator: str) -> LayerStack:
     kernel = _measured(stack, target, replace(cfg, integrator=integrator))
     kernel.step()
-    layers = kernel.layers[0]
-    return LayerStack(_unembed(layers) if kernel.embedded else layers)
+    return LayerStack(kernel.own_layers(0))
 
 
 def balance_deltas(stack: LayerStack) -> np.ndarray:
@@ -640,9 +673,7 @@ def gradient(stack: LayerStack, target: TargetSpec, cfg: DynConfig) -> np.ndarra
 
     A complex stack's gradient is read from the left blocks of its embedding's.
     """
-    kernel = _measured(stack, target, cfg)
-    grad = -kernel.descent()[0]
-    return _unembed(grad) if kernel.embedded else grad
+    return -_measured(stack, target, cfg).descent()[0]
 
 
 def gd_step(stack: LayerStack, target: TargetSpec, cfg: DynConfig) -> LayerStack:

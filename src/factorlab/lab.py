@@ -18,24 +18,14 @@ import os
 import time as _time
 from concurrent.futures import ProcessPoolExecutor
 from contextlib import contextmanager, nullcontext
-from dataclasses import dataclass, field as dc_field, replace
+from dataclasses import astuple, dataclass, field as dc_field, fields, replace
 from functools import partial, reduce
 from pathlib import Path
 from typing import Callable, Iterable, Iterator, NamedTuple
 
 import numpy as np
 
-from .dynamics import (
-    DynConfig,
-    LayerStack,
-    TargetSpec,
-    _frobenius,
-    _kernel,
-    _unembed,
-    gradient,
-    product,
-    reduce_target,
-)
+from .dynamics import DynConfig, LayerStack, TargetSpec, _kernel, gradient, product, reduce_target
 # Not called here: the benchmark's tracer wraps these under their names.
 from .dynamics import flow_step_rk4, gd_step, loss  # noqa: F401
 from .monitors import balance_errors  # noqa: F401
@@ -65,6 +55,8 @@ __all__ = [
     "CONFIG_KEYS",
     "RunSummary",
     "SweepResult",
+    "SWEEP_CSV_COLUMNS",
+    "sweep_csv_row",
     "GradCheckReport",
     "DIVERGENCE_GUARD",
     "PRESET_NAMES",
@@ -364,14 +356,6 @@ class RunSummary:
     csv_path: str | None
 
 
-def _bounded(w: np.ndarray) -> np.ndarray:
-    """Per problem in a ``(..., N, m, n)`` layer array: every layer norm within the guard.
-
-    A NaN or Inf entry makes its layer norm NaN or Inf, which fails the test.
-    """
-    return (_frobenius(w) <= DIVERGENCE_GUARD).all(axis=-1)
-
-
 def _time_of(cfg: RunConfig, step: int) -> float:
     dt = cfg.dyn.eta if cfg.dyn.integrator == "gd" else cfg.dyn.step_h
     return step * dt
@@ -381,7 +365,9 @@ class _Trajectory:
     """One problem's records in a batched run: CSV lines, SVD track, last record.
 
     Recorded steps are buffered and computed ``RECORD_BLOCK`` at a time, and
-    after the run loop; ``on_record`` sees them in step order.
+    after the run loop; ``on_record`` sees them in step order.  The layers
+    of the buffered steps are copied into ``block``, one array reused for
+    every block of records.
     """
 
     def __init__(self, cfg: RunConfig, on_record=None) -> None:
@@ -389,7 +375,8 @@ class _Trajectory:
         self.on_record = on_record
         self.target: TargetSpec | None = None
         self.lines: list[str] = []
-        self.pending: list[tuple[int, np.ndarray, float, float]] = []
+        self.block = np.empty((RECORD_BLOCK, cfg.n_layers, cfg.d, cfg.d), cfg.field.dtype)
+        self.pending: list[tuple[int, float, float]] = []
         self.rec: TrajectoryRecord | None = None
         self.track: SvdTrack | None = None
 
@@ -405,32 +392,29 @@ class _Trajectory:
             self.lines.append(f"# reduced_target_diag = {diag}")
         self.lines.append(",".join(csv_columns(cfg.d)))
 
-    def add(self, step: int, w: np.ndarray, l_ori: float, l_reg: float) -> None:
-        """Buffer a copy of the problem's layers at ``step``, as the kernel holds them, and its losses.
+    def add(self, step: int, kernel, row: int, l_ori: float, l_reg: float) -> None:
+        """Buffer problem ``row`` of ``kernel`` at ``step``: its losses, and its layers copied into the block's next slot.
 
-        The kernel reuses its buffers, so what a record reads is copied
-        here.  A full buffer is recorded.
+        A full block is recorded.
         """
-        self.pending.append((step, w.copy(), float(l_ori), float(l_reg)))
-        if len(self.pending) >= RECORD_BLOCK:
+        kernel.own_layers(row, out=self.block[len(self.pending)])
+        self.pending.append((step, float(l_ori), float(l_reg)))
+        if len(self.pending) == RECORD_BLOCK:
             self.flush()
 
     def flush(self) -> None:
-        """Record the buffered steps as one block; embedded layers are unembedded once for it."""
+        """Record the buffered steps as one block."""
         if not self.pending:
             return
-        steps, ws, l_oris, l_regs = zip(*self.pending)
+        steps, l_oris, l_regs = zip(*self.pending)
         self.pending = []
-        w = np.stack(ws)
-        if self.cfg.field is FieldTag.COMPLEX:
-            w = _unembed(w)
         times = [_time_of(self.cfg, step) for step in steps]
-        block = records(steps, times, w, l_oris, l_regs, self.target, self.track)
-        for rec, track in block:
+        recs = records(steps, times, self.block[: len(steps)], l_oris, l_regs, self.target, self.track)
+        for rec, track in recs:
             self.lines.append(record_to_csv_row(rec, self.cfg.d))
             if self.on_record is not None:
                 self.on_record(rec, track)
-        self.rec, self.track = block[-1]
+        self.rec, self.track = recs[-1]
 
 
 def run_scenarios(
@@ -593,6 +577,15 @@ class SeedOutcome:
     det_w0: float | complex
 
 
+# sweep.csv's columns: the swept base config's name, then a seed's outcome.
+SWEEP_CSV_COLUMNS = ("name", *(f.name for f in fields(SeedOutcome)))
+
+
+def sweep_csv_row(name: str, outcome: SeedOutcome) -> tuple:
+    """``outcome`` as a sweep.csv row under ``name``, a bool as 0 or 1."""
+    return (name, *(int(v) if isinstance(v, bool) else v for v in astuple(outcome)))
+
+
 @dataclass(frozen=True)
 class SweepResult:
     n_seeds: int
@@ -634,8 +627,8 @@ def _run_chunk(
     rebuilt only when problems leave.
 
     ``settle`` is the one place that ends runs and records them.  It
-    finishes ``l_ori``, runs the divergence guard ``_bounded`` and builds
-    each outcome.  The loop calls it on every guard, record and last step.
+    finishes ``l_ori``, runs the divergence guard on the kernel's
+    ``layer_norms`` and builds each outcome.  The loop calls it on every guard, record and last step.
     The steps between two of them are a quiet block, which the kernel's
     ``advance`` runs with no test per step, keeping each step's squared
     misfit norm; the kernel's ``converged`` screens that history once.  A
@@ -643,17 +636,9 @@ def _run_chunk(
     block's start to that step (the kernel's ``replay``) and settled there;
     the rest of the batch goes on where the block left it.  Replay gives the
     batch's bits, since the kernel acts on each problem alone.  ``l_reg`` is
-    computed on record steps only, where records read it.
-
-    Complex problems are stepped as their real embeddings (see
-    ``dynamics``), restored to the exact embedded form after every step, so
-    a trajectory is bitwise the one ``gd_step`` or ``flow_step_rk4`` gives.
-    The convergence test and the outcome read the kernel's halved embedded
-    ``l_ori``, which is the complex one.  The guard measures an embedded
-    layer's top ``d`` rows ``[A, -B]``, whose norm has exactly the complex
-    layer norm's terms, so its bound means the same in both fields.  A
-    record copies the layers and the two losses, and unembeds the layers
-    once per block.  Stepping ignores overflow; recording does not: the
+    computed on record steps only, where records read it.  Everything the
+    loop reads of the kernel is in the problems' own field (see
+    ``dynamics``).  Stepping ignores overflow; recording does not: the
     records are computed ``RECORD_BLOCK`` at a time and after the stepping
     loop, under the caller's floating-point error state.
     """
@@ -682,7 +667,7 @@ def _run_chunk(
         last = step == cfg.steps
         record = trajectories is not None and step % cfg.record_stride == 0
         converging = measure_l_ori and np.logical_or.reduce(l_ori < cfg.eps_conv)
-        ok = _bounded(kernel.layers[..., : cfg.d, :])
+        ok = (kernel.layer_norms() <= DIVERGENCE_GUARD).all(-1)
         done = None
         if last or converging or not ok.all():
             converged = (l_ori < cfg.eps_conv) & ok & measure_l_ori
@@ -699,7 +684,7 @@ def _run_chunk(
             l_reg = kernel.l_reg()
             with np.errstate(**errors):
                 for i in rows:
-                    trajectories[ids[i]].add(step, kernel.layers[i], l_ori[i], l_reg[i])
+                    trajectories[ids[i]].add(step, kernel, i, l_ori[i], l_reg[i])
         return done
 
     # A diverging run overflows until the guard retires it; that is a
@@ -863,11 +848,7 @@ def rmt_validate(
     if out_dir is not None:
         made = make_out_dir(out_dir, [report_file] + [f for _, _, f in battery if f is not None])
     with made as out:
-        streams = [
-            np.random.Generator(np.random.Philox(c))
-            for c in np.random.SeedSequence(seed).spawn(len(battery))
-        ]
-        results = [fn(*args, rng) for (fn, args, _), rng in zip(battery, streams)]
+        results = [fn(*args, _substream(seed, i)) for i, (fn, args, _) in enumerate(battery)]
         if out is not None:
             report = [("test", "statistic", "rule", "threshold", "verdict", "detail")]
             for (_, _, hist_file), r in zip(battery, results):

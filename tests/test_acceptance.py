@@ -15,7 +15,6 @@ from factorlab.dynamics import (
     LayerStack,
     TargetSpec,
     _kernel,
-    _unembed,
     gd_step,
     loss,
     product,
@@ -387,7 +386,7 @@ def test_target_reduction_commutes_with_dynamics(field, integrator):
         for _ in range(2000):
             kernel.measure()
             kernel.step()
-        return _unembed(kernel.layers[0]) if kernel.embedded else kernel.layers[0].copy()
+        return kernel.own_layers(0)
 
     want = steps(stack.layers, sigma)
     got = steps(reduced.layers, target.matrix)

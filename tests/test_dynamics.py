@@ -1,11 +1,12 @@
 """Tests for the optimization core: loss, gradients, steppers, target reduction."""
 
 import tracemalloc
+from dataclasses import replace
 
 import numpy as np
 import pytest
 
-from factorlab import dynamics
+from factorlab import dynamics, lab
 from factorlab.dynamics import (
     DynConfig,
     LayerStack,
@@ -552,7 +553,7 @@ class TestEmbedding:
         kernel = _kernel(w[None], sigma[None], cfg)
         kernel.measure()
         kernel.step()
-        want = _unembed(kernel.layers[0]) if field is FieldTag.COMPLEX else kernel.layers[0]
+        want = kernel.own_layers(0)
         assert got.dtype == w.dtype and got.tobytes() == want.tobytes()
 
 
@@ -670,6 +671,116 @@ class TestKernelOwnership:
             tracemalloc.stop()
         assert peak - before < layer_bytes
         assert np.all(np.isfinite(kernel.layers))
+
+
+class TestOwnField:
+    """Everything the kernel hands out but ``layers`` is in the problems' own field."""
+
+    @pytest.mark.parametrize("field", FIELDS, ids=lambda f: f.value)
+    @pytest.mark.parametrize("n", [2, 3, 4, 6])
+    def test_own_layers_are_copies_no_step_writes(self, n, field):
+        cfg = DynConfig(reg_a=1.0, eta=0.05)
+        w, sigma = _problem(field, n, 3, seed=n)
+        kernel = _kernel(w, sigma, cfg)
+        kernel.measure()
+        kernel.step()
+        kept = []
+        for row in range(3):
+            held = kernel.layers[row]
+            want = _unembed(held) if field is FieldTag.COMPLEX else held
+            out = np.empty_like(w[row])
+            assert kernel.own_layers(row, out=out) is out
+            for got in (kernel.own_layers(row), out):
+                assert got.dtype == w.dtype and got.shape == (n, 5, 5)
+                assert got.tobytes() == want.tobytes() and not np.shares_memory(got, kernel.layers)
+                kept.append((got, got.copy()))
+        kernel.measure()
+        kernel.step()
+        assert all(np.array_equal(got, copy) for got, copy in kept)
+        assert not np.array_equal(kernel.own_layers(0), kept[0][1])
+
+    @pytest.mark.parametrize("field", FIELDS, ids=lambda f: f.value)
+    @pytest.mark.parametrize("n", [2, 3, 4, 6])
+    def test_layer_norms_are_the_own_layers_norms(self, n, field):
+        # A real layer's norm is np.linalg.norm's bit for bit.  An embedded
+        # layer's is that of its top rows [A, -B], which hold the complex
+        # norm's terms: summed in their order, not real part then imaginary.
+        w, sigma = _problem(field, n, 3, seed=n)
+        kernel = _kernel(w, sigma, DynConfig())
+        got = kernel.layer_norms()
+        assert got.shape == (3, n)
+        for row in range(3):
+            own = kernel.own_layers(row)
+            for j in range(n):
+                if field is FieldTag.COMPLEX:
+                    assert got[row, j] == np.linalg.norm(kernel.layers[row, j, :5])
+                    assert got[row, j] == pytest.approx(np.linalg.norm(own[j]), rel=1e-15, abs=0)
+                else:
+                    assert got[row, j] == np.linalg.norm(own[j])
+
+    @pytest.mark.parametrize("field", FIELDS, ids=lambda f: f.value)
+    def test_a_nan_or_inf_layer_fails_the_guard(self, field):
+        w, sigma = _problem(field, 4, 4, seed=3)
+        unit = 1j if field is FieldTag.COMPLEX else 1.0
+        w[1, 2, 3, 4] = np.nan * unit  # the imaginary part of a complex entry
+        w[2, 0, 0, 1] = np.inf
+        w[3, 3] *= 1e13
+        ok = (_kernel(w, sigma, DynConfig()).layer_norms() <= lab.DIVERGENCE_GUARD).all(-1)
+        assert ok.tolist() == [True, False, False, False]
+
+
+class _Calls:
+    """numpy as the kernel sees it, noting the name of every function called through it."""
+
+    def __init__(self):
+        self.names = []
+
+    def __getattr__(self, name):
+        fn = getattr(np, name)
+        if not callable(fn):
+            return fn
+
+        def call(*args, **kwargs):
+            self.names.append(name)
+            return fn(*args, **kwargs)
+
+        return call
+
+
+class TestQuietStepCalls:
+    """The numpy calls of one quiet step at B = 2, counted on the presets' problems.
+
+    Each numpy call costs about a microsecond of dispatch at these sizes,
+    most of a step, so a change to a count is a change to the step's cost.
+    The counts leave out what :meth:`_Kernel.advance` calls once whatever
+    its length: the snapshot copy and the history.
+    """
+
+    @pytest.mark.parametrize(
+        "name, integrator, field, calls",
+        [
+            pytest.param("fig-h1", "gd", FieldTag.REAL, 9, id="real-gd"),
+            pytest.param("fig-h1", "gd", FieldTag.COMPLEX, 12, id="embedded-gd"),
+            pytest.param("fig-h1", "flow_rk4", FieldTag.REAL, 40, id="real-rk4"),
+            pytest.param("sweep", "gd", FieldTag.REAL, 19, id="regularized-gd"),
+            pytest.param("fig-h3", "flow_rk4", FieldTag.REAL, 60, id="regularized-rk4-omit-l-ori"),
+        ],
+    )
+    def test_counts(self, monkeypatch, name, integrator, field, calls):
+        base = lab.preset(name)[0]
+        cfgs = [
+            replace(base, field=field, det_sign=None, seed=seed, dyn=replace(base.dyn, integrator=integrator))
+            for seed in (1, 2)
+        ]
+        problems = [lab.prepare_problem(c) for c in cfgs]
+        w = np.stack([stack.layers for _, stack, _ in problems])
+        kernel = _kernel(w, np.stack([target.matrix for target, _, _ in problems]), cfgs[0].dyn)
+        assert kernel.embedded == (field is FieldTag.COMPLEX)
+        spy = _Calls()
+        monkeypatch.setattr(dynamics, "np", spy)
+        kernel.advance(1)
+        assert spy.names[:2] == ["copyto", "empty"]
+        assert len(spy.names) - 2 == calls
 
 
 class _OutOverlaps:

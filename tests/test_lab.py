@@ -852,7 +852,7 @@ class TestConvergenceCheck:
                 ev = _ref_evaluate(w, sigma, cfg.dyn)
                 l_ori = 0.5 * ev[4] if embedded else ev[4]
                 history.append(l_ori)
-                ok = lab._bounded(w[..., : cfg.d, :])
+                ok = (_frobenius(w[..., : cfg.d, :]) <= lab.DIVERGENCE_GUARD).all(-1)
                 cadence = step % 25 == 0 or step == cfg.steps
                 for i in range(len(cfgs)):
                     if out[i] is not None:
@@ -915,13 +915,13 @@ class TestConvergenceCheck:
                 conv = not cfg.dyn.omit_l_ori and l_ori < cfg.eps_conv
                 ends = conv or step == cfg.steps
                 record = ends or step % cfg.record_stride == 0
-                if (record or step % 25 == 0) and not lab._bounded(kernel.layers[..., : cfg.d, :])[0]:
+                if (record or step % 25 == 0) and not (kernel.layer_norms() <= lab.DIVERGENCE_GUARD).all():
                     with np.errstate(**errors):
                         traj.flush()
                     return traj.lines, ("diverged", step, float("inf"), float("inf"), float("inf"))
                 if record:
                     with np.errstate(**errors):
-                        traj.add(step, kernel.layers[0], l_ori, kernel.l_reg()[0])
+                        traj.add(step, kernel, 0, l_ori, kernel.l_reg()[0])
                 if ends:
                     with np.errstate(**errors):
                         traj.flush()
@@ -968,6 +968,36 @@ class TestConvergenceCheck:
         for cfg, s, (lines, values) in zip(cfgs, got, want):
             assert (tmp_path / f"{cfg.name}.csv").read_text() == "\n".join(lines) + "\n"
             assert (s.status, s.steps_run, s.final_l_ori, s.final_l_reg, s.final_e_delta) == values
+
+    @pytest.mark.parametrize("field", [FieldTag.REAL, FieldTag.COMPLEX], ids=lambda f: f.value)
+    def test_records_over_several_blocks_match_records_made_alone(self, tmp_path, field):
+        # Every step recorded, 2 full blocks and a partial one through the
+        # one block array a trajectory reuses: the CSV rows, and the records
+        # and tracks kept from on_record, are those of each step alone.
+        dyn = DynConfig(reg_a=1.0, step_h=0.05, integrator="flow_rk4")
+        cfg = tiny_cfg(
+            d=5, field=field, init=InitScheme(kind="random", epsilon=0.55), dyn=dyn,
+            steps=2 * lab.RECORD_BLOCK + 22, record_stride=1,
+        )
+        kept = []
+        summary = run_scenario(cfg, out_dir=tmp_path, on_record=lambda rec, track: kept.append((rec, track)))
+        assert (summary.status, summary.steps_run) == ("exhausted", cfg.steps)
+        target, stack, _ = prepare_problem(cfg)
+        kernel = dynamics._kernel(stack.layers[None], target.matrix[None], dyn)
+        want, track = [], None
+        for step in range(cfg.steps + 1):
+            l_ori = float(kernel.evaluate()[0])
+            layers = LayerStack(kernel.own_layers(0))
+            rec, track = record(step, lab._time_of(cfg, step), layers, l_ori, kernel.l_reg()[0], target, track)
+            want.append((record_to_csv_row(rec, cfg.d), track))
+            kernel.step()
+        lines = (tmp_path / f"{cfg.name}.csv").read_text().splitlines()
+        assert lines[-len(want) - 1].startswith("step,")
+        assert lines[-len(want) :] == [row for row, _ in want]
+        assert len(kept) == len(want)
+        for (rec, got), (row, track) in zip(kept, want):
+            assert record_to_csv_row(rec, cfg.d) == row
+            assert all(getattr(got, k).tobytes() == getattr(track, k).tobytes() for k in ("u", "sigma_w", "v"))
 
     @pytest.mark.parametrize("integrator", ["gd", "flow_rk4"])
     @pytest.mark.parametrize("field", [FieldTag.REAL, FieldTag.COMPLEX], ids=lambda f: f.value)
@@ -1304,6 +1334,19 @@ class TestCli:
             dets = [ln.split(" = ")[1] for ln in lines if ln.startswith("det_w0 = ")]
         assert "# det = plus" in lines or "det = plus" in lines
         assert dets and set(dets) == {"1.0"}
+
+    def test_sweep_csv_quotes_a_name_with_a_comma(self, tmp_path, capsys):
+        # run accepts the name, so every sweep.csv row keeps it in one cell.
+        cfg = tmp_path / "c.cfg"
+        cfg.write_text("name = a,b\n")
+        out = tmp_path / "out"
+        assert main(["sweep", "--config", str(cfg), "--seeds", "2", "--steps", "20", "--out", str(out)]) == 0
+        with open(out / "sweep.csv", newline="") as fh:
+            table = list(csv.reader(ln for ln in fh if not ln.startswith("#")))
+        header = ["name", "seed", "status", "converged", "steps_run", "final_l_ori", "det_w0"]
+        assert table[0] == header == list(lab.SWEEP_CSV_COLUMNS)
+        assert [row[0] for row in table[1:]] == ["a,b", "a,b"]
+        assert all(len(row) == len(header) for row in table)
 
     def test_sweep_csv_echoes_each_base(self, tmp_path, capsys):
         argv = ["sweep", "--preset", "fig-h1", "--steps", "20", "--seeds", "3", "--out", str(tmp_path)]
