@@ -14,10 +14,13 @@ conjugate Wirtinger derivative), so one update rule covers both fields.
 All of this math is one real batch kernel, :class:`_Kernel`.  It is built
 once per batch of problems, copies their layers into buffers it owns, and
 steps them in place with a fixed sequence of numpy calls on views it made
-once.  Slots that would hold copies share memory instead: the layers sit in
-one buffer with the suffix and the prefix products, whose first suffix and
-top prefix are the bottom and top layers themselves, and the bottom slot of
-the descent direction is the first left factor.  No call writes an output
+once.  That sequence is made once too, as call plans: lists of ``(function,
+args)`` entries whose outputs are positional arguments, so running a plan
+costs the numpy calls and little else, with no method call or keyword
+between them.  Slots that would hold copies share memory instead: the
+layers sit in one buffer with the suffix and the prefix products, whose
+first suffix and top prefix are the bottom and top layers themselves, and
+the bottom slot of the descent direction is the first left factor.  No call writes an output
 whose memory span encloses another view it reads: numpy cannot cheaply
 prove such views apart, so it would copy the inputs on every call.  With
 the regularizer on, the buffer also holds the layers' transposes, copied
@@ -31,11 +34,13 @@ products, the misfit and its squared Frobenius norm ``sq`` (one dot per
 problem), and :meth:`_Kernel.finish` turns ``sq`` into ``l_ori`` (a square
 root, ``n * n`` and a halving), elementwise.  The run loop finishes
 ``l_ori`` on guard and record steps.  Between them it runs
-:meth:`_Kernel.advance`, which keeps each step's ``sq`` in a history and
-tests nothing per step; :meth:`_Kernel.converged` then screens the history
-once and finishes ``l_ori`` only where ``sq`` may give ``l_ori <
-eps_conv``, and a problem that converged there is stepped again alone to
-that step (:meth:`_Kernel.replay`).
+:meth:`_Kernel.advance`, a quiet block of up to ``block`` steps that tests
+nothing per step and takes no ``sq`` in them either: each step leaves its
+misfit in a slot of its own, and one call after the block takes every
+step's ``sq``, the same dots with the same bits.  :meth:`_Kernel.converged`
+then screens that history once and finishes ``l_ori`` only where ``sq``
+may give ``l_ori < eps_conv``, and a problem that converged there is
+stepped again alone to that step (:meth:`_Kernel.replay`).
 
 The kernel does real arithmetic only.  A complex problem is stepped as its
 real embedding ``E(A + iB) = [[A, -B], [B, A]]``: one real matmul per
@@ -73,6 +78,7 @@ never write to their inputs, and what they return is not shared.
 from __future__ import annotations
 
 from dataclasses import dataclass, field as dc_field, replace
+from typing import NamedTuple
 
 import numpy as np
 
@@ -220,6 +226,23 @@ def _defects(w: np.ndarray) -> np.ndarray:
     return upper @ upper_h - lower_h @ lower
 
 
+def _run(plan: list) -> None:
+    """Run a call plan: each entry is a numpy function and its positional arguments, outputs included."""
+    for fn, args in plan:
+        fn(*args)
+
+
+class _Window(NamedTuple):
+    """The views of one window of a kernel's lefts buffer that an evaluation writes (see :class:`_Kernel`)."""
+
+    misfit: np.ndarray  # factors[N-1], the window's bottom slot
+    factors_low: np.ndarray  # factors[:-1]
+    factors_high: np.ndarray  # factors[1:]
+    direction: np.ndarray
+    direction_low: np.ndarray  # direction[:-1]
+    direction_high: np.ndarray  # direction[1:]
+
+
 class _Kernel:
     """The loss, its descent direction and GD or RK4 steps of a batch of real problems.
 
@@ -228,8 +251,15 @@ class _Kernel:
     It copies the layers into ``layers``, its own ``(B, N, m, m)`` array,
     which every step updates in place; ``sigma`` is only read.  Each buffer
     is layer-major (one contiguous ``(B, m, m)`` block per layer), and every
-    per-layer and transposed view is made here, once.  A step is a fixed
-    sequence of numpy calls that write into the buffers.
+    per-layer and transposed view is made here, once.
+
+    Every operation is a call plan made here too: a list of ``(function,
+    args)`` entries, each a numpy call whose output is among its positional
+    arguments, over those views.  :meth:`measure`, :meth:`step`,
+    :meth:`descent` and each round of :meth:`advance` only run a plan.
+    :meth:`_products`, :meth:`_defects`, :meth:`_descend`,
+    :meth:`_measure`, :meth:`_stepping` and :meth:`_reembed` build the
+    pieces the plans are made of.
 
     The chain buffer holds the layers and the suffix and prefix products.
     The layers keep positive strides, since an in-place update with a
@@ -265,6 +295,22 @@ class _Kernel:
       transposed product, and measured 6-8% dearer per step at B = 1 and
       2, real or embedded.
 
+    The lefts buffer holds the misfit, the left factors ``prefix^H M`` and
+    the descent direction, in ``block + 2N - 1`` slots.  An evaluation uses
+    a window of ``2N - 1`` of them: window ``r`` is slots ``r .. r + 2N -
+    2``, which hold ``[M, factors[N-2], ..., factors[1], direction[0],
+    ..., direction[N-1]]``, the bottom slot of the direction being the
+    first left factor.  Round ``r`` of :meth:`advance` evaluates in window
+    ``r``, so its misfit stays in slot ``r`` while the later rounds write
+    above it, and after the block one matmul over slots ``0 .. rounds - 1``
+    takes every round's ``sq``: per problem the same dot over the same
+    contiguous values as a per-round one, so the same bits.  RK4 stages 2
+    to 4 of round ``r`` evaluate in window ``r + 1``, which round ``r + 1``
+    overwrites before it reads it.  :meth:`measure` and :meth:`step`, as on
+    guard and record steps, use window 0, and :meth:`measure` takes its own
+    ``sq``.  ``block`` is the longest :meth:`advance`; the buffer is made
+    here, whatever the block, so no step allocates.
+
     The Gram products read two buffers, so numpy runs them as gemm: over
     one buffer read through a transposed view it would take its ``syrk``
     path (the same bits on the tested OpenBLAS build, which
@@ -281,7 +327,7 @@ class _Kernel:
     :meth:`measure` (or :meth:`evaluate`, which is :meth:`measure` then
     :meth:`finish`) must precede each :meth:`step`, :meth:`l_reg` and
     :meth:`descent`; what they return is a view valid until the next step.
-    :meth:`advance` runs several rounds of :meth:`measure` and :meth:`step`,
+    :meth:`advance` runs several rounds of measuring and stepping,
     :meth:`converged` finds the problems that converged in them, and
     :meth:`replay` steps one problem alone from the start of the last
     :meth:`advance`.
@@ -290,7 +336,9 @@ class _Kernel:
     problem's values do not depend on the batch it is in.
     """
 
-    def __init__(self, w: np.ndarray, sigma: np.ndarray, cfg: DynConfig, embedded: bool = False) -> None:
+    def __init__(
+        self, w: np.ndarray, sigma: np.ndarray, cfg: DynConfig, embedded: bool = False, block: int = 1
+    ) -> None:
         b, n, m, _ = w.shape
         self.cfg, self.sigma, self.embedded = cfg, sigma, embedded
 
@@ -310,53 +358,50 @@ class _Kernel:
             # n + t (n + 1) and prefix[n-2-t] in slot n - 1 + t (n + 1), as
             # the class docstring lays out; the last suffix slot holds W.
             chain = buf(n * n + n)
-            x, self._xt = chain[:n], chain[n : 2 * n]
+            x, xt = chain[:n], chain[n : 2 * n]
             suffix_t, prefix = chain[n :: n + 1], chain[n - 1 :: n + 1][: n - 1][::-1]
             # Step t: [prefix[n-1-t], suffix[t-1]^T] @ [x[n-1-t], x[t]^T], into slots k, k + 1.
             steps = [(t, n - 1 + t * (n + 1)) for t in range(1, n - 1)]
-            self._chain_ops = [
+            chain_ops = [
                 (pair(k - n - 1, k - n), pair(n - 1 - t, n + t), pair(k, k + 1)) for t, k in steps
             ] + [(x[n - 1], suffix_t[n - 2].swapaxes(-1, -2), suffix_t[n - 1])]
             self._product, self._suffix_t = suffix_t[n - 1], suffix_t[:-1]
-            self._x_swapped = x.swapaxes(-1, -2)
-            self._upper_t, self._lower_t = self._xt[:-1], self._xt[1:]
+            self._transposes = (np.copyto, (xt, x.swapaxes(-1, -2)))
+            self._upper_t, self._lower_t = xt[:-1], xt[1:]
         else:
             # x[j] in slot j, suffix[j] in slot j n and prefix[j] in slot
             # n - 1 + (n - 2 - j) n, as the class docstring lays out.
             chain = buf(n * n - n + 1)
             x, suffix, prefix = chain[:n], chain[::n], chain[n - 1 :: n][::-1]
-            self._chain_ops = [
+            chain_ops = [
                 (pair(t, t * n - 1), pair((t - 1) * n, n - 1 - t), pair(t * n, t * n + n - 1))
                 for t in range(1, n - 1)
             ] + [(x[n - 1], suffix[n - 2], suffix[n - 1])]
             self._product, self._suffix_t = suffix[n - 1], suffix[:-1].swapaxes(-1, -2)
-        # lefts = [factors[n-1], ..., factors[1], direction[0], ..., direction[n-1]].
-        lefts = buf(2 * n - 1)
-        factors, direction = lefts[n - 1 :: -1], lefts[n - 1 :]
-        deltas, scratch = buf(n - 1), buf(n - 1)
+        self._chain = [(np.matmul, op) for op in chain_ops]
+        self._lefts = buf(block + 2 * n - 1)
+        self._deltas, self._scratch = buf(n - 1), buf(n - 1)
         x[...] = w.swapaxes(0, 1)
         self.layers = x.swapaxes(0, 1)
         # An embedded layer's top rows [A, -B]: its own-field norm's terms.
         self._norm_rows = self.layers[..., : m // 2 if embedded else m, :]
-        self._x, self._direction = x, direction
-        self._deltas, self._scratch = deltas, scratch
+        self._x, self._lower, self._upper = x, x[1:], x[:-1]
+        self._prefix_h = prefix.swapaxes(-1, -2)
         # The layers at the start of the last advance, which replay starts from.
         self._snapshot = buf(n)
-        # factors[j] = prefix[j]^H M below the top slot, which is the misfit M.
-        self._misfit = factors[-1]
-        self._misfit_b = factors[-1][None]
-        self._factors_low, self._factors_high = factors[:-1], factors[1:]
-        self._direction_low, self._direction_high = direction[:-1], direction[1:]
-        self._lower, self._upper = x[1:], x[:-1]
-        self._prefix_h = prefix.swapaxes(-1, -2)
-
         self._sq = np.empty((b, 1, 1))
-        self._misfit_row = _flat_rows(self._misfit)
-        self._misfit_col = self._misfit_row.swapaxes(-1, -2)
         self._sq_flat = self._sq[:, 0, 0]
+        # Each lefts slot as one (B, 1, m * m) row, and as a column.
+        self._misfit_rows = _flat_rows(self._lefts)
+        self._misfit_cols = self._misfit_rows.swapaxes(-1, -2)
         self._l_ori_scale = 0.25 if embedded else 0.5
+        # The plans' scalar operands, as 0-d arrays, which numpy takes faster
+        # than floats, to the same bits: eta, a, and RK4's h / 2, h, 2 and h / 6.
+        self._eta, self._a = np.array(cfg.eta), np.array(cfg.reg_a)
         if cfg.integrator == "flow_rk4":
             self._start, self._acc = buf(n), buf(n)
+            step_h = cfg.step_h
+            self._rk4_scalars = [np.array(v) for v in (0.5 * step_h, step_h, 2.0, step_h / 6.0)]
         if embedded:
             h = m // 2
             # Each layer's blocks on the axes (row block, i, column block, j);
@@ -367,25 +412,55 @@ class _Kernel:
             self._reembed_views = (
                 np.moveaxis(blocks[:, :, ::-1, :, 0], 2, 0), np.moveaxis(blocks[..., 1, :], 2, 0), two, two[0]
             )
+        self._windows = windows = self._window_views(block + 1)
+        stepping = [self._stepping(windows[r], windows[r + 1]) for r in range(block)]
+        norm = (np.matmul, (self._misfit_rows[0], self._misfit_cols[0], self._sq))
+        self._measure_plan = self._measure(windows[0]) + [norm]
+        self._descent_plan = self._descend(windows[0])
+        self._step_plan = stepping[0]
+        self._rounds = [self._measure(windows[r]) + s for r, s in enumerate(stepping)]
 
     def take(self, rows) -> "_Kernel":
         """A kernel of the problems ``rows`` (an index or mask on the batch axis), not yet measured."""
-        return _Kernel(self.layers[rows], self.sigma[rows], self.cfg, self.embedded)
+        return _Kernel(self.layers[rows], self.sigma[rows], self.cfg, self.embedded, len(self._rounds))
 
-    def _products(self) -> None:
-        """Suffix and prefix products and the misfit ``Sigma - W`` of the current layers."""
-        for a, b, out in self._chain_ops:
-            np.matmul(a, b, out=out)
-        np.subtract(self.sigma, self._product, out=self._misfit)
+    def _window_views(self, count: int) -> list[_Window]:
+        """Windows ``0 .. count - 1`` of the lefts buffer.
 
-    def _defects(self) -> None:
+        Window ``r`` holds ``factors[N-1]``, its misfit, in slot ``r`` and
+        ``factors[j]`` in slot ``r + N - 1 - j``, so ``factors[:-1]`` and
+        ``factors[1:]`` are the descending runs of ``N - 1`` slots whose
+        bottom slots are ``r + 1`` and ``r``; ``direction[j]`` is in slot
+        ``r + N - 1 + j``.  Each run is sliced once and shared by the
+        windows that hold it.
+        """
+        lefts, n = self._lefts, len(self._x)
+        top = len(lefts) - 1
+        reverse = lefts[::-1]
+        slots = list(lefts[:count])
+        # down[j] runs from slot j + n - 2 down to slot j; up[j] from slot j up to j + n - 2.
+        down = [reverse[top - j - n + 2 : top - j + 1] for j in range(count + 1)]
+        up = [lefts[j : j + n - 1] for j in range(n - 1, count + n)]
+        return [
+            _Window(slots[r], down[r + 1], down[r], lefts[r + n - 1 : r + 2 * n - 1], up[r], up[r + 1])
+            for r in range(count)
+        ]
+
+    def _products(self, win: _Window) -> list:
+        """Suffix and prefix products and the misfit ``Sigma - W`` of the current layers, into window ``win``."""
+        return self._chain + [(np.subtract, (self.sigma, self._product, win.misfit))]
+
+    def _defects(self) -> list:
         """Balance defects of the current layers, stacked on the layer axis, from them and their stored transposes."""
-        np.matmul(self._upper, self._upper_t, out=self._deltas)
-        np.matmul(self._lower_t, self._lower, out=self._scratch)
-        np.subtract(self._deltas, self._scratch, out=self._deltas)
+        deltas, s = self._deltas, self._scratch
+        return [
+            (np.matmul, (self._upper, self._upper_t, deltas)),
+            (np.matmul, (self._lower_t, self._lower, s)),
+            (np.subtract, (deltas, s, deltas)),
+        ]
 
-    def _descend(self) -> None:
-        """Descent direction, the negative gradient of the total loss, from the products and defects.
+    def _descend(self, win: _Window) -> list:
+        """Descent direction, the negative gradient of the total loss, from the products and defects, in window ``win``.
 
         Misfit part: ``(W_N..W_{j+1})^H (Sigma - W) (W_{j-1}..W_1)^H``, one
         left factor ``prefix^H M`` per layer below the top (one matmul over
@@ -394,37 +469,81 @@ class _Kernel:
         Delta_{j-1,j} - a Delta_{j,j+1} W_j`` with the boundary defects
         defined as zero.
         """
-        cfg, direction = self.cfg, self._direction
+        cfg = self.cfg
         if cfg.omit_l_ori:
-            direction.fill(0.0)
+            plan = [(win.direction.fill, (0.0,))]
         else:
-            np.matmul(self._prefix_h, self._misfit_b, out=self._factors_low)
-            np.matmul(self._factors_high, self._suffix_t, out=self._direction_high)
+            # The misfit broadcasts over the layer axis.
+            plan = [
+                (np.matmul, (self._prefix_h, win.misfit, win.factors_low)),
+                (np.matmul, (win.factors_high, self._suffix_t, win.direction_high)),
+            ]
         if cfg.reg_a > 0:
-            a, s = cfg.reg_a, self._scratch
-            np.matmul(self._lower, self._deltas, out=s)
-            np.multiply(s, a, out=s)
-            np.add(self._direction_high, s, out=self._direction_high)
-            np.matmul(self._deltas, self._upper, out=s)
-            np.multiply(s, a, out=s)
-            np.subtract(self._direction_low, s, out=self._direction_low)
+            a, s, low, high = self._a, self._scratch, win.direction_low, win.direction_high
+            plan += [
+                (np.matmul, (self._lower, self._deltas, s)),
+                (np.multiply, (s, a, s)),
+                (np.add, (high, s, high)),
+                (np.matmul, (self._deltas, self._upper, s)),
+                (np.multiply, (s, a, s)),
+                (np.subtract, (low, s, low)),
+            ]
+        return plan
 
-    def _measure(self, sq: np.ndarray | None = None) -> None:
-        """Products, misfit and (regularizer on) defects of the layers, and ``sq`` into the ``(B, 1, 1)`` array ``sq``.
+    def _measure(self, win: _Window, stage: bool = False) -> list:
+        """Products, misfit (into window ``win``) and (regularizer on) defects of the layers.
 
-        Without ``sq``, as for an RK4 stage, only what :meth:`_descend`
-        reads: under ``omit_l_ori`` no products either.
+        An RK4 ``stage`` makes only what :meth:`_descend` reads: under
+        ``omit_l_ori`` no products either.
         """
         regularized = self.cfg.reg_a > 0
-        if regularized:  # the layers' transposes, which the chain and defects read
-            np.copyto(self._xt, self._x_swapped)
-        if sq is not None:
-            self._products()
-            np.matmul(self._misfit_row, self._misfit_col, out=sq)
-        elif not self.cfg.omit_l_ori:
-            self._products()
+        # The layers' transposes, which the chain and defects read.
+        plan = [self._transposes] if regularized else []
+        if not (stage and self.cfg.omit_l_ori):
+            plan += self._products(win)
         if regularized:
-            self._defects()
+            plan += self._defects()
+        return plan
+
+    def _stepping(self, win: _Window, following: _Window) -> list:
+        """One GD or RK4 step (``cfg.integrator``) of the layers, in place, from an evaluation in window ``win``.
+
+        GD moves ``w + eta * direction``, bitwise ``w - eta * gradient``:
+        negation is exact and rounding symmetric.  The first RK4 stage is
+        the direction at the measured layers, and the stages are summed as
+        ``((k1 + 2 k2) + 2 k3) + k4``; stages 2 to 4 evaluate in window
+        ``following``.
+        """
+        x, d = self._x, win.direction
+        plan = self._descend(win)
+        if self.cfg.integrator == "gd":
+            plan += [(np.multiply, (d, self._eta, d)), (np.add, (x, d, x))]
+        else:
+            start, acc = self._start, self._acc
+            half, h, two, sixth = self._rk4_scalars
+            stage = self._measure(following, stage=True) + self._descend(following)
+            plan += [(np.copyto, (start, x)), (np.copyto, (acc, d))]
+            # Stages 2 to 4 at start + c * (the stage before).  A stage is
+            # doubled into acc once the next stage's layers are made from
+            # it, and k4 is added after them.
+            for c, weighted in ((half, False), (half, True), (h, True)):
+                plan += [(np.multiply, (d, c, x)), (np.add, (start, x, x))]
+                if weighted:
+                    plan += [(np.multiply, (d, two, d)), (np.add, (acc, d, acc))]
+                plan += stage
+                d = following.direction
+            plan += [(np.add, (acc, d, acc)), (np.multiply, (acc, sixth, acc)), (np.add, (start, acc, x))]
+        return plan + self._reembed() if self.embedded else plan
+
+    def _reembed(self) -> list:
+        """Restore ``[[A, -B], [B, A]]`` from the left blocks of the embedded layers.
+
+        Through a contiguous buffer: numpy copies an operand that overlaps
+        its output, and buffers a strided operand of a ufunc.  Only copies
+        and one negation, so no bit of ``A`` or ``B`` changes.
+        """
+        left, right, two, lower_left = self._reembed_views
+        return [(np.copyto, (two, left)), (np.negative, (lower_left, lower_left)), (np.copyto, (right, two))]
 
     def measure(self) -> np.ndarray:
         """Products, misfit and (regularizer on) defects of the layers; returns ``sq`` per problem.
@@ -433,7 +552,7 @@ class _Kernel:
         problem, before the rounding steps that make it ``l_ori`` (see
         :meth:`finish`, which turns this same array into ``l_ori``).
         """
-        self._measure(self._sq)
+        _run(self._measure_plan)
         return self._sq_flat
 
     def finish(self, sq: np.ndarray | None = None) -> np.ndarray:
@@ -460,19 +579,22 @@ class _Kernel:
         return self.finish()
 
     def advance(self, rounds: int) -> np.ndarray:
-        """``rounds`` rounds of :meth:`measure` then :meth:`step`; returns their ``(rounds, B)`` ``sq`` history.
+        """``rounds`` steps, each from a fresh evaluation; returns their ``(rounds, B)`` ``sq`` history.
 
         Row ``t`` holds the ``sq`` of the layers ``t`` steps past the start,
-        which are snapshotted for :meth:`replay`.  Nothing is reduced per
-        round, so the caller screens the whole history at once.  The layers
-        end ``rounds`` steps on, not yet measured.
+        which are snapshotted for :meth:`replay`, with the bits
+        :meth:`measure` gives there.  Nothing is reduced per round, and the
+        history is taken in one call after the last round, so the caller
+        screens it at once.  The layers end ``rounds`` steps on, not yet
+        measured.  ``rounds`` is at most the ``block`` the kernel was built
+        for.
         """
+        if rounds > len(self._rounds):
+            raise ValueError(f"a kernel built for blocks of {len(self._rounds)} rounds cannot advance {rounds}")
         np.copyto(self._snapshot, self._x)
-        history = np.empty((rounds,) + self._sq.shape)
-        for sq in history:
-            self._measure(sq)
-            self.step()
-        return history[..., 0, 0]
+        for plan in self._rounds[:rounds]:
+            _run(plan)
+        return np.matmul(self._misfit_rows[:rounds], self._misfit_cols[:rounds])[..., 0, 0]
 
     def replay(self, row: int, rounds: int) -> "_Kernel":
         """A kernel of problem ``row`` alone, ``rounds`` steps past the start of the last :meth:`advance`, measured.
@@ -481,7 +603,7 @@ class _Kernel:
         and defects have the bits the batch had there.
         """
         layers = self._snapshot[:, row : row + 1].swapaxes(0, 1)
-        kernel = _Kernel(layers, self.sigma[row : row + 1], self.cfg, self.embedded)
+        kernel = _Kernel(layers, self.sigma[row : row + 1], self.cfg, self.embedded, max(rounds, 1))
         kernel.advance(rounds)
         kernel.measure()
         return kernel
@@ -523,8 +645,8 @@ class _Kernel:
 
     def descent(self) -> np.ndarray:
         """The ``(B, N, d, d)`` descent direction at the last evaluation, in the problems' own field."""
-        self._descend()
-        direction = self._direction.swapaxes(0, 1)
+        _run(self._descent_plan)
+        direction = self._windows[0].direction.swapaxes(0, 1)
         return _unembed(direction) if self.embedded else direction
 
     def own_layers(self, row: int, out: np.ndarray | None = None) -> np.ndarray:
@@ -552,50 +674,8 @@ class _Kernel:
         return _frobenius(self._norm_rows)
 
     def step(self) -> None:
-        """One GD or RK4 step (``cfg.integrator``) of the layers, in place, from the last measure.
-
-        GD moves ``w + eta * direction``, bitwise ``w - eta * gradient``:
-        negation is exact and rounding symmetric.  The first RK4 stage is
-        the direction at the measured layers, and the stages are summed as
-        ``((k1 + 2 k2) + 2 k3) + k4``.
-        """
-        x, d, cfg = self._x, self._direction, self.cfg
-        self._descend()
-        if cfg.integrator == "gd":
-            np.multiply(d, cfg.eta, out=d)
-            np.add(x, d, out=x)
-        else:
-            h, start, acc = cfg.step_h, self._start, self._acc
-            np.copyto(start, x)
-            np.copyto(acc, d)
-            # Stages 2 to 4 at start + c * (the stage before).  A stage is
-            # doubled into acc once the next stage's layers are made from
-            # it, and k4 is added after the loop.
-            for c, weighted in ((0.5 * h, False), (0.5 * h, True), (h, True)):
-                np.multiply(d, c, out=x)
-                np.add(start, x, out=x)
-                if weighted:
-                    np.multiply(d, 2.0, out=d)
-                    np.add(acc, d, out=acc)
-                self._measure()
-                self._descend()
-            np.add(acc, d, out=acc)
-            np.multiply(acc, h / 6.0, out=acc)
-            np.add(start, acc, out=x)
-        if self.embedded:
-            self._reembed()
-
-    def _reembed(self) -> None:
-        """Restore ``[[A, -B], [B, A]]`` from the left blocks of the embedded layers.
-
-        Through a contiguous buffer: numpy copies an operand that overlaps
-        its output, and buffers a strided operand of a ufunc.  Only copies
-        and one negation, so no bit of ``A`` or ``B`` changes.
-        """
-        left, right, two, lower_left = self._reembed_views
-        np.copyto(two, left)
-        np.negative(lower_left, out=lower_left)
-        np.copyto(right, two)
+        """One GD or RK4 step (``cfg.integrator``) of the layers, in place, from the last measure (see :meth:`_stepping`)."""
+        _run(self._step_plan)
 
 
 # ---------------------------------------------------------------------------
@@ -622,14 +702,14 @@ def _unembed(x: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
     return z
 
 
-def _kernel(w: np.ndarray, sigma: np.ndarray, cfg: DynConfig) -> _Kernel:
-    """The run loop's kernel of ``(B, N, d, d)`` layers and ``(B, d, d)`` targets.
+def _kernel(w: np.ndarray, sigma: np.ndarray, cfg: DynConfig, block: int = 1) -> _Kernel:
+    """The run loop's kernel of ``(B, N, d, d)`` layers and ``(B, d, d)`` targets, for advances of up to ``block`` rounds.
 
     A batch with complex layers or targets is stepped as its real embedding.
     """
     if np.iscomplexobj(w) or np.iscomplexobj(sigma):
-        return _Kernel(_embed(w), _embed(sigma), cfg, embedded=True)
-    return _Kernel(w, sigma, cfg)
+        return _Kernel(_embed(w), _embed(sigma), cfg, embedded=True, block=block)
+    return _Kernel(w, sigma, cfg, block=block)
 
 
 # ---------------------------------------------------------------------------

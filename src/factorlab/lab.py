@@ -16,7 +16,6 @@ from __future__ import annotations
 import csv
 import os
 import time as _time
-from concurrent.futures import ProcessPoolExecutor
 from contextlib import contextmanager, nullcontext
 from dataclasses import astuple, dataclass, field as dc_field, fields, replace
 from functools import partial, reduce
@@ -59,6 +58,7 @@ __all__ = [
     "sweep_csv_row",
     "GradCheckReport",
     "DIVERGENCE_GUARD",
+    "GUARD_EVERY",
     "PRESET_NAMES",
     "preset",
     "run_scenario",
@@ -75,6 +75,9 @@ __all__ = [
 ]
 
 DIVERGENCE_GUARD = 1e12
+# The divergence guard runs at least every GUARD_EVERY steps; the quiet
+# steps between two guard steps run as one block of the kernel's advance.
+GUARD_EVERY = 25
 # Largest seed batch a sweep steps together: per seed-step cost levels off
 # well before this, and it bounds a worker's memory.
 MAX_SWEEP_BATCH = 256
@@ -438,10 +441,11 @@ def run_scenarios(
     When a run ends: it converges at the first step ``k`` with ``l_ori <
     eps_conv`` (never under ``omit_l_ori``), and it is exhausted at ``k =
     steps``, unless it converged there.  The divergence guard runs at step
-    ``k`` whenever ``k`` is a multiple of 25, a record step, the last step
-    or the step the run converges at; a run that fails it is diverged with
-    ``steps_run = k``, is not recorded there, and its final losses are
-    infinite.  Every other run records the step it ends at.
+    ``k`` whenever ``k`` is a multiple of ``GUARD_EVERY`` (25), a record
+    step, the last step or the step the run converges at; a run that fails
+    it is diverged with ``steps_run = k``, is not recorded there, and its
+    final losses are infinite.  Every other run records the step it ends
+    at.
     """
     for cfg in cfgs:
         cfg.validate()
@@ -629,9 +633,11 @@ def _run_chunk(
     ``settle`` is the one place that ends runs and records them.  It
     finishes ``l_ori``, runs the divergence guard on the kernel's
     ``layer_norms`` and builds each outcome.  The loop calls it on every guard, record and last step.
-    The steps between two of them are a quiet block, which the kernel's
-    ``advance`` runs with no test per step, keeping each step's squared
-    misfit norm; the kernel's ``converged`` screens that history once.  A
+    The steps between two of them are a quiet block of at most
+    ``GUARD_EVERY - 1`` steps, the block the kernel is built for, which the
+    kernel's ``advance`` runs with no test per step, taking every step's
+    squared misfit norm in one call after the block; the kernel's
+    ``converged`` screens that history once.  A
     problem that converged at a quiet step is replayed alone from the
     block's start to that step (the kernel's ``replay``) and settled there;
     the rest of the batch goes on where the block left it.  Replay gives the
@@ -651,6 +657,7 @@ def _run_chunk(
         np.stack([stack.layers for _, stack, _ in problems]),
         np.stack([target.matrix for target, _, _ in problems]),
         cfg.dyn,
+        block=GUARD_EVERY - 1,
     )
     active = np.arange(len(cfgs))  # batch row -> index into cfgs
     outcomes: list[SeedOutcome | None] = [None] * len(cfgs)
@@ -700,7 +707,7 @@ def _run_chunk(
                 active, kernel = active[~done], kernel.take(~done)
                 kernel.measure()
             kernel.step()
-            following = min(cfg.steps, (step // 25 + 1) * 25)
+            following = min(cfg.steps, (step // GUARD_EVERY + 1) * GUARD_EVERY)
             if trajectories is not None:
                 following = min(following, (step // cfg.record_stride + 1) * cfg.record_stride)
             if following > step + 1:
@@ -785,6 +792,9 @@ def sweep_convergence(
     ]
     chunks = _sweep_chunks(cfgs, workers)
     if workers > 1 and len(chunks) > 1:
+        # Imported here: most sweeps run one chunk, in this process.
+        from concurrent.futures import ProcessPoolExecutor
+
         with ProcessPoolExecutor(max_workers=min(workers, len(chunks))) as ex:
             results = list(ex.map(_run_chunk, chunks))
     else:

@@ -575,7 +575,7 @@ class TestEmbedding:
         np.copyto(want[..., :h, h:], block)
         np.copyto(block, want[..., :h, :h])
         np.copyto(want[..., h:, h:], block)
-        kernel._reembed()
+        dynamics._run(kernel._reembed())
         assert x.tobytes() == want.tobytes()
         assert np.array_equal(_embed(_unembed(kernel.layers)), kernel.layers)
 
@@ -606,6 +606,46 @@ class TestFrobenius:
         assert not x.flags.c_contiguous
         got = _frobenius(x)
         assert [float(v) for v in got] == [float(np.linalg.norm(m)) for m in x]
+
+
+class TestDeferredNorms:
+    """A quiet block takes its rounds' ``sq`` in one call after it, with the bits of a measure per round."""
+
+    @pytest.mark.parametrize("rounds", [1, 24])
+    @pytest.mark.parametrize("batch", [1, 3])
+    @pytest.mark.parametrize("n", [2, 3, 4, 6])
+    @pytest.mark.parametrize("reg_a", [0.0, 1.0], ids=["plain", "regularized"])
+    @pytest.mark.parametrize("field", FIELDS, ids=["real", "embedded"])
+    @pytest.mark.parametrize("integrator", ["gd", "flow_rk4"])
+    def test_advance_is_rounds_of_measure_and_step(self, integrator, field, reg_a, n, batch, rounds):
+        # Two blocks on one kernel against a kernel stepped by measure and
+        # step alone; then each problem replayed from the second block's
+        # start to a few of its steps.
+        cfg = DynConfig(reg_a=reg_a, eta=0.05, step_h=0.05, integrator=integrator)
+        w, sigma = _problem(field, n, batch, seed=n + batch)
+        kernel = _kernel(w, sigma, cfg, block=lab.GUARD_EVERY - 1)
+        alone = _kernel(w, sigma, cfg)
+        sq, layers = [], []
+        for _ in range(2 * rounds):
+            sq.append(alone.measure().copy())
+            layers.append(alone.layers.copy())
+            alone.step()
+        got = [kernel.advance(rounds) for _ in range(2)]
+        assert all(h.shape == (rounds, batch) for h in got)
+        assert np.concatenate(got).tobytes() == np.stack(sq).tobytes()
+        assert kernel.layers.tobytes() == alone.layers.tobytes()
+        for t in sorted({0, rounds // 2, rounds - 1}):
+            for row in range(batch):
+                replayed = kernel.replay(row, t)
+                assert replayed.layers.tobytes() == layers[rounds + t][row : row + 1].tobytes()
+                assert replayed._sq_flat.tobytes() == got[1][t, row : row + 1].tobytes()
+
+    def test_a_block_longer_than_the_kernel_was_built_for_is_refused(self):
+        w, sigma = _problem(FieldTag.REAL, 4, 2, seed=1)
+        kernel = _kernel(w, sigma, DynConfig(), block=3)
+        kernel.advance(3)
+        with pytest.raises(ValueError, match="blocks of 3 rounds"):
+            kernel.advance(4)
 
 
 class TestKernelOwnership:
@@ -654,7 +694,7 @@ class TestKernelOwnership:
         # one layer of the batch.
         cfg = DynConfig(reg_a=reg_a, eta=0.01, step_h=0.01, integrator=integrator)
         w, sigma = _problem(FieldTag.REAL if form == "real" else FieldTag.COMPLEX, 4, 16, seed=12)
-        kernel = _kernel(w, sigma, cfg)
+        kernel = _kernel(w, sigma, cfg, block=4)
         kernel.evaluate()
         kernel.step()
         layer_bytes = kernel.layers[:, 0].nbytes
@@ -752,21 +792,24 @@ class TestQuietStepCalls:
 
     Each numpy call costs about a microsecond of dispatch at these sizes,
     most of a step, so a change to a count is a change to the step's cost.
-    The counts leave out what :meth:`_Kernel.advance` calls once whatever
-    its length: the snapshot copy and the history.
+    A quiet step is one round of :meth:`_Kernel.advance`, whose calls are
+    the entries of that round's plan: ``calls`` numpy functions and, under
+    ``omit_l_ori``, ``fills`` of the direction by its own ``fill`` method.
+    What ``advance`` calls once whatever its length, the snapshot copy and
+    the one norm call of the history, is counted apart.
     """
 
     @pytest.mark.parametrize(
-        "name, integrator, field, calls",
+        "name, integrator, field, calls, fills",
         [
-            pytest.param("fig-h1", "gd", FieldTag.REAL, 9, id="real-gd"),
-            pytest.param("fig-h1", "gd", FieldTag.COMPLEX, 12, id="embedded-gd"),
-            pytest.param("fig-h1", "flow_rk4", FieldTag.REAL, 40, id="real-rk4"),
-            pytest.param("sweep", "gd", FieldTag.REAL, 19, id="regularized-gd"),
-            pytest.param("fig-h3", "flow_rk4", FieldTag.REAL, 60, id="regularized-rk4-omit-l-ori"),
+            pytest.param("fig-h1", "gd", FieldTag.REAL, 8, 0, id="real-gd"),
+            pytest.param("fig-h1", "gd", FieldTag.COMPLEX, 11, 0, id="embedded-gd"),
+            pytest.param("fig-h1", "flow_rk4", FieldTag.REAL, 39, 0, id="real-rk4"),
+            pytest.param("sweep", "gd", FieldTag.REAL, 18, 0, id="regularized-gd"),
+            pytest.param("fig-h3", "flow_rk4", FieldTag.REAL, 59, 4, id="regularized-rk4-omit-l-ori"),
         ],
     )
-    def test_counts(self, monkeypatch, name, integrator, field, calls):
+    def test_counts(self, monkeypatch, name, integrator, field, calls, fills):
         base = lab.preset(name)[0]
         cfgs = [
             replace(base, field=field, det_sign=None, seed=seed, dyn=replace(base.dyn, integrator=integrator))
@@ -774,103 +817,110 @@ class TestQuietStepCalls:
         ]
         problems = [lab.prepare_problem(c) for c in cfgs]
         w = np.stack([stack.layers for _, stack, _ in problems])
-        kernel = _kernel(w, np.stack([target.matrix for target, _, _ in problems]), cfgs[0].dyn)
+        sigma = np.stack([target.matrix for target, _, _ in problems])
+        block = lab.GUARD_EVERY - 1
+        kernel = _kernel(w, sigma, cfgs[0].dyn, block=block)
         assert kernel.embedded == (field is FieldTag.COMPLEX)
+        names = [[fn.__name__ for fn, _ in plan] for plan in kernel._rounds]
+        assert len(names) == block and len(names[0]) == calls + fills
+        assert names[0].count("fill") == fills
+        assert all(round_names == names[0] for round_names in names)
+        # The plans' functions are bound when the kernel is built, so the
+        # spy sees only what advance itself calls, once per block.
         spy = _Calls()
         monkeypatch.setattr(dynamics, "np", spy)
-        kernel.advance(1)
-        assert spy.names[:2] == ["copyto", "empty"]
-        assert len(spy.names) - 2 == calls
+        for rounds in (1, block):
+            spy.names.clear()
+            kernel.advance(rounds)
+            assert spy.names == ["copyto", "matmul"]
 
 
-class _OutOverlaps:
-    """numpy as the kernel sees it, noting each call whose output may share memory with another view it reads.
+def _entries(plan):
+    """``(name, output, inputs)`` of each call of a kernel plan."""
+    entries = []
+    for fn, args in plan:
+        if isinstance(fn, np.ufunc):  # matmul among them; the output follows the inputs
+            entries.append((fn.__name__, args[fn.nin], args[: fn.nin]))
+        elif fn is np.copyto:
+            entries.append(("copyto", args[0], args[1:]))
+        else:  # a buffer's own fill method
+            entries.append((fn.__name__, fn.__self__, ()))
+    return entries
 
-    numpy cannot cheaply prove such an output apart from the input, so it
-    copies the input first.  An input that is the output itself (the same
-    data, shape and strides) is an in-place update and is not noted.  The
-    outputs of the matmuls whose right operand is a transposed view (last
-    stride not the item size, over more than one column) are noted too.
-    """
 
-    WRITERS = ("matmul", "add", "subtract", "multiply", "negative", "sqrt", "copyto")
+def _same_view(a, b):
+    return (a.__array_interface__["data"][0], a.shape, a.strides) == (
+        b.__array_interface__["data"][0], b.shape, b.strides
+    )
 
-    def __init__(self):
-        self.calls, self.overlaps, self.transposed_right = [], [], []
 
-    def __getattr__(self, name):
-        fn = getattr(np, name)
-        if name not in self.WRITERS:
-            return fn
-
-        def call(*args, **kwargs):
-            out, inputs = (args[0], args[1:]) if name == "copyto" else (kwargs.get("out"), args)
-            if out is not None:
-                self.calls.append(name)
-                self.overlaps += [
-                    (name, a.shape, out.shape)
-                    for a in inputs
-                    if isinstance(a, np.ndarray) and not self._same_view(a, out) and np.may_share_memory(a, out)
-                ]
-                right = args[1] if name == "matmul" else None
-                if right is not None and right.shape[-1] > 1 and right.strides[-1] != right.itemsize:
-                    self.transposed_right.append(out)
-            return fn(*args, **kwargs)
-
-        return call
-
-    @staticmethod
-    def _same_view(a, b):
-        return (a.__array_interface__["data"][0], a.shape, a.strides) == (
-            b.__array_interface__["data"][0], b.shape, b.strides
-        )
+def _plans(kernel):
+    """Every plan of a kernel: measure, step, descent and each round of advance."""
+    return [kernel._measure_plan, kernel._step_plan, kernel._descent_plan, *kernel._rounds]
 
 
 class TestChainLayout:
-    """No kernel call writes an output whose memory span encloses a view it reads."""
+    """No kernel call writes an output whose memory span encloses a view it reads.
+
+    numpy cannot cheaply prove such an output apart from the input, so it
+    copies the input first.  An input that is the output itself (the same
+    data, shape and strides) is an in-place update.  Every call the kernel
+    makes per step is an entry of one of its plans, so the plans are read.
+    """
 
     @pytest.mark.parametrize("reg_a", [0.0, 1.0], ids=["plain", "regularized"])
     @pytest.mark.parametrize("batch", [1, 2])
     @pytest.mark.parametrize("integrator", ["gd", "flow_rk4"])
     @pytest.mark.parametrize("field", FIELDS, ids=["real", "embedded"])
     @pytest.mark.parametrize("n", [2, 3, 4, 6])
-    def test_no_output_overlaps_another_input(self, monkeypatch, n, field, integrator, batch, reg_a):
-        # Each layout: with the regularizer on, the defect and regularizer calls run too.
+    def test_no_output_overlaps_another_input(self, n, field, integrator, batch, reg_a):
+        # Each layout: with the regularizer on, the defect and regularizer
+        # calls are planned too; several rounds, so several windows.
         cfg = DynConfig(reg_a=reg_a, eta=0.05, step_h=0.05, integrator=integrator)
         w, sigma = _problem(field, n, batch, seed=n)
-        kernel = _kernel(w, sigma, cfg)
-        spy = _OutOverlaps()
-        monkeypatch.setattr(dynamics, "np", spy)
-        kernel.measure()
-        kernel.finish()
-        kernel.step()
-        assert spy.overlaps == []
-        # Every chain matmul ran, and both RK4 stages' updates.
-        want = len(kernel._chain_ops) * (4 if integrator == "flow_rk4" else 1)
-        assert spy.calls.count("matmul") >= want + 2 and "add" in spy.calls
+        kernel = _kernel(w, sigma, cfg, block=3)
+        entries = [e for plan in _plans(kernel) for e in _entries(plan)]
+        overlaps = [
+            (name, a.shape, out.shape)
+            for name, out, inputs in entries
+            for a in inputs
+            if isinstance(a, np.ndarray) and not _same_view(a, out) and np.may_share_memory(a, out)
+        ]
+        assert overlaps == []
+        # Every chain matmul is planned in each evaluation of a step, and both RK4 stages' updates.
+        names = [name for name, _, _ in _entries(kernel._measure_plan + kernel._step_plan)]
+        want = len(kernel._chain) * (4 if integrator == "flow_rk4" else 1)
+        assert names.count("matmul") >= want + 2 and "add" in names
 
     @pytest.mark.parametrize("reg_a", [0.0, 1.0], ids=["plain", "regularized"])
     @pytest.mark.parametrize("integrator", ["gd", "flow_rk4"])
     @pytest.mark.parametrize("field", FIELDS, ids=["real", "embedded"])
     @pytest.mark.parametrize("n", [2, 3, 4, 6])
-    def test_one_product_reads_a_transposed_right_operand(self, monkeypatch, n, field, integrator, reg_a):
+    def test_one_product_reads_a_transposed_right_operand(self, n, field, integrator, reg_a):
         # numpy's small batched gemm costs 2-3x as much with a transposed
         # right operand as with that operand stored.  The regularized kernel
         # stores the layers' transposes, so only the chain's last product,
         # W = W_N (suffix[n-2]^T)^T, reads one; the plain kernel keeps its
         # layout, where only the direction product reads the suffix products
-        # transposed.
+        # transposed, in the window of the evaluation (RK4's later stages
+        # evaluate in the next window).
         cfg = DynConfig(reg_a=reg_a, eta=0.05, step_h=0.05, integrator=integrator)
         w, sigma = _problem(field, n, 2, seed=n)
-        kernel = _kernel(w, sigma, cfg)
-        spy = _OutOverlaps()
-        monkeypatch.setattr(dynamics, "np", spy)
-        kernel.evaluate()
-        kernel.step()
-        want = kernel._product if reg_a > 0 else kernel._direction_high
+        kernel = _kernel(w, sigma, cfg, block=3)
         stages = 4 if integrator == "flow_rk4" else 1
-        assert len(spy.transposed_right) == stages
-        assert all(_OutOverlaps._same_view(out, want) for out in spy.transposed_right)
+        steps = [(0, kernel._measure_plan + kernel._step_plan)] + list(enumerate(kernel._rounds))
+        for r, plan in steps:
+            got = [
+                out
+                for name, out, (_, right) in (e for e in _entries(plan) if e[0] == "matmul")
+                if right.shape[-1] > 1 and right.strides[-1] != right.itemsize
+            ]
+            if reg_a > 0:
+                want = [kernel._product] * stages
+            else:
+                want = [kernel._windows[r].direction_high] + [kernel._windows[r + 1].direction_high] * (stages - 1)
+            assert len(got) == stages
+            assert all(_same_view(out, view) for out, view in zip(got, want))
 
 
 class TestGramPath:

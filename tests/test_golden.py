@@ -24,3 +24,12 @@ def test_outputs_match_the_committed_digests():
     assert golden.differences(want, got) == [], (
         f"outputs moved; a change that moves bits on purpose regenerates with `{golden.REGENERATE}`"
     )
+
+
+def test_the_full_block_was_made_on_the_same_build():
+    # The full set takes minutes, so it runs outside the tests (its
+    # regenerate command); here only its block's build is checked.
+    want = json.loads(golden.GOLDEN.read_text())
+    full = want["full"]
+    assert full["command"] == golden.REGENERATE_FULL and full["digests"]
+    assert {k: full[k] for k in ("numpy", "numpy_build")} == {k: want[k] for k in ("numpy", "numpy_build")}

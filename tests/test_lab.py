@@ -1,6 +1,7 @@
 """Tests for the experiment driver and CLI."""
 
 import cmath
+import concurrent.futures
 import csv
 import itertools
 import operator
@@ -658,7 +659,7 @@ class TestSweep:
         def no_pool(*args, **kwargs):
             raise AssertionError("a one-chunk sweep started a process pool")
 
-        monkeypatch.setattr(lab, "ProcessPoolExecutor", no_pool)
+        monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", no_pool)
         assert sweep_convergence(base, 10, workers=2) == want
 
     def test_cross_tabulation_real(self):
@@ -953,7 +954,8 @@ class TestConvergenceCheck:
         (_, (_, k1, *_)), (_, (_, k2, *_)) = want[:2]
         assert want[0][1][0] == want[1][1][0] == "converged" and k1 != k2 and k1 // 10 == k2 // 10
         assert k1 % 10 and k2 % 10 and want[2][1][:2] == ("diverged", 10)
-        blow_up = dynamics._kernel(lab.prepare_problem(cfgs[2])[1].layers[None], np.eye(5)[None], dyn)
+        layers = lab.prepare_problem(cfgs[2])[1].layers
+        blow_up = dynamics._kernel(layers[None], np.eye(5)[None], dyn, block=min(k1, k2))
         with np.errstate(all="ignore"):
             blow_up.advance(min(k1, k2))
             assert np.isnan(blow_up.measure()[0])  # NaN in the history beside both convergences
@@ -1015,7 +1017,7 @@ class TestConvergenceCheck:
         problem = (TargetSpec(target), LayerStack(layers), 1.0)
         _, (status, k, *_) = self._per_step_trajectory(cfg, problem)
         assert status == "converged" and k % 10
-        kernel = dynamics._kernel(layers[None], target[None], dyn)
+        kernel = dynamics._kernel(layers[None], target[None], dyn, block=k)
         norms = [_frobenius(kernel.layers[..., :5, :]).max()]
         kernel.advance(k)
         norms.append(_frobenius(kernel.layers[..., :5, :]).max())
@@ -1041,7 +1043,7 @@ class TestConvergenceCheck:
         target[1, 2] = 1e-2
         growing = (TargetSpec(target), LayerStack(layers), 1.0)
         _, (_, k, *_) = self._per_step_trajectory(base, growing)
-        kernel = dynamics._kernel(layers[None], target[None], dyn)
+        kernel = dynamics._kernel(layers[None], target[None], dyn, block=k)
         norms = [_frobenius(kernel.layers[..., :5, :]).max()]
         kernel.advance(k)
         norms.append(_frobenius(kernel.layers[..., :5, :]).max())
@@ -1229,6 +1231,21 @@ class TestCli:
         import sys
 
         code = "import sys, factorlab, factorlab.cli; print('scipy.stats' in sys.modules)"
+        src = str(Path(lab.__file__).resolve().parents[1])
+        proc = subprocess.run(
+            [sys.executable, "-c", code], capture_output=True, text=True, timeout=120,
+            env={**os.environ, "PYTHONPATH": src},
+        )
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout.strip() == "False"
+
+    def test_import_leaves_the_process_pool_unloaded(self):
+        # Only a sweep of several chunks uses a process pool, so it imports
+        # the pool machinery; importing it costs 10-20 ms of CPU.
+        import subprocess
+        import sys
+
+        code = "import sys, factorlab, factorlab.cli; print('concurrent.futures' in sys.modules)"
         src = str(Path(lab.__file__).resolve().parents[1])
         proc = subprocess.run(
             [sys.executable, "-c", code], capture_output=True, text=True, timeout=120,
