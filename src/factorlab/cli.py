@@ -88,8 +88,9 @@ def _configs_from_args(args: argparse.Namespace, sweep: bool = False) -> list[Ru
         seed = args.seed if args.seed is not None else 2024
         cfgs = preset(args.preset, seed=seed)
         # Narrow the preset family by explicit flags, then apply overrides;
-        # the flags' own keys are spent on the narrowing.
-        if args.field:
+        # the flags' own keys are spent on the narrowing.  A family whose
+        # variants share one field takes --field as an override.
+        if args.field and len({c.field for c in cfgs}) > 1:
             cfgs = [c for c in cfgs if c.field is FieldTag.parse(args.field)]
             over.pop("field")
         if args.det:
@@ -161,10 +162,7 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
 
 
 def _cmd_rmt_validate(args: argparse.Namespace) -> int:
-    results = rmt_validate(
-        d=args.d, n_samples=args.samples, seed=args.seed if args.seed is not None else 0,
-        out_dir=args.out,
-    )
+    results = rmt_validate(d=args.d, n_samples=args.samples, seed=args.seed, out_dir=args.out)
     ok = True
     for r in results:
         verdict = "pass" if r.passed else "FAIL"
@@ -176,7 +174,7 @@ def _cmd_rmt_validate(args: argparse.Namespace) -> int:
 def _cmd_gradcheck(args: argparse.Namespace) -> int:
     ok = True
     for field in (FieldTag.REAL, FieldTag.COMPLEX) if args.field is None else (FieldTag.parse(args.field),):
-        report = gradcheck(args.d, args.n_layers, field, args.a, args.seed if args.seed is not None else 0)
+        report = gradcheck(args.d, args.n_layers, field, args.a, args.seed)
         verdict = "pass" if report.passed else "FAIL"
         print(
             f"[{verdict}] gradcheck d={report.d} N={report.n_layers} field={field.value} "

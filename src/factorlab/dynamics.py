@@ -39,8 +39,9 @@ nothing per step and takes no ``sq`` in them either: each step leaves its
 misfit in a slot of its own, and one call after the block takes every
 step's ``sq``, the same dots with the same bits.  :meth:`_Kernel.converged`
 then screens that history once and finishes ``l_ori`` only where ``sq``
-may give ``l_ori < eps_conv``, and a problem that converged there is
-stepped again alone to that step (:meth:`_Kernel.replay`).
+may give ``l_ori < eps_conv``, the test of :meth:`_Kernel.below`, and a
+problem that converged there is stepped again alone to that step
+(:meth:`_Kernel.replay`).
 
 The kernel does real arithmetic only.  A complex problem is stepped as its
 real embedding ``E(A + iB) = [[A, -B], [B, A]]``: one real matmul per
@@ -77,7 +78,7 @@ never write to their inputs, and what they return is not shared.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field as dc_field, replace
+from dataclasses import dataclass, replace
 from typing import NamedTuple
 
 import numpy as np
@@ -166,7 +167,7 @@ class DynConfig:
 
     reg_a: float = 0.0
     eta: float = 0.1
-    step_h: float = dc_field(default=1e-3)
+    step_h: float = 1e-3
     integrator: str = "gd"
     omit_l_ori: bool = False
 
@@ -328,7 +329,8 @@ class _Kernel:
     :meth:`finish`) must precede each :meth:`step`, :meth:`l_reg` and
     :meth:`descent`; what they return is a view valid until the next step.
     :meth:`advance` runs several rounds of measuring and stepping,
-    :meth:`converged` finds the problems that converged in them, and
+    :meth:`converged` finds the problems that converged in them by
+    :meth:`below`, the one convergence test the run loop applies, and
     :meth:`replay` steps one problem alone from the start of the last
     :meth:`advance`.
     Every operation acts on each problem's matrices alone, and each matrix
@@ -608,24 +610,28 @@ class _Kernel:
         kernel.measure()
         return kernel
 
+    def below(self, l_ori: np.ndarray, eps: float) -> np.ndarray:
+        """The convergence test: the mask of ``l_ori < eps``, all False without ``l_ori`` (``omit_l_ori``)."""
+        if self.cfg.omit_l_ori:
+            return np.zeros(l_ori.shape, dtype=bool)
+        return l_ori < eps
+
     def converged(self, history: np.ndarray, eps: float) -> list[tuple[int, int]]:
-        """``(row, t)`` for each problem whose ``l_ori`` fell below ``eps`` in an :meth:`advance` history, at the first such ``t``.
+        """``(row, t)`` for each problem that passed :meth:`below` in an :meth:`advance` history, at the first such ``t``.
 
         One screen of the whole ``sq`` history: :meth:`finish` maps ``sq`` to
         ``l_ori`` by correctly rounded, and so non-decreasing, steps, which
         take ``sq`` = 4 eps (8 eps on an embedding) to about 2 eps,
         subnormal ``eps`` included.  So only the rows with some ``sq`` below
-        that bound are finished, and the exact ``l_ori < eps`` decides.  The
-        smallest ``sq`` is taken with ``np.fmin``, so a diverging problem's
-        NaN hides no other problem's convergence.  Without ``l_ori``
-        (``omit_l_ori``) nothing converges.
+        that bound are finished, and :meth:`below` decides.  The smallest
+        ``sq`` is taken with ``np.fmin``, so a diverging problem's NaN hides
+        no other problem's convergence.
         """
-        # No sq is below 0, so without l_ori nothing is near.
-        near = 0.0 if self.cfg.omit_l_ori else (8.0 if self.embedded else 4.0) * eps
+        near = (8.0 if self.embedded else 4.0) * eps
         if not np.fmin.reduce(history, axis=None) < near:
             return []
         rows = np.flatnonzero(np.logical_or.reduce(history < near))
-        hits = self.finish(history[:, rows]) < eps
+        hits = self.below(self.finish(history[:, rows]), eps)
         return [(int(i), int(hit.argmax())) for i, hit in zip(rows, hits.T) if hit.any()]
 
     def l_reg(self) -> np.ndarray:

@@ -15,7 +15,7 @@ so adding layers or samplers never perturbs earlier draws.
 from __future__ import annotations
 
 import operator
-from dataclasses import dataclass, field as dc_field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -67,7 +67,7 @@ class InitScheme:
     kind: str = "balanced"
     epsilon: float = 0.05
     s_phases: tuple[complex, ...] | None = None
-    g_singular_values: tuple[float, ...] | None = dc_field(default=None)
+    g_singular_values: tuple[float, ...] | None = None
 
     def __post_init__(self) -> None:
         if self.kind not in ("balanced", "random"):

@@ -346,17 +346,35 @@ def prepare_problem(cfg: RunConfig) -> tuple[TargetSpec, LayerStack, float | com
 
 
 @dataclass(frozen=True)
-class RunSummary:
-    name: str
+class SeedOutcome:
+    """How one run ended, as ``_run_chunk`` settles it.
+
+    Its fields are sweep.csv's columns after the name
+    (``SWEEP_CSV_COLUMNS``), and ``RunSummary`` extends it, so a field
+    declared here reaches both.
+    """
+
+    seed: int
     status: str  # converged | exhausted | diverged
+    converged: bool
     steps_run: int
-    converged_step: int | None
     final_l_ori: float
+    det_w0: float | complex
+
+
+@dataclass(frozen=True)
+class RunSummary(SeedOutcome):
+    """A trajectory's outcome, with its name, last record's monitors, wall time and CSV path."""
+
+    name: str
     final_l_reg: float
     final_e_delta: float
-    det_w0: float | complex
     wall_time_s: float
     csv_path: str | None
+
+    @property
+    def converged_step(self) -> int | None:
+        return self.steps_run if self.converged else None
 
 
 def _time_of(cfg: RunConfig, step: int) -> float:
@@ -439,13 +457,14 @@ def run_scenarios(
     ``cfgs[i]``, in step order.
 
     When a run ends: it converges at the first step ``k`` with ``l_ori <
-    eps_conv`` (never under ``omit_l_ori``), and it is exhausted at ``k =
-    steps``, unless it converged there.  The divergence guard runs at step
-    ``k`` whenever ``k`` is a multiple of ``GUARD_EVERY`` (25), a record
-    step, the last step or the step the run converges at; a run that fails
-    it is diverged with ``steps_run = k``, is not recorded there, and its
-    final losses are infinite.  Every other run records the step it ends
-    at.
+    eps_conv`` (never under ``omit_l_ori``; the kernel's ``below``), and
+    it is exhausted at ``k = steps``, unless it converged there.  A run's
+    ending is a ``SeedOutcome``, which its summary extends.  The divergence
+    guard runs at step ``k`` whenever ``k`` is a multiple of
+    ``GUARD_EVERY`` (25), a record step, the last step or the step the run
+    converges at; a run that fails it is diverged with ``steps_run = k``,
+    is not recorded there, and its final losses are infinite.  Every other
+    run records the step it ends at.
     """
     for cfg in cfgs:
         cfg.validate()
@@ -477,14 +496,10 @@ def run_scenarios(
                 # A run that did not diverge ends on a recorded step.
                 diverged = o.status == "diverged"
                 summaries[i] = RunSummary(
+                    **vars(o),
                     name=cfgs[i].name,
-                    status=o.status,
-                    steps_run=o.steps_run,
-                    converged_step=o.steps_run if o.converged else None,
-                    final_l_ori=o.final_l_ori,
                     final_l_reg=float("inf") if diverged else traj.rec.l_reg,
                     final_e_delta=float("inf") if diverged else traj.rec.e_delta,
-                    det_w0=o.det_w0,
                     wall_time_s=wall,
                     csv_path=csv_path,
                 )
@@ -571,16 +586,6 @@ def _write_summary(path: Path, cfg: RunConfig, s: RunSummary) -> None:
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class SeedOutcome:
-    seed: int
-    status: str
-    converged: bool
-    steps_run: int
-    final_l_ori: float
-    det_w0: float | complex
-
-
 # sweep.csv's columns: the swept base config's name, then a seed's outcome.
 SWEEP_CSV_COLUMNS = ("name", *(f.name for f in fields(SeedOutcome)))
 
@@ -592,14 +597,44 @@ def sweep_csv_row(name: str, outcome: SeedOutcome) -> tuple:
 
 @dataclass(frozen=True)
 class SweepResult:
-    n_seeds: int
-    n_converged: int
-    fraction: float
+    """A sweep's outcomes in seed order, and the counts read from them.
+
+    The det-sign counts cover the real seeds only: the cross-tabulation by
+    the sign of ``det W(0)`` means nothing for a complex phase.
+    """
+
     outcomes: tuple[SeedOutcome, ...]
-    n_det_plus: int
-    n_det_plus_converged: int
-    n_det_minus: int
-    n_det_minus_converged: int
+
+    def _det(self, sign: int) -> list[SeedOutcome]:
+        return [o for o in self.outcomes if isinstance(o.det_w0, float) and sign * o.det_w0 > 0]
+
+    @property
+    def n_seeds(self) -> int:
+        return len(self.outcomes)
+
+    @property
+    def n_converged(self) -> int:
+        return sum(o.converged for o in self.outcomes)
+
+    @property
+    def fraction(self) -> float:
+        return self.n_converged / self.n_seeds
+
+    @property
+    def n_det_plus(self) -> int:
+        return len(self._det(+1))
+
+    @property
+    def n_det_plus_converged(self) -> int:
+        return sum(o.converged for o in self._det(+1))
+
+    @property
+    def n_det_minus(self) -> int:
+        return len(self._det(-1))
+
+    @property
+    def n_det_minus_converged(self) -> int:
+        return sum(o.converged for o in self._det(-1))
 
     @property
     def fraction_det_plus(self) -> float:
@@ -607,9 +642,7 @@ class SweepResult:
 
     @property
     def fraction_det_minus(self) -> float:
-        return (
-            self.n_det_minus_converged / self.n_det_minus if self.n_det_minus else float("nan")
-        )
+        return self.n_det_minus_converged / self.n_det_minus if self.n_det_minus else float("nan")
 
 
 def _sweep_seeds(base_seed: int, n: int) -> list[int]:
@@ -631,8 +664,10 @@ def _run_chunk(
     rebuilt only when problems leave.
 
     ``settle`` is the one place that ends runs and records them.  It
-    finishes ``l_ori``, runs the divergence guard on the kernel's
-    ``layer_norms`` and builds each outcome.  The loop calls it on every guard, record and last step.
+    finishes ``l_ori``, tests it with the kernel's ``below``, the one
+    convergence test, runs the divergence guard on the kernel's
+    ``layer_norms`` and builds each outcome.  The loop calls it on every
+    guard, record and last step.
     The steps between two of them are a quiet block of at most
     ``GUARD_EVERY - 1`` steps, the block the kernel is built for, which the
     kernel's ``advance`` runs with no test per step, taking every step's
@@ -661,7 +696,6 @@ def _run_chunk(
     )
     active = np.arange(len(cfgs))  # batch row -> index into cfgs
     outcomes: list[SeedOutcome | None] = [None] * len(cfgs)
-    measure_l_ori = not cfg.dyn.omit_l_ori
     errors = np.geterr()
 
     def settle(kernel, ids, step: int) -> np.ndarray | None:
@@ -673,11 +707,11 @@ def _run_chunk(
         l_ori = kernel.finish()
         last = step == cfg.steps
         record = trajectories is not None and step % cfg.record_stride == 0
-        converging = measure_l_ori and np.logical_or.reduce(l_ori < cfg.eps_conv)
+        below = kernel.below(l_ori, cfg.eps_conv)
         ok = (kernel.layer_norms() <= DIVERGENCE_GUARD).all(-1)
         done = None
-        if last or converging or not ok.all():
-            converged = (l_ori < cfg.eps_conv) & ok & measure_l_ori
+        if last or np.logical_or.reduce(below) or not ok.all():
+            converged = below & ok
             done = ~ok | converged | last
             for i in np.flatnonzero(done):
                 status = "diverged" if not ok[i] else "converged" if converged[i] else "exhausted"
@@ -786,10 +820,7 @@ def sweep_convergence(
     """
     base_cfg.validate()
     workers = sweep_workers(n_seeds, workers)
-    cfgs = [
-        replace(base_cfg, seed=s, name=f"{base_cfg.name}-seed{i}")
-        for i, s in enumerate(_sweep_seeds(base_cfg.seed, n_seeds))
-    ]
+    cfgs = [replace(base_cfg, seed=s) for s in _sweep_seeds(base_cfg.seed, n_seeds)]
     chunks = _sweep_chunks(cfgs, workers)
     if workers > 1 and len(chunks) > 1:
         # Imported here: most sweeps run one chunk, in this process.
@@ -799,23 +830,7 @@ def sweep_convergence(
             results = list(ex.map(_run_chunk, chunks))
     else:
         results = [_run_chunk(c) for c in chunks]
-    outcomes = [o for chunk in results for o in chunk]
-
-    n_conv = sum(1 for o in outcomes if o.converged)
-    # Determinant cross-tabulation is meaningful for the real field only.
-    real_outcomes = [o for o in outcomes if isinstance(o.det_w0, float)]
-    plus = [o for o in real_outcomes if o.det_w0 > 0]
-    minus = [o for o in real_outcomes if o.det_w0 < 0]
-    return SweepResult(
-        n_seeds=n_seeds,
-        n_converged=n_conv,
-        fraction=n_conv / n_seeds,
-        outcomes=tuple(outcomes),
-        n_det_plus=len(plus),
-        n_det_plus_converged=sum(1 for o in plus if o.converged),
-        n_det_minus=len(minus),
-        n_det_minus_converged=sum(1 for o in minus if o.converged),
-    )
+    return SweepResult(tuple(o for chunk in results for o in chunk))
 
 
 # ---------------------------------------------------------------------------
@@ -888,7 +903,10 @@ class GradCheckReport:
     n_layers: int
     reg_a: float
     max_rel_err: float
-    passed: bool
+
+    @property
+    def passed(self) -> bool:
+        return self.max_rel_err < 1e-6
 
 
 def gradcheck(d: int, n_layers: int, field: FieldTag, a: float, seed: int) -> GradCheckReport:
@@ -933,14 +951,7 @@ def gradcheck(d: int, n_layers: int, field: FieldTag, a: float, seed: int) -> Gr
             analytic = g.real if unit == 1.0 else g.imag
             err = np.abs(analytic - fd) / (1.0 + np.abs(analytic))
             max_err = max(max_err, float(err.max()))
-    return GradCheckReport(
-        field=field,
-        d=d,
-        n_layers=n_layers,
-        reg_a=a,
-        max_rel_err=max_err,
-        passed=max_err < 1e-6,
-    )
+    return GradCheckReport(field=field, d=d, n_layers=n_layers, reg_a=a, max_rel_err=max_err)
 
 
 # ---------------------------------------------------------------------------

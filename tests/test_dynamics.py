@@ -648,6 +648,75 @@ class TestDeferredNorms:
             kernel.advance(4)
 
 
+class TestSymmetries:
+    """Symmetries of the dynamics that the kernel keeps bit for bit, over 300 steps of the run loop's kernel."""
+
+    @staticmethod
+    def _run(w, sigma, cfg):
+        # As the run loop steps: a measured step, then a quiet block.
+        kernel = _kernel(w, sigma, cfg, block=lab.GUARD_EVERY - 1)
+        for _ in range(300 // lab.GUARD_EVERY):
+            kernel.measure()
+            kernel.step()
+            kernel.advance(lab.GUARD_EVERY - 1)
+        return np.stack([kernel.own_layers(row) for row in range(len(w))])
+
+    @staticmethod
+    def _problem(field, n, batch, seed):
+        rng = make_rng(seed)
+        w = np.stack([[0.6 * gaussian_matrix(3, field, rng) for _ in range(n)] for _ in range(batch)])
+        return w, np.stack([gaussian_matrix(3, field, rng) for _ in range(batch)])
+
+    @pytest.mark.parametrize("batch", [1, 3])
+    @pytest.mark.parametrize("n", [2, 3, 4, 6])
+    @pytest.mark.parametrize("reg_a", [0.0, 1.0], ids=["plain", "regularized"])
+    @pytest.mark.parametrize("integrator", ["gd", "flow_rk4"])
+    def test_conjugate_problems_step_to_conjugates(self, integrator, reg_a, n, batch):
+        cfg = DynConfig(reg_a=reg_a, eta=0.05, step_h=0.05, integrator=integrator)
+        z, sigma = self._problem(FieldTag.COMPLEX, n, batch, seed=100 * n + batch)
+        got = self._run(z, sigma, cfg)
+        assert np.isfinite(got).all() and not np.array_equal(got, z)
+        assert self._run(z.conj(), sigma.conj(), cfg).tobytes() == got.conj().tobytes()
+
+    @pytest.mark.parametrize("batch", [1, 3])
+    @pytest.mark.parametrize("n", [2, 3, 4, 6])
+    @pytest.mark.parametrize("reg_a", [0.0, 1.0], ids=["plain", "regularized"])
+    @pytest.mark.parametrize("integrator", ["gd", "flow_rk4"])
+    def test_a_real_problem_stepped_as_complex_stays_the_real_run(self, integrator, reg_a, n, batch):
+        cfg = DynConfig(reg_a=reg_a, eta=0.05, step_h=0.05, integrator=integrator)
+        w, sigma = self._problem(FieldTag.REAL, n, batch, seed=100 * n + batch)
+        real = self._run(w, sigma, cfg)
+        assert np.isfinite(real).all() and not np.array_equal(real, w)
+        got = self._run(w.astype(complex), sigma.astype(complex), cfg)
+        assert not got.imag.any()
+        assert got.real.tobytes() == real.tobytes()
+
+
+class TestStabilityBound:
+    """GD can settle only where ``eta * lambda_max <= 2``; a minimum's ``lambda_max`` is at least ``N sigma_1^(2 - 2/N)``."""
+
+    def test_balanced_minimum_sharpness(self):
+        # Balanced layers diag(sigma^(1/N)) are a global minimum of a diagonal
+        # target, where the bound is attained.  Power iteration on central
+        # differences of the gradient gives the Hessian's top eigenvalue.
+        n, eta, sigma = 4, 0.1, np.array([3.8, 1.0, 0.4])
+        target, cfg = TargetSpec.diagonal(sigma), DynConfig(reg_a=0.0, eta=eta)
+        layers = np.stack([np.diag(sigma ** (1 / n))] * n)
+        v = make_rng(0).standard_normal(layers.shape)
+        v /= np.linalg.norm(v)
+        h = 1e-5
+        for _ in range(60):
+            plus = gradient(LayerStack(layers + h * v), target, cfg)
+            hv = (plus - gradient(LayerStack(layers - h * v), target, cfg)) / (2 * h)
+            lam = float(np.vdot(v, hv))
+            v = hv / np.linalg.norm(hv)
+        assert lam == pytest.approx(n * sigma[0] ** (2 - 2 / n), rel=1e-8)
+        # Above the bound sigma_1 > (2 / (N eta))^(N / (2N - 2)), 2.92 here,
+        # this minimum is linearly unstable under GD.
+        assert sigma[0] > (2 / (n * eta)) ** (n / (2 * n - 2))
+        assert eta * lam > 2
+
+
 class TestKernelOwnership:
     """The kernel steps buffers it owns; nothing outside it sees them change."""
 

@@ -1352,6 +1352,20 @@ class TestCli:
         assert "# det = plus" in lines or "det = plus" in lines
         assert dets and set(dets) == {"1.0"}
 
+    @pytest.mark.parametrize("command", ["run", "sweep"])
+    def test_field_sets_the_field_of_a_preset_without_field_variants(self, tmp_path, command):
+        argv = [command, "--preset", "sweep", "--field", "complex", "--steps", "20", "--out", str(tmp_path)]
+        assert main(argv + (["--seeds", "2"] if command == "sweep" else [])) == 0
+        if command == "sweep":
+            lines = (tmp_path / "sweep.csv").read_text().splitlines()
+            dets = [r.split(",")[-1] for r in lines if not r.startswith("#")][1:]
+        else:
+            lines = (tmp_path / "sweep.summary.txt").read_text().splitlines()
+            dets = [ln.split(" = ")[1] for ln in lines if ln.startswith("det_w0 = ")]
+        assert "# field = complex" in lines or "field = complex" in lines
+        # Every det W(0) is a complex phase.
+        assert dets and all(d.endswith("j)") and abs(abs(complex(d)) - 1) < 1e-12 for d in dets)
+
     def test_sweep_csv_quotes_a_name_with_a_comma(self, tmp_path, capsys):
         # run accepts the name, so every sweep.csv row keeps it in one cell.
         cfg = tmp_path / "c.cfg"

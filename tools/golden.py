@@ -28,8 +28,8 @@ The full set, a few minutes on two CPUs:
 - ``flow``: criterion 2's RK4 runs, 20,000 steps at record stride 1, in
   both fields;
 - ``sweep-real``, ``sweep-complex``: the ``sweep.csv`` of ``factorlab
-  sweep --preset sweep --seeds 48``, and of the same with a config file
-  that sets ``field = complex``;
+  sweep --preset sweep --seeds 48``, and of the same with ``--field
+  complex``;
 - ``rmt``: the files of ``factorlab rmt-validate --out``;
 - ``criterion-4``: the 600 outcomes of criterion 4's sweeps, one line
   ``field,seed,status,steps_run,final_l_ori`` per seed.
@@ -130,15 +130,9 @@ def outputs() -> tuple[dict[str, bytes], dict[str, list[int]]]:
     return out, quiet
 
 
-def _command(args: list[str], group: str, config: str | None = None) -> dict[str, bytes]:
-    """The files ``factorlab ARGS --out DIR`` writes, by ``group/name``; its report is dropped.
-
-    A ``config`` text is passed as ``--config`` from a file of its own.
-    """
-    with tempfile.TemporaryDirectory() as tmp, tempfile.TemporaryDirectory() as out:
-        if config is not None:
-            (Path(tmp) / "golden.cfg").write_text(config)
-            args = args + ["--config", str(Path(tmp) / "golden.cfg")]
+def _command(args: list[str], group: str) -> dict[str, bytes]:
+    """The files ``factorlab ARGS --out DIR`` writes, by ``group/name``; its report is dropped."""
+    with tempfile.TemporaryDirectory() as out:
         with contextlib.redirect_stdout(io.StringIO()):
             code = cli.main(args + ["--out", out])
         if code != 0:
@@ -157,7 +151,7 @@ def full_outputs() -> dict[str, bytes]:
         out.update(_files(tmp, "flow"))
     sweep = ["sweep", "--preset", "sweep", "--seeds", "48"]
     out.update(_command(sweep, "sweep-real"))
-    out.update(_command(sweep, "sweep-complex", config="field = complex\n"))
+    out.update(_command(sweep + ["--field", "complex"], "sweep-complex"))
     out.update(_command(["rmt-validate"], "rmt"))
     base = replace(preset("fig-h1", seed=2024)[0], det_sign=None)
     outcomes = []
