@@ -87,12 +87,13 @@ def _configs_from_args(args: argparse.Namespace, sweep: bool = False) -> list[Ru
     if args.preset:
         seed = args.seed if args.seed is not None else 2024
         cfgs = preset(args.preset, seed=seed)
-        # Narrow the preset family by explicit flags, then apply overrides;
-        # the flags' own keys are spent on the narrowing.  A family whose
-        # variants share one field takes --field as an override.
-        if args.field and len({c.field for c in cfgs}) > 1:
-            cfgs = [c for c in cfgs if c.field is FieldTag.parse(args.field)]
-            over.pop("field")
+        # Narrow the preset family by explicit flags, --field first, then
+        # apply overrides; the flags' own keys are spent on the narrowing.
+        # A flag keeps the variants that have its value, or gives it to
+        # every variant where none has it.
+        if args.field:
+            field = FieldTag.parse(over.pop("field"))
+            cfgs = [c for c in cfgs if c.field is field] or [replace(c, field=field) for c in cfgs]
         if args.det:
             # The real configs left are the wanted det variant, or a preset
             # without det variants, which takes the sign.
@@ -107,8 +108,6 @@ def _configs_from_args(args: argparse.Namespace, sweep: bool = False) -> list[Ru
             # Leave the det sign to each seed: the real variants become one sweep.
             merged = [replace(c, name=c.name.rsplit("-det", 1)[0], det_sign=None) for c in cfgs]
             cfgs = [c for i, c in enumerate(merged) if c not in merged[:i]]
-        if not cfgs:
-            raise ConfigError("preset family has no variant matching the given flags")
         return [build_config(over, base=c) for c in cfgs]
     return [build_config(over)]
 

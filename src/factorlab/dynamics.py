@@ -234,14 +234,11 @@ def _run(plan: list) -> None:
 
 
 class _Window(NamedTuple):
-    """The views of one window of a kernel's lefts buffer that an evaluation writes (see :class:`_Kernel`)."""
+    """The views of one window of a kernel's lefts buffer (see :class:`_Kernel`)."""
 
-    misfit: np.ndarray  # factors[N-1], the window's bottom slot
-    factors_low: np.ndarray  # factors[:-1]
-    factors_high: np.ndarray  # factors[1:]
+    misfit: np.ndarray
+    factors: np.ndarray
     direction: np.ndarray
-    direction_low: np.ndarray  # direction[:-1]
-    direction_high: np.ndarray  # direction[1:]
 
 
 class _Kernel:
@@ -256,11 +253,11 @@ class _Kernel:
 
     Every operation is a call plan made here too: a list of ``(function,
     args)`` entries, each a numpy call whose output is among its positional
-    arguments, over those views.  :meth:`measure`, :meth:`step`,
-    :meth:`descent` and each round of :meth:`advance` only run a plan.
-    :meth:`_products`, :meth:`_defects`, :meth:`_descend`,
-    :meth:`_measure`, :meth:`_stepping` and :meth:`_reembed` build the
-    pieces the plans are made of.
+    arguments, over those views.  :meth:`measure`, :meth:`step` and each
+    round of :meth:`advance` only run a plan; :meth:`descent`, which only
+    :func:`gradient` calls, builds its own when called.  :meth:`_defects`,
+    :meth:`_descend`, :meth:`_measure`, :meth:`_stepping` and
+    :meth:`_reembed` build the pieces the plans are made of.
 
     The chain buffer holds the layers and the suffix and prefix products.
     The layers keep positive strides, since an in-place update with a
@@ -296,12 +293,14 @@ class _Kernel:
       transposed product, and measured 6-8% dearer per step at B = 1 and
       2, real or embedded.
 
-    The lefts buffer holds the misfit, the left factors ``prefix^H M`` and
-    the descent direction, in ``block + 2N - 1`` slots.  An evaluation uses
-    a window of ``2N - 1`` of them: window ``r`` is slots ``r .. r + 2N -
-    2``, which hold ``[M, factors[N-2], ..., factors[1], direction[0],
-    ..., direction[N-1]]``, the bottom slot of the direction being the
-    first left factor.  Round ``r`` of :meth:`advance` evaluates in window
+    The lefts buffer holds the misfit ``M``, the left factors ``prefix^H
+    M`` and the descent direction, in ``block + 2N - 1`` slots.  An
+    evaluation uses a window of ``2N - 1`` of them, which :meth:`_window`
+    slices: window ``r`` holds the misfit in slot ``r``, ``factors[j]`` in
+    slot ``r + N - 1 - j`` (so ``factors[N-1]`` is the misfit and
+    ``factors[j] = prefix[j]^H M`` below it), and ``direction[j]`` in slot
+    ``r + N - 1 + j``, whose bottom slot is the first left factor
+    ``factors[0]``.  Round ``r`` of :meth:`advance` evaluates in window
     ``r``, so its misfit stays in slot ``r`` while the later rounds write
     above it, and after the block one matmul over slots ``0 .. rounds - 1``
     takes every round's ``sq``: per problem the same dot over the same
@@ -325,8 +324,7 @@ class _Kernel:
     kernel hands out; :meth:`own_layers`, :meth:`layer_norms` and
     :meth:`descent` give the problems' own field.
 
-    :meth:`measure` (or :meth:`evaluate`, which is :meth:`measure` then
-    :meth:`finish`) must precede each :meth:`step`, :meth:`l_reg` and
+    :meth:`measure` must precede each :meth:`step`, :meth:`l_reg` and
     :meth:`descent`; what they return is a view valid until the next step.
     :meth:`advance` runs several rounds of measuring and stepping,
     :meth:`converged` finds the problems that converged in them by
@@ -414,11 +412,10 @@ class _Kernel:
             self._reembed_views = (
                 np.moveaxis(blocks[:, :, ::-1, :, 0], 2, 0), np.moveaxis(blocks[..., 1, :], 2, 0), two, two[0]
             )
-        self._windows = windows = self._window_views(block + 1)
+        self._windows = windows = [self._window(r) for r in range(block + 1)]
         stepping = [self._stepping(windows[r], windows[r + 1]) for r in range(block)]
         norm = (np.matmul, (self._misfit_rows[0], self._misfit_cols[0], self._sq))
         self._measure_plan = self._measure(windows[0]) + [norm]
-        self._descent_plan = self._descend(windows[0])
         self._step_plan = stepping[0]
         self._rounds = [self._measure(windows[r]) + s for r, s in enumerate(stepping)]
 
@@ -426,31 +423,10 @@ class _Kernel:
         """A kernel of the problems ``rows`` (an index or mask on the batch axis), not yet measured."""
         return _Kernel(self.layers[rows], self.sigma[rows], self.cfg, self.embedded, len(self._rounds))
 
-    def _window_views(self, count: int) -> list[_Window]:
-        """Windows ``0 .. count - 1`` of the lefts buffer.
-
-        Window ``r`` holds ``factors[N-1]``, its misfit, in slot ``r`` and
-        ``factors[j]`` in slot ``r + N - 1 - j``, so ``factors[:-1]`` and
-        ``factors[1:]`` are the descending runs of ``N - 1`` slots whose
-        bottom slots are ``r + 1`` and ``r``; ``direction[j]`` is in slot
-        ``r + N - 1 + j``.  Each run is sliced once and shared by the
-        windows that hold it.
-        """
+    def _window(self, r: int) -> _Window:
+        """Window ``r`` of the lefts buffer: its misfit, factors and direction (see :class:`_Kernel`)."""
         lefts, n = self._lefts, len(self._x)
-        top = len(lefts) - 1
-        reverse = lefts[::-1]
-        slots = list(lefts[:count])
-        # down[j] runs from slot j + n - 2 down to slot j; up[j] from slot j up to j + n - 2.
-        down = [reverse[top - j - n + 2 : top - j + 1] for j in range(count + 1)]
-        up = [lefts[j : j + n - 1] for j in range(n - 1, count + n)]
-        return [
-            _Window(slots[r], down[r + 1], down[r], lefts[r + n - 1 : r + 2 * n - 1], up[r], up[r + 1])
-            for r in range(count)
-        ]
-
-    def _products(self, win: _Window) -> list:
-        """Suffix and prefix products and the misfit ``Sigma - W`` of the current layers, into window ``win``."""
-        return self._chain + [(np.subtract, (self.sigma, self._product, win.misfit))]
+        return _Window(lefts[r], lefts[r : r + n][::-1], lefts[r + n - 1 : r + 2 * n - 1])
 
     def _defects(self) -> list:
         """Balance defects of the current layers, stacked on the layer axis, from them and their stored transposes."""
@@ -471,17 +447,18 @@ class _Kernel:
         Delta_{j-1,j} - a Delta_{j,j+1} W_j`` with the boundary defects
         defined as zero.
         """
-        cfg = self.cfg
+        cfg, direction = self.cfg, win.direction
+        high = direction[1:]
         if cfg.omit_l_ori:
-            plan = [(win.direction.fill, (0.0,))]
+            plan = [(direction.fill, (0.0,))]
         else:
             # The misfit broadcasts over the layer axis.
             plan = [
-                (np.matmul, (self._prefix_h, win.misfit, win.factors_low)),
-                (np.matmul, (win.factors_high, self._suffix_t, win.direction_high)),
+                (np.matmul, (self._prefix_h, win.misfit, win.factors[:-1])),
+                (np.matmul, (win.factors[1:], self._suffix_t, high)),
             ]
         if cfg.reg_a > 0:
-            a, s, low, high = self._a, self._scratch, win.direction_low, win.direction_high
+            a, s, low = self._a, self._scratch, direction[:-1]
             plan += [
                 (np.matmul, (self._lower, self._deltas, s)),
                 (np.multiply, (s, a, s)),
@@ -502,7 +479,8 @@ class _Kernel:
         # The layers' transposes, which the chain and defects read.
         plan = [self._transposes] if regularized else []
         if not (stage and self.cfg.omit_l_ori):
-            plan += self._products(win)
+            # The suffix and prefix products, then the misfit ``Sigma - W``.
+            plan += self._chain + [(np.subtract, (self.sigma, self._product, win.misfit))]
         if regularized:
             plan += self._defects()
         return plan
@@ -575,11 +553,6 @@ class _Kernel:
         np.multiply(sq, self._l_ori_scale, out=sq)
         return sq
 
-    def evaluate(self) -> np.ndarray:
-        """:meth:`measure` then :meth:`finish`: returns ``l_ori`` per problem."""
-        self.measure()
-        return self.finish()
-
     def advance(self, rounds: int) -> np.ndarray:
         """``rounds`` steps, each from a fresh evaluation; returns their ``(rounds, B)`` ``sq`` history.
 
@@ -651,8 +624,9 @@ class _Kernel:
 
     def descent(self) -> np.ndarray:
         """The ``(B, N, d, d)`` descent direction at the last evaluation, in the problems' own field."""
-        _run(self._descent_plan)
-        direction = self._windows[0].direction.swapaxes(0, 1)
+        win = self._windows[0]
+        _run(self._descend(win))
+        direction = win.direction.swapaxes(0, 1)
         return _unembed(direction) if self.embedded else direction
 
     def own_layers(self, row: int, out: np.ndarray | None = None) -> np.ndarray:

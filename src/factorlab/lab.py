@@ -318,6 +318,9 @@ def prepare_problem(cfg: RunConfig) -> tuple[TargetSpec, LayerStack, float | com
     balanced and, for odd d, flips ``det W``, whatever ``s_phases`` the
     stack was built with.  Random init cannot steer the determinant, so it
     scans forward from the seed for a stack whose product has the sign.
+
+    A product that overflows has ``det_w0 = nan``: its run diverges at step
+    0 by the guard, but no det sign can be asked of it (ConfigError).
     """
     cfg.validate()
     built = _build_target(cfg)
@@ -329,7 +332,13 @@ def prepare_problem(cfg: RunConfig) -> tuple[TargetSpec, LayerStack, float | com
         stack = init(cfg.d, cfg.n_layers, cfg.init, cfg.field, _substream(probe, 1))
         if not target.reduced:
             target, stack = reduce_target(target.matrix, stack)
-        det_w0 = det_sign_or_phase(product(stack))
+        with np.errstate(over="ignore", invalid="ignore"):
+            w0 = product(stack)
+        if not np.isfinite(w0).all():
+            if cfg.det_sign is not None:
+                raise ConfigError("initial product is not finite")
+            return target, stack, float("nan")
+        det_w0 = det_sign_or_phase(w0)
         if cfg.det_sign is None or det_w0 == cfg.det_sign:
             return target, stack, det_w0
         if balanced:
@@ -935,7 +944,8 @@ def gradcheck(d: int, n_layers: int, field: FieldTag, a: float, seed: int) -> Gr
         # The loss as ``dynamics.loss`` and the run loop evaluate it: a complex
         # problem as its real embedding, whose halved losses are the complex ones.
         kernel = _kernel(x, np.broadcast_to(sigma, (len(x), d, d)), cfg)
-        return kernel.evaluate() + kernel.l_reg()
+        kernel.measure()
+        return kernel.finish() + kernel.l_reg()
 
     # One kernel batch per layer and part: problem m perturbs entry m of the
     # layer.  A problem's loss bits do not depend on the batch it is in.
@@ -1068,11 +1078,10 @@ def emit_plots(csv_path: str | Path, script_path: str | Path | None = None) -> P
         raise MalformedCSVError(f"{csv_path}: not UTF-8 text") from None
     if not has_meta or header is None or n_rows == 0:
         raise MalformedCSVError(f"{csv_path}: expected metadata, header and data rows")
-    sigma_cols = [c for c in header if c.startswith("sigma_w_")]
-    d = len(sigma_cols)
-    required = {"step", "sig_max", "sig_min", "main_sv_min"}
-    required |= {f"half_sum_sv_{k}" for k in range(d)}
-    if not sigma_cols or not required.issubset(header):
+    d = sum(c.startswith("sigma_w_") for c in header)
+    used = ["step", "sig_max", "sig_min", "main_sv_min"]
+    used += [f"sigma_w_{k}" for k in range(d)] + [f"half_sum_sv_{k}" for k in range(d)]
+    if not d or not set(used).issubset(header):
         raise MalformedCSVError(f"{csv_path}: missing documented trajectory columns")
 
     script_path = Path(script_path) if script_path else csv_path.with_suffix(".plot.py")
@@ -1081,8 +1090,6 @@ def emit_plots(csv_path: str | Path, script_path: str | Path | None = None) -> P
     here = script_path.resolve().parent
     csv_rel = os.path.relpath(csv_path.resolve(), here)
     base = csv_rel.removesuffix(csv_path.suffix)
-    used = ["step", "sig_max", "sig_min", "main_sv_min"]
-    used += [f"sigma_w_{k}" for k in range(d)] + [f"half_sum_sv_{k}" for k in range(d)]
     text = _PLOT_TEMPLATE.format(
         csv_name=csv_path.name,
         used_columns=", ".join(used),

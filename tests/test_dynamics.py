@@ -439,7 +439,8 @@ class TestKernelBits:
         half = 0.5 if embedded else 1.0
         start = kernel.layers.copy()
         for _ in range(steps):
-            l_ori = kernel.evaluate().reshape(lead)
+            kernel.measure()
+            l_ori = kernel.finish().reshape(lead)
             l_reg = kernel.l_reg().reshape(lead)
             ref_ev = _ref_evaluate(ref, ref_sigma, cfg)
             assert np.array_equal(l_ori, half * ref_ev[4])
@@ -497,7 +498,8 @@ class TestEmbedding:
         cfg = DynConfig(**REGIMES[regime])
         w, sigma = _problem(FieldTag.COMPLEX, 4, 8, seed=5)
         kernel = _kernel(w, sigma, cfg)
-        got = kernel.evaluate(), kernel.l_reg()
+        kernel.measure()
+        got = kernel.finish(), kernel.l_reg()
         for x, y in zip(got, _ref_evaluate(w, sigma, cfg)[4:]):
             assert np.all(np.abs(x - y) <= 1e-15 * np.asarray(y))
 
@@ -606,6 +608,27 @@ class TestFrobenius:
         assert not x.flags.c_contiguous
         got = _frobenius(x)
         assert [float(v) for v in got] == [float(np.linalg.norm(m)) for m in x]
+
+
+class TestLRegOrder:
+    """``l_reg`` sums the squared defect norms in layer order.
+
+    numpy's ``add.reduce`` sums eight or more contiguous terms in unrolled
+    pairs, which changes the last bits; at N = 10 there are nine terms.
+    """
+
+    def test_sum_is_left_to_right(self):
+        cfg = DynConfig(reg_a=1.0)
+        for seed in range(20):
+            w, sigma = _problem(FieldTag.REAL, 10, 1, seed=seed)
+            kernel = _kernel(w, sigma, cfg)
+            kernel.measure()
+            norms = [float(np.linalg.norm(delta[0])) for delta in kernel._deltas]
+            sq = [n * n for n in norms]
+            total = sq[0]
+            for s in sq[1:]:
+                total += s
+            assert len(sq) == 9 and kernel.l_reg()[0] == 0.25 * cfg.reg_a * total
 
 
 class TestDeferredNorms:
@@ -764,7 +787,8 @@ class TestKernelOwnership:
         cfg = DynConfig(reg_a=reg_a, eta=0.01, step_h=0.01, integrator=integrator)
         w, sigma = _problem(FieldTag.REAL if form == "real" else FieldTag.COMPLEX, 4, 16, seed=12)
         kernel = _kernel(w, sigma, cfg, block=4)
-        kernel.evaluate()
+        kernel.measure()
+        kernel.finish()
         kernel.step()
         layer_bytes = kernel.layers[:, 0].nbytes
         tracemalloc.start()
@@ -925,7 +949,7 @@ def _same_view(a, b):
 
 def _plans(kernel):
     """Every plan of a kernel: measure, step, descent and each round of advance."""
-    return [kernel._measure_plan, kernel._step_plan, kernel._descent_plan, *kernel._rounds]
+    return [kernel._measure_plan, kernel._step_plan, kernel._descend(kernel._windows[0]), *kernel._rounds]
 
 
 class TestChainLayout:
@@ -987,7 +1011,7 @@ class TestChainLayout:
             if reg_a > 0:
                 want = [kernel._product] * stages
             else:
-                want = [kernel._windows[r].direction_high] + [kernel._windows[r + 1].direction_high] * (stages - 1)
+                want = [kernel._windows[r].direction[1:]] + [kernel._windows[r + 1].direction[1:]] * (stages - 1)
             assert len(got) == stages
             assert all(_same_view(out, view) for out, view in zip(got, want))
 

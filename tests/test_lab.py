@@ -34,7 +34,7 @@ from factorlab.dynamics import (
     loss,
     product,
 )
-from factorlab.ensembles import InitScheme, gaussian_matrix
+from factorlab.ensembles import InitScheme, ValidatorResult, gaussian_matrix
 from factorlab.errors import ConfigError, MalformedCSVError
 from factorlab.lab import (
     CONFIG_KEYS,
@@ -425,6 +425,34 @@ def _diverging_cfg(record_stride):
 
 
 class TestRunScenarios:
+    @pytest.mark.parametrize("field", [FieldTag.REAL, FieldTag.COMPLEX], ids=lambda f: f.value)
+    def test_random_target_header_gives_the_reduced_diagonal(self, tmp_path, field):
+        cfg = tiny_cfg(field=field, target_kind="random", steps=20)
+        s = run_scenario(cfg, out_dir=tmp_path)
+        lines = Path(s.csv_path).read_text().splitlines()
+        [line] = [ln for ln in lines if ln.startswith("# reduced_target_diag = ")]
+        got = [float(v) for v in line.split(" = ")[1].split(",")]
+        target, _, _ = prepare_problem(cfg)
+        assert target.reduced and got == np.diagonal(target.matrix).real.tolist()
+
+    def test_diag_family_runs_against_its_diagonal(self, tmp_path):
+        family = [replace(c, steps=300) for c in preset("fig-h2")]
+        summaries = run_scenarios(family, out_dir=tmp_path)
+        diag = family[0].diag
+        assert diag is not None and len(set(diag)) == len(diag)
+        for cfg, s in zip(family, summaries):
+            assert (s.status, s.steps_run) == ("exhausted", 300)
+            target, stack, _ = prepare_problem(cfg)
+            assert np.array_equal(target.matrix, np.diag(diag))
+            lines = Path(s.csv_path).read_text().splitlines()
+            echo = dict(ln[2:].split(" = ", 1) for ln in lines if ln.startswith("# ") and " = " in ln)
+            assert echo["target"] == "diag"
+            assert lab.CONFIG_KEYS["diag"].parse(echo["diag"]) == diag
+            # The step-0 record's l_ori is the misfit against that diagonal.
+            header = [ln for ln in lines if not ln.startswith("#")][0].split(",")
+            row0 = [ln for ln in lines if not ln.startswith("#")][1].split(",")
+            assert float(row0[header.index("l_ori")]) == loss(stack, target, cfg.dyn)[0]
+
     @pytest.mark.parametrize(
         "family",
         [
@@ -912,7 +940,8 @@ class TestConvergenceCheck:
         errors = np.geterr()
         with np.errstate(over="ignore", invalid="ignore"):
             for step in range(cfg.steps + 1):
-                l_ori = float(kernel.evaluate()[0])
+                kernel.measure()
+                l_ori = float(kernel.finish()[0])
                 conv = not cfg.dyn.omit_l_ori and l_ori < cfg.eps_conv
                 ends = conv or step == cfg.steps
                 record = ends or step % cfg.record_stride == 0
@@ -988,7 +1017,8 @@ class TestConvergenceCheck:
         kernel = dynamics._kernel(stack.layers[None], target.matrix[None], dyn)
         want, track = [], None
         for step in range(cfg.steps + 1):
-            l_ori = float(kernel.evaluate()[0])
+            kernel.measure()
+            l_ori = float(kernel.finish()[0])
             layers = LayerStack(kernel.own_layers(0))
             rec, track = record(step, lab._time_of(cfg, step), layers, l_ori, kernel.l_reg()[0], target, track)
             want.append((record_to_csv_row(rec, cfg.d), track))
@@ -1366,6 +1396,22 @@ class TestCli:
         # Every det W(0) is a complex phase.
         assert dets and all(d.endswith("j)") and abs(abs(complex(d)) - 1) < 1e-12 for d in dets)
 
+    @pytest.mark.parametrize("command, det", [("run", "plus"), ("sweep", "minus")], ids=["run", "sweep"])
+    def test_field_applies_before_det(self, tmp_path, command, det):
+        # --field makes the sweep preset complex first, so --det finds no real
+        # config to give its sign to.
+        argv = [command, "--preset", "sweep", "--field", "complex", "--det", det, "--steps", "20"]
+        argv += ["--out", str(tmp_path)] + (["--seeds", "2"] if command == "sweep" else [])
+        assert main(argv) == 0
+        if command == "sweep":
+            lines = (tmp_path / "sweep.csv").read_text().splitlines()
+            dets = [r.split(",")[-1] for r in lines if not r.startswith("#")][1:]
+        else:
+            lines = (tmp_path / "sweep.summary.txt").read_text().splitlines()
+            dets = [ln.split(" = ")[1] for ln in lines if ln.startswith("det_w0 = ")]
+        assert "# field = complex" in lines or "field = complex" in lines
+        assert dets and all(d.endswith("j)") and abs(abs(complex(d)) - 1) < 1e-12 for d in dets)
+
     def test_sweep_csv_quotes_a_name_with_a_comma(self, tmp_path, capsys):
         # run accepts the name, so every sweep.csv row keeps it in one cell.
         cfg = tmp_path / "c.cfg"
@@ -1419,6 +1465,16 @@ class TestCli:
         s = run_scenario(tiny_cfg(), out_dir=tmp_path)
         rc = main(["plots", s.csv_path])
         assert rc == 0
+
+    def test_plots_refuses_a_csv_without_a_column_its_script_reads(self, tmp_path, capsys):
+        # Two sigma_w columns, so the script would read sigma_w_0 and sigma_w_1.
+        bad = tmp_path / "gap.csv"
+        header = "step,time,l_ori,sig_max,sig_min,main_sv_min,sigma_w_0,sigma_w_2,half_sum_sv_0,half_sum_sv_1"
+        bad.write_text("# factorlab trajectory, name = gap\n" + header + "\n" + ",".join(["1.0"] * 10) + "\n")
+        assert main(["plots", str(bad)]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("malformed CSV: ") and "missing documented trajectory columns" in err
+        assert [p.name for p in tmp_path.iterdir()] == ["gap.csv"]
 
     @pytest.mark.parametrize(
         "case", ["csv-directory", "csv-not-utf8", "script-directory", "script-missing-dir", "script-is-csv"]
@@ -1596,6 +1652,21 @@ class TestCli:
         assert "config error" in err and "is a directory" in err and "Traceback" not in err
         assert [p.name for p in tmp_path.iterdir()] == [blocked]
 
+    @pytest.mark.parametrize("fails", [False, True])
+    def test_rmt_validate_verdicts_and_exit_code(self, capsys, monkeypatch, fails):
+        # Canned results: the second check fails when its statistic is 0.3.
+        second = 0.3 if fails else 0.5
+        results = [
+            ValidatorResult("first", 0.1, "<=", 0.2, "one"),
+            ValidatorResult("second", second, ">=", 0.4, "two"),
+        ]
+        monkeypatch.setattr(cli, "rmt_validate", lambda **kw: results)
+        assert main(["rmt-validate"]) == (3 if fails else 0)
+        assert capsys.readouterr().out.splitlines() == [
+            "[pass] first: 0.1 <= 0.2 (one)",
+            f"[{'FAIL' if fails else 'pass'}] second: {second} >= 0.4 (two)",
+        ]
+
     def test_config_error_exit_code(self, tmp_path, capsys):
         p = tmp_path / "bad.cfg"
         p.write_text("steps = 0\n")
@@ -1636,3 +1707,35 @@ class TestCli:
         )
         rc = main(["run", "--config", str(p), "--out", str(tmp_path)])
         assert rc == 2
+
+    @pytest.mark.parametrize("command", ["run", "sweep"])
+    @pytest.mark.parametrize(
+        "init", ["epsilon = 1e80", "init = random\nepsilon = 1e160"], ids=["balanced", "random"]
+    )
+    def test_a_start_whose_product_overflows_diverges_at_step_0(self, tmp_path, capsys, command, init):
+        # The layers are finite, so the start is no config error; their
+        # product is not, so the guard ends the run at step 0 with det_w0 nan.
+        p = tmp_path / "big.cfg"
+        p.write_text(init + "\nsteps = 30\n")
+        out = tmp_path / "out"
+        argv = [command, "--config", str(p), "--out", str(out)] + (["--seeds", "2"] if command == "sweep" else [])
+        rc = main(argv)
+        err = capsys.readouterr().err
+        assert err == ""
+        if command == "run":
+            assert rc == 2
+            summary = (out / "run.summary.txt").read_text().splitlines()
+            assert {"status = diverged", "steps_run = 0", "det_w0 = nan"} <= set(summary)
+        else:
+            assert rc == 0
+            with open(out / "sweep.csv", newline="") as fh:
+                rows = list(csv.DictReader(ln for ln in fh if not ln.startswith("#")))
+            assert len(rows) == 2
+            assert all((r["status"], r["steps_run"], r["det_w0"]) == ("diverged", "0", "nan") for r in rows)
+
+    def test_a_det_sign_of_an_overflowing_start_is_a_config_error(self, tmp_path, capsys):
+        p = tmp_path / "big.cfg"
+        p.write_text("epsilon = 1e80\ndet = plus\nsteps = 30\n")
+        assert main(["run", "--config", str(p), "--out", str(tmp_path / "out")]) == 1
+        assert capsys.readouterr().err == "config error: initial product is not finite\n"
+        assert list(tmp_path.iterdir()) == [p]
