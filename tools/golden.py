@@ -18,6 +18,10 @@ The subset, a few seconds on one CPU:
   0.3`` and 3,000 steps;
 - ``flow``: criterion 2's RK4 runs, 200 steps at record stride 1, in both
   fields;
+- ``fig-h3``: the CSV and summary of each fig-h3 variant at 290 steps:
+  regularized, under ``omit_l_ori``, recorded every 10 steps, so most
+  record steps are not guard steps, and with a last step off the guard
+  cadence;
 - ``sweep``: the outcomes of the 40-seed ``sweep`` preset at 3,000 steps,
   one line ``seed,status,steps_run,final_l_ori,det_w0`` per seed.
 
@@ -74,6 +78,7 @@ REGENERATE = "python3 tools/golden.py"
 REGENERATE_FULL = "python3 tools/golden.py --full"
 STEPS = 3_000
 # The subset's RK4 runs: criterion 2's, cut to 200 steps and at the default eps_conv.
+FIG_H3_STEPS = 290
 FLOW = [
     RunConfig(
         name=f"flow-{field.value}", field=field, d=5, n_layers=4, target_kind="identity",
@@ -87,7 +92,8 @@ FLOW = [
 
 def _configs() -> dict[str, list[RunConfig]]:
     fig_h1 = [replace(c, init=replace(c.init, epsilon=0.3), steps=STEPS) for c in preset("fig-h1")]
-    return {"fig-h1": fig_h1, "flow": FLOW}
+    fig_h3 = [replace(c, steps=FIG_H3_STEPS) for c in preset("fig-h3")]
+    return {"fig-h1": fig_h1, "flow": FLOW, "fig-h3": fig_h3}
 
 
 def _quiet(step: int, steps: int, stride: int | None) -> bool:
