@@ -124,6 +124,12 @@ def _cmd_run(args: argparse.Namespace) -> int:
     return worst
 
 
+def _share(converged: int, seeds: int) -> str:
+    """``converged/seeds (fraction=...)``, the fraction ``n/a`` for a class with no seeds."""
+    fraction = f"{converged / seeds:.3f}" if seeds else "n/a"
+    return f"{converged}/{seeds} (fraction={fraction})"
+
+
 def _cmd_sweep(args: argparse.Namespace) -> int:
     bases = _configs_from_args(args, sweep=True)
     for base in bases:
@@ -145,10 +151,8 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
             )
             if result.n_det_plus or result.n_det_minus:
                 print(
-                    f"  det>0: {result.n_det_plus_converged}/{result.n_det_plus} "
-                    f"(fraction={result.fraction_det_plus:.3f}); "
-                    f"det<0: {result.n_det_minus_converged}/{result.n_det_minus} "
-                    f"(fraction={result.fraction_det_minus:.3f})"
+                    f"  det>0: {_share(result.n_det_plus_converged, result.n_det_plus)}; "
+                    f"det<0: {_share(result.n_det_minus_converged, result.n_det_minus)}"
                 )
             table += [sweep_csv_row(base.name, o) for o in result.outcomes]
         path = out / "sweep.csv"

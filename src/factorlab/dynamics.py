@@ -32,16 +32,21 @@ would cost more than it saves, so that layout stays without it.
 The loss is made in two parts.  :meth:`_Kernel.measure` builds the
 products, the misfit and its squared Frobenius norm ``sq`` (one dot per
 problem), and :meth:`_Kernel.finish` turns ``sq`` into ``l_ori`` (a square
-root, ``n * n`` and a halving), elementwise.  The run loop finishes
-``l_ori`` on guard and record steps.  Between them it runs
-:meth:`_Kernel.advance`, a quiet block of up to ``block`` steps that tests
-nothing per step and takes no ``sq`` in them either: each step leaves its
-misfit in a slot of its own, and one call after the block takes every
-step's ``sq``, the same dots with the same bits.  :meth:`_Kernel.converged`
-then screens that history once and finishes ``l_ori`` only where ``sq``
-may give ``l_ori < eps_conv``, the test of :meth:`_Kernel.below`, and a
-problem that converged there is stepped again alone to that step
-(:meth:`_Kernel.replay`).
+root, ``n * n`` and a halving), elementwise.  The run loop steps only
+through :meth:`_Kernel.advance`, a block of up to ``block`` rounds that
+tests nothing per round and takes no ``sq`` in them either: each round
+leaves its misfit in a slot of its own, and one call after the block takes
+every round's ``sq``, the same dots with the same bits.  The layers of the
+rounds the loop keeps (its guard, record and last steps) are copied aside
+before they step, one call each, so after the block the loop finishes
+``l_ori`` on those rounds and reads their layers, norms and ``l_reg`` from
+the copies.  :meth:`_Kernel.converged` screens the history once and
+finishes ``l_ori`` only where ``sq`` may give ``l_ori < eps_conv``, the
+test of :meth:`_Kernel.below`, and a problem that converged on a round
+that was not kept is stepped again alone to that round
+(:meth:`_Kernel.replay`).  :meth:`_Kernel.measure` and
+:meth:`_Kernel.step`, one evaluation and one step, serve the
+single-problem calls below.
 
 The kernel does real arithmetic only.  A complex problem is stepped as its
 real embedding ``E(A + iB) = [[A, -B], [B, A]]``: one real matmul per
@@ -70,8 +75,8 @@ bound means the same in both fields; and the descent direction
 
 Ownership: an array the kernel returns (``layers``, ``l_ori``, a real
 problem's descent direction) is a view of its buffers, valid until its
-next step; :meth:`_Kernel.own_layers` copies, so a trajectory's records
-keep what it gives.  :func:`loss`, :func:`gradient`, :func:`gd_step` and
+next step or block; :meth:`_Kernel.own_layers` copies, so a trajectory's
+records keep what it gives.  :func:`loss`, :func:`gradient`, :func:`gd_step` and
 :func:`flow_step_rk4` build a kernel of their own for each call, so they
 never write to their inputs, and what they return is not shared.
 """
@@ -79,7 +84,7 @@ never write to their inputs, and what they return is not shared.
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
-from typing import NamedTuple
+from typing import NamedTuple, Sequence
 
 import numpy as np
 
@@ -210,7 +215,9 @@ def _frobenius(x: np.ndarray) -> np.ndarray:
     """
     flat = _flat_rows(x)
     parts = (flat.real, flat.imag) if flat.dtype.kind == "c" else (flat,)
-    sq = sum(p @ p.swapaxes(-1, -2) for p in parts)
+    sq = parts[0] @ parts[0].swapaxes(-1, -2)
+    for p in parts[1:]:
+        sq += p @ p.swapaxes(-1, -2)
     return np.sqrt(sq, out=sq)[..., 0, 0]
 
 
@@ -255,9 +262,10 @@ class _Kernel:
     args)`` entries, each a numpy call whose output is among its positional
     arguments, over those views.  :meth:`measure`, :meth:`step` and each
     round of :meth:`advance` only run a plan; :meth:`descent`, which only
-    :func:`gradient` calls, builds its own when called.  :meth:`_defects`,
-    :meth:`_descend`, :meth:`_measure`, :meth:`_stepping` and
-    :meth:`_reembed` build the pieces the plans are made of.
+    :func:`gradient` calls, builds its own when called.
+    :meth:`_defect_plan`, :meth:`_descend`, :meth:`_measure`,
+    :meth:`_stepping` and :meth:`_reembed` build the pieces the plans are
+    made of.
 
     The chain buffer holds the layers and the suffix and prefix products.
     The layers keep positive strides, since an in-place update with a
@@ -279,19 +287,23 @@ class _Kernel:
       ``N + t (N + 1)`` and ``prefix[N - 2 - t]`` in slot
       ``N - 1 + t (N + 1)``.  Every evaluation first stores the layers'
       transposes; the suffix chain builds ``suffix[t]^T = suffix[t-1]^T
-      W_{t+1}^T`` from them, and its last product ``W = W_N
+      W_{t+1}^T`` from them, and its last product ``W = (W_N^T)^T
       (suffix[N-2]^T)^T`` goes to the last slot, untransposed, so the
       misfit subtracts contiguous operands.  The defect Grams ``W_j
       W_j^T`` and ``W_{j+1}^T W_{j+1}`` and the direction ``F suffix^T``
-      then multiply stored operands; the last product is the one matmul
-      whose right operand is a transposed view.  numpy's batched gemm of
-      5x5 matrices over 3 layer slots takes 13.2 against 4.8 us at B = 25
-      with that operand transposed against stored (2.0 against 1.5 us at
-      B = 1; 2 vCPUs, one OpenBLAS 0.3.31 thread), so a regularized real
-      GD step of 25 problems is about 15% cheaper.  The same layout
-      without the regularizer would add the transposing copy to save one
-      transposed product, and measured 6-8% dearer per step at B = 1 and
-      2, real or embedded.
+      then multiply stored operands, and the last product reads both of
+      its operands transposed from stored ones (a TT gemm, with the bits
+      of the NT form ``W_N (suffix[N-2]^T)^T`` on the tested OpenBLAS
+      build, which ``TestTransposedProduct`` pins), so no matmul reads a
+      transposed right operand beside a stored left one.  numpy's batched
+      gemm of 5x5 matrices over 3 layer slots takes 13.2 against 4.8 us
+      at B = 25 with the right operand transposed against stored (2.0
+      against 1.5 us at B = 1; 2 vCPUs, one OpenBLAS 0.3.31 thread), so a
+      regularized real GD step of 25 problems is about 15% cheaper; the
+      TT last product took a regularized GD round 1-8% less time than the
+      NT one at B = 2 to 60.  The same layout without the regularizer
+      would add the transposing copy to save one transposed product, and
+      measured 6-8% dearer per step at B = 1 and 2, real or embedded.
 
     The lefts buffer holds the misfit ``M``, the left factors ``prefix^H
     M`` and the descent direction, in ``block + 2N - 1`` slots.  An
@@ -306,10 +318,17 @@ class _Kernel:
     takes every round's ``sq``: per problem the same dot over the same
     contiguous values as a per-round one, so the same bits.  RK4 stages 2
     to 4 of round ``r`` evaluate in window ``r + 1``, which round ``r + 1``
-    overwrites before it reads it.  :meth:`measure` and :meth:`step`, as on
-    guard and record steps, use window 0, and :meth:`measure` takes its own
-    ``sq``.  ``block`` is the longest :meth:`advance`; the buffer is made
-    here, whatever the block, so no step allocates.
+    overwrites before it reads it.  :meth:`measure` and :meth:`step` use
+    window 0, and :meth:`measure` takes its own ``sq``.  ``block`` is the
+    longest :meth:`advance`; the buffer is made here, whatever the block,
+    so no step allocates.
+
+    The kept buffer holds ``kept`` copies of the layers, layer-major like
+    them: :meth:`advance` copies the layers of each round it is asked to
+    keep into the next one before that round runs.  :meth:`kept_norms`,
+    :meth:`kept_l_reg` and :meth:`own_layers` read them with the calls
+    and bits of :meth:`layer_norms`, :meth:`l_reg` and :meth:`own_layers`
+    on the layers of that round, and :meth:`replay` starts from the first.
 
     The Gram products read two buffers, so numpy runs them as gemm: over
     one buffer read through a transposed view it would take its ``syrk``
@@ -326,18 +345,24 @@ class _Kernel:
 
     :meth:`measure` must precede each :meth:`step`, :meth:`l_reg` and
     :meth:`descent`; what they return is a view valid until the next step.
-    :meth:`advance` runs several rounds of measuring and stepping,
-    :meth:`converged` finds the problems that converged in them by
+    :meth:`advance` runs several rounds of measuring and stepping, keeping
+    some, :meth:`converged` finds the problems that converged in them by
     :meth:`below`, the one convergence test the run loop applies, and
-    :meth:`replay` steps one problem alone from the start of the last
-    :meth:`advance`.
+    :meth:`replay` steps one problem alone from the first kept round of
+    the last :meth:`advance`.
     Every operation acts on each problem's matrices alone, and each matrix
     product keeps the operands and association of a per-problem loop, so a
     problem's values do not depend on the batch it is in.
     """
 
     def __init__(
-        self, w: np.ndarray, sigma: np.ndarray, cfg: DynConfig, embedded: bool = False, block: int = 1
+        self,
+        w: np.ndarray,
+        sigma: np.ndarray,
+        cfg: DynConfig,
+        embedded: bool = False,
+        block: int = 1,
+        kept: int = 1,
     ) -> None:
         b, n, m, _ = w.shape
         self.cfg, self.sigma, self.embedded = cfg, sigma, embedded
@@ -364,10 +389,10 @@ class _Kernel:
             steps = [(t, n - 1 + t * (n + 1)) for t in range(1, n - 1)]
             chain_ops = [
                 (pair(k - n - 1, k - n), pair(n - 1 - t, n + t), pair(k, k + 1)) for t, k in steps
-            ] + [(x[n - 1], suffix_t[n - 2].swapaxes(-1, -2), suffix_t[n - 1])]
+            ] + [(xt[n - 1].swapaxes(-1, -2), suffix_t[n - 2].swapaxes(-1, -2), suffix_t[n - 1])]
             self._product, self._suffix_t = suffix_t[n - 1], suffix_t[:-1]
             self._transposes = (np.copyto, (xt, x.swapaxes(-1, -2)))
-            self._upper_t, self._lower_t = xt[:-1], xt[1:]
+            self._xt = xt
         else:
             # x[j] in slot j, suffix[j] in slot j n and prefix[j] in slot
             # n - 1 + (n - 2 - j) n, as the class docstring lays out.
@@ -387,8 +412,11 @@ class _Kernel:
         self._norm_rows = self.layers[..., : m // 2 if embedded else m, :]
         self._x, self._lower, self._upper = x, x[1:], x[:-1]
         self._prefix_h = prefix.swapaxes(-1, -2)
-        # The layers at the start of the last advance, which replay starts from.
-        self._snapshot = buf(n)
+        # The layers of the kept rounds of the last advance, layer-major like
+        # x, one (N, B, m, m) slot each; replay starts from the first.
+        self._kept = np.empty((n, kept, b, m, m))
+        self._kept_slots = [self._kept[:, j] for j in range(kept)]
+        self._kept_rows = self._kept[..., : m // 2 if embedded else m, :]
         self._sq = np.empty((b, 1, 1))
         self._sq_flat = self._sq[:, 0, 0]
         # Each lefts slot as one (B, 1, m * m) row, and as a column.
@@ -421,20 +449,22 @@ class _Kernel:
 
     def take(self, rows) -> "_Kernel":
         """A kernel of the problems ``rows`` (an index or mask on the batch axis), not yet measured."""
-        return _Kernel(self.layers[rows], self.sigma[rows], self.cfg, self.embedded, len(self._rounds))
+        return _Kernel(
+            self.layers[rows], self.sigma[rows], self.cfg, self.embedded, len(self._rounds), len(self._kept_slots)
+        )
 
     def _window(self, r: int) -> _Window:
         """Window ``r`` of the lefts buffer: its misfit, factors and direction (see :class:`_Kernel`)."""
         lefts, n = self._lefts, len(self._x)
         return _Window(lefts[r], lefts[r : r + n][::-1], lefts[r + n - 1 : r + 2 * n - 1])
 
-    def _defects(self) -> list:
-        """Balance defects of the current layers, stacked on the layer axis, from them and their stored transposes."""
-        deltas, s = self._deltas, self._scratch
+    @staticmethod
+    def _defect_plan(x: np.ndarray, xt: np.ndarray, deltas: np.ndarray, scratch: np.ndarray) -> list:
+        """Balance defects of layers ``x``, stacked on its first, the layer, axis, from them and their stored transposes ``xt``."""
         return [
-            (np.matmul, (self._upper, self._upper_t, deltas)),
-            (np.matmul, (self._lower_t, self._lower, s)),
-            (np.subtract, (deltas, s, deltas)),
+            (np.matmul, (x[:-1], xt[:-1], deltas)),
+            (np.matmul, (xt[1:], x[1:], scratch)),
+            (np.subtract, (deltas, scratch, deltas)),
         ]
 
     def _descend(self, win: _Window) -> list:
@@ -482,7 +512,7 @@ class _Kernel:
             # The suffix and prefix products, then the misfit ``Sigma - W``.
             plan += self._chain + [(np.subtract, (self.sigma, self._product, win.misfit))]
         if regularized:
-            plan += self._defects()
+            plan += self._defect_plan(self._x, self._xt, self._deltas, self._scratch)
         return plan
 
     def _stepping(self, win: _Window, following: _Window) -> list:
@@ -553,35 +583,39 @@ class _Kernel:
         np.multiply(sq, self._l_ori_scale, out=sq)
         return sq
 
-    def advance(self, rounds: int) -> np.ndarray:
+    def advance(self, rounds: int, keep: Sequence[int] = (0,)) -> np.ndarray:
         """``rounds`` steps, each from a fresh evaluation; returns their ``(rounds, B)`` ``sq`` history.
 
         Row ``t`` holds the ``sq`` of the layers ``t`` steps past the start,
-        which are snapshotted for :meth:`replay`, with the bits
-        :meth:`measure` gives there.  Nothing is reduced per round, and the
-        history is taken in one call after the last round, so the caller
-        screens it at once.  The layers end ``rounds`` steps on, not yet
-        measured.  ``rounds`` is at most the ``block`` the kernel was built
-        for.
+        with the bits :meth:`measure` gives there.  The layers of each round
+        in ``keep``, increasing rounds from 0, are copied into the next
+        kept slot before that round runs: one call per kept round, which
+        :meth:`kept_norms`, :meth:`kept_l_reg`, :meth:`own_layers` and
+        :meth:`replay` read.  Nothing is reduced per round, and the history
+        is taken in one call after the last round, so the caller screens it
+        at once.  The layers end ``rounds`` steps on, not yet measured.
+        ``rounds`` is at most the ``block``, and ``keep`` holds at most the
+        ``kept`` rounds, the kernel was built for.
         """
         if rounds > len(self._rounds):
             raise ValueError(f"a kernel built for blocks of {len(self._rounds)} rounds cannot advance {rounds}")
-        np.copyto(self._snapshot, self._x)
-        for plan in self._rounds[:rounds]:
+        x, slots, slot = self._x, self._kept_slots, 0
+        for r, plan in enumerate(self._rounds[:rounds]):
+            if slot < len(keep) and keep[slot] == r:
+                np.copyto(slots[slot], x)
+                slot += 1
             _run(plan)
         return np.matmul(self._misfit_rows[:rounds], self._misfit_cols[:rounds])[..., 0, 0]
 
-    def replay(self, row: int, rounds: int) -> "_Kernel":
-        """A kernel of problem ``row`` alone, ``rounds`` steps past the start of the last :meth:`advance`, measured.
+    def replay(self, row: int, rounds: int, keep: Sequence[int]) -> tuple["_Kernel", np.ndarray]:
+        """A kernel of problem ``row`` alone, advanced ``rounds`` rounds keeping ``keep`` from the start of the last :meth:`advance`, and its history.
 
         Every operation acts on each problem alone, so its layers, ``sq``
         and defects have the bits the batch had there.
         """
-        layers = self._snapshot[:, row : row + 1].swapaxes(0, 1)
-        kernel = _Kernel(layers, self.sigma[row : row + 1], self.cfg, self.embedded, max(rounds, 1))
-        kernel.advance(rounds)
-        kernel.measure()
-        return kernel
+        layers = self._kept[:, 0, row : row + 1].swapaxes(0, 1)
+        kernel = _Kernel(layers, self.sigma[row : row + 1], self.cfg, self.embedded, rounds, len(keep))
+        return kernel, kernel.advance(rounds, keep)
 
     def below(self, l_ori: np.ndarray, eps: float) -> np.ndarray:
         """The convergence test: the mask of ``l_ori < eps``, all False without ``l_ori`` (``omit_l_ori``)."""
@@ -614,7 +648,26 @@ class _Kernel:
         """
         if not self.cfg.reg_a > 0:
             return np.zeros(len(self._sq_flat))
-        n = _frobenius(self._deltas)
+        return self._reg_loss(self._deltas)
+
+    def kept_l_reg(self, count: int) -> np.ndarray:
+        """``(count, B)`` ``l_reg`` of the first ``count`` kept rounds of the last :meth:`advance`.
+
+        The defects are made from the kept layers by the calls an
+        evaluation makes, the transposes' copy, the two Gram gemms and the
+        subtraction, so each value has the bits :meth:`l_reg` gives there.
+        """
+        kept = self._kept[:, :count]
+        if not self.cfg.reg_a > 0:
+            return np.zeros(kept.shape[1:3])
+        xt = np.empty_like(kept)
+        deltas, scratch = np.empty_like(kept[1:]), np.empty_like(kept[1:])
+        _run([(np.copyto, (xt, kept.swapaxes(-1, -2)))] + self._defect_plan(kept, xt, deltas, scratch))
+        return self._reg_loss(deltas)
+
+    def _reg_loss(self, deltas: np.ndarray) -> np.ndarray:
+        """``l_reg`` from defects stacked on the first axis: their squared norms summed in layer order, scaled."""
+        n = _frobenius(deltas)
         sq = n * n
         total = sq[0]
         for s in sq[1:]:
@@ -629,12 +682,13 @@ class _Kernel:
         direction = win.direction.swapaxes(0, 1)
         return _unembed(direction) if self.embedded else direction
 
-    def own_layers(self, row: int, out: np.ndarray | None = None) -> np.ndarray:
+    def own_layers(self, row: int, out: np.ndarray | None = None, kept: int | None = None) -> np.ndarray:
         """Problem ``row``'s ``(N, d, d)`` layers in its own field, copied into ``out`` or a new array.
 
-        No later step writes what this returns.
+        The current layers, or those of the ``kept``-th kept round of the
+        last :meth:`advance`.  No later step writes what this returns.
         """
-        layers = self.layers[row]
+        layers = self.layers[row] if kept is None else self._kept[:, kept, row]
         if self.embedded:
             return _unembed(layers, out)
         if out is None:
@@ -652,6 +706,10 @@ class _Kernel:
         Inf.
         """
         return _frobenius(self._norm_rows)
+
+    def kept_norms(self, count: int) -> np.ndarray:
+        """``(count, B, N)`` norms of the own-field layers of the first ``count`` kept rounds of the last :meth:`advance`, as :meth:`layer_norms` takes them."""
+        return _frobenius(self._kept_rows[:, :count]).transpose(1, 2, 0)
 
     def step(self) -> None:
         """One GD or RK4 step (``cfg.integrator``) of the layers, in place, from the last measure (see :meth:`_stepping`)."""
@@ -682,14 +740,14 @@ def _unembed(x: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
     return z
 
 
-def _kernel(w: np.ndarray, sigma: np.ndarray, cfg: DynConfig, block: int = 1) -> _Kernel:
-    """The run loop's kernel of ``(B, N, d, d)`` layers and ``(B, d, d)`` targets, for advances of up to ``block`` rounds.
+def _kernel(w: np.ndarray, sigma: np.ndarray, cfg: DynConfig, block: int = 1, kept: int = 1) -> _Kernel:
+    """The run loop's kernel of ``(B, N, d, d)`` layers and ``(B, d, d)`` targets, for advances of up to ``block`` rounds that keep up to ``kept``.
 
     A batch with complex layers or targets is stepped as its real embedding.
     """
     if np.iscomplexobj(w) or np.iscomplexobj(sigma):
-        return _Kernel(_embed(w), _embed(sigma), cfg, embedded=True, block=block)
-    return _Kernel(w, sigma, cfg, block=block)
+        return _Kernel(_embed(w), _embed(sigma), cfg, embedded=True, block=block, kept=kept)
+    return _Kernel(w, sigma, cfg, block=block, kept=kept)
 
 
 # ---------------------------------------------------------------------------

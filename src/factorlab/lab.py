@@ -75,8 +75,9 @@ __all__ = [
 ]
 
 DIVERGENCE_GUARD = 1e12
-# The divergence guard runs at least every GUARD_EVERY steps; the quiet
-# steps between two guard steps run as one block of the kernel's advance.
+# The divergence guard runs at least every GUARD_EVERY steps; the steps from
+# one multiple of GUARD_EVERY to the next run as one block of the kernel's
+# advance, settled once after it.
 GUARD_EVERY = 25
 # Largest seed batch a sweep steps together: per seed-step cost levels off
 # well before this, and it bounds a worker's memory.
@@ -422,12 +423,13 @@ class _Trajectory:
             self.lines.append(f"# reduced_target_diag = {diag}")
         self.lines.append(",".join(csv_columns(cfg.d)))
 
-    def add(self, step: int, kernel, row: int, l_ori: float, l_reg: float) -> None:
+    def add(self, step: int, kernel, row: int, l_ori: float, l_reg: float, kept: int | None = None) -> None:
         """Buffer problem ``row`` of ``kernel`` at ``step``: its losses, and its layers copied into the block's next slot.
 
-        A full block is recorded.
+        The layers are the kernel's current ones, or those of its
+        ``kept``-th kept round.  A full block is recorded.
         """
-        kernel.own_layers(row, out=self.block[len(self.pending)])
+        kernel.own_layers(row, out=self.block[len(self.pending)], kept=kept)
         self.pending.append((step, float(l_ori), float(l_reg)))
         if len(self.pending) == RECORD_BLOCK:
             self.flush()
@@ -473,7 +475,9 @@ def run_scenarios(
     ``GUARD_EVERY`` (25), a record step, the last step or the step the run
     converges at; a run that fails it is diverged with ``steps_run = k``,
     is not recorded there, and its final losses are infinite.  Every other
-    run records the step it ends at.
+    run records the step it ends at.  The batch steps in blocks between
+    multiples of ``GUARD_EVERY`` and settles each block once, after it, by
+    these rules (``_run_chunk``).
     """
     for cfg in cfgs:
         cfg.validate()
@@ -672,98 +676,131 @@ def _run_chunk(
     kernel (``dynamics._Kernel``) with either integrator, built once and
     rebuilt only when problems leave.
 
-    ``settle`` is the one place that ends runs and records them.  It
-    finishes ``l_ori``, tests it with the kernel's ``below``, the one
-    convergence test, runs the divergence guard on the kernel's
-    ``layer_norms`` and builds each outcome.  The loop calls it on every
-    guard, record and last step.
-    The steps between two of them are a quiet block of at most
-    ``GUARD_EVERY - 1`` steps, the block the kernel is built for, which the
-    kernel's ``advance`` runs with no test per step, taking every step's
-    squared misfit norm in one call after the block; the kernel's
-    ``converged`` screens that history once.  A
-    problem that converged at a quiet step is replayed alone from the
-    block's start to that step (the kernel's ``replay``) and settled there;
-    the rest of the batch goes on where the block left it.  Replay gives the
-    batch's bits, since the kernel acts on each problem alone.  ``l_reg`` is
-    computed on record steps only, where records read it.  Everything the
-    loop reads of the kernel is in the problems' own field (see
-    ``dynamics``).  Stepping ignores overflow; recording does not: the
-    records are computed ``RECORD_BLOCK`` at a time and after the stepping
-    loop, under the caller's floating-point error state.
+    The batch steps only through the kernel's ``advance``, in blocks that
+    run from one multiple of ``GUARD_EVERY`` to the next, or to the last
+    step, which the last block includes.  No round tests anything; each
+    leaves its squared misfit norm ``sq`` for one call after the block, and
+    the layers of each *kept* round (the block's first, its record steps
+    and the last step) are copied aside before the round runs.
+
+    ``settle`` is the one place that ends runs and records them, once per
+    block.  It finishes ``l_ori`` on the kept rounds, runs the divergence
+    guard on all their layer norms at once, and screens the whole ``sq``
+    history with the kernel's ``converged``, whose ``below`` is the one
+    convergence test.  Each problem ends at its earliest guard failure,
+    convergence or last step, and its kept record rounds up to there go to
+    its trajectory: the kept layers, ``l_ori``, and ``l_reg`` made from the
+    kept layers.  A problem that converged on a round that was not kept is
+    replayed alone from the block's first kept layers to that round (the
+    kernel's ``replay``), keeping its kept rounds and that one, and the
+    replay is settled the same way; the rest of the batch is not rolled
+    back.  Replay gives the batch's bits, since the kernel acts on each
+    problem alone.  Everything the loop reads of the kernel is in the
+    problems' own field (see ``dynamics``).  Stepping ignores overflow;
+    recording does not: the records are computed ``RECORD_BLOCK`` at a time
+    and after the stepping loop, under the caller's floating-point error
+    state.
     """
     cfg = cfgs[0]
+    stride = cfg.record_stride
     problems = [prepare_problem(c) for c in cfgs]
     if trajectories is not None:
         for traj, (target, _, _) in zip(trajectories, problems):
             traj.start(target)
+    # A block keeps its first round, the last step and its record steps, of
+    # which at most ceil((GUARD_EVERY - 1) / stride) follow the first round.
+    kept = 2 if trajectories is None else min(GUARD_EVERY, 2 + -(-(GUARD_EVERY - 1) // stride))
     kernel = _kernel(
         np.stack([stack.layers for _, stack, _ in problems]),
         np.stack([target.matrix for target, _, _ in problems]),
         cfg.dyn,
-        block=GUARD_EVERY - 1,
+        block=GUARD_EVERY,
+        kept=kept,
     )
     active = np.arange(len(cfgs))  # batch row -> index into cfgs
     outcomes: list[SeedOutcome | None] = [None] * len(cfgs)
     errors = np.geterr()
 
-    def settle(kernel, ids, step: int) -> np.ndarray | None:
-        """End and record the problems ``ids``, the rows of the measured ``kernel``, at ``step``.
+    def settle(kernel, ids, start: int, history: np.ndarray, keep: list[int]) -> tuple[np.ndarray | None, list]:
+        """End and record the problems ``ids``, the rows of ``kernel``, over the block of ``history`` from step ``start``.
 
-        Returns the mask of the rows whose runs ended there, or None when
-        none did.
+        ``keep`` lists the block's kept rounds, the last step among them if
+        the block holds it.  Returns the mask of the rows whose runs ended
+        there, or None when none did, and ``(row, round)`` for each row
+        that converged on a round not kept: its replay settles it.
         """
-        l_ori = kernel.finish()
-        last = step == cfg.steps
-        record = trajectories is not None and step % cfg.record_stride == 0
-        below = kernel.below(l_ori, cfg.eps_conv)
-        ok = (kernel.layer_norms() <= DIVERGENCE_GUARD).all(-1)
-        done = None
-        if last or np.logical_or.reduce(below) or not ok.all():
-            converged = below & ok
-            done = ~ok | converged | last
-            for i in np.flatnonzero(done):
-                status = "diverged" if not ok[i] else "converged" if converged[i] else "exhausted"
-                final = float(l_ori[i]) if ok[i] else float("inf")
+        rounds = len(history)
+        l_ori = kernel.finish(history[keep])
+        ok = (kernel.kept_norms(len(keep)) <= DIVERGENCE_GUARD).all(-1)
+        hits = kernel.converged(history, cfg.eps_conv)
+        final = start + rounds - 1 == cfg.steps
+        # Each row's ending round; rounds for a row that goes on, -1 for one
+        # settled by its replay.
+        end = np.full(len(ids), rounds)
+        quiet = []
+        if final or hits or not ok.all():
+            failed = ~ok
+            end = np.where(failed.any(0), np.asarray(keep)[failed.argmax(0)], end)
+            converged = {i: t for i, t in hits if t < end[i]}
+            end[list(converged)] = list(converged.values())
+            if final:
+                np.minimum(end, rounds - 1, out=end)
+            for i in np.flatnonzero(end < rounds):
+                r = int(end[i])
+                if r not in keep:
+                    quiet.append((i, r))
+                    end[i] = -1
+                    continue
+                slot = keep.index(r)
+                status = "diverged" if not ok[slot, i] else "converged" if i in converged else "exhausted"
+                final_l_ori = float(l_ori[slot, i]) if ok[slot, i] else float("inf")
                 k = ids[i]
-                outcomes[k] = SeedOutcome(cfgs[k].seed, status, status == "converged", step, final, problems[k][2])
-            rows = np.flatnonzero(ok & (done | record)).tolist() if trajectories is not None else ()
-        else:
-            rows = range(len(ids)) if record else ()
-        if rows:
-            l_reg = kernel.l_reg()
-            with np.errstate(**errors):
-                for i in rows:
-                    trajectories[ids[i]].add(step, kernel, i, l_ori[i], l_reg[i])
-        return done
+                outcomes[k] = SeedOutcome(
+                    cfgs[k].seed, status, status == "converged", start + r, final_l_ori, problems[k][2]
+                )
+        going = bool((end == rounds).all())
+        if trajectories is not None:
+            # Each kept round's recorded rows: on a record step the rows that
+            # go on past it, and on any kept round those that end there
+            # unless by the guard.
+            recorded = []
+            for slot, r in enumerate(keep):
+                if (start + r) % stride == 0:
+                    rows = range(len(ids)) if going else np.flatnonzero((end > r) | (end == r) & ok[slot])
+                elif not going:
+                    rows = np.flatnonzero((end == r) & ok[slot])
+                else:
+                    continue
+                recorded.append((slot, r, rows))
+            if recorded:
+                l_oris, l_regs = l_ori.tolist(), kernel.kept_l_reg(len(keep)).tolist()
+                with np.errstate(**errors):
+                    for slot, r, rows in recorded:
+                        for i in rows:
+                            trajectories[ids[i]].add(start + r, kernel, i, l_oris[slot][i], l_regs[slot][i], slot)
+        return None if going else end < rounds, quiet
 
     # A diverging run overflows until the guard retires it; that is a
     # documented outcome, not a fault.
     with np.errstate(over="ignore", invalid="ignore"):
-        step = 0
+        start = 0
         while True:
-            kernel.measure()
-            done = settle(kernel, active, step)
+            rounds = min(GUARD_EVERY, cfg.steps + 1 - start)
+            keep = [0]
+            if trajectories is not None:
+                keep += range(-start % stride or stride, rounds, stride)
+            if start + rounds - 1 == cfg.steps and keep[-1] != rounds - 1:
+                keep.append(rounds - 1)
+            done, quiet = settle(kernel, active, start, kernel.advance(rounds, keep), keep)
+            for i, r in quiet:
+                replay_keep = [k for k in keep if k < r] + [r]
+                replayed, history = kernel.replay(i, r + 1, replay_keep)
+                settle(replayed, active[i : i + 1], start, history, replay_keep)
             if done is not None:
                 if done.all():
                     break
                 active, kernel = active[~done], kernel.take(~done)
-                kernel.measure()
-            kernel.step()
-            following = min(cfg.steps, (step // GUARD_EVERY + 1) * GUARD_EVERY)
-            if trajectories is not None:
-                following = min(following, (step // cfg.record_stride + 1) * cfg.record_stride)
-            if following > step + 1:
-                history = kernel.advance(following - step - 1)
-                hits = kernel.converged(history, cfg.eps_conv)
-                if hits:
-                    done = np.zeros(len(active), dtype=bool)
-                    for i, t in hits:
-                        done[i] = settle(kernel.replay(i, t), active[i : i + 1], step + 1 + t)[0]
-                    if done.all():
-                        break
-                    active, kernel = active[~done], kernel.take(~done)
-            step = following
+            start += rounds
     for traj in trajectories or ():
         traj.flush()
     return outcomes

@@ -632,36 +632,45 @@ class TestLRegOrder:
 
 
 class TestDeferredNorms:
-    """A quiet block takes its rounds' ``sq`` in one call after it, with the bits of a measure per round."""
+    """A block takes its rounds' ``sq`` in one call after it, with the bits of a measure per round."""
 
-    @pytest.mark.parametrize("rounds", [1, 24])
+    @pytest.mark.parametrize("rounds", [1, 25])
     @pytest.mark.parametrize("batch", [1, 3])
     @pytest.mark.parametrize("n", [2, 3, 4, 6])
     @pytest.mark.parametrize("reg_a", [0.0, 1.0], ids=["plain", "regularized"])
     @pytest.mark.parametrize("field", FIELDS, ids=["real", "embedded"])
     @pytest.mark.parametrize("integrator", ["gd", "flow_rk4"])
     def test_advance_is_rounds_of_measure_and_step(self, integrator, field, reg_a, n, batch, rounds):
-        # Two blocks on one kernel against a kernel stepped by measure and
-        # step alone; then each problem replayed from the second block's
-        # start to a few of its steps.
+        # Two blocks on one kernel, each keeping every third round, against
+        # a kernel stepped by measure and step alone; then each problem
+        # replayed from the second block's start to a few of its steps.
         cfg = DynConfig(reg_a=reg_a, eta=0.05, step_h=0.05, integrator=integrator)
         w, sigma = _problem(field, n, batch, seed=n + batch)
-        kernel = _kernel(w, sigma, cfg, block=lab.GUARD_EVERY - 1)
+        keep = list(range(0, rounds, 3))
+        kernel = _kernel(w, sigma, cfg, block=lab.GUARD_EVERY, kept=len(keep))
         alone = _kernel(w, sigma, cfg)
-        sq, layers = [], []
+        sq, layers, l_reg = [], [], []
         for _ in range(2 * rounds):
             sq.append(alone.measure().copy())
+            l_reg.append(alone.l_reg())
             layers.append(alone.layers.copy())
             alone.step()
-        got = [kernel.advance(rounds) for _ in range(2)]
+        got = []
+        for block in range(2):
+            got.append(kernel.advance(rounds, keep))
+            kept = [layers[block * rounds + r] for r in keep]
+            assert kernel._kept.swapaxes(0, 2).tobytes() == np.stack(kept, axis=1).tobytes()
+            assert kernel.kept_l_reg(len(keep)).tobytes() == np.stack([l_reg[block * rounds + r] for r in keep]).tobytes()
         assert all(h.shape == (rounds, batch) for h in got)
         assert np.concatenate(got).tobytes() == np.stack(sq).tobytes()
         assert kernel.layers.tobytes() == alone.layers.tobytes()
         for t in sorted({0, rounds // 2, rounds - 1}):
+            replay_keep = [r for r in keep if r < t] + [t]
             for row in range(batch):
-                replayed = kernel.replay(row, t)
-                assert replayed.layers.tobytes() == layers[rounds + t][row : row + 1].tobytes()
-                assert replayed._sq_flat.tobytes() == got[1][t, row : row + 1].tobytes()
+                replayed, history = kernel.replay(row, t + 1, replay_keep)
+                assert history.tobytes() == got[1][: t + 1, row : row + 1].tobytes()
+                want = np.stack([layers[rounds + r][row : row + 1] for r in replay_keep], axis=1)
+                assert replayed._kept.swapaxes(0, 2).tobytes() == want.tobytes()
 
     def test_a_block_longer_than_the_kernel_was_built_for_is_refused(self):
         w, sigma = _problem(FieldTag.REAL, 4, 2, seed=1)
@@ -676,12 +685,10 @@ class TestSymmetries:
 
     @staticmethod
     def _run(w, sigma, cfg):
-        # As the run loop steps: a measured step, then a quiet block.
-        kernel = _kernel(w, sigma, cfg, block=lab.GUARD_EVERY - 1)
+        # As the run loop steps: in blocks from one guard step to the next.
+        kernel = _kernel(w, sigma, cfg, block=lab.GUARD_EVERY)
         for _ in range(300 // lab.GUARD_EVERY):
-            kernel.measure()
-            kernel.step()
-            kernel.advance(lab.GUARD_EVERY - 1)
+            kernel.advance(lab.GUARD_EVERY)
         return np.stack([kernel.own_layers(row) for row in range(len(w))])
 
     @staticmethod
@@ -779,26 +786,20 @@ class TestKernelOwnership:
     )
     def test_a_step_allocates_no_layer(self, integrator, steps, form, reg_a):
         # The run loop's kernel at B = 16, a complex batch as its real
-        # embedding.  The run loop's sequence (on a guard step measure,
-        # finish and step; then a quiet block of measures and steps, whose
-        # sq history the kernel screens once) writes into the kernel's buffers
-        # only, but for the history, so the traced peak grows by less than
-        # one layer of the batch.
+        # embedding.  The run loop's stepping (blocks of rounds that keep
+        # their first and last, whose sq history the kernel screens once)
+        # writes into the kernel's buffers only, but for the history, so the
+        # traced peak grows by less than one layer of the batch.
         cfg = DynConfig(reg_a=reg_a, eta=0.01, step_h=0.01, integrator=integrator)
         w, sigma = _problem(FieldTag.REAL if form == "real" else FieldTag.COMPLEX, 4, 16, seed=12)
-        kernel = _kernel(w, sigma, cfg, block=4)
-        kernel.measure()
-        kernel.finish()
-        kernel.step()
+        kernel = _kernel(w, sigma, cfg, block=5, kept=2)
+        kernel.converged(kernel.advance(5, [0, 4]), 1e-8)
         layer_bytes = kernel.layers[:, 0].nbytes
         tracemalloc.start()
         try:
             before = tracemalloc.get_traced_memory()[0]
             for _ in range(steps // 5):
-                kernel.measure()
-                kernel.finish()
-                kernel.step()
-                kernel.converged(kernel.advance(4), 1e-8)
+                kernel.converged(kernel.advance(5, [0, 4]), 1e-8)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
@@ -881,15 +882,15 @@ class _Calls:
 
 
 class TestQuietStepCalls:
-    """The numpy calls of one quiet step at B = 2, counted on the presets' problems.
+    """The numpy calls of one step at B = 2, counted on the presets' problems.
 
     Each numpy call costs about a microsecond of dispatch at these sizes,
     most of a step, so a change to a count is a change to the step's cost.
-    A quiet step is one round of :meth:`_Kernel.advance`, whose calls are
-    the entries of that round's plan: ``calls`` numpy functions and, under
-    ``omit_l_ori``, ``fills`` of the direction by its own ``fill`` method.
-    What ``advance`` calls once whatever its length, the snapshot copy and
-    the one norm call of the history, is counted apart.
+    Every step of a run is one round of :meth:`_Kernel.advance`, whose
+    calls are the entries of that round's plan: ``calls`` numpy functions
+    and, under ``omit_l_ori``, ``fills`` of the direction by its own
+    ``fill`` method.  What ``advance`` calls besides, one copy per kept
+    round and the one norm call of the history, is counted apart.
     """
 
     @pytest.mark.parametrize(
@@ -911,21 +912,22 @@ class TestQuietStepCalls:
         problems = [lab.prepare_problem(c) for c in cfgs]
         w = np.stack([stack.layers for _, stack, _ in problems])
         sigma = np.stack([target.matrix for target, _, _ in problems])
-        block = lab.GUARD_EVERY - 1
-        kernel = _kernel(w, sigma, cfgs[0].dyn, block=block)
+        block = lab.GUARD_EVERY
+        kernel = _kernel(w, sigma, cfgs[0].dyn, block=block, kept=block)
         assert kernel.embedded == (field is FieldTag.COMPLEX)
         names = [[fn.__name__ for fn, _ in plan] for plan in kernel._rounds]
         assert len(names) == block and len(names[0]) == calls + fills
         assert names[0].count("fill") == fills
         assert all(round_names == names[0] for round_names in names)
         # The plans' functions are bound when the kernel is built, so the
-        # spy sees only what advance itself calls, once per block.
+        # spy sees only what advance itself calls: a copy per kept round and
+        # one norm call per block.
         spy = _Calls()
         monkeypatch.setattr(dynamics, "np", spy)
-        for rounds in (1, block):
+        for rounds, keep in ((1, [0]), (block, [0]), (block, [0, 7, 14, 21, 24]), (block, range(block))):
             spy.names.clear()
-            kernel.advance(rounds)
-            assert spy.names == ["copyto", "matmul"]
+            kernel.advance(rounds, keep)
+            assert spy.names == ["copyto"] * len(keep) + ["matmul"]
 
 
 def _entries(plan):
@@ -991,29 +993,61 @@ class TestChainLayout:
     @pytest.mark.parametrize("n", [2, 3, 4, 6])
     def test_one_product_reads_a_transposed_right_operand(self, n, field, integrator, reg_a):
         # numpy's small batched gemm costs 2-3x as much with a transposed
-        # right operand as with that operand stored.  The regularized kernel
-        # stores the layers' transposes, so only the chain's last product,
-        # W = W_N (suffix[n-2]^T)^T, reads one; the plain kernel keeps its
-        # layout, where only the direction product reads the suffix products
-        # transposed, in the window of the evaluation (RK4's later stages
-        # evaluate in the next window).
+        # right operand beside a stored left one (NT) as with both stored.
+        # The regularized kernel stores the layers' transposes, so it makes
+        # no NT product: its chain's last product, W = (W_N^T)^T
+        # (suffix[n-2]^T)^T, reads both operands transposed (TT).  The plain
+        # kernel keeps its layout, where only the direction product is NT,
+        # reading the suffix products transposed, in the window of the
+        # evaluation (RK4's later stages evaluate in the next window).
         cfg = DynConfig(reg_a=reg_a, eta=0.05, step_h=0.05, integrator=integrator)
         w, sigma = _problem(field, n, 2, seed=n)
         kernel = _kernel(w, sigma, cfg, block=3)
         stages = 4 if integrator == "flow_rk4" else 1
+
+        def transposed(x):
+            return x.shape[-1] > 1 and x.strides[-1] != x.itemsize
+
         steps = [(0, kernel._measure_plan + kernel._step_plan)] + list(enumerate(kernel._rounds))
         for r, plan in steps:
-            got = [
-                out
-                for name, out, (_, right) in (e for e in _entries(plan) if e[0] == "matmul")
-                if right.shape[-1] > 1 and right.strides[-1] != right.itemsize
-            ]
+            matmuls = [(out, *inputs) for name, out, inputs in _entries(plan) if name == "matmul"]
+            nt = [out for out, left, right in matmuls if transposed(right) and not transposed(left)]
+            tt = [out for out, left, right in matmuls if transposed(right) and transposed(left)]
             if reg_a > 0:
-                want = [kernel._product] * stages
+                assert nt == [] and len(tt) == stages
+                assert all(_same_view(out, kernel._product) for out in tt)
             else:
                 want = [kernel._windows[r].direction[1:]] + [kernel._windows[r + 1].direction[1:]] * (stages - 1)
-            assert len(got) == stages
-            assert all(_same_view(out, view) for out, view in zip(got, want))
+                assert tt == [] and len(nt) == stages
+                assert all(_same_view(out, view) for out, view in zip(nt, want))
+
+
+class TestTransposedProduct:
+    """The regularized chain's last product reads both operands transposed (TT gemm), with the bits of the NT form.
+
+    The NT form ``x[N-1] @ suffix_t[N-2]^T`` reads the top layer stored;
+    the TT form reads it from the stored transposes, ``xt[N-1]^T``.  The
+    two give the same bits on this BLAS; where they do not, this fails
+    rather than the regularized trajectories moving in the last bits.
+    """
+
+    @pytest.mark.parametrize("batch", [1, 60, 256])
+    @pytest.mark.parametrize("form", ["real", "embedded"])
+    def test_tt_product_matches_the_nt_form(self, form, batch):
+        rng = make_rng(batch)
+        field = FieldTag.REAL if form == "real" else FieldTag.COMPLEX
+        w = np.stack([rand_stack(5, 4, field, rng).layers for _ in range(batch)])
+        if form == "embedded":
+            w = _embed(w)
+        top = np.ascontiguousarray(w[:, -1])
+        top_t = np.ascontiguousarray(top.swapaxes(-1, -2))
+        suffix_t = np.ascontiguousarray((w[:, 2] @ (w[:, 1] @ w[:, 0])).swapaxes(-1, -2))
+        nt = top @ suffix_t.swapaxes(-1, -2)
+        tt = top_t.swapaxes(-1, -2) @ suffix_t.swapaxes(-1, -2)
+        assert tt.tobytes() == nt.tobytes()
+        kernel = _Kernel(w, np.zeros((batch,) + w.shape[-2:]), DynConfig(reg_a=1.0))
+        kernel.measure()
+        assert kernel._product.tobytes() == (kernel._x[-1] @ kernel._suffix_t[-1].swapaxes(-1, -2)).tobytes()
 
 
 class TestGramPath:

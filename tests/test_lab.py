@@ -991,7 +991,9 @@ class TestConvergenceCheck:
         replays = []
         replay = dynamics._Kernel.replay
         monkeypatch.setattr(
-            dynamics._Kernel, "replay", lambda kernel, row, rounds: replays.append(rounds) or replay(kernel, row, rounds)
+            dynamics._Kernel,
+            "replay",
+            lambda kernel, row, rounds, keep: replays.append(rounds) or replay(kernel, row, rounds, keep),
         )
         got = run_scenarios(cfgs, out_dir=tmp_path)
         off_cadence = [w for _, w in want if w[0] == "converged" and w[1] % 10 and w[1] % 25]
@@ -1091,6 +1093,80 @@ class TestConvergenceCheck:
             assert (tmp_path / f"{cfg.name}.csv").read_text() == "\n".join(lines) + "\n"
             assert (s.status, s.steps_run, s.final_l_ori, s.final_l_reg, s.final_e_delta) == values
 
+    # Per record stride: the step at which a run converges on a kept record
+    # round, and the step at which a run fails the guard on a record round,
+    # neither a multiple of 25 where the stride has such record steps.
+    SETTLE_STEPS = {1: (37, 13), 7: (35, 14), 25: (50, 25), 40: (40, 40)}
+
+    @pytest.mark.parametrize("reg_a", [0.0, 1.0], ids=["plain", "regularized"])
+    @pytest.mark.parametrize("integrator", ["gd", "flow_rk4"])
+    @pytest.mark.parametrize("field", [FieldTag.REAL, FieldTag.COMPLEX], ids=lambda f: f.value)
+    @pytest.mark.parametrize("stride", sorted(SETTLE_STEPS))
+    def test_block_settle_matches_a_loop_that_settles_every_step(
+        self, monkeypatch, tmp_path, stride, field, integrator, reg_a
+    ):
+        # Identity layers toward a target with one off-diagonal entry, over
+        # a budget of 61 steps that ends mid-block.  With 1e-2 the run
+        # converges at step k > 61; started from its own layers k - c steps
+        # on it converges at step c, on a kept record round and at the quiet
+        # step 38 (a record step at stride 1).  With 1.0 the layer norms grow
+        # over the first 45 steps, above any the 1e-2 runs reach, and the
+        # guard bound is set so that run fails it first at its record step.
+        dyn = DynConfig(eta=0.01, step_h=0.01, integrator=integrator, reg_a=reg_a)
+        cfg = tiny_cfg(d=5, field=field, dyn=dyn, steps=61, record_stride=stride, eps_conv=1e-8)
+        dtype = complex if field is FieldTag.COMPLEX else float
+
+        def crafted(size):
+            target = np.eye(5, dtype=dtype)
+            target[1, 2] = size
+            return target, np.stack([np.eye(5, dtype=dtype)] * cfg.n_layers)
+
+        def history(target, layers, steps):
+            # l_ori, the largest layer norm and the layers on every step.
+            kernel = dynamics._kernel(layers[None], target[None], dyn)
+            out = []
+            for _ in range(steps):
+                kernel.measure()
+                out.append((float(kernel.finish()[0]), kernel.layer_norms().max(), kernel.own_layers(0)))
+                kernel.step()
+            return out
+
+        converging, growing = crafted(1e-2), crafted(1.0)
+        steps = history(*converging, 120)
+        k = next(t for t, (l_ori, _, _) in enumerate(steps) if l_ori < cfg.eps_conv)
+        kept, diverging = self.SETTLE_STEPS[stride]
+        norms = [n for _, n, _ in history(*growing, diverging + 1)]
+        assert k > cfg.steps and max(n for _, n, _ in steps) < norms[1]
+        assert norms[diverging] > max(norms[:diverging])
+        monkeypatch.setattr(lab, "DIVERGENCE_GUARD", max(norms[:diverging]))
+        problems = {
+            "exhausted": converging,
+            "kept": (converging[0], steps[k - kept][2]),
+            "quiet": (converging[0], steps[k - 38][2]),
+            "diverged": growing,
+        }
+        cfgs = [replace(cfg, name=name) for name in problems]
+        monkeypatch.setattr(
+            lab, "prepare_problem", lambda c: (TargetSpec(problems[c.name][0]), LayerStack(problems[c.name][1]), 1.0)
+        )
+        want = [self._per_step_trajectory(c, lab.prepare_problem(c)) for c in cfgs]
+        assert [w[:2] for _, w in want] == [
+            ("exhausted", 61), ("converged", kept), ("converged", 38), ("diverged", diverging)
+        ]
+        replays = []
+        replay = dynamics._Kernel.replay
+        monkeypatch.setattr(
+            dynamics._Kernel,
+            "replay",
+            lambda kernel, row, rounds, keep: replays.append(rounds) or replay(kernel, row, rounds, keep),
+        )
+        got = run_scenarios(cfgs, out_dir=tmp_path)
+        # Only the quiet convergence is replayed, to its round in the block from step 25.
+        assert replays == ([] if stride == 1 else [38 - 25 + 1])
+        for c, s, (lines, values) in zip(cfgs, got, want):
+            assert (tmp_path / f"{c.name}.csv").read_text() == "\n".join(lines) + "\n"
+            assert (s.status, s.steps_run, s.final_l_ori, s.final_l_reg, s.final_e_delta) == values
+
     @pytest.mark.parametrize("field", [FieldTag.REAL, FieldTag.COMPLEX], ids=lambda f: f.value)
     def test_a_screen_hit_short_of_eps_replays_nothing(self, monkeypatch, field):
         # A saddle with a constant misfit: W = diag(1, 1, 1, 1, 0) and target
@@ -1109,11 +1185,15 @@ class TestConvergenceCheck:
             dynamics._Kernel, "finish", lambda kernel, sq=None: finished.append(sq is not None) or finish(kernel, sq)
         )
         monkeypatch.setattr(
-            dynamics._Kernel, "replay", lambda kernel, row, rounds: replays.append(rounds) or replay(kernel, row, rounds)
+            dynamics._Kernel,
+            "replay",
+            lambda kernel, row, rounds, keep: replays.append(rounds) or replay(kernel, row, rounds, keep),
         )
         (got,) = _run_chunk([base])
         assert (got.status, got.steps_run, got.final_l_ori) == ("exhausted", 60, 5e-9)
-        assert sum(finished) == 3 and replays == []  # a screen hit in each quiet block
+        # Each of the three blocks finishes its kept rounds' l_ori, and its
+        # screen hit finishes that row's sq history.
+        assert finished == [True] * 6 and replays == []
 
 
 class TestMaxWorkers:
@@ -1347,6 +1427,16 @@ class TestCli:
         )
         assert rc == 0
         assert (tmp_path / "sweep.csv").exists()
+
+    def test_sweep_prints_no_fraction_for_an_empty_det_class(self, tmp_path, capsys):
+        # Both seeds of this sweep start with det W < 0.
+        argv = ["sweep", "--preset", "sweep", "--seeds", "2", "--steps", "5", "--out", str(tmp_path)]
+        assert main(argv) == 0
+        lines = capsys.readouterr().out.splitlines()
+        assert lines[1] == "  det>0: 0/0 (fraction=n/a); det<0: 0/2 (fraction=0.000)"
+        assert "nan" not in "\n".join(lines)
+        rows = [r for r in (tmp_path / "sweep.csv").read_text().splitlines() if not r.startswith("#")]
+        assert len(rows) == 3 and all(r.endswith(",-1.0") for r in rows[1:])
 
     def test_sweep_preset_family(self, tmp_path, capsys):
         # Without --det the real variants are one sweep with the det sign
