@@ -356,13 +356,7 @@ class _Kernel:
     """
 
     def __init__(
-        self,
-        w: np.ndarray,
-        sigma: np.ndarray,
-        cfg: DynConfig,
-        embedded: bool = False,
-        block: int = 1,
-        kept: int = 1,
+        self, w: np.ndarray, sigma: np.ndarray, cfg: DynConfig, embedded: bool = False, block: int = 1, kept: int = 1
     ) -> None:
         b, n, m, _ = w.shape
         self.cfg, self.sigma, self.embedded = cfg, sigma, embedded

@@ -677,11 +677,12 @@ def _run_chunk(
     rebuilt only when problems leave.
 
     The batch steps only through the kernel's ``advance``, in blocks that
-    run from one multiple of ``GUARD_EVERY`` to the next, or to the last
-    step, which the last block includes.  No round tests anything; each
-    leaves its squared misfit norm ``sq`` for one call after the block, and
-    the layers of each *kept* round (the block's first, its record steps
-    and the last step) are copied aside before the round runs.
+    run from one guard step of the cadence to the next: from one multiple
+    of ``GUARD_EVERY`` to the next, or to the last step, which is a block
+    of one round.  No round tests anything; each leaves its squared misfit
+    norm ``sq`` for one call after the block, and the layers of each *kept*
+    round (the block's first and its record steps) are copied aside before
+    the round runs.
 
     ``settle`` is the one place that ends runs and records them, once per
     block.  It finishes ``l_ori`` on the kept rounds, runs the divergence
@@ -707,9 +708,9 @@ def _run_chunk(
     if trajectories is not None:
         for traj, (target, _, _) in zip(trajectories, problems):
             traj.start(target)
-    # A block keeps its first round, the last step and its record steps, of
-    # which at most ceil((GUARD_EVERY - 1) / stride) follow the first round.
-    kept = 2 if trajectories is None else min(GUARD_EVERY, 2 + -(-(GUARD_EVERY - 1) // stride))
+    # A block keeps its first round and its record steps, of which at most
+    # ceil((GUARD_EVERY - 1) / stride) follow the first.
+    kept = 1 if trajectories is None else min(GUARD_EVERY, 1 + -(-(GUARD_EVERY - 1) // stride))
     kernel = _kernel(
         np.stack([stack.layers for _, stack, _ in problems]),
         np.stack([target.matrix for target, _, _ in problems]),
@@ -724,8 +725,7 @@ def _run_chunk(
     def settle(kernel, ids, start: int, history: np.ndarray, keep: list[int]) -> tuple[np.ndarray | None, list]:
         """End and record the problems ``ids``, the rows of ``kernel``, over the block of ``history`` from step ``start``.
 
-        ``keep`` lists the block's kept rounds, the last step among them if
-        the block holds it.  Returns the mask of the rows whose runs ended
+        ``keep`` lists the block's kept rounds.  Returns the mask of the rows whose runs ended
         there, or None when none did, and ``(row, round)`` for each row
         that converged on a round not kept: its replay settles it.
         """
@@ -734,13 +734,15 @@ def _run_chunk(
         ok = (kernel.kept_norms(len(keep)) <= DIVERGENCE_GUARD).all(-1)
         hits = kernel.converged(history, cfg.eps_conv)
         final = start + rounds - 1 == cfg.steps
-        # Each row's ending round; rounds for a row that goes on, -1 for one
-        # settled by its replay.
-        end = np.full(len(ids), rounds)
+        # Unless the block holds the last step, a convergence or a guard
+        # failure, every row goes on.
+        going = not (final or hits or not ok.all())
         quiet = []
-        if final or hits or not ok.all():
+        if not going:
+            # Each row's ending round; rounds for a row that goes on, -1 for
+            # one settled by its replay.
             failed = ~ok
-            end = np.where(failed.any(0), np.asarray(keep)[failed.argmax(0)], end)
+            end = np.where(failed.any(0), np.asarray(keep)[failed.argmax(0)], rounds)
             converged = {i: t for i, t in hits if t < end[i]}
             end[list(converged)] = list(converged.values())
             if final:
@@ -758,7 +760,6 @@ def _run_chunk(
                 outcomes[k] = SeedOutcome(
                     cfgs[k].seed, status, status == "converged", start + r, final_l_ori, problems[k][2]
                 )
-        going = bool((end == rounds).all())
         if trajectories is not None:
             # Each kept round's recorded rows: on a record step the rows that
             # go on past it, and on any kept round those that end there
@@ -785,12 +786,12 @@ def _run_chunk(
     with np.errstate(over="ignore", invalid="ignore"):
         start = 0
         while True:
-            rounds = min(GUARD_EVERY, cfg.steps + 1 - start)
+            # To the next multiple of GUARD_EVERY or the last step, which is
+            # a block of its own.
+            rounds = min(GUARD_EVERY, cfg.steps - start) or 1
             keep = [0]
             if trajectories is not None:
                 keep += range(-start % stride or stride, rounds, stride)
-            if start + rounds - 1 == cfg.steps and keep[-1] != rounds - 1:
-                keep.append(rounds - 1)
             done, quiet = settle(kernel, active, start, kernel.advance(rounds, keep), keep)
             for i, r in quiet:
                 replay_keep = [k for k in keep if k < r] + [r]

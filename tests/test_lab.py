@@ -1191,9 +1191,10 @@ class TestConvergenceCheck:
         )
         (got,) = _run_chunk([base])
         assert (got.status, got.steps_run, got.final_l_ori) == ("exhausted", 60, 5e-9)
-        # Each of the three blocks finishes its kept rounds' l_ori, and its
-        # screen hit finishes that row's sq history.
-        assert finished == [True] * 6 and replays == []
+        # Each of the four blocks (steps 0-24, 25-49, 50-59 and the last
+        # step) finishes its kept round's l_ori, and its screen hit finishes
+        # that row's sq history.
+        assert finished == [True] * 8 and replays == []
 
 
 class TestMaxWorkers:
