@@ -634,7 +634,7 @@ class TestLRegOrder:
 class TestDeferredNorms:
     """A block takes its rounds' ``sq`` in one call after it, with the bits of a measure per round."""
 
-    @pytest.mark.parametrize("rounds", [1, 25])
+    @pytest.mark.parametrize("rounds", [1, 24, 25])
     @pytest.mark.parametrize("batch", [1, 3])
     @pytest.mark.parametrize("n", [2, 3, 4, 6])
     @pytest.mark.parametrize("reg_a", [0.0, 1.0], ids=["plain", "regularized"])
