@@ -29,24 +29,22 @@ then read no transposed right operand, which costs numpy's small batched
 gemm 2-3x as much as a stored one.  Without the regularizer that copy
 would cost more than it saves, so that layout stays without it.
 
-The loss is made in two parts.  :meth:`_Kernel.measure` builds the
-products, the misfit and its squared Frobenius norm ``sq`` (one dot per
-problem), and :meth:`_Kernel.finish` turns ``sq`` into ``l_ori`` (a square
-root, ``n * n`` and a halving), elementwise.  The run loop steps only
-through :meth:`_Kernel.advance`, a block of up to ``block`` rounds that
-tests nothing per round and takes no ``sq`` in them either: each round
-leaves its misfit in a slot of its own, and one call after the block takes
-every round's ``sq``, the same dots with the same bits.  The layers of the
-rounds the loop keeps (its guard, record and last steps) are copied aside
-before they step, one call each, so after the block the loop finishes
-``l_ori`` on those rounds and reads their layers, norms and ``l_reg`` from
-the copies.  :meth:`_Kernel.converged` screens the history once and
-finishes ``l_ori`` only where ``sq`` may give ``l_ori < eps_conv``, the
-test of :meth:`_Kernel.below`, and a problem that converged on a round
-that was not kept is stepped again alone to that round
-(:meth:`_Kernel.replay`).  :meth:`_Kernel.measure` and
-:meth:`_Kernel.step`, one evaluation and one step, serve the
-single-problem calls below.
+Every step is a round of :meth:`_Kernel.advance`, a block of up to
+``block`` rounds that tests nothing per round and takes no loss in them
+either: each round leaves its misfit in a slot of its own, and one call
+after the block takes every round's squared Frobenius norm ``sq`` (one dot
+per problem and round), which :meth:`_Kernel.finish` turns into ``l_ori``
+(a square root, ``n * n`` and a halving), elementwise.  The layers of the
+rounds the caller keeps (the run loop's guard, record and last steps) are
+copied aside before they step, one call each, and everything else is read
+from those copies: their layers, norms and ``l_reg``.
+:meth:`_Kernel.converged` screens the history once and finishes ``l_ori``
+only where ``sq`` may give ``l_ori < eps_conv``, the test of
+:meth:`_Kernel.below`, and a problem that converged on a round that was
+not kept is stepped again alone to that round (:meth:`_Kernel.replay`).
+:meth:`_Kernel.measure`, the one evaluation without a step, keeps the
+layers and takes their ``sq`` the same way, for :func:`loss` and
+:func:`gradient`.
 
 The kernel does real arithmetic only.  A complex problem is stepped as its
 real embedding ``E(A + iB) = [[A, -B], [B, A]]``: one real matmul per
@@ -68,17 +66,19 @@ thing it holds that may be embedded.  Everything else it hands out is in
 the problems' own field: the losses, which are halved; the layers of one
 problem, copied and read from the left blocks
 (:meth:`_Kernel.own_layers`); the layer norms of the divergence guard
-(:meth:`_Kernel.layer_norms`), taken over an embedded layer's top rows
+(:meth:`_Kernel.kept_norms`), taken over an embedded layer's top rows
 ``[A, -B]``, which hold exactly the complex norm's terms, so the guard's
 bound means the same in both fields; and the descent direction
 (:meth:`_Kernel.descent`), whose left blocks are the complex one.
 
-Ownership: an array the kernel returns (``layers``, ``l_ori``, a real
-problem's descent direction) is a view of its buffers, valid until its
-next step or block; :meth:`_Kernel.own_layers` copies, so a trajectory's
-records keep what it gives.  :func:`loss`, :func:`gradient`, :func:`gd_step` and
+Ownership: ``layers`` and a real problem's descent direction are views
+of the kernel's buffers, valid until its next block or evaluation;
+:meth:`_Kernel.own_layers` copies, so a trajectory's records keep what it
+gives.  :func:`loss`, :func:`gradient`, :func:`gd_step` and
 :func:`flow_step_rk4` build a kernel of their own for each call, so they
-never write to their inputs, and what they return is not shared.
+never write to their inputs, and what they return is not shared:
+:func:`gd_step` and :func:`flow_step_rk4` are one :meth:`_Kernel.advance`
+round, and :func:`loss` and :func:`gradient` one :meth:`_Kernel.measure`.
 """
 
 from __future__ import annotations
@@ -260,9 +260,9 @@ class _Kernel:
 
     Every operation is a call plan made here too: a list of ``(function,
     args)`` entries, each a numpy call whose output is among its positional
-    arguments, over those views.  :meth:`measure`, :meth:`step` and each
-    round of :meth:`advance` only run a plan; :meth:`descent`, which only
-    :func:`gradient` calls, builds its own when called.
+    arguments, over those views.  Each round of :meth:`advance` only runs
+    a plan; :meth:`measure` and :meth:`descent`, which only :func:`loss`,
+    :func:`gradient` and ``gradcheck`` call, build theirs when called.
     :meth:`_defect_plan`, :meth:`_descend`, :meth:`_measure`,
     :meth:`_stepping` and :meth:`_reembed` build the pieces the plans are
     made of.
@@ -318,17 +318,17 @@ class _Kernel:
     takes every round's ``sq``: per problem the same dot over the same
     contiguous values as a per-round one, so the same bits.  RK4 stages 2
     to 4 of round ``r`` evaluate in window ``r + 1``, which round ``r + 1``
-    overwrites before it reads it.  :meth:`measure` and :meth:`step` use
-    window 0, and :meth:`measure` takes its own ``sq``.  ``block`` is the
+    overwrites before it reads it.  :meth:`measure` evaluates in window
+    0 and takes its ``sq`` by the same call, over slot 0.  ``block`` is the
     longest :meth:`advance`; the buffer is made here, whatever the block,
     so no step allocates.
 
     The kept buffer holds ``kept`` copies of the layers, layer-major like
     them: :meth:`advance` copies the layers of each round it is asked to
-    keep into the next one before that round runs.  :meth:`kept_norms`,
-    :meth:`kept_l_reg` and :meth:`own_layers` read them with the calls
-    and bits of :meth:`layer_norms`, :meth:`l_reg` and :meth:`own_layers`
-    on the layers of that round, and :meth:`replay` starts from the first.
+    keep into the next one before that round runs, and :meth:`measure`
+    copies them into the first.  :meth:`kept_norms`, :meth:`kept_l_reg`
+    and :meth:`own_layers` read them, and :meth:`replay` starts from the
+    first.
 
     The Gram products read two buffers, so numpy runs them as gemm: over
     one buffer read through a transposed view it would take its ``syrk``
@@ -340,16 +340,16 @@ class _Kernel:
     embedded form from the left blocks.  Off it the real dynamics have
     directions that the complex dynamics lack, which can be unstable where
     the complex run is not.  ``layers`` is the only embedded thing the
-    kernel hands out; :meth:`own_layers`, :meth:`layer_norms` and
+    kernel hands out; :meth:`own_layers`, :meth:`kept_norms` and
     :meth:`descent` give the problems' own field.
 
-    :meth:`measure` must precede each :meth:`step`, :meth:`l_reg` and
-    :meth:`descent`; what they return is a view valid until the next step.
-    :meth:`advance` runs several rounds of measuring and stepping, keeping
-    some, :meth:`converged` finds the problems that converged in them by
-    :meth:`below`, the one convergence test the run loop applies, and
-    :meth:`replay` steps one problem alone from the first kept round of
-    the last :meth:`advance`.
+    :meth:`advance` runs rounds of evaluating and stepping, keeping some,
+    and is the only code that steps; :meth:`converged` finds the problems
+    that converged in them by :meth:`below`, the one convergence test the
+    run loop applies, and :meth:`replay` steps one problem alone from the
+    first kept round of the last :meth:`advance`.  :meth:`measure` must
+    precede :meth:`descent`, whose return is a view valid until the next
+    block or evaluation.
     Every operation acts on each problem's matrices alone, and each matrix
     product keeps the operands and association of a per-problem loop, so a
     problem's values do not depend on the batch it is in.
@@ -402,17 +402,14 @@ class _Kernel:
         self._deltas, self._scratch = buf(n - 1), buf(n - 1)
         x[...] = w.swapaxes(0, 1)
         self.layers = x.swapaxes(0, 1)
-        # An embedded layer's top rows [A, -B]: its own-field norm's terms.
-        self._norm_rows = self.layers[..., : m // 2 if embedded else m, :]
         self._x, self._lower, self._upper = x, x[1:], x[:-1]
         self._prefix_h = prefix.swapaxes(-1, -2)
         # The layers of the kept rounds of the last advance, layer-major like
         # x, one (N, B, m, m) slot each; replay starts from the first.
         self._kept = np.empty((n, kept, b, m, m))
         self._kept_slots = [self._kept[:, j] for j in range(kept)]
+        # An embedded layer's top rows [A, -B]: its own-field norm's terms.
         self._kept_rows = self._kept[..., : m // 2 if embedded else m, :]
-        self._sq = np.empty((b, 1, 1))
-        self._sq_flat = self._sq[:, 0, 0]
         # Each lefts slot as one (B, 1, m * m) row, and as a column.
         self._misfit_rows = _flat_rows(self._lefts)
         self._misfit_cols = self._misfit_rows.swapaxes(-1, -2)
@@ -435,14 +432,10 @@ class _Kernel:
                 np.moveaxis(blocks[:, :, ::-1, :, 0], 2, 0), np.moveaxis(blocks[..., 1, :], 2, 0), two, two[0]
             )
         self._windows = windows = [self._window(r) for r in range(block + 1)]
-        stepping = [self._stepping(windows[r], windows[r + 1]) for r in range(block)]
-        norm = (np.matmul, (self._misfit_rows[0], self._misfit_cols[0], self._sq))
-        self._measure_plan = self._measure(windows[0]) + [norm]
-        self._step_plan = stepping[0]
-        self._rounds = [self._measure(windows[r]) + s for r, s in enumerate(stepping)]
+        self._rounds = [self._measure(windows[r]) + self._stepping(windows[r], windows[r + 1]) for r in range(block)]
 
     def take(self, rows) -> "_Kernel":
-        """A kernel of the problems ``rows`` (an index or mask on the batch axis), not yet measured."""
+        """A kernel of the problems ``rows`` (an index or mask on the batch axis), not yet evaluated."""
         return _Kernel(
             self.layers[rows], self.sigma[rows], self.cfg, self.embedded, len(self._rounds), len(self._kept_slots)
         )
@@ -462,22 +455,23 @@ class _Kernel:
         ]
 
     def _descend(self, win: _Window) -> list:
-        """Descent direction, the negative gradient of the total loss, from the products and defects, in window ``win``.
+        """Descent direction, the negative gradient of the total loss, from the products (:meth:`_measure`), in window ``win``.
 
         Misfit part: ``(W_N..W_{j+1})^H (Sigma - W) (W_{j-1}..W_1)^H``, one
         left factor ``prefix^H M`` per layer below the top (one matmul over
         the layer axis) times the adjoint suffix below it (one more); the
-        bottom slot is its left factor alone.  Regularizer part: ``a W_j
-        Delta_{j-1,j} - a Delta_{j,j+1} W_j`` with the boundary defects
-        defined as zero.
+        bottom slot is its left factor alone.  Regularizer part: the
+        defects, made first, then ``a W_j Delta_{j-1,j} - a Delta_{j,j+1}
+        W_j`` with the boundary defects defined as zero.
         """
         cfg, direction = self.cfg, win.direction
         high = direction[1:]
+        plan = self._defect_plan(self._x, self._xt, self._deltas, self._scratch) if cfg.reg_a > 0 else []
         if cfg.omit_l_ori:
-            plan = [(direction.fill, (0.0,))]
+            plan += [(direction.fill, (0.0,))]
         else:
             # The misfit broadcasts over the layer axis.
-            plan = [
+            plan += [
                 (np.matmul, (self._prefix_h, win.misfit, win.factors[:-1])),
                 (np.matmul, (win.factors[1:], self._suffix_t, high)),
             ]
@@ -494,19 +488,16 @@ class _Kernel:
         return plan
 
     def _measure(self, win: _Window, stage: bool = False) -> list:
-        """Products, misfit (into window ``win``) and (regularizer on) defects of the layers.
+        """Products and misfit of the layers, the misfit into window ``win``.
 
         An RK4 ``stage`` makes only what :meth:`_descend` reads: under
         ``omit_l_ori`` no products either.
         """
-        regularized = self.cfg.reg_a > 0
         # The layers' transposes, which the chain and defects read.
-        plan = [self._transposes] if regularized else []
+        plan = [self._transposes] if self.cfg.reg_a > 0 else []
         if not (stage and self.cfg.omit_l_ori):
             # The suffix and prefix products, then the misfit ``Sigma - W``.
             plan += self._chain + [(np.subtract, (self.sigma, self._product, win.misfit))]
-        if regularized:
-            plan += self._defect_plan(self._x, self._xt, self._deltas, self._scratch)
         return plan
 
     def _stepping(self, win: _Window, following: _Window) -> list:
@@ -550,28 +541,30 @@ class _Kernel:
         return [(np.copyto, (two, left)), (np.negative, (lower_left, lower_left)), (np.copyto, (right, two))]
 
     def measure(self) -> np.ndarray:
-        """Products, misfit and (regularizer on) defects of the layers; returns ``sq`` per problem.
+        """One evaluation of the layers, without a step; returns its ``(1, B)`` ``sq`` history.
 
-        ``sq`` is the squared Frobenius norm of the misfit, one dot per
-        problem, before the rounding steps that make it ``l_ori`` (see
-        :meth:`finish`, which turns this same array into ``l_ori``).
+        The layers are kept as :meth:`advance` keeps a round's, in the first
+        kept slot, and evaluated in window 0 by a plan made here, so the
+        kept-slot readers and :meth:`descent` read this evaluation, and the
+        history has the bits of an :meth:`advance` round from these layers.
         """
-        _run(self._measure_plan)
-        return self._sq_flat
+        np.copyto(self._kept_slots[0], self._x)
+        _run(self._measure(self._windows[0]))
+        return self._history(1)
 
-    def finish(self, sq: np.ndarray | None = None) -> np.ndarray:
-        """``l_ori`` in place of squared misfit norms: by default the last :meth:`measure`'s ``sq``.
+    def _history(self, rounds: int) -> np.ndarray:
+        """The ``(rounds, B)`` ``sq`` of windows ``0 .. rounds - 1``: one matmul, one dot per problem and round."""
+        return np.matmul(self._misfit_rows[:rounds], self._misfit_cols[:rounds])[..., 0, 0]
 
-        Any array of them may be given instead, such as rows of an
-        :meth:`advance` history; each value is finished alone, so its
-        ``l_ori`` has the bits :meth:`measure` would have given it.  The
-        norm ``sqrt(sq)`` is squared as ``n * n`` and halved, or on an
-        embedding quartered, which gives the bits of two halvings: scaling
-        by a power of two rounds only below the normal range, and there
-        one quartering and two halvings round alike.
+    def finish(self, sq: np.ndarray) -> np.ndarray:
+        """``l_ori`` in place of squared misfit norms ``sq``, such as rows of a history.
+
+        Each value is finished alone, so its ``l_ori`` does not depend on
+        what else ``sq`` holds.  The norm ``sqrt(sq)`` is squared as ``n *
+        n`` and halved, or on an embedding quartered, which gives the bits
+        of two halvings: scaling by a power of two rounds only below the
+        normal range, and there one quartering and two halvings round alike.
         """
-        if sq is None:
-            sq = self._sq_flat
         np.sqrt(sq, out=sq)
         np.multiply(sq, sq, out=sq)
         np.multiply(sq, self._l_ori_scale, out=sq)
@@ -580,14 +573,14 @@ class _Kernel:
     def advance(self, rounds: int, keep: Sequence[int] = (0,)) -> np.ndarray:
         """``rounds`` steps, each from a fresh evaluation; returns their ``(rounds, B)`` ``sq`` history.
 
-        Row ``t`` holds the ``sq`` of the layers ``t`` steps past the start,
-        with the bits :meth:`measure` gives there.  The layers of each round
-        in ``keep``, increasing rounds from 0, are copied into the next
-        kept slot before that round runs: one call per kept round, which
-        :meth:`kept_norms`, :meth:`kept_l_reg`, :meth:`own_layers` and
-        :meth:`replay` read.  Nothing is reduced per round, and the history
-        is taken in one call after the last round, so the caller screens it
-        at once.  The layers end ``rounds`` steps on, not yet measured.
+        Row ``t`` holds the ``sq`` of the layers ``t`` steps past the
+        start.  The layers of each round in ``keep``, increasing rounds from
+        0, are copied into the next kept slot before that round runs: one
+        call per kept round, which :meth:`kept_norms`, :meth:`kept_l_reg`,
+        :meth:`own_layers` and :meth:`replay` read.  Nothing is reduced per
+        round, and the history is taken in one call after the last round,
+        so the caller screens it at once.  The layers end ``rounds`` steps
+        on, not yet evaluated.
         ``rounds`` is at most the ``block``, and ``keep`` holds at most the
         ``kept`` rounds, the kernel was built for.
         """
@@ -599,7 +592,7 @@ class _Kernel:
                 np.copyto(slots[slot], x)
                 slot += 1
             _run(plan)
-        return np.matmul(self._misfit_rows[:rounds], self._misfit_cols[:rounds])[..., 0, 0]
+        return self._history(rounds)
 
     def replay(self, row: int, rounds: int, keep: Sequence[int]) -> tuple["_Kernel", np.ndarray]:
         """A kernel of problem ``row`` alone, advanced ``rounds`` rounds keeping ``keep`` from the start of the last :meth:`advance`, and its history.
@@ -635,21 +628,14 @@ class _Kernel:
         hits = self.below(self.finish(history[:, rows]), eps)
         return [(int(i), int(hit.argmax())) for i, hit in zip(rows, hits.T) if hit.any()]
 
-    def l_reg(self) -> np.ndarray:
-        """``l_reg`` per problem at the last evaluation: the squared defect norms summed in layer order.
-
-        Zeros when the regularizer is off.  Computed only here, where it is read.
-        """
-        if not self.cfg.reg_a > 0:
-            return np.zeros(len(self._sq_flat))
-        return self._reg_loss(self._deltas)
-
     def kept_l_reg(self, count: int) -> np.ndarray:
-        """``(count, B)`` ``l_reg`` of the first ``count`` kept rounds of the last :meth:`advance`.
+        """``(count, B)`` ``l_reg`` of the first ``count`` kept rounds of the last :meth:`advance` or :meth:`measure`.
 
         The defects are made from the kept layers by the calls an
         evaluation makes, the transposes' copy, the two Gram gemms and the
-        subtraction, so each value has the bits :meth:`l_reg` gives there.
+        subtraction, so they have the bits of the evaluation's own.  Their
+        squared norms are summed in layer order and scaled; zeros when the
+        regularizer is off.  Computed only here, where it is read.
         """
         kept = self._kept[:, :count]
         if not self.cfg.reg_a > 0:
@@ -657,10 +643,6 @@ class _Kernel:
         xt = np.empty_like(kept)
         deltas, scratch = np.empty_like(kept[1:]), np.empty_like(kept[1:])
         _run([(np.copyto, (xt, kept.swapaxes(-1, -2)))] + self._defect_plan(kept, xt, deltas, scratch))
-        return self._reg_loss(deltas)
-
-    def _reg_loss(self, deltas: np.ndarray) -> np.ndarray:
-        """``l_reg`` from defects stacked on the first axis: their squared norms summed in layer order, scaled."""
         n = _frobenius(deltas)
         sq = n * n
         total = sq[0]
@@ -670,7 +652,7 @@ class _Kernel:
         return 0.5 * l_reg if self.embedded else l_reg
 
     def descent(self) -> np.ndarray:
-        """The ``(B, N, d, d)`` descent direction at the last evaluation, in the problems' own field."""
+        """The ``(B, N, d, d)`` descent direction at the last :meth:`measure`, in the problems' own field."""
         win = self._windows[0]
         _run(self._descend(win))
         direction = win.direction.swapaxes(0, 1)
@@ -680,7 +662,8 @@ class _Kernel:
         """Problem ``row``'s ``(N, d, d)`` layers in its own field, copied into ``out`` or a new array.
 
         The current layers, or those of the ``kept``-th kept round of the
-        last :meth:`advance`.  No later step writes what this returns.
+        last :meth:`advance` or :meth:`measure`.  No later step writes what
+        this returns.
         """
         layers = self.layers[row] if kept is None else self._kept[:, kept, row]
         if self.embedded:
@@ -690,24 +673,15 @@ class _Kernel:
         np.copyto(out, layers)
         return out
 
-    def layer_norms(self) -> np.ndarray:
-        """``(B, N)`` Frobenius norms of the problems' own-field layers.
+    def kept_norms(self, count: int) -> np.ndarray:
+        """``(count, B, N)`` Frobenius norms of the own-field layers of the first ``count`` kept rounds of the last :meth:`advance` or :meth:`measure`.
 
         An embedded layer's top rows ``[A, -B]`` hold exactly the terms of
         the complex layer's norm, so it is their norm: no layer is
-        unembedded, and only the summation order differs from the
-        complex dot's.  A NaN or Inf entry makes its layer's norm NaN or
-        Inf.
+        unembedded, and only the summation order differs from the complex
+        dot's.  A NaN or Inf entry makes its layer's norm NaN or Inf.
         """
-        return _frobenius(self._norm_rows)
-
-    def kept_norms(self, count: int) -> np.ndarray:
-        """``(count, B, N)`` norms of the own-field layers of the first ``count`` kept rounds of the last :meth:`advance`, as :meth:`layer_norms` takes them."""
         return _frobenius(self._kept_rows[:, :count]).transpose(1, 2, 0)
-
-    def step(self) -> None:
-        """One GD or RK4 step (``cfg.integrator``) of the layers, in place, from the last measure (see :meth:`_stepping`)."""
-        _run(self._step_plan)
 
 
 # ---------------------------------------------------------------------------
@@ -754,17 +728,15 @@ def _check_dims(stack: LayerStack, sigma: np.ndarray) -> None:
         raise DimMismatchError("target dimension does not match the stack")
 
 
-def _measured(stack: LayerStack, target: TargetSpec, cfg: DynConfig) -> _Kernel:
-    """The run loop's kernel of one problem, measured: a complex problem as its embedding."""
+def _single(stack: LayerStack, target: TargetSpec, cfg: DynConfig) -> _Kernel:
+    """The run loop's kernel of one problem: a complex problem as its embedding."""
     _check_dims(stack, target.matrix)
-    kernel = _kernel(stack.layers[None], target.matrix[None], cfg)
-    kernel.measure()
-    return kernel
+    return _kernel(stack.layers[None], target.matrix[None], cfg)
 
 
 def _step(stack: LayerStack, target: TargetSpec, cfg: DynConfig, integrator: str) -> LayerStack:
-    kernel = _measured(stack, target, replace(cfg, integrator=integrator))
-    kernel.step()
+    kernel = _single(stack, target, replace(cfg, integrator=integrator))
+    kernel.advance(1)
     return LayerStack(kernel.own_layers(0))
 
 
@@ -775,8 +747,8 @@ def balance_deltas(stack: LayerStack) -> np.ndarray:
 
 def loss(stack: LayerStack, target: TargetSpec, cfg: DynConfig) -> tuple[float, float, float]:
     """Returns ``(l_ori, l_reg, total)``; ``l_ori`` reported even when omitted."""
-    kernel = _measured(stack, target, cfg)
-    l_ori, l_reg = float(kernel.finish()[0]), float(kernel.l_reg()[0])
+    kernel = _single(stack, target, cfg)
+    l_ori, l_reg = float(kernel.finish(kernel.measure())[0, 0]), float(kernel.kept_l_reg(1)[0, 0])
     return l_ori, l_reg, (0.0 if cfg.omit_l_ori else l_ori) + l_reg
 
 
@@ -785,7 +757,9 @@ def gradient(stack: LayerStack, target: TargetSpec, cfg: DynConfig) -> np.ndarra
 
     A complex stack's gradient is read from the left blocks of its embedding's.
     """
-    return -_measured(stack, target, cfg).descent()[0]
+    kernel = _single(stack, target, cfg)
+    kernel.measure()
+    return -kernel.descent()[0]
 
 
 def gd_step(stack: LayerStack, target: TargetSpec, cfg: DynConfig) -> LayerStack:

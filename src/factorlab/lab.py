@@ -423,11 +423,10 @@ class _Trajectory:
             self.lines.append(f"# reduced_target_diag = {diag}")
         self.lines.append(",".join(csv_columns(cfg.d)))
 
-    def add(self, step: int, kernel, row: int, l_ori: float, l_reg: float, kept: int | None = None) -> None:
-        """Buffer problem ``row`` of ``kernel`` at ``step``: its losses, and its layers copied into the block's next slot.
+    def add(self, step: int, kernel, row: int, l_ori: float, l_reg: float, kept: int) -> None:
+        """Buffer problem ``row`` of ``kernel`` at ``step``: its losses, and the layers of its ``kept``-th kept round copied into the block's next slot.
 
-        The layers are the kernel's current ones, or those of its
-        ``kept``-th kept round.  A full block is recorded.
+        A full block is recorded.
         """
         kernel.own_layers(row, out=self.block[len(self.pending)], kept=kept)
         self.pending.append((step, float(l_ori), float(l_reg)))
@@ -982,8 +981,7 @@ def gradcheck(d: int, n_layers: int, field: FieldTag, a: float, seed: int) -> Gr
         # The loss as ``dynamics.loss`` and the run loop evaluate it: a complex
         # problem as its real embedding, whose halved losses are the complex ones.
         kernel = _kernel(x, np.broadcast_to(sigma, (len(x), d, d)), cfg)
-        kernel.measure()
-        return kernel.finish() + kernel.l_reg()
+        return kernel.finish(kernel.measure())[0] + kernel.kept_l_reg(1)[0]
 
     # One kernel batch per layer and part: problem m perturbs entry m of the
     # layer.  A problem's loss bits do not depend on the batch it is in.

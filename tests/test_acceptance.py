@@ -384,8 +384,7 @@ def test_target_reduction_commutes_with_dynamics(field, integrator):
         # The run loop's held kernel, a complex problem as its embedding.
         kernel = _kernel(w[None], sigma[None], cfg)
         for _ in range(2000):
-            kernel.measure()
-            kernel.step()
+            kernel.advance(1)
         return kernel.own_layers(0)
 
     want = steps(stack.layers, sigma)

@@ -33,3 +33,12 @@ def test_the_full_block_was_made_on_the_same_build():
     full = want["full"]
     assert full["command"] == golden.REGENERATE_FULL and full["digests"]
     assert {k: full[k] for k in ("numpy", "numpy_build")} == {k: want[k] for k in ("numpy", "numpy_build")}
+
+
+def test_differences_names_added_removed_and_moved_digests():
+    old = {"digests": {"a.csv": "1", "b.csv": "2", "c.csv": "3"}, "quiet_convergences": {"sweep": [7]}}
+    new = {"digests": {"a.csv": "1", "c.csv": "4", "d.csv": "5"}, "quiet_convergences": {"sweep": [7]}}
+    assert golden.differences(old, old) == []
+    assert golden.differences(old, new) == ["digest of b.csv removed", "digest of c.csv moved", "digest of d.csv added"]
+    steps = {**new, "quiet_convergences": {"sweep": [9]}}
+    assert golden.differences(new, steps) == ["quiet-step convergences {'sweep': [7]} -> {'sweep': [9]}"]

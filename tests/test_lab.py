@@ -940,24 +940,22 @@ class TestConvergenceCheck:
         errors = np.geterr()
         with np.errstate(over="ignore", invalid="ignore"):
             for step in range(cfg.steps + 1):
-                kernel.measure()
-                l_ori = float(kernel.finish()[0])
+                l_ori = float(kernel.finish(kernel.advance(1))[0, 0])
                 conv = not cfg.dyn.omit_l_ori and l_ori < cfg.eps_conv
                 ends = conv or step == cfg.steps
                 record = ends or step % cfg.record_stride == 0
-                if (record or step % 25 == 0) and not (kernel.layer_norms() <= lab.DIVERGENCE_GUARD).all():
+                if (record or step % 25 == 0) and not (kernel.kept_norms(1) <= lab.DIVERGENCE_GUARD).all():
                     with np.errstate(**errors):
                         traj.flush()
                     return traj.lines, ("diverged", step, float("inf"), float("inf"), float("inf"))
                 if record:
                     with np.errstate(**errors):
-                        traj.add(step, kernel, 0, l_ori, kernel.l_reg()[0])
+                        traj.add(step, kernel, 0, l_ori, kernel.kept_l_reg(1)[0, 0], 0)
                 if ends:
                     with np.errstate(**errors):
                         traj.flush()
                     status = "converged" if conv else "exhausted"
                     return traj.lines, (status, step, l_ori, traj.rec.l_reg, traj.rec.e_delta)
-                kernel.step()
 
     @pytest.mark.parametrize("integrator", ["gd", "flow_rk4"])
     @pytest.mark.parametrize("field", [FieldTag.REAL, FieldTag.COMPLEX], ids=lambda f: f.value)
@@ -1019,12 +1017,10 @@ class TestConvergenceCheck:
         kernel = dynamics._kernel(stack.layers[None], target.matrix[None], dyn)
         want, track = [], None
         for step in range(cfg.steps + 1):
-            kernel.measure()
-            l_ori = float(kernel.finish()[0])
-            layers = LayerStack(kernel.own_layers(0))
-            rec, track = record(step, lab._time_of(cfg, step), layers, l_ori, kernel.l_reg()[0], target, track)
+            l_ori = float(kernel.finish(kernel.advance(1))[0, 0])
+            layers = LayerStack(kernel.own_layers(0, kept=0))
+            rec, track = record(step, lab._time_of(cfg, step), layers, l_ori, kernel.kept_l_reg(1)[0, 0], target, track)
             want.append((record_to_csv_row(rec, cfg.d), track))
-            kernel.step()
         lines = (tmp_path / f"{cfg.name}.csv").read_text().splitlines()
         assert lines[-len(want) - 1].startswith("step,")
         assert lines[-len(want) :] == [row for row, _ in want]
@@ -1126,9 +1122,8 @@ class TestConvergenceCheck:
             kernel = dynamics._kernel(layers[None], target[None], dyn)
             out = []
             for _ in range(steps):
-                kernel.measure()
-                out.append((float(kernel.finish()[0]), kernel.layer_norms().max(), kernel.own_layers(0)))
-                kernel.step()
+                l_ori = float(kernel.finish(kernel.advance(1))[0, 0])
+                out.append((l_ori, kernel.kept_norms(1).max(), kernel.own_layers(0, kept=0)))
             return out
 
         converging, growing = crafted(1e-2), crafted(1.0)
@@ -1195,6 +1190,24 @@ class TestConvergenceCheck:
         # step) finishes its kept round's l_ori, and its screen hit finishes
         # that row's sq history.
         assert finished == [True] * 8 and replays == []
+
+    def test_a_run_at_an_unstable_minimum_is_reported_converged(self, monkeypatch):
+        # README's eta paragraph: the balanced minimum of diag(3.8, 1, 0.4)
+        # at N = 4 has eta * lambda_max = 2.96 > 2 under eta = 0.1, so GD
+        # leaves it, yet a run started 1e-9 from it is reported converged at
+        # step 0.  `converged` only says l_ori < eps_conv at some step; this
+        # pins that defect (ROADMAP item 9), it does not fix it.
+        sigma = np.array([3.8, 1.0, 0.4])
+        layers = np.stack([np.diag(sigma ** (1 / 4))] * 4)
+        layers = layers + 1e-9 * np.random.default_rng(1).standard_normal(layers.shape)
+        monkeypatch.setattr(lab, "prepare_problem", lambda c: (TargetSpec.diagonal(sigma), LayerStack(layers), 1.0))
+        cfg = tiny_cfg(d=3, dyn=DynConfig(reg_a=0.0, eta=0.1), steps=200)
+        at_rest = run_scenario(replace(cfg, eps_conv=1e-8))
+        assert (at_rest.status, at_rest.steps_run) == ("converged", 0)
+        assert at_rest.final_l_ori == pytest.approx(1.1457e-17, rel=1e-3)
+        left = run_scenario(replace(cfg, eps_conv=1e-30))
+        assert (left.status, left.steps_run) == ("exhausted", 200)
+        assert left.final_l_ori == pytest.approx(0.2856, rel=1e-3) and round(left.final_l_ori, 2) == 0.29
 
 
 class TestMaxWorkers:

@@ -189,10 +189,19 @@ def golden_full() -> dict:
 
 
 def differences(want: dict, got: dict) -> list[str]:
-    """What differs between two blocks of ``GOLDEN.json``, one line each; empty when they agree."""
+    """What differs from block ``want`` of ``GOLDEN.json`` in block ``got``, one line each; empty when they agree.
+
+    A digest only ``got`` has was added, one only ``want`` has was removed,
+    and one whose value changed moved.
+    """
     lines = []
-    for name in sorted(set(want["digests"]) | set(got["digests"])):
-        if want["digests"].get(name) != got["digests"].get(name):
+    old, new = want["digests"], got["digests"]
+    for name in sorted(set(old) | set(new)):
+        if name not in old:
+            lines.append(f"digest of {name} added")
+        elif name not in new:
+            lines.append(f"digest of {name} removed")
+        elif old[name] != new[name]:
             lines.append(f"digest of {name} moved")
     if want.get("quiet_convergences") != got.get("quiet_convergences"):
         lines.append(f"quiet-step convergences {want.get('quiet_convergences')} -> {got.get('quiet_convergences')}")
