@@ -87,6 +87,7 @@ from dataclasses import dataclass, replace
 from typing import NamedTuple, Sequence
 
 import numpy as np
+from numpy.lib.stride_tricks import sliding_window_view
 
 from .errors import DimMismatchError
 from .linalg import adjoint, svd
@@ -234,6 +235,16 @@ def _defects(w: np.ndarray) -> np.ndarray:
     return upper @ upper_h - lower_h @ lower
 
 
+def _pair(rows: np.ndarray, i: int, j: int) -> np.ndarray:
+    """``rows[i]`` and ``rows[j]`` as one two-row view."""
+    return rows[i : j + 1 : j - i] if i < j else rows[j : i + 1 : i - j][::-1]
+
+
+def _runs(buf: np.ndarray, count: int) -> np.ndarray:
+    """Every ``count`` consecutive slots of ``buf``, on its first axis, as one read-only view: row ``i`` is ``buf[i : i + count]``."""
+    return np.moveaxis(sliding_window_view(buf, count, axis=0), -1, 1)
+
+
 def _run(plan: list) -> None:
     """Run a call plan: each entry is a numpy function and its positional arguments, outputs included."""
     for fn, args in plan:
@@ -289,9 +300,19 @@ class _Kernel:
       transposes; the suffix chain builds ``suffix[t]^T = suffix[t-1]^T
       W_{t+1}^T`` from them, and its last product ``W = (W_N^T)^T
       (suffix[N-2]^T)^T`` goes to the last slot, untransposed, so the
-      misfit subtracts contiguous operands.  The defect Grams ``W_j
-      W_j^T`` and ``W_{j+1}^T W_{j+1}`` and the direction ``F suffix^T``
-      then multiply stored operands, and the last product reads both of
+      misfit subtracts contiguous operands.  The defects ``Delta`` sit in
+      the ``N - 1`` free slots below it, ``N^2 .. N^2 + N - 2``.  The
+      regularizer pairs its products as the chains do, over two-block
+      views of runs of ``N - 1`` slots (:func:`_runs`): one matmul
+      ``[x[:-1], x^T[1:]] @ [x^T[:-1], x[1:]]`` makes both defect Grams
+      ``W_j W_j^T`` and ``W_{j+1}^T W_{j+1}`` and one subtraction the
+      defects, then one matmul ``[x[1:], Delta] @ [Delta, x[:-1]]`` makes
+      ``W_{j+1} Delta_j`` and ``Delta_j W_j``, into a buffer of their
+      own.  Both are scaled by ``a`` in one call, planned only when ``a
+      != 1``, since ``x * 1.0`` is ``x`` for every float.  Each matrix is
+      the gemm of a per-matrix product on the same operands, so pairing
+      changes no bit.  The defect Grams and the direction ``F suffix^T``
+      multiply stored operands, and the last product reads both of
       its operands transposed from stored ones (a TT gemm, with the bits
       of the NT form ``W_N (suffix[N-2]^T)^T`` on the tested OpenBLAS
       build, which ``TestTransposedProduct`` pins), so no matmul reads a
@@ -330,10 +351,10 @@ class _Kernel:
     and :meth:`own_layers` read them, and :meth:`replay` starts from the
     first.
 
-    The Gram products read two buffers, so numpy runs them as gemm: over
-    one buffer read through a transposed view it would take its ``syrk``
-    path (the same bits on the tested OpenBLAS build, which
-    ``TestGramPath`` pins).
+    The Gram products read each layer and its stored transpose, two
+    copies, so numpy runs them as gemm: over one copy read through a
+    transposed view it would take its ``syrk`` path (the same bits on the
+    tested OpenBLAS build, which ``TestGramPath`` pins).
 
     ``embedded`` marks real embeddings of complex problems: ``l_ori`` and
     ``l_reg`` are halved, and every step ends by restoring the exact
@@ -364,10 +385,6 @@ class _Kernel:
         def buf(k: int) -> np.ndarray:
             return np.empty((k, b, m, m))
 
-        def pair(i: int, j: int) -> np.ndarray:
-            """``chain[i]`` and ``chain[j]`` as one two-block view."""
-            return chain[i : j + 1 : j - i] if i < j else chain[j : i + 1 : i - j][::-1]
-
         # suffix[j] = W_{j+1} ... W_1, right-associated, so suffix[-1] = W.
         # prefix[j] = W_N ... W_{j+2}, the product of the layers above layer
         # j + 1, built from the left: prefix[-1] = W_N, prefix[j-1] = prefix[j] W_{j+1}.
@@ -382,27 +399,33 @@ class _Kernel:
             # Step t: [prefix[n-1-t], suffix[t-1]^T] @ [x[n-1-t], x[t]^T], into slots k, k + 1.
             steps = [(t, n - 1 + t * (n + 1)) for t in range(1, n - 1)]
             chain_ops = [
-                (pair(k - n - 1, k - n), pair(n - 1 - t, n + t), pair(k, k + 1)) for t, k in steps
+                (_pair(chain, k - n - 1, k - n), _pair(chain, n - 1 - t, n + t), _pair(chain, k, k + 1))
+                for t, k in steps
             ] + [(xt[n - 1].swapaxes(-1, -2), suffix_t[n - 2].swapaxes(-1, -2), suffix_t[n - 1])]
             self._product, self._suffix_t = suffix_t[n - 1], suffix_t[:-1]
             self._transposes = (np.copyto, (xt, x.swapaxes(-1, -2)))
-            self._xt = xt
+            # The defects in the n - 1 free slots below W, and the Gram and
+            # regularizer products, two blocks of n - 1, in their own buffer.
+            self._deltas, self._products = chain[n * n : n * n + n - 1], np.empty((2, n - 1, b, m, m))
+            runs = _runs(chain, n - 1)
+            self._defects = self._defect_plan(runs, n, self._products, self._deltas)
+            # [W_{j+1} Delta_j, Delta_j W_j] = [x[1:], Delta] @ [Delta, x[:-1]].
+            self._balance = (np.matmul, (_pair(runs, 1, n * n), _pair(runs, n * n, 0), self._products))
         else:
             # x[j] in slot j, suffix[j] in slot j n and prefix[j] in slot
             # n - 1 + (n - 2 - j) n, as the class docstring lays out.
             chain = buf(n * n - n + 1)
             x, suffix, prefix = chain[:n], chain[::n], chain[n - 1 :: n][::-1]
             chain_ops = [
-                (pair(t, t * n - 1), pair((t - 1) * n, n - 1 - t), pair(t * n, t * n + n - 1))
+                (_pair(chain, t, t * n - 1), _pair(chain, (t - 1) * n, n - 1 - t), _pair(chain, t * n, t * n + n - 1))
                 for t in range(1, n - 1)
             ] + [(x[n - 1], suffix[n - 2], suffix[n - 1])]
             self._product, self._suffix_t = suffix[n - 1], suffix[:-1].swapaxes(-1, -2)
         self._chain = [(np.matmul, op) for op in chain_ops]
         self._lefts = buf(block + 2 * n - 1)
-        self._deltas, self._scratch = buf(n - 1), buf(n - 1)
         x[...] = w.swapaxes(0, 1)
         self.layers = x.swapaxes(0, 1)
-        self._x, self._lower, self._upper = x, x[1:], x[:-1]
+        self._x = x
         self._prefix_h = prefix.swapaxes(-1, -2)
         # The layers of the kept rounds of the last advance, layer-major like
         # x, one (N, B, m, m) slot each; replay starts from the first.
@@ -446,12 +469,17 @@ class _Kernel:
         return _Window(lefts[r], lefts[r : r + n][::-1], lefts[r + n - 1 : r + 2 * n - 1])
 
     @staticmethod
-    def _defect_plan(x: np.ndarray, xt: np.ndarray, deltas: np.ndarray, scratch: np.ndarray) -> list:
-        """Balance defects of layers ``x``, stacked on its first, the layer, axis, from them and their stored transposes ``xt``."""
+    def _defect_plan(runs: np.ndarray, n: int, grams: np.ndarray, deltas: np.ndarray) -> list:
+        """Balance defects of ``n`` layers ``x`` into ``deltas``, from ``runs``, the :func:`_runs` of ``n - 1`` slots of a buffer of ``x`` and their stored transposes ``xt``.
+
+        The buffer holds ``x`` in its first ``n`` slots and ``xt`` in the
+        next ``n``, as the regularized chain does.  One matmul makes both Gram products, ``[x[:-1], xt[1:]] @ [xt[:-1],
+        x[1:]]``, into the two blocks of ``grams``, and one subtraction
+        their difference.
+        """
         return [
-            (np.matmul, (x[:-1], xt[:-1], deltas)),
-            (np.matmul, (xt[1:], x[1:], scratch)),
-            (np.subtract, (deltas, scratch, deltas)),
+            (np.matmul, (_pair(runs, 0, n + 1), _pair(runs, n, 1), grams)),
+            (np.subtract, (grams[0], grams[1], deltas)),
         ]
 
     def _descend(self, win: _Window) -> list:
@@ -461,12 +489,15 @@ class _Kernel:
         left factor ``prefix^H M`` per layer below the top (one matmul over
         the layer axis) times the adjoint suffix below it (one more); the
         bottom slot is its left factor alone.  Regularizer part: the
-        defects, made first, then ``a W_j Delta_{j-1,j} - a Delta_{j,j+1}
-        W_j`` with the boundary defects defined as zero.
+        defects, made first (:meth:`_defect_plan`), then ``a W_j
+        Delta_{j-1,j} - a Delta_{j,j+1} W_j`` with the boundary defects
+        defined as zero: both products in one matmul, scaled by ``a`` in
+        one call unless ``a`` is 1, added to the direction above the bottom
+        layer and subtracted below the top one.
         """
         cfg, direction = self.cfg, win.direction
         high = direction[1:]
-        plan = self._defect_plan(self._x, self._xt, self._deltas, self._scratch) if cfg.reg_a > 0 else []
+        plan = list(self._defects) if cfg.reg_a > 0 else []
         if cfg.omit_l_ori:
             plan += [(direction.fill, (0.0,))]
         else:
@@ -476,15 +507,11 @@ class _Kernel:
                 (np.matmul, (win.factors[1:], self._suffix_t, high)),
             ]
         if cfg.reg_a > 0:
-            a, s, low = self._a, self._scratch, direction[:-1]
-            plan += [
-                (np.matmul, (self._lower, self._deltas, s)),
-                (np.multiply, (s, a, s)),
-                (np.add, (high, s, high)),
-                (np.matmul, (self._deltas, self._upper, s)),
-                (np.multiply, (s, a, s)),
-                (np.subtract, (low, s, low)),
-            ]
+            products, low = self._products, direction[:-1]
+            plan += [self._balance]
+            if cfg.reg_a != 1.0:  # x * 1.0 is x for every float
+                plan += [(np.multiply, (products, self._a, products))]
+            plan += [(np.add, (high, products[0], high)), (np.subtract, (low, products[1], low))]
         return plan
 
     def _measure(self, win: _Window, stage: bool = False) -> list:
@@ -631,20 +658,25 @@ class _Kernel:
     def kept_l_reg(self, count: int) -> np.ndarray:
         """``(count, B)`` ``l_reg`` of the first ``count`` kept rounds of the last :meth:`advance` or :meth:`measure`.
 
-        The defects are made from the kept layers by the calls an
-        evaluation makes, the transposes' copy, the two Gram gemms and the
-        subtraction, so they have the bits of the evaluation's own.  Their
-        squared norms are summed in layer order and scaled; zeros when the
-        regularizer is off.  Computed only here, where it is read.
+        The kept layers and their transposes are copied into one buffer,
+        laid out as the chain's first ``2N`` slots, and the defects are made
+        from it by an evaluation's :meth:`_defect_plan`, so they have the
+        bits of the evaluation's own.  Their squared norms are summed in
+        layer order and scaled; zeros when the regularizer is off.  Computed
+        only here, where it is read.
         """
         kept = self._kept[:, :count]
         if not self.cfg.reg_a > 0:
             return np.zeros(kept.shape[1:3])
-        xt = np.empty_like(kept)
-        deltas, scratch = np.empty_like(kept[1:]), np.empty_like(kept[1:])
-        _run([(np.copyto, (xt, kept.swapaxes(-1, -2)))] + self._defect_plan(kept, xt, deltas, scratch))
-        n = _frobenius(deltas)
-        sq = n * n
+        n = len(kept)
+        both, deltas = np.empty((2 * n,) + kept.shape[1:]), np.empty_like(kept[1:])
+        grams = np.empty((2,) + deltas.shape)
+        _run(
+            [(np.copyto, (both[:n], kept)), (np.copyto, (both[n:], kept.swapaxes(-1, -2)))]
+            + self._defect_plan(_runs(both, n - 1), n, grams, deltas)
+        )
+        norms = _frobenius(deltas)
+        sq = norms * norms
         total = sq[0]
         for s in sq[1:]:
             total = total + s
