@@ -19,15 +19,17 @@ args)`` entries whose outputs are positional arguments, so running a plan
 costs the numpy calls and little else, with no method call or keyword
 between them.  Slots that would hold copies share memory instead: the
 layers sit in one buffer with the suffix and the prefix products, whose
-first suffix and top prefix are the bottom and top layers themselves, and
-the bottom slot of the descent direction is the first left factor.  No call writes an output
-whose memory span encloses another view it reads: numpy cannot cheaply
-prove such views apart, so it would copy the inputs on every call.  With
-the regularizer on, the buffer also holds the layers' transposes, copied
-in once per evaluation: the defect Gram products and the descent direction
-then read no transposed right operand, which costs numpy's small batched
-gemm 2-3x as much as a stored one.  Without the regularizer that copy
-would cost more than it saves, so that layout stays without it.
+first suffix and top prefix are the bottom and top layers themselves.  No
+call writes an output whose memory span encloses another view it reads:
+numpy cannot cheaply prove such views apart, so it would copy the inputs
+on every call.  No matmul reads a transposed right operand beside a
+stored left one, which costs numpy's small batched gemm 2-3x as much as
+two stored operands.  Without the regularizer the buffer holds the
+layers, and the products made from them, transposed, and the descent
+direction is made transposed too, so that every product reads its
+operands stored or both transposed.  With the regularizer on, it holds
+the layers and, copied in once per evaluation, their transposes, which
+the defect Gram products and the descent direction read.
 
 Every step is a round of :meth:`_Kernel.advance`, a block of up to
 ``block`` rounds that tests nothing per round and takes no loss in them
@@ -285,14 +287,32 @@ class _Kernel:
     products.  The two chains are independent, so each matmul over
     two-block views of the buffer advances both, and every chain output
     pair sits above every slot it reads, so no output pair's span encloses
-    an operand and numpy copies none (``TestChainLayout``).  The layout is
-    chosen from ``cfg.reg_a``:
+    an operand and numpy copies none (``TestChainLayout``).  Neither
+    layout makes a matmul that reads a transposed right operand beside a
+    stored left one (NT); numpy's batched gemm of 5x5 matrices over 3
+    layer slots takes 13.2 against 4.8 us at B = 25 with the right
+    operand transposed against stored (2.0 against 1.5 us at B = 1; 2
+    vCPUs, one OpenBLAS 0.3.31 thread).  The layout is chosen from
+    ``cfg.reg_a``:
 
-    - Regularizer off: ``N^2 - N + 1`` slots, layer ``j`` in slot ``j``,
-      ``suffix[j]`` in slot ``j N`` and ``prefix[j]`` in slot
-      ``N - 1 + (N - 2 - j) N``.  Chain step ``t`` writes slots ``t N`` and
-      ``t N + N - 1``.  The direction reads the suffix products through a
-      transposed view.
+    - Regularizer off: ``N^2 + 1`` slots of transposes, which the steps
+      update: an identity in slot 0, ``x[j]^T`` in slot ``N + j``,
+      ``suffix[t]^T`` in slot ``(t + 1) N`` and ``prefix[j]^T`` in slot
+      ``2 N - 1 + (N - 2 - j) N``; slots 1 to ``N - 1`` are unused.  Chain
+      step ``t`` makes ``suffix[t]^T = suffix[t-1]^T x[t]^T`` and
+      ``prefix[N-2-t]^T = x[N-1-t]^T prefix[N-1-t]^T`` in slots ``(t + 1)
+      N`` and ``(t + 2) N - 1``, and the last product ``W = (x[N-1]^T)^T
+      (suffix[N-2]^T)^T`` (TT) goes to the last slot, untransposed.  The
+      left factors ``prefix[j]^T M`` read stored operands, and one TT
+      matmul makes every layer's transposed direction ``suffix[j-1]
+      factors[j]^T``, the identity standing below the bottom layer, so a
+      step adds contiguous operands.  Each product has the bits of the
+      untransposed form on the tested OpenBLAS build
+      (``TestTransposedProduct``); the identity's product is
+      ``factors[0]^T`` on finite operands but for the sign of a zero, and
+      NaN where ``factors[0]`` holds an Inf.  Against the untransposed
+      layout a real GD round took 4-7% less time at B = 1 and 2 and
+      10-31% at B = 3 to 20, an embedded one 2-6% at B = 1 to 10.
     - Regularizer on: ``N^2 + N`` slots, layer ``j`` in slot ``j``, its
       transpose in slot ``N + j``, ``suffix[t]^T`` in slot
       ``N + t (N + 1)`` and ``prefix[N - 2 - t]`` in slot
@@ -315,24 +335,21 @@ class _Kernel:
       multiply stored operands, and the last product reads both of
       its operands transposed from stored ones (a TT gemm, with the bits
       of the NT form ``W_N (suffix[N-2]^T)^T`` on the tested OpenBLAS
-      build, which ``TestTransposedProduct`` pins), so no matmul reads a
-      transposed right operand beside a stored left one.  numpy's batched
-      gemm of 5x5 matrices over 3 layer slots takes 13.2 against 4.8 us
-      at B = 25 with the right operand transposed against stored (2.0
-      against 1.5 us at B = 1; 2 vCPUs, one OpenBLAS 0.3.31 thread), so a
-      regularized real GD step of 25 problems is about 15% cheaper; the
-      TT last product took a regularized GD round 1-8% less time than the
-      NT one at B = 2 to 60.  The same layout without the regularizer
-      would add the transposing copy to save one transposed product, and
-      measured 6-8% dearer per step at B = 1 and 2, real or embedded.
+      build, which ``TestTransposedProduct`` pins).  Against reading the
+      transposes through views, a regularized real GD step of 25
+      problems is about 15% cheaper; the TT last product took a
+      regularized GD round 1-8% less time than the NT one at B = 2 to 60.
 
     The lefts buffer holds the misfit ``M``, the left factors ``prefix^H
-    M`` and the descent direction, in ``block + 2N - 1`` slots.  An
-    evaluation uses a window of ``2N - 1`` of them, which :meth:`_window`
-    slices: window ``r`` holds the misfit in slot ``r``, ``factors[j]`` in
-    slot ``r + N - 1 - j`` (so ``factors[N-1]`` is the misfit and
-    ``factors[j] = prefix[j]^H M`` below it), and ``direction[j]`` in slot
-    ``r + N - 1 + j``, whose bottom slot is the first left factor
+    M`` and the descent direction, in ``block`` slots more than a window.
+    An evaluation uses a window of ``2N`` of them in the plain layout and
+    ``2N - 1`` in the regularized one, which :meth:`_window` slices:
+    window ``r`` holds the misfit in slot ``r``, ``factors[j]`` in slot
+    ``r + N - 1 - j`` (so ``factors[N-1]`` is the misfit and ``factors[j]
+    = prefix[j]^H M`` below it), and the direction in the window's top
+    ``N`` slots: ``direction[j]^T`` in slot ``r + N + j`` in the plain
+    layout, and ``direction[j]`` in slot ``r + N - 1 + j`` in the
+    regularized one, whose bottom slot is the first left factor
     ``factors[0]``.  Round ``r`` of :meth:`advance` evaluates in window
     ``r``, so its misfit stays in slot ``r`` while the later rounds write
     above it, and after the block one matmul over slots ``0 .. rounds - 1``
@@ -345,9 +362,9 @@ class _Kernel:
     so no step allocates.
 
     The kept buffer holds ``kept`` copies of the layers, layer-major like
-    them: :meth:`advance` copies the layers of each round it is asked to
-    keep into the next one before that round runs, and :meth:`measure`
-    copies them into the first.  :meth:`kept_norms`, :meth:`kept_l_reg`
+    them and untransposed in either layout: :meth:`advance` copies the
+    layers of each round it is asked to keep into the next one before that
+    round runs, and :meth:`measure` copies them into the first.  :meth:`kept_norms`, :meth:`kept_l_reg`
     and :meth:`own_layers` read them, and :meth:`replay` starts from the
     first.
 
@@ -389,12 +406,33 @@ class _Kernel:
         # prefix[j] = W_N ... W_{j+2}, the product of the layers above layer
         # j + 1, built from the left: prefix[-1] = W_N, prefix[j-1] = prefix[j] W_{j+1}.
         # Step t makes suffix[t] and, but on the last step, prefix[n-2-t].
-        if cfg.reg_a > 0:
+        # The plain layout stores the layers transposed; the regularized one
+        # stores them as they are, and their transposes beside them.
+        self._transposed = transposed = not cfg.reg_a > 0
+        if transposed:
+            # An identity in slot 0, x[j]^T in slot n + j, suffix[t]^T in slot
+            # (t + 1) n and prefix[j]^T in slot 2 n - 1 + (n - 2 - j) n, as the
+            # class docstring lays out; the last suffix slot holds W.
+            chain = buf(n * n + 1)
+            chain[0] = np.eye(m)
+            stored, lower_t = chain[n : 2 * n], chain[::n]
+            # Step t: [suffix[t-1]^T, x[n-1-t]^T] @ [x[t]^T, prefix[n-1-t]^T], into slots (t + 1) n, (t + 2) n - 1.
+            chain_ops = [
+                (_pair(chain, t * n, 2 * n - 1 - t), _pair(chain, n + t, (t + 1) * n - 1), _pair(chain, (t + 1) * n, (t + 2) * n - 1))
+                for t in range(1, n - 1)
+            ] + [(stored[n - 1].swapaxes(-1, -2), lower_t[n - 1].swapaxes(-1, -2), lower_t[n])]
+            x, self._product = stored.swapaxes(-1, -2), lower_t[n]
+            # The product of the layers below each layer: the identity below
+            # the bottom one, then suffix[j - 1] below layer j + 1.
+            self._suffix = lower_t[:n].swapaxes(-1, -2)
+            self._prefix_h = chain[2 * n - 1 :: n][::-1]
+        else:
             # x[j] in slot j, x[j]^T in slot n + j, suffix[t]^T in slot
             # n + t (n + 1) and prefix[n-2-t] in slot n - 1 + t (n + 1), as
             # the class docstring lays out; the last suffix slot holds W.
             chain = buf(n * n + n)
-            x, xt = chain[:n], chain[n : 2 * n]
+            x = stored = chain[:n]
+            xt = chain[n : 2 * n]
             suffix_t, prefix = chain[n :: n + 1], chain[n - 1 :: n + 1][: n - 1][::-1]
             # Step t: [prefix[n-1-t], suffix[t-1]^T] @ [x[n-1-t], x[t]^T], into slots k, k + 1.
             steps = [(t, n - 1 + t * (n + 1)) for t in range(1, n - 1)]
@@ -403,6 +441,7 @@ class _Kernel:
                 for t, k in steps
             ] + [(xt[n - 1].swapaxes(-1, -2), suffix_t[n - 2].swapaxes(-1, -2), suffix_t[n - 1])]
             self._product, self._suffix_t = suffix_t[n - 1], suffix_t[:-1]
+            self._prefix_h = prefix.swapaxes(-1, -2)
             self._transposes = (np.copyto, (xt, x.swapaxes(-1, -2)))
             # The defects in the n - 1 free slots below W, and the Gram and
             # regularizer products, two blocks of n - 1, in their own buffer.
@@ -411,22 +450,16 @@ class _Kernel:
             self._defects = self._defect_plan(runs, n, self._products, self._deltas)
             # [W_{j+1} Delta_j, Delta_j W_j] = [x[1:], Delta] @ [Delta, x[:-1]].
             self._balance = (np.matmul, (_pair(runs, 1, n * n), _pair(runs, n * n, 0), self._products))
-        else:
-            # x[j] in slot j, suffix[j] in slot j n and prefix[j] in slot
-            # n - 1 + (n - 2 - j) n, as the class docstring lays out.
-            chain = buf(n * n - n + 1)
-            x, suffix, prefix = chain[:n], chain[::n], chain[n - 1 :: n][::-1]
-            chain_ops = [
-                (_pair(chain, t, t * n - 1), _pair(chain, (t - 1) * n, n - 1 - t), _pair(chain, t * n, t * n + n - 1))
-                for t in range(1, n - 1)
-            ] + [(x[n - 1], suffix[n - 2], suffix[n - 1])]
-            self._product, self._suffix_t = suffix[n - 1], suffix[:-1].swapaxes(-1, -2)
         self._chain = [(np.matmul, op) for op in chain_ops]
-        self._lefts = buf(block + 2 * n - 1)
+        # A window's direction has slots of its own in the plain layout and
+        # shares its bottom slot with the first left factor in the regularized one.
+        self._width = 2 * n if transposed else 2 * n - 1
+        self._lefts = buf(block + self._width)
         x[...] = w.swapaxes(0, 1)
         self.layers = x.swapaxes(0, 1)
-        self._x = x
-        self._prefix_h = prefix.swapaxes(-1, -2)
+        # The layers, layer-major, and the array the steps update: the same
+        # array, or in the plain layout the stored transposes.
+        self._x, self._stored = x, stored
         # The layers of the kept rounds of the last advance, layer-major like
         # x, one (N, B, m, m) slot each; replay starts from the first.
         self._kept = np.empty((n, kept, b, m, m))
@@ -447,9 +480,14 @@ class _Kernel:
         if embedded:
             h = m // 2
             # Each layer's blocks on the axes (row block, i, column block, j);
-            # then [lower left, upper left] and [upper right, lower right],
-            # block first, and a buffer of the two blocks of every layer.
-            blocks = x.reshape(n, b, 2, h, 2, h)
+            # where the layers are stored transposed, the block axes swap and
+            # each block is read as stored, transposed, which its copies and
+            # negation do not mind.  Then [lower left, upper left] and [upper
+            # right, lower right], block first, and a buffer of the two
+            # blocks of every layer.
+            blocks = stored.reshape(n, b, 2, h, 2, h)
+            if transposed:
+                blocks = blocks.swapaxes(2, 4)
             two = np.empty((2, n, b, h, h))
             self._reembed_views = (
                 np.moveaxis(blocks[:, :, ::-1, :, 0], 2, 0), np.moveaxis(blocks[..., 1, :], 2, 0), two, two[0]
@@ -465,8 +503,8 @@ class _Kernel:
 
     def _window(self, r: int) -> _Window:
         """Window ``r`` of the lefts buffer: its misfit, factors and direction (see :class:`_Kernel`)."""
-        lefts, n = self._lefts, len(self._x)
-        return _Window(lefts[r], lefts[r : r + n][::-1], lefts[r + n - 1 : r + 2 * n - 1])
+        lefts, n, end = self._lefts, len(self._x), r + self._width
+        return _Window(lefts[r], lefts[r : r + n][::-1], lefts[end - n : end])
 
     @staticmethod
     def _defect_plan(runs: np.ndarray, n: int, grams: np.ndarray, deltas: np.ndarray) -> list:
@@ -487,8 +525,11 @@ class _Kernel:
 
         Misfit part: ``(W_N..W_{j+1})^H (Sigma - W) (W_{j-1}..W_1)^H``, one
         left factor ``prefix^H M`` per layer below the top (one matmul over
-        the layer axis) times the adjoint suffix below it (one more); the
-        bottom slot is its left factor alone.  Regularizer part: the
+        the layer axis) times the adjoint suffix below it (one more).  The
+        plain layout makes the direction transposed, ``suffix[j-1]
+        factors[j]^T`` for every layer, the identity standing below the
+        bottom one; the regularized layout makes ``factors[j] suffix[j-1]^T``
+        above the bottom layer, whose slot is its left factor's.  Regularizer part: the
         defects, made first (:meth:`_defect_plan`), then ``a W_j
         Delta_{j-1,j} - a Delta_{j,j+1} W_j`` with the boundary defects
         defined as zero: both products in one matmul, scaled by ``a`` in
@@ -502,10 +543,12 @@ class _Kernel:
             plan += [(direction.fill, (0.0,))]
         else:
             # The misfit broadcasts over the layer axis.
-            plan += [
-                (np.matmul, (self._prefix_h, win.misfit, win.factors[:-1])),
-                (np.matmul, (win.factors[1:], self._suffix_t, high)),
-            ]
+            plan += [(np.matmul, (self._prefix_h, win.misfit, win.factors[:-1]))]
+            if self._transposed:
+                # direction[j]^T = suffix[j-1] factors[j]^T, the identity below the bottom layer.
+                plan += [(np.matmul, (self._suffix, win.factors.swapaxes(-1, -2), direction))]
+            else:
+                plan += [(np.matmul, (win.factors[1:], self._suffix_t, high))]
         if cfg.reg_a > 0:
             products, low = self._products, direction[:-1]
             plan += [self._balance]
@@ -536,7 +579,7 @@ class _Kernel:
         ``((k1 + 2 k2) + 2 k3) + k4``; stages 2 to 4 evaluate in window
         ``following``.
         """
-        x, d = self._x, win.direction
+        x, d = self._stored, win.direction
         plan = self._descend(win)
         if self.cfg.integrator == "gd":
             plan += [(np.multiply, (d, self._eta, d)), (np.add, (x, d, x))]
@@ -688,6 +731,8 @@ class _Kernel:
         win = self._windows[0]
         _run(self._descend(win))
         direction = win.direction.swapaxes(0, 1)
+        if self._transposed:
+            direction = direction.swapaxes(-1, -2)
         return _unembed(direction) if self.embedded else direction
 
     def own_layers(self, row: int, out: np.ndarray | None = None, kept: int | None = None) -> np.ndarray:

@@ -266,6 +266,35 @@ class TestFlowRk4:
         order = np.log2(err_h / err_h2)
         assert 3.5 < order < 4.5
 
+    @pytest.mark.parametrize("batch", [1, 3])
+    @pytest.mark.parametrize("n", [2, 3, 4, 6])
+    @pytest.mark.parametrize("field", FIELDS, ids=lambda f: f.value)
+    def test_balance_drift_is_fourth_order(self, field, n, batch):
+        # The flow keeps every balance defect, so from a balanced start the
+        # final e_delta of the run loop's kernel is RK4's error: it falls by
+        # 2^4 = 16 per halving of step_h.  Balanced layers with G's singular
+        # values pinned and the product's scale held along n (eps =
+        # 0.5^(4/n)), to t = 4: measured ratios 12.9 to 19.7, the finer
+        # halving 14.4 to 17.3, and final e_delta at least 2.1e-10 from at
+        # most 1e-15 at the start.  Third order would give 8, fifth 32.
+        rng = make_rng(10 * n + batch)
+        scheme = InitScheme(kind="balanced", epsilon=0.5 ** (4 / n), g_singular_values=(1.0, 0.8, 0.6, 0.5, 0.9))
+        w = np.stack([balanced_init(5, n, scheme, field, rng).layers for _ in range(batch)])
+        sigma = np.stack([np.diag(rng.uniform(0.2, 2.0, 5)).astype(w.dtype) for _ in range(batch)])
+
+        def e_delta(layers):
+            return np.array([balance_errors(LayerStack(stack))[1] for stack in layers])
+
+        finals = []
+        for h in (0.1, 0.05, 0.025):
+            steps = round(4 / h)
+            kernel = _kernel(w, sigma, DynConfig(reg_a=0.0, step_h=h, integrator="flow_rk4"), block=steps)
+            kernel.advance(steps)
+            finals.append(e_delta([kernel.own_layers(row) for row in range(batch)]))
+        coarse, fine = finals[0] / finals[1], finals[1] / finals[2]
+        assert np.all((12 < coarse) & (coarse < 21)) and np.all((13.5 < fine) & (fine < 18.5))
+        assert np.all(finals[2] > 1e4 * e_delta(w))
+
     def test_balance_preserved_along_flow(self):
         st = balanced_init(5, 4, InitScheme(kind="balanced", epsilon=0.05), FieldTag.COMPLEX, make_rng(8))
         target = TargetSpec.identity(5)
@@ -884,6 +913,8 @@ class TestOwnField:
         # A real layer's norm is np.linalg.norm's bit for bit.  An embedded
         # layer's is that of its top rows [A, -B], which hold the complex
         # norm's terms: summed in their order, not real part then imaginary.
+        # np.linalg.norm sums a view in memory order, and the plain kernel
+        # stores its layers transposed, so it is given the rows in row order.
         w, sigma = _problem(field, n, 3, seed=n)
         kernel = _kernel(w, sigma, DynConfig())
         kernel.measure()
@@ -893,7 +924,7 @@ class TestOwnField:
             own = kernel.own_layers(row)
             for j in range(n):
                 if field is FieldTag.COMPLEX:
-                    assert got[row, j] == np.linalg.norm(kernel.layers[row, j, :5])
+                    assert got[row, j] == np.linalg.norm(kernel.layers[row, j, :5].copy())
                     assert got[row, j] == pytest.approx(np.linalg.norm(own[j]), rel=1e-15, abs=0)
                 else:
                     assert got[row, j] == np.linalg.norm(own[j])
@@ -1042,14 +1073,14 @@ class TestChainLayout:
     @pytest.mark.parametrize("integrator", ["gd", "flow_rk4"])
     @pytest.mark.parametrize("field", FIELDS, ids=["real", "embedded"])
     @pytest.mark.parametrize("n", [2, 3, 4, 6])
-    def test_one_product_reads_a_transposed_right_operand(self, n, field, integrator, reg_a):
+    def test_no_product_reads_a_transposed_right_operand_beside_a_stored_left_one(self, n, field, integrator, reg_a):
         # numpy's small batched gemm costs 2-3x as much with a transposed
-        # right operand beside a stored left one (NT) as with both stored.
-        # The regularized kernel stores the layers' transposes, so it makes
-        # no NT product: its chain's last product, W = (W_N^T)^T
-        # (suffix[n-2]^T)^T, reads both operands transposed (TT).  The plain
-        # kernel keeps its layout, where only the direction product is NT,
-        # reading the suffix products transposed, in the window of the
+        # right operand beside a stored left one (NT) as with both stored,
+        # and neither layout makes such a product.  The products that read
+        # a transposed right operand read both operands transposed (TT): in
+        # both layouts the chain's last product W = (W_N^T)^T
+        # (suffix[n-2]^T)^T, and in the plain one, which stores the layers
+        # transposed, the transposed direction too, in the window of the
         # evaluation (RK4's later stages evaluate in the next window).
         cfg = DynConfig(reg_a=reg_a, eta=0.05, step_h=0.05, integrator=integrator)
         w, sigma = _problem(field, n, 2, seed=n)
@@ -1063,41 +1094,77 @@ class TestChainLayout:
             matmuls = [(out, *inputs) for name, out, inputs in _entries(plan) if name == "matmul"]
             nt = [out for out, left, right in matmuls if transposed(right) and not transposed(left)]
             tt = [out for out, left, right in matmuls if transposed(right) and transposed(left)]
-            if reg_a > 0:
-                assert nt == [] and len(tt) == stages
-                assert all(_same_view(out, kernel._product) for out in tt)
-            else:
-                want = [kernel._windows[r].direction[1:]] + [kernel._windows[r + 1].direction[1:]] * (stages - 1)
-                assert tt == [] and len(nt) == stages
-                assert all(_same_view(out, view) for out, view in zip(nt, want))
+            windows = [kernel._windows[r]] + [kernel._windows[r + 1]] * (stages - 1)
+            want = [view for win in windows for view in ([kernel._product] if reg_a > 0 else [kernel._product, win.direction])]
+            assert nt == [] and len(tt) == len(want)
+            assert all(_same_view(out, view) for out, view in zip(tt, want))
 
 
 class TestTransposedProduct:
-    """The regularized chain's last product reads both operands transposed (TT gemm), with the bits of the NT form.
+    """Each product the kernel reads in another orientation gives the bits of its untransposed form.
 
-    The NT form ``x[N-1] @ suffix_t[N-2]^T`` reads the top layer stored;
-    the TT form reads it from the stored transposes, ``xt[N-1]^T``.  The
-    two give the same bits on this BLAS; where they do not, this fails
-    rather than the regularized trajectories moving in the last bits.
+    The plain layout stores the layers, the suffix and the prefix products
+    transposed, and each of its products is the transpose, or a transposed
+    read, of a product on untransposed operands; the regularized chain's
+    last product reads the top layer from its stored transpose.  Each pair
+    gives the same bits on this BLAS; where one does not, this fails rather
+    than the trajectories moving in the last bits.
     """
+
+    @staticmethod
+    def _layers(form, batch):
+        rng = make_rng(batch)
+        field = FieldTag.REAL if form == "real" else FieldTag.COMPLEX
+        w = np.stack([rand_stack(5, 4, field, rng).layers for _ in range(batch)])
+        return _embed(w) if form == "embedded" else w
+
+    @staticmethod
+    def _t(x):
+        """The stored transpose of ``x``."""
+        return np.ascontiguousarray(x.swapaxes(-1, -2))
 
     @pytest.mark.parametrize("batch", [1, 60, 256])
     @pytest.mark.parametrize("form", ["real", "embedded"])
     def test_tt_product_matches_the_nt_form(self, form, batch):
-        rng = make_rng(batch)
-        field = FieldTag.REAL if form == "real" else FieldTag.COMPLEX
-        w = np.stack([rand_stack(5, 4, field, rng).layers for _ in range(batch)])
-        if form == "embedded":
-            w = _embed(w)
+        w = self._layers(form, batch)
         top = np.ascontiguousarray(w[:, -1])
-        top_t = np.ascontiguousarray(top.swapaxes(-1, -2))
-        suffix_t = np.ascontiguousarray((w[:, 2] @ (w[:, 1] @ w[:, 0])).swapaxes(-1, -2))
+        suffix_t = self._t(w[:, 2] @ (w[:, 1] @ w[:, 0]))
         nt = top @ suffix_t.swapaxes(-1, -2)
-        tt = top_t.swapaxes(-1, -2) @ suffix_t.swapaxes(-1, -2)
+        tt = self._t(top).swapaxes(-1, -2) @ suffix_t.swapaxes(-1, -2)
         assert tt.tobytes() == nt.tobytes()
         kernel = _Kernel(w, np.zeros((batch,) + w.shape[-2:]), DynConfig(reg_a=1.0))
         kernel.measure()
         assert kernel._product.tobytes() == (kernel._x[-1] @ kernel._suffix_t[-1].swapaxes(-1, -2)).tobytes()
+
+    @pytest.mark.parametrize("batch", [1, 60, 256])
+    @pytest.mark.parametrize("form", ["real", "embedded"])
+    def test_plain_layout_products_match_the_untransposed_forms(self, form, batch):
+        t = self._t
+        w = self._layers(form, batch)
+        layer, below = np.ascontiguousarray(w[:, 2]), w[:, 1] @ w[:, 0]
+        # Chain: suffix[t]^T = suffix[t-1]^T x[t]^T, both stored, is the
+        # transpose of x[t] suffix[t-1].
+        assert (t(below) @ t(layer)).tobytes() == t(layer @ below).tobytes()
+        # The last product reads both stored transposes transposed (TT).
+        product = layer @ below
+        assert (t(layer).swapaxes(-1, -2) @ t(below).swapaxes(-1, -2)).tobytes() == product.tobytes()
+        # Left factors: the stored prefix^T times the misfit (NN) is the
+        # prefix read transposed times it (TN).
+        prefix, misfit = w[:, 3] @ w[:, 2], np.eye(w.shape[-1]) - product
+        factor = t(prefix) @ misfit
+        assert factor.tobytes() == (prefix.swapaxes(-1, -2) @ misfit).tobytes()
+        # Direction: suffix[j-1] factors[j]^T, read from the stored suffix^T
+        # (TT), is the transpose of factors[j] suffix[j-1]^T (NT).
+        assert (t(below).swapaxes(-1, -2) @ factor.swapaxes(-1, -2)).tobytes() == t(factor @ below.swapaxes(-1, -2)).tobytes()
+        # The bottom layer's direction: the identity slot times factors[0]^T
+        # is factors[0]^T, on finite operands with no zero entry.
+        eye = np.ascontiguousarray(np.broadcast_to(np.eye(w.shape[-1]), factor.shape))
+        assert (eye.swapaxes(-1, -2) @ factor.swapaxes(-1, -2)).tobytes() == t(factor).tobytes()
+        # The plain kernel's product is the untransposed chain's.
+        kernel = _Kernel(w, np.zeros((batch,) + w.shape[-2:]), DynConfig())
+        kernel.measure()
+        x = np.ascontiguousarray(kernel._x)
+        assert kernel._product.tobytes() == (x[3] @ (x[2] @ (x[1] @ x[0]))).tobytes()
 
 
 class TestGramPath:

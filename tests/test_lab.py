@@ -836,6 +836,40 @@ class TestSweep:
                 assert (o.status, o.steps_run) == (f.status, f.steps_run)
 
 
+class TestDepthCondition:
+    """The exactly balanced det<0 barrier holds at depth N >= 3 and falls at N = 2.
+
+    Real det<0 runs of the fig-h1 family, seeds 300-307, GD at ``eta =
+    0.1``, with the product's initial scale held at 0.05^4.  At N = 2 each
+    run reaches the ``l_ori = 0.5`` plateau, its stuck mode decays until
+    rounding-level imbalance flips a layer's determinant, and it converges
+    (measured at steps 490-519).  At N = 4 each run reaches the plateau and
+    stays on it.
+    """
+
+    @staticmethod
+    def _outcomes(n_layers, epsilon, steps):
+        cfgs = []
+        for seed in range(300, 308):
+            (cfg,) = [c for c in preset("fig-h1", seed=seed) if c.name == "fig-h1-real-detminus"]
+            cfgs.append(replace(cfg, n_layers=n_layers, init=replace(cfg.init, epsilon=epsilon), steps=steps))
+        outcomes = _run_chunk(cfgs)
+        assert all(o.det_w0 < 0 for o in outcomes)
+        return outcomes
+
+    def test_a_det_minus_run_converges_at_depth_two(self):
+        outcomes = self._outcomes(2, 0.05**2, 2000)
+        assert [o.status for o in outcomes] == ["converged"] * 8
+        assert all(450 <= o.steps_run <= 600 for o in outcomes)
+
+    def test_a_det_minus_run_stays_on_the_plateau_at_depth_four(self):
+        # All eight are on the plateau by step 20,000, within 4.2e-8 of 0.5
+        # (two were still above it at step 10,000).
+        outcomes = self._outcomes(4, 0.05, 20_000)
+        assert [o.status for o in outcomes] == ["exhausted"] * 8
+        assert all(abs(o.final_l_ori - 0.5) < 1e-6 for o in outcomes)
+
+
 class TestConvergenceCheck:
     """The run loop finishes ``l_ori`` only on guard and record steps and
     where the squared misfit norm comes near ``eps_conv``; its outcomes
