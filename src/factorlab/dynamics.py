@@ -22,14 +22,11 @@ layers sit in one buffer with the suffix and the prefix products, whose
 first suffix and top prefix are the bottom and top layers themselves.  No
 call writes an output whose memory span encloses another view it reads:
 numpy cannot cheaply prove such views apart, so it would copy the inputs
-on every call.  No matmul reads a transposed right operand beside a
-stored left one, which costs numpy's small batched gemm 2-3x as much as
-two stored operands.  Without the regularizer the buffer holds the
-layers, and the products made from them, transposed, and the descent
-direction is made transposed too, so that every product reads its
-operands stored or both transposed.  With the regularizer on, it holds
-the layers and, copied in once per evaluation, their transposes, which
-the defect Gram products and the descent direction read.
+on every call.  The buffer holds the layers, and the products made from
+them, transposed, and the descent direction is made transposed too, so
+that every product reads its operands stored or both transposed; the
+regularizer reads the layers untransposed too, copied in once per
+evaluation.
 
 Every step is a round of :meth:`_Kernel.advance`, a block of up to
 ``block`` rounds that tests nothing per round and takes no loss in them
@@ -280,98 +277,78 @@ class _Kernel:
     :meth:`_stepping` and :meth:`_reembed` build the pieces the plans are
     made of.
 
-    The chain buffer holds the layers and the suffix and prefix products.
-    The layers keep positive strides, since an in-place update with a
-    reversed operand makes numpy buffer it, and the suffix products, read
-    by the descent direction, form one strided view, as do the prefix
-    products.  The two chains are independent, so each matmul over
-    two-block views of the buffer advances both, and every chain output
-    pair sits above every slot it reads, so no output pair's span encloses
-    an operand and numpy copies none (``TestChainLayout``).  Neither
-    layout makes a matmul that reads a transposed right operand beside a
-    stored left one (NT); numpy's batched gemm of 5x5 matrices over 3
-    layer slots takes 13.2 against 4.8 us at B = 25 with the right
-    operand transposed against stored (2.0 against 1.5 us at B = 1; 2
-    vCPUs, one OpenBLAS 0.3.31 thread).  The layout is chosen from
-    ``cfg.reg_a``:
+    The chain buffer holds the layers and the suffix and prefix products,
+    transposed, in ``N^2 + N + 1`` slots: an identity in slot 0,
+    ``x[j]^T`` in slot ``N + j``, which the steps update, ``suffix[t]^T``
+    in slot ``(t + 1) N``, ``prefix[j]^T`` in slot ``2 N - 1 + (N - 2 - j)
+    N``, the product ``W`` in slot ``N^2``, untransposed, and ``x[j]`` in
+    slot ``N^2 + 1 + j``, which only the regularizer reads.  The layers
+    keep positive strides, since an in-place update with a reversed operand
+    makes numpy buffer it, and the suffix products, read by the descent
+    direction, form one strided view, as do the prefix products.  The two
+    chains are independent, so each matmul over two-block views of the
+    buffer advances both: chain step ``t`` makes ``suffix[t]^T =
+    suffix[t-1]^T x[t]^T`` and ``prefix[N-2-t]^T = x[N-1-t]^T
+    prefix[N-1-t]^T`` in slots ``(t + 1) N`` and ``(t + 2) N - 1``, above
+    every slot it reads, so no output pair's span encloses an operand and
+    numpy copies none (``TestChainLayout``).  The last product ``W =
+    (x[N-1]^T)^T (suffix[N-2]^T)^T`` reads both operands transposed (TT),
+    so the misfit subtracts contiguous operands.  The left factors
+    ``prefix[j]^T M`` read stored operands, and one TT matmul makes every
+    layer's transposed direction ``suffix[j-1] factors[j]^T``, the
+    identity standing below the bottom layer, so a step adds contiguous
+    operands.  So no matmul reads a transposed right operand beside a
+    stored left one (NT): numpy's batched gemm of 5x5 matrices over 3
+    layer slots takes 13.2 against 4.8 us at B = 25 with the right operand
+    transposed against stored (2.0 against 1.5 us at B = 1; 2 vCPUs, one
+    OpenBLAS 0.3.31 thread).  Each product has the bits of the
+    untransposed form on the tested OpenBLAS build
+    (``TestTransposedProduct``); the identity's product is ``factors[0]^T``
+    on finite operands but for the sign of a zero, and NaN where
+    ``factors[0]`` holds an Inf.
 
-    - Regularizer off: ``N^2 + 1`` slots of transposes, which the steps
-      update: an identity in slot 0, ``x[j]^T`` in slot ``N + j``,
-      ``suffix[t]^T`` in slot ``(t + 1) N`` and ``prefix[j]^T`` in slot
-      ``2 N - 1 + (N - 2 - j) N``; slots 1 to ``N - 1`` are unused.  Chain
-      step ``t`` makes ``suffix[t]^T = suffix[t-1]^T x[t]^T`` and
-      ``prefix[N-2-t]^T = x[N-1-t]^T prefix[N-1-t]^T`` in slots ``(t + 1)
-      N`` and ``(t + 2) N - 1``, and the last product ``W = (x[N-1]^T)^T
-      (suffix[N-2]^T)^T`` (TT) goes to the last slot, untransposed.  The
-      left factors ``prefix[j]^T M`` read stored operands, and one TT
-      matmul makes every layer's transposed direction ``suffix[j-1]
-      factors[j]^T``, the identity standing below the bottom layer, so a
-      step adds contiguous operands.  Each product has the bits of the
-      untransposed form on the tested OpenBLAS build
-      (``TestTransposedProduct``); the identity's product is
-      ``factors[0]^T`` on finite operands but for the sign of a zero, and
-      NaN where ``factors[0]`` holds an Inf.  Against the untransposed
-      layout a real GD round took 4-7% less time at B = 1 and 2 and
-      10-31% at B = 3 to 20, an embedded one 2-6% at B = 1 to 10.
-    - Regularizer on: ``N^2 + N`` slots, layer ``j`` in slot ``j``, its
-      transpose in slot ``N + j``, ``suffix[t]^T`` in slot
-      ``N + t (N + 1)`` and ``prefix[N - 2 - t]`` in slot
-      ``N - 1 + t (N + 1)``.  Every evaluation first stores the layers'
-      transposes; the suffix chain builds ``suffix[t]^T = suffix[t-1]^T
-      W_{t+1}^T`` from them, and its last product ``W = (W_N^T)^T
-      (suffix[N-2]^T)^T`` goes to the last slot, untransposed, so the
-      misfit subtracts contiguous operands.  The defects ``Delta`` sit in
-      the ``N - 1`` free slots below it, ``N^2 .. N^2 + N - 2``.  The
-      regularizer pairs its products as the chains do, over two-block
-      views of runs of ``N - 1`` slots (:func:`_runs`): one matmul
-      ``[x[:-1], x^T[1:]] @ [x^T[:-1], x[1:]]`` makes both defect Grams
-      ``W_j W_j^T`` and ``W_{j+1}^T W_{j+1}`` and one subtraction the
-      defects, then one matmul ``[x[1:], Delta] @ [Delta, x[:-1]]`` makes
-      ``W_{j+1} Delta_j`` and ``Delta_j W_j``, into a buffer of their
-      own.  Both are scaled by ``a`` in one call, planned only when ``a
-      != 1``, since ``x * 1.0`` is ``x`` for every float.  Each matrix is
-      the gemm of a per-matrix product on the same operands, so pairing
-      changes no bit.  The defect Grams and the direction ``F suffix^T``
-      multiply stored operands, and the last product reads both of
-      its operands transposed from stored ones (a TT gemm, with the bits
-      of the NT form ``W_N (suffix[N-2]^T)^T`` on the tested OpenBLAS
-      build, which ``TestTransposedProduct`` pins).  Against reading the
-      transposes through views, a regularized real GD step of 25
-      problems is about 15% cheaper; the TT last product took a
-      regularized GD round 1-8% less time than the NT one at B = 2 to 60.
+    The regularizer adds its own work only.  Every evaluation first copies
+    the layers in untransposed.  The defects ``Delta`` sit in slots 1 to
+    ``N - 1``, which the chain leaves free.  It pairs its products as the
+    chains do, over two-block views of runs of ``N - 1`` slots
+    (:func:`_runs`): one matmul ``[x[:-1], x^T[1:]] @ [x^T[:-1], x[1:]]``
+    makes both defect Grams ``W_j W_j^T`` and ``W_{j+1}^T W_{j+1}`` and one
+    subtraction the defects, then one matmul ``[Delta, x^T[:-1]] @
+    [x^T[1:], Delta]`` makes the transposed direction's terms ``Delta_j
+    x[j+1]^T`` and ``x[j]^T Delta_j``, the transposes of ``W_{j+1}
+    Delta_j`` and ``Delta_j W_j`` (``Delta`` is symmetric), into a buffer
+    of their own.  Both are scaled by ``a`` in one call, planned only when
+    ``a != 1``, since ``x * 1.0`` is ``x`` for every float.  Each matrix is
+    the gemm of a per-matrix product on the same stored operands, so
+    pairing changes no bit.  The Gram products read each layer and its
+    stored transpose, two copies, so numpy runs them as gemm: over one
+    copy read through a transposed view it would take its ``syrk`` path
+    (the same bits on the tested OpenBLAS build, which ``TestGramPath``
+    pins).
 
     The lefts buffer holds the misfit ``M``, the left factors ``prefix^H
-    M`` and the descent direction, in ``block`` slots more than a window.
-    An evaluation uses a window of ``2N`` of them in the plain layout and
-    ``2N - 1`` in the regularized one, which :meth:`_window` slices:
-    window ``r`` holds the misfit in slot ``r``, ``factors[j]`` in slot
-    ``r + N - 1 - j`` (so ``factors[N-1]`` is the misfit and ``factors[j]
-    = prefix[j]^H M`` below it), and the direction in the window's top
-    ``N`` slots: ``direction[j]^T`` in slot ``r + N + j`` in the plain
-    layout, and ``direction[j]`` in slot ``r + N - 1 + j`` in the
-    regularized one, whose bottom slot is the first left factor
-    ``factors[0]``.  Round ``r`` of :meth:`advance` evaluates in window
-    ``r``, so its misfit stays in slot ``r`` while the later rounds write
-    above it, and after the block one matmul over slots ``0 .. rounds - 1``
-    takes every round's ``sq``: per problem the same dot over the same
-    contiguous values as a per-round one, so the same bits.  RK4 stages 2
-    to 4 of round ``r`` evaluate in window ``r + 1``, which round ``r + 1``
-    overwrites before it reads it.  :meth:`measure` evaluates in window
-    0 and takes its ``sq`` by the same call, over slot 0.  ``block`` is the
-    longest :meth:`advance`; the buffer is made here, whatever the block,
-    so no step allocates.
+    M`` and the transposed descent direction, in ``block`` slots more than
+    a window.  An evaluation uses a window of ``2N`` of them, which
+    :meth:`_window` slices: window ``r`` holds the misfit in slot ``r``,
+    ``factors[j]`` in slot ``r + N - 1 - j`` (so ``factors[N-1]`` is the
+    misfit and ``factors[j] = prefix[j]^H M`` below it), and
+    ``direction[j]^T`` in slot ``r + N + j``.  Round ``r`` of
+    :meth:`advance` evaluates in window ``r``, so its misfit stays in slot
+    ``r`` while the later rounds write above it, and after the block one
+    matmul over slots ``0 .. rounds - 1`` takes every round's ``sq``: per
+    problem the same dot over the same contiguous values as a per-round
+    one, so the same bits.  RK4 stages 2 to 4 of round ``r`` evaluate in
+    window ``r + 1``, which round ``r + 1`` overwrites before it reads it.
+    :meth:`measure` evaluates in window 0 and takes its ``sq`` by the same
+    call, over slot 0.  ``block`` is the longest :meth:`advance`; the
+    buffer is made here, whatever the block, so no step allocates.
 
     The kept buffer holds ``kept`` copies of the layers, layer-major like
-    them and untransposed in either layout: :meth:`advance` copies the
-    layers of each round it is asked to keep into the next one before that
-    round runs, and :meth:`measure` copies them into the first.  :meth:`kept_norms`, :meth:`kept_l_reg`
-    and :meth:`own_layers` read them, and :meth:`replay` starts from the
-    first.
-
-    The Gram products read each layer and its stored transpose, two
-    copies, so numpy runs them as gemm: over one copy read through a
-    transposed view it would take its ``syrk`` path (the same bits on the
-    tested OpenBLAS build, which ``TestGramPath`` pins).
+    them and untransposed: :meth:`advance` copies the layers of each round
+    it is asked to keep into the next one before that round runs, and
+    :meth:`measure` copies them into the first.  :meth:`kept_norms`,
+    :meth:`kept_l_reg` and :meth:`own_layers` read them, and
+    :meth:`replay` starts from the first.
 
     ``embedded`` marks real embeddings of complex problems: ``l_ori`` and
     ``l_reg`` are halved, and every step ends by restoring the exact
@@ -406,59 +383,37 @@ class _Kernel:
         # prefix[j] = W_N ... W_{j+2}, the product of the layers above layer
         # j + 1, built from the left: prefix[-1] = W_N, prefix[j-1] = prefix[j] W_{j+1}.
         # Step t makes suffix[t] and, but on the last step, prefix[n-2-t].
-        # The plain layout stores the layers transposed; the regularized one
-        # stores them as they are, and their transposes beside them.
-        self._transposed = transposed = not cfg.reg_a > 0
-        if transposed:
-            # An identity in slot 0, x[j]^T in slot n + j, suffix[t]^T in slot
-            # (t + 1) n and prefix[j]^T in slot 2 n - 1 + (n - 2 - j) n, as the
-            # class docstring lays out; the last suffix slot holds W.
-            chain = buf(n * n + 1)
-            chain[0] = np.eye(m)
-            stored, lower_t = chain[n : 2 * n], chain[::n]
-            # Step t: [suffix[t-1]^T, x[n-1-t]^T] @ [x[t]^T, prefix[n-1-t]^T], into slots (t + 1) n, (t + 2) n - 1.
-            chain_ops = [
-                (_pair(chain, t * n, 2 * n - 1 - t), _pair(chain, n + t, (t + 1) * n - 1), _pair(chain, (t + 1) * n, (t + 2) * n - 1))
-                for t in range(1, n - 1)
-            ] + [(stored[n - 1].swapaxes(-1, -2), lower_t[n - 1].swapaxes(-1, -2), lower_t[n])]
-            x, self._product = stored.swapaxes(-1, -2), lower_t[n]
-            # The product of the layers below each layer: the identity below
-            # the bottom one, then suffix[j - 1] below layer j + 1.
-            self._suffix = lower_t[:n].swapaxes(-1, -2)
-            self._prefix_h = chain[2 * n - 1 :: n][::-1]
-        else:
-            # x[j] in slot j, x[j]^T in slot n + j, suffix[t]^T in slot
-            # n + t (n + 1) and prefix[n-2-t] in slot n - 1 + t (n + 1), as
-            # the class docstring lays out; the last suffix slot holds W.
-            chain = buf(n * n + n)
-            x = stored = chain[:n]
-            xt = chain[n : 2 * n]
-            suffix_t, prefix = chain[n :: n + 1], chain[n - 1 :: n + 1][: n - 1][::-1]
-            # Step t: [prefix[n-1-t], suffix[t-1]^T] @ [x[n-1-t], x[t]^T], into slots k, k + 1.
-            steps = [(t, n - 1 + t * (n + 1)) for t in range(1, n - 1)]
-            chain_ops = [
-                (_pair(chain, k - n - 1, k - n), _pair(chain, n - 1 - t, n + t), _pair(chain, k, k + 1))
-                for t, k in steps
-            ] + [(xt[n - 1].swapaxes(-1, -2), suffix_t[n - 2].swapaxes(-1, -2), suffix_t[n - 1])]
-            self._product, self._suffix_t = suffix_t[n - 1], suffix_t[:-1]
-            self._prefix_h = prefix.swapaxes(-1, -2)
-            self._transposes = (np.copyto, (xt, x.swapaxes(-1, -2)))
-            # The defects in the n - 1 free slots below W, and the Gram and
-            # regularizer products, two blocks of n - 1, in their own buffer.
-            self._deltas, self._products = chain[n * n : n * n + n - 1], np.empty((2, n - 1, b, m, m))
-            runs = _runs(chain, n - 1)
-            self._defects = self._defect_plan(runs, n, self._products, self._deltas)
-            # [W_{j+1} Delta_j, Delta_j W_j] = [x[1:], Delta] @ [Delta, x[:-1]].
-            self._balance = (np.matmul, (_pair(runs, 1, n * n), _pair(runs, n * n, 0), self._products))
+        # An identity in slot 0, x[j]^T in slot n + j, suffix[t]^T in slot
+        # (t + 1) n, prefix[j]^T in slot 2 n - 1 + (n - 2 - j) n, W in slot
+        # n^2 and x[j] in slot n^2 + 1 + j, as the class docstring lays out.
+        self._x_at = at = n * n + 1
+        chain = buf(at + n)
+        chain[0] = np.eye(m)
+        stored, lower_t = chain[n : 2 * n], chain[:at:n]
+        # Step t: [suffix[t-1]^T, x[n-1-t]^T] @ [x[t]^T, prefix[n-1-t]^T], into slots (t + 1) n, (t + 2) n - 1.
+        chain_ops = [
+            (_pair(chain, t * n, 2 * n - 1 - t), _pair(chain, n + t, (t + 1) * n - 1), _pair(chain, (t + 1) * n, (t + 2) * n - 1))
+            for t in range(1, n - 1)
+        ] + [(stored[n - 1].swapaxes(-1, -2), lower_t[n - 1].swapaxes(-1, -2), lower_t[n])]
         self._chain = [(np.matmul, op) for op in chain_ops]
-        # A window's direction has slots of its own in the plain layout and
-        # shares its bottom slot with the first left factor in the regularized one.
-        self._width = 2 * n if transposed else 2 * n - 1
-        self._lefts = buf(block + self._width)
+        x, self._product = stored.swapaxes(-1, -2), lower_t[n]
+        # The product of the layers below each layer: the identity below
+        # the bottom one, then suffix[j - 1] below layer j + 1.
+        self._suffix = lower_t[:n].swapaxes(-1, -2)
+        self._prefix_h = chain[2 * n - 1 : at : n][::-1]
+        if cfg.reg_a > 0:
+            self._copy_x = (np.copyto, (chain[at:], x))
+            # The defects in the n - 1 slots the chain leaves free, and the
+            # Gram and regularizer products, two blocks of n - 1, in their own buffer.
+            self._deltas, self._products = chain[1:n], np.empty((2, n - 1, b, m, m))
+            runs = _runs(chain, n - 1)
+            self._defects = self._defect_plan(runs, n, at, self._products, self._deltas)
+            # [(W_{j+1} Delta_j)^T, (Delta_j W_j)^T] = [Delta, x^T[:-1]] @ [x^T[1:], Delta].
+            self._balance = (np.matmul, (_pair(runs, 1, n), _pair(runs, n + 1, 1), self._products))
+        self._lefts = buf(block + 2 * n)
         x[...] = w.swapaxes(0, 1)
         self.layers = x.swapaxes(0, 1)
-        # The layers, layer-major, and the array the steps update: the same
-        # array, or in the plain layout the stored transposes.
+        # The layers, layer-major, and their stored transposes, which the steps update.
         self._x, self._stored = x, stored
         # The layers of the kept rounds of the last advance, layer-major like
         # x, one (N, B, m, m) slot each; replay starts from the first.
@@ -479,15 +434,12 @@ class _Kernel:
             self._rk4_scalars = [np.array(v) for v in (0.5 * step_h, step_h, 2.0, step_h / 6.0)]
         if embedded:
             h = m // 2
-            # Each layer's blocks on the axes (row block, i, column block, j);
-            # where the layers are stored transposed, the block axes swap and
-            # each block is read as stored, transposed, which its copies and
-            # negation do not mind.  Then [lower left, upper left] and [upper
-            # right, lower right], block first, and a buffer of the two
-            # blocks of every layer.
-            blocks = stored.reshape(n, b, 2, h, 2, h)
-            if transposed:
-                blocks = blocks.swapaxes(2, 4)
+            # Each layer's blocks on the axes (row block, i, column block, j):
+            # the stored transposes' block axes swapped, and each block read
+            # as stored, transposed, which its copies and negation do not
+            # mind.  Then [lower left, upper left] and [upper right, lower
+            # right], block first, and a buffer of the two blocks of every layer.
+            blocks = stored.reshape(n, b, 2, h, 2, h).swapaxes(2, 4)
             two = np.empty((2, n, b, h, h))
             self._reembed_views = (
                 np.moveaxis(blocks[:, :, ::-1, :, 0], 2, 0), np.moveaxis(blocks[..., 1, :], 2, 0), two, two[0]
@@ -503,54 +455,49 @@ class _Kernel:
 
     def _window(self, r: int) -> _Window:
         """Window ``r`` of the lefts buffer: its misfit, factors and direction (see :class:`_Kernel`)."""
-        lefts, n, end = self._lefts, len(self._x), r + self._width
-        return _Window(lefts[r], lefts[r : r + n][::-1], lefts[end - n : end])
+        lefts, n = self._lefts, len(self._x)
+        return _Window(lefts[r], lefts[r : r + n][::-1], lefts[r + n : r + 2 * n])
 
     @staticmethod
-    def _defect_plan(runs: np.ndarray, n: int, grams: np.ndarray, deltas: np.ndarray) -> list:
+    def _defect_plan(runs: np.ndarray, n: int, at: int, grams: np.ndarray, deltas: np.ndarray) -> list:
         """Balance defects of ``n`` layers ``x`` into ``deltas``, from ``runs``, the :func:`_runs` of ``n - 1`` slots of a buffer of ``x`` and their stored transposes ``xt``.
 
-        The buffer holds ``x`` in its first ``n`` slots and ``xt`` in the
-        next ``n``, as the regularized chain does.  One matmul makes both Gram products, ``[x[:-1], xt[1:]] @ [xt[:-1],
-        x[1:]]``, into the two blocks of ``grams``, and one subtraction
-        their difference.
+        The buffer holds ``xt`` in slots ``n .. 2n - 1`` and ``x`` from slot
+        ``at``, as the chain does.  One matmul makes both Gram products,
+        ``[x[:-1], xt[1:]] @ [xt[:-1], x[1:]]``, into the two blocks of
+        ``grams``, and one subtraction their difference.
         """
         return [
-            (np.matmul, (_pair(runs, 0, n + 1), _pair(runs, n, 1), grams)),
+            (np.matmul, (_pair(runs, at, n + 1), _pair(runs, n, at + 1), grams)),
             (np.subtract, (grams[0], grams[1], deltas)),
         ]
 
     def _descend(self, win: _Window) -> list:
         """Descent direction, the negative gradient of the total loss, from the products (:meth:`_measure`), in window ``win``.
 
-        Misfit part: ``(W_N..W_{j+1})^H (Sigma - W) (W_{j-1}..W_1)^H``, one
-        left factor ``prefix^H M`` per layer below the top (one matmul over
-        the layer axis) times the adjoint suffix below it (one more).  The
-        plain layout makes the direction transposed, ``suffix[j-1]
-        factors[j]^T`` for every layer, the identity standing below the
-        bottom one; the regularized layout makes ``factors[j] suffix[j-1]^T``
-        above the bottom layer, whose slot is its left factor's.  Regularizer part: the
-        defects, made first (:meth:`_defect_plan`), then ``a W_j
+        Made transposed, as the layers are stored.  Misfit part:
+        ``(W_N..W_{j+1})^H (Sigma - W) (W_{j-1}..W_1)^H``, one left factor
+        ``prefix^H M`` per layer below the top (one matmul over the layer
+        axis), then ``suffix[j-1] factors[j]^T`` for every layer, the
+        identity standing below the bottom one (one more).  Regularizer
+        part: the defects, made first (:meth:`_defect_plan`), then ``a W_j
         Delta_{j-1,j} - a Delta_{j,j+1} W_j`` with the boundary defects
-        defined as zero: both products in one matmul, scaled by ``a`` in
-        one call unless ``a`` is 1, added to the direction above the bottom
-        layer and subtracted below the top one.
+        defined as zero: both products' transposes in one matmul, scaled by
+        ``a`` in one call unless ``a`` is 1, added to the direction above
+        the bottom layer and subtracted below the top one.
         """
         cfg, direction = self.cfg, win.direction
-        high = direction[1:]
         plan = list(self._defects) if cfg.reg_a > 0 else []
         if cfg.omit_l_ori:
             plan += [(direction.fill, (0.0,))]
         else:
             # The misfit broadcasts over the layer axis.
-            plan += [(np.matmul, (self._prefix_h, win.misfit, win.factors[:-1]))]
-            if self._transposed:
-                # direction[j]^T = suffix[j-1] factors[j]^T, the identity below the bottom layer.
-                plan += [(np.matmul, (self._suffix, win.factors.swapaxes(-1, -2), direction))]
-            else:
-                plan += [(np.matmul, (win.factors[1:], self._suffix_t, high))]
+            plan += [
+                (np.matmul, (self._prefix_h, win.misfit, win.factors[:-1])),
+                (np.matmul, (self._suffix, win.factors.swapaxes(-1, -2), direction)),
+            ]
         if cfg.reg_a > 0:
-            products, low = self._products, direction[:-1]
+            products, high, low = self._products, direction[1:], direction[:-1]
             plan += [self._balance]
             if cfg.reg_a != 1.0:  # x * 1.0 is x for every float
                 plan += [(np.multiply, (products, self._a, products))]
@@ -563,8 +510,8 @@ class _Kernel:
         An RK4 ``stage`` makes only what :meth:`_descend` reads: under
         ``omit_l_ori`` no products either.
         """
-        # The layers' transposes, which the chain and defects read.
-        plan = [self._transposes] if self.cfg.reg_a > 0 else []
+        # The layers untransposed, which the defects read.
+        plan = [self._copy_x] if self.cfg.reg_a > 0 else []
         if not (stage and self.cfg.omit_l_ori):
             # The suffix and prefix products, then the misfit ``Sigma - W``.
             plan += self._chain + [(np.subtract, (self.sigma, self._product, win.misfit))]
@@ -701,22 +648,22 @@ class _Kernel:
     def kept_l_reg(self, count: int) -> np.ndarray:
         """``(count, B)`` ``l_reg`` of the first ``count`` kept rounds of the last :meth:`advance` or :meth:`measure`.
 
-        The kept layers and their transposes are copied into one buffer,
-        laid out as the chain's first ``2N`` slots, and the defects are made
-        from it by an evaluation's :meth:`_defect_plan`, so they have the
-        bits of the evaluation's own.  Their squared norms are summed in
-        layer order and scaled; zeros when the regularizer is off.  Computed
-        only here, where it is read.
+        The kept layers and their transposes are copied into one buffer
+        laid out as the chain is, and the defects are made in it by an
+        evaluation's :meth:`_defect_plan`, so they have the bits of the
+        evaluation's own.  Their squared norms are summed in layer order and
+        scaled; zeros when the regularizer is off.  Computed only here,
+        where it is read.
         """
         kept = self._kept[:, :count]
         if not self.cfg.reg_a > 0:
             return np.zeros(kept.shape[1:3])
-        n = len(kept)
-        both, deltas = np.empty((2 * n,) + kept.shape[1:]), np.empty_like(kept[1:])
-        grams = np.empty((2,) + deltas.shape)
+        n, at = len(kept), self._x_at
+        chain = np.empty((at + n,) + kept.shape[1:])
+        deltas, grams = chain[1:n], np.empty((2, n - 1) + kept.shape[1:])
         _run(
-            [(np.copyto, (both[:n], kept)), (np.copyto, (both[n:], kept.swapaxes(-1, -2)))]
-            + self._defect_plan(_runs(both, n - 1), n, grams, deltas)
+            [(np.copyto, (chain[at:], kept)), (np.copyto, (chain[n : 2 * n], kept.swapaxes(-1, -2)))]
+            + self._defect_plan(_runs(chain, n - 1), n, at, grams, deltas)
         )
         norms = _frobenius(deltas)
         sq = norms * norms
@@ -730,9 +677,7 @@ class _Kernel:
         """The ``(B, N, d, d)`` descent direction at the last :meth:`measure`, in the problems' own field."""
         win = self._windows[0]
         _run(self._descend(win))
-        direction = win.direction.swapaxes(0, 1)
-        if self._transposed:
-            direction = direction.swapaxes(-1, -2)
+        direction = win.direction.swapaxes(0, 1).swapaxes(-1, -2)
         return _unembed(direction) if self.embedded else direction
 
     def own_layers(self, row: int, out: np.ndarray | None = None, kept: int | None = None) -> np.ndarray:

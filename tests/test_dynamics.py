@@ -823,6 +823,43 @@ class TestStabilityBound:
         assert eta * lam > 2
 
 
+class TestPlateauCurvature:
+    """At depth N >= 3 the exactly balanced det<0 plateau is a saddle of order N - 2.
+
+    The Hessian's smallest eigenvalue there is ``-s_d sigma_min(W_j)^(N-2)``,
+    with ``s_d`` the stuck target singular value, so its negative curvature
+    vanishes as the stuck mode's layers shrink.
+    """
+
+    def test_the_smallest_eigenvalue_at_depth_three_is_minus_the_stuck_singular_value(self):
+        # The fig-h1 real det<0 variant (s_d = 1) at N = 3, with the
+        # product's initial scale held at 0.05^4, after 5,000 GD steps, on
+        # the l_ori = 0.5 plateau (within 5e-9).  The full Hessian of its 75
+        # coordinates by central differences of the gradient.  Measured:
+        # lambda_min = -1.70829e-3, and each layer's sigma_min within
+        # 1.194e-3 of -lambda_min, relatively.
+        (cfg,) = [c for c in lab.preset("fig-h1") if c.name == "fig-h1-real-detminus"]
+        cfg = replace(cfg, n_layers=3, init=replace(cfg.init, epsilon=0.05 ** (4 / 3)))
+        target, stack, det_w0 = lab.prepare_problem(cfg)
+        kernel = _kernel(stack.layers[None], target.matrix[None], cfg.dyn, block=lab.GUARD_EVERY)
+        for _ in range(5000 // lab.GUARD_EVERY):
+            history = kernel.advance(lab.GUARD_EVERY)
+        assert det_w0 < 0 and kernel.finish(history[-1:])[0, 0] == pytest.approx(0.5, abs=1e-7)
+        layers, h = kernel.own_layers(0), 1e-5
+        columns = []
+        for k in range(layers.size):
+            e = np.zeros(layers.size)
+            e[k] = h
+            e = e.reshape(layers.shape)
+            plus = gradient(LayerStack(layers + e), target, cfg.dyn)
+            columns.append(((plus - gradient(LayerStack(layers - e), target, cfg.dyn)) / (2 * h)).ravel())
+        hessian = np.array(columns)
+        lam = np.linalg.eigvalsh(0.5 * (hessian + hessian.T))
+        sigma_min = np.array([np.linalg.svd(w, compute_uv=False)[-1] for w in layers])
+        assert 1e-3 < sigma_min.min() and sigma_min.max() < 3e-3
+        assert lam[0] == pytest.approx(-sigma_min, rel=1.5e-3)
+
+
 class TestKernelOwnership:
     """The kernel steps buffers it owns; nothing outside it sees them change."""
 
@@ -1076,12 +1113,11 @@ class TestChainLayout:
     def test_no_product_reads_a_transposed_right_operand_beside_a_stored_left_one(self, n, field, integrator, reg_a):
         # numpy's small batched gemm costs 2-3x as much with a transposed
         # right operand beside a stored left one (NT) as with both stored,
-        # and neither layout makes such a product.  The products that read
-        # a transposed right operand read both operands transposed (TT): in
-        # both layouts the chain's last product W = (W_N^T)^T
-        # (suffix[n-2]^T)^T, and in the plain one, which stores the layers
-        # transposed, the transposed direction too, in the window of the
-        # evaluation (RK4's later stages evaluate in the next window).
+        # and the kernel makes no such product.  The products that read a
+        # transposed right operand read both operands transposed (TT): the
+        # chain's last product W = (W_N^T)^T (suffix[n-2]^T)^T and the
+        # transposed direction, in the window of the evaluation (RK4's
+        # later stages evaluate in the next window).
         cfg = DynConfig(reg_a=reg_a, eta=0.05, step_h=0.05, integrator=integrator)
         w, sigma = _problem(field, n, 2, seed=n)
         kernel = _kernel(w, sigma, cfg, block=3)
@@ -1095,20 +1131,53 @@ class TestChainLayout:
             nt = [out for out, left, right in matmuls if transposed(right) and not transposed(left)]
             tt = [out for out, left, right in matmuls if transposed(right) and transposed(left)]
             windows = [kernel._windows[r]] + [kernel._windows[r + 1]] * (stages - 1)
-            want = [view for win in windows for view in ([kernel._product] if reg_a > 0 else [kernel._product, win.direction])]
+            want = [view for win in windows for view in (kernel._product, win.direction)]
             assert nt == [] and len(tt) == len(want)
             assert all(_same_view(out, view) for out, view in zip(tt, want))
+
+    @pytest.mark.parametrize("field", FIELDS, ids=["real", "embedded"])
+    @pytest.mark.parametrize("n", [2, 3, 4, 6])
+    def test_the_regularizer_plans_on_the_plain_layout(self, n, field):
+        # One chain layout: with the regularizer on or off, an evaluation's
+        # chain, misfit, left-factor and direction calls read and write
+        # views at the same offsets and strides of the kernel's buffers.
+        # The regularizer only adds calls of its own, each of which reads
+        # or writes its products buffer, or copies the layers.
+        w, sigma = _problem(field, n, 2, seed=n)
+
+        def shared(kernel):
+            bases = {"chain": kernel._product.base, "lefts": kernel._lefts, "sigma": kernel.sigma}
+
+            def where(a):
+                for name, base in bases.items():
+                    start = a.__array_interface__["data"][0] - base.__array_interface__["data"][0]
+                    if 0 <= start < base.nbytes:
+                        return name, start, a.shape, a.strides
+                return None
+
+            win = kernel._windows[0]
+            views = [
+                (name, [where(a) for a in (out, *inputs) if isinstance(a, np.ndarray)])
+                for name, out, inputs in _entries(kernel._measure(win) + kernel._descend(win))
+                if name != "copyto"
+            ]
+            return [(name, args) for name, args in views if None not in args]
+
+        plain, regularized = (_kernel(w, sigma, DynConfig(reg_a=reg_a)) for reg_a in (0.0, 1.0))
+        assert plain._product.base.shape == regularized._product.base.shape
+        want = shared(plain)
+        assert [name for name, _ in want] == ["matmul"] * (n - 1) + ["subtract", "matmul", "matmul"]
+        assert shared(regularized) == want
 
 
 class TestTransposedProduct:
     """Each product the kernel reads in another orientation gives the bits of its untransposed form.
 
-    The plain layout stores the layers, the suffix and the prefix products
-    transposed, and each of its products is the transpose, or a transposed
-    read, of a product on untransposed operands; the regularized chain's
-    last product reads the top layer from its stored transpose.  Each pair
-    gives the same bits on this BLAS; where one does not, this fails rather
-    than the trajectories moving in the last bits.
+    The kernel stores the layers, the suffix and the prefix products
+    transposed, and each of its products, the regularizer's included, is the
+    transpose, or a transposed read, of a product on untransposed operands.
+    Each pair gives the same bits on this BLAS; where one does not, this
+    fails rather than the trajectories moving in the last bits.
     """
 
     @staticmethod
@@ -1134,7 +1203,7 @@ class TestTransposedProduct:
         assert tt.tobytes() == nt.tobytes()
         kernel = _Kernel(w, np.zeros((batch,) + w.shape[-2:]), DynConfig(reg_a=1.0))
         kernel.measure()
-        assert kernel._product.tobytes() == (kernel._x[-1] @ kernel._suffix_t[-1].swapaxes(-1, -2)).tobytes()
+        assert kernel._product.tobytes() == (np.ascontiguousarray(kernel._x[-1]) @ kernel._suffix[-1]).tobytes()
 
     @pytest.mark.parametrize("batch", [1, 60, 256])
     @pytest.mark.parametrize("form", ["real", "embedded"])
@@ -1164,6 +1233,29 @@ class TestTransposedProduct:
         kernel = _Kernel(w, np.zeros((batch,) + w.shape[-2:]), DynConfig())
         kernel.measure()
         x = np.ascontiguousarray(kernel._x)
+        assert kernel._product.tobytes() == (x[3] @ (x[2] @ (x[1] @ x[0]))).tobytes()
+
+    @pytest.mark.parametrize("batch", [1, 60, 256])
+    @pytest.mark.parametrize("form", ["real", "embedded"])
+    def test_regularizer_products_match_the_untransposed_forms(self, form, batch):
+        t = self._t
+        w = self._layers(form, batch)
+        kernel = _Kernel(w, np.zeros((batch,) + w.shape[-2:]), DynConfig(reg_a=1.0))
+        kernel.measure()
+        kernel.descent()
+        x, deltas = np.ascontiguousarray(kernel._x), kernel._deltas
+        # The defects, made from the stored layers and their stored
+        # transposes, are symmetric bit for bit.
+        assert deltas.tobytes() == t(deltas).tobytes()
+        # Delta_j x[j+1]^T and x[j]^T Delta_j, on stored operands, are the
+        # transposes of x[j+1] Delta_j and Delta_j x[j].
+        assert (deltas @ t(x[1:])).tobytes() == t(x[1:] @ deltas).tobytes()
+        assert (t(x[:-1]) @ deltas).tobytes() == t(deltas @ x[:-1]).tobytes()
+        # The kernel's pairing makes both, at a = 1 unscaled.
+        products = kernel._products
+        assert products[0].tobytes() == t(x[1:] @ deltas).tobytes()
+        assert products[1].tobytes() == t(deltas @ x[:-1]).tobytes()
+        # The regularized kernel's product is the untransposed chain's.
         assert kernel._product.tobytes() == (x[3] @ (x[2] @ (x[1] @ x[0]))).tobytes()
 
 
