@@ -36,11 +36,11 @@ per problem and round), which :meth:`_Kernel.finish` turns into ``l_ori``
 (a square root, ``n * n`` and a halving), elementwise.  The layers of the
 rounds the caller keeps (the run loop's guard, record and last steps) are
 copied aside before they step, one call each, and everything else is read
-from those copies: their layers, norms and ``l_reg``.
-:meth:`_Kernel.converged` screens the history once and finishes ``l_ori``
-only where ``sq`` may give ``l_ori < eps_conv``, the test of
-:meth:`_Kernel.below`, and a problem that converged on a round that was
-not kept is stepped again alone to that round (:meth:`_Kernel.replay`).
+from those copies: their layers, norms and ``l_reg``, whose defects are
+:func:`_defects` of them.  :meth:`_Kernel.converged`, the one ending rule,
+screens the history once and finishes ``l_ori`` only where ``sq`` may give
+``l_ori < eps_conv``, and a problem that converged on a round that was not
+kept is stepped again alone to that round (:meth:`_Kernel.replay`).
 :meth:`_Kernel.measure`, the one evaluation without a step, keeps the
 layers and takes their ``sq`` the same way, for :func:`loss` and
 :func:`gradient`.
@@ -57,8 +57,8 @@ ends by restoring it from the left blocks.  Complex trajectories differ
 from complex arithmetic's in the last bits; they stay deterministic and
 independent of the batch, and :func:`gd_step` and :func:`flow_step_rk4`
 step a complex stack bitwise as the run loop does.  Only the balance
-defects of the monitors (:func:`_defects`) are computed in complex
-arithmetic.
+defects of the monitors are computed in complex arithmetic, by
+:func:`_defects`, which makes ``l_reg``'s from the embedded layers too.
 
 The embedding stays inside the kernel: ``_Kernel.layers`` is the one
 thing it holds that may be embedded.  Everything else it hands out is in
@@ -143,13 +143,16 @@ class TargetSpec:
 
     def __post_init__(self) -> None:
         if self.reduced:
-            m = self.matrix
-            off = m - np.diag(np.diagonal(m))
-            diag = np.diagonal(m)
-            if np.linalg.norm(off) >= 1e-14 * (1 + np.linalg.norm(m)) or np.any(
-                diag.real < 0
-            ) or (np.iscomplexobj(m) and np.any(np.abs(diag.imag) > 1e-14)):
-                raise ValueError("reduced target must be diagonal with non-negative reals")
+            m, diag = self.matrix, np.diagonal(self.matrix)
+            # Finite entries first, so no Inf reaches the subtraction; and
+            # written so that NaN fails every test.
+            if not (
+                np.isfinite(m).all()
+                and np.linalg.norm(m - np.diag(diag)) < 1e-14 * (1 + np.linalg.norm(m))
+                and (diag.real >= 0).all()
+                and (np.abs(diag.imag) <= 1e-14).all()
+            ):
+                raise ValueError("reduced target must be finite and diagonal with non-negative reals")
 
     @staticmethod
     def identity(d: int, sigma1: float = 1.0) -> "TargetSpec":
@@ -224,9 +227,10 @@ def _frobenius(x: np.ndarray) -> np.ndarray:
 def _defects(w: np.ndarray) -> np.ndarray:
     """Balance defects ``W_j W_j^H - W_{j+1}^H W_{j+1}`` of ``(..., N, d, d)`` layers, as ``(..., N-1, d, d)``.
 
-    In the layers' own field.  The Gram products read the layers and their
-    conjugate, two buffers, so numpy runs them as gemm, as the kernel's do
-    (see :class:`_Kernel`).
+    In the layers' own field: complex for the monitors, the kernel's real
+    field for :meth:`_Kernel.kept_l_reg`.  The Gram products read the layers
+    and their conjugate, two buffers, so numpy runs them as gemm, as the
+    kernel's do (see :class:`_Kernel`).
     """
     c = np.conjugate(w)
     upper, lower = w[..., :-1, :, :], w[..., 1:, :, :]
@@ -273,9 +277,8 @@ class _Kernel:
     arguments, over those views.  Each round of :meth:`advance` only runs
     a plan; :meth:`measure` and :meth:`descent`, which only :func:`loss`,
     :func:`gradient` and ``gradcheck`` call, build theirs when called.
-    :meth:`_defect_plan`, :meth:`_descend`, :meth:`_measure`,
-    :meth:`_stepping` and :meth:`_reembed` build the pieces the plans are
-    made of.
+    :meth:`_descend`, :meth:`_measure`, :meth:`_stepping` and
+    :meth:`_reembed` build the pieces the plans are made of.
 
     The chain buffer holds the layers and the suffix and prefix products,
     transposed, in ``N^2 + N + 1`` slots: an identity in slot 0,
@@ -360,8 +363,8 @@ class _Kernel:
 
     :meth:`advance` runs rounds of evaluating and stepping, keeping some,
     and is the only code that steps; :meth:`converged` finds the problems
-    that converged in them by :meth:`below`, the one convergence test the
-    run loop applies, and :meth:`replay` steps one problem alone from the
+    that converged in them, by the one convergence test the run loop
+    applies, and :meth:`replay` steps one problem alone from the
     first kept round of the last :meth:`advance`.  :meth:`measure` must
     precede :meth:`descent`, whose return is a view valid until the next
     block or evaluation.
@@ -386,7 +389,7 @@ class _Kernel:
         # An identity in slot 0, x[j]^T in slot n + j, suffix[t]^T in slot
         # (t + 1) n, prefix[j]^T in slot 2 n - 1 + (n - 2 - j) n, W in slot
         # n^2 and x[j] in slot n^2 + 1 + j, as the class docstring lays out.
-        self._x_at = at = n * n + 1
+        at = n * n + 1
         chain = buf(at + n)
         chain[0] = np.eye(m)
         stored, lower_t = chain[n : 2 * n], chain[:at:n]
@@ -407,7 +410,12 @@ class _Kernel:
             # Gram and regularizer products, two blocks of n - 1, in their own buffer.
             self._deltas, self._products = chain[1:n], np.empty((2, n - 1, b, m, m))
             runs = _runs(chain, n - 1)
-            self._defects = self._defect_plan(runs, n, at, self._products, self._deltas)
+            # Both Gram products, [x[:-1], x^T[1:]] @ [x^T[:-1], x[1:]], into
+            # the two blocks of products, then their difference.
+            self._defects = [
+                (np.matmul, (_pair(runs, at, n + 1), _pair(runs, n, at + 1), self._products)),
+                (np.subtract, (self._products[0], self._products[1], self._deltas)),
+            ]
             # [(W_{j+1} Delta_j)^T, (Delta_j W_j)^T] = [Delta, x^T[:-1]] @ [x^T[1:], Delta].
             self._balance = (np.matmul, (_pair(runs, 1, n), _pair(runs, n + 1, 1), self._products))
         self._lefts = buf(block + 2 * n)
@@ -458,20 +466,6 @@ class _Kernel:
         lefts, n = self._lefts, len(self._x)
         return _Window(lefts[r], lefts[r : r + n][::-1], lefts[r + n : r + 2 * n])
 
-    @staticmethod
-    def _defect_plan(runs: np.ndarray, n: int, at: int, grams: np.ndarray, deltas: np.ndarray) -> list:
-        """Balance defects of ``n`` layers ``x`` into ``deltas``, from ``runs``, the :func:`_runs` of ``n - 1`` slots of a buffer of ``x`` and their stored transposes ``xt``.
-
-        The buffer holds ``xt`` in slots ``n .. 2n - 1`` and ``x`` from slot
-        ``at``, as the chain does.  One matmul makes both Gram products,
-        ``[x[:-1], xt[1:]] @ [xt[:-1], x[1:]]``, into the two blocks of
-        ``grams``, and one subtraction their difference.
-        """
-        return [
-            (np.matmul, (_pair(runs, at, n + 1), _pair(runs, n, at + 1), grams)),
-            (np.subtract, (grams[0], grams[1], deltas)),
-        ]
-
     def _descend(self, win: _Window) -> list:
         """Descent direction, the negative gradient of the total loss, from the products (:meth:`_measure`), in window ``win``.
 
@@ -480,11 +474,11 @@ class _Kernel:
         ``prefix^H M`` per layer below the top (one matmul over the layer
         axis), then ``suffix[j-1] factors[j]^T`` for every layer, the
         identity standing below the bottom one (one more).  Regularizer
-        part: the defects, made first (:meth:`_defect_plan`), then ``a W_j
-        Delta_{j-1,j} - a Delta_{j,j+1} W_j`` with the boundary defects
-        defined as zero: both products' transposes in one matmul, scaled by
-        ``a`` in one call unless ``a`` is 1, added to the direction above
-        the bottom layer and subtracted below the top one.
+        part: the defects, made first, then ``a W_j Delta_{j-1,j} - a
+        Delta_{j,j+1} W_j`` with the boundary defects defined as zero: both
+        products' transposes in one matmul, scaled by ``a`` in one call
+        unless ``a`` is 1, added to the direction above the bottom layer and
+        subtracted below the top one.
         """
         cfg, direction = self.cfg, win.direction
         plan = list(self._defects) if cfg.reg_a > 0 else []
@@ -621,55 +615,41 @@ class _Kernel:
         kernel = _Kernel(layers, self.sigma[row : row + 1], self.cfg, self.embedded, rounds, len(keep))
         return kernel, kernel.advance(rounds, keep)
 
-    def below(self, l_ori: np.ndarray, eps: float) -> np.ndarray:
-        """The convergence test: the mask of ``l_ori < eps``, all False without ``l_ori`` (``omit_l_ori``)."""
-        if self.cfg.omit_l_ori:
-            return np.zeros(l_ori.shape, dtype=bool)
-        return l_ori < eps
-
     def converged(self, history: np.ndarray, eps: float) -> list[tuple[int, int]]:
-        """``(row, t)`` for each problem that passed :meth:`below` in an :meth:`advance` history, at the first such ``t``.
+        """``(row, t)`` for each problem whose ``l_ori < eps`` in an :meth:`advance` history, at the first such ``t``; none under ``omit_l_ori``.
 
-        One screen of the whole ``sq`` history: :meth:`finish` maps ``sq`` to
-        ``l_ori`` by correctly rounded, and so non-decreasing, steps, which
-        take ``sq`` = 4 eps (8 eps on an embedding) to about 2 eps,
-        subnormal ``eps`` included.  So only the rows with some ``sq`` below
-        that bound are finished, and :meth:`below` decides.  The smallest
-        ``sq`` is taken with ``np.fmin``, so a diverging problem's NaN hides
-        no other problem's convergence.
+        The run loop's one convergence test.  One screen of the whole ``sq``
+        history: :meth:`finish` maps ``sq`` to ``l_ori`` by correctly
+        rounded, and so non-decreasing, steps, which take ``sq`` = 4 eps (8
+        eps on an embedding) to about 2 eps, subnormal ``eps`` included.  So
+        only the rows with some ``sq`` below that bound are finished and
+        tested.  The smallest ``sq`` is taken with ``np.fmin``, so a
+        diverging problem's NaN hides no other problem's convergence.
         """
         near = (8.0 if self.embedded else 4.0) * eps
-        if not np.fmin.reduce(history, axis=None) < near:
+        if self.cfg.omit_l_ori or not np.fmin.reduce(history, axis=None) < near:
             return []
         rows = np.flatnonzero(np.logical_or.reduce(history < near))
-        hits = self.below(self.finish(history[:, rows]), eps)
+        hits = self.finish(history[:, rows]) < eps
         return [(int(i), int(hit.argmax())) for i, hit in zip(rows, hits.T) if hit.any()]
 
     def kept_l_reg(self, count: int) -> np.ndarray:
         """``(count, B)`` ``l_reg`` of the first ``count`` kept rounds of the last :meth:`advance` or :meth:`measure`.
 
-        The kept layers and their transposes are copied into one buffer
-        laid out as the chain is, and the defects are made in it by an
-        evaluation's :meth:`_defect_plan`, so they have the bits of the
-        evaluation's own.  Their squared norms are summed in layer order and
+        The defects are :func:`_defects` of the kept layers, in the kernel's
+        own field, which have the bits of an evaluation's own
+        (``TestGramPath``).  Their squared norms are summed in layer order and
         scaled; zeros when the regularizer is off.  Computed only here,
         where it is read.
         """
         kept = self._kept[:, :count]
         if not self.cfg.reg_a > 0:
             return np.zeros(kept.shape[1:3])
-        n, at = len(kept), self._x_at
-        chain = np.empty((at + n,) + kept.shape[1:])
-        deltas, grams = chain[1:n], np.empty((2, n - 1) + kept.shape[1:])
-        _run(
-            [(np.copyto, (chain[at:], kept)), (np.copyto, (chain[n : 2 * n], kept.swapaxes(-1, -2)))]
-            + self._defect_plan(_runs(chain, n - 1), n, at, grams, deltas)
-        )
-        norms = _frobenius(deltas)
+        norms = _frobenius(_defects(np.moveaxis(kept, 0, -3)))
         sq = norms * norms
-        total = sq[0]
-        for s in sq[1:]:
-            total = total + s
+        total = sq[..., 0]
+        for j in range(1, sq.shape[-1]):
+            total = total + sq[..., j]
         l_reg = 0.25 * self.cfg.reg_a * total
         return 0.5 * l_reg if self.embedded else l_reg
 

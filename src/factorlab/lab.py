@@ -467,7 +467,7 @@ def run_scenarios(
     ``cfgs[i]``, in step order.
 
     When a run ends: it converges at the first step ``k`` with ``l_ori <
-    eps_conv`` (never under ``omit_l_ori``; the kernel's ``below``), and
+    eps_conv`` (never under ``omit_l_ori``; the kernel's ``converged``), and
     it is exhausted at ``k = steps``, unless it converged there.  A run's
     ending is a ``SeedOutcome``, which its summary extends.  The divergence
     guard runs at step ``k`` whenever ``k`` is a multiple of
@@ -686,13 +686,13 @@ def _run_chunk(
     ``settle`` is the one place that ends runs and records them, once per
     block.  It finishes ``l_ori`` on the kept rounds, runs the divergence
     guard on all their layer norms at once, and screens the whole ``sq``
-    history with the kernel's ``converged``, whose ``below`` is the one
-    convergence test.  Each problem ends at its earliest guard failure,
-    convergence or last step, and its kept record rounds up to there go to
-    its trajectory: the kept layers, ``l_ori``, and ``l_reg`` made from the
-    kept layers.  A problem that converged on a round that was not kept is
-    replayed alone from the block's first kept layers to that round (the
-    kernel's ``replay``), keeping its kept rounds and that one, and the
+    history with the kernel's ``converged``, the one convergence test.
+    Each problem ends at its earliest guard failure, convergence or last
+    step, and its kept record rounds up to there go to its trajectory: the
+    kept layers, ``l_ori``, and ``l_reg`` made from the kept layers.  A
+    problem that converged on a round that was not kept is replayed alone
+    from the block's first kept layers to that round (the kernel's
+    ``replay``), keeping its kept rounds and that one, and the
     replay is settled the same way; the rest of the batch is not rolled
     back.  Replay gives the batch's bits, since the kernel acts on each
     problem alone.  Everything the loop reads of the kernel is in the

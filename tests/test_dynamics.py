@@ -26,7 +26,7 @@ from factorlab.dynamics import (
     product,
     reduce_target,
 )
-from factorlab.ensembles import InitScheme, balanced_init, gaussian_matrix, make_rng
+from factorlab.ensembles import InitScheme, balanced_init, gaussian_matrix, haar_unitary, make_rng
 from factorlab.errors import DimMismatchError
 from factorlab.linalg import FieldTag, adjoint
 from factorlab.monitors import balance_errors
@@ -402,6 +402,19 @@ class TestConfigs:
             TargetSpec(np.array([[1.0, 0.5], [0.0, 1.0]]), reduced=True)
         with pytest.raises(ValueError):
             TargetSpec(np.diag([1.0, -2.0]), reduced=True)
+        # Non-finite entries on and off the diagonal, refused without a
+        # warning: an Inf must not reach the arithmetic of the shape tests.
+        nan, inf = float("nan"), float("inf")
+        off_nan, off_inf = np.eye(2), np.eye(2)
+        off_nan[0, 1], off_inf[0, 1] = nan, inf
+        diagonals = [np.diag(v) for v in ([1.0, nan], [inf, 1.0], [1.0, -inf], [complex(1.0, nan), 1.0])]
+        for m in diagonals + [off_nan, off_inf]:
+            with warnings.catch_warnings():
+                warnings.simplefilter("error")
+                with pytest.raises(ValueError):
+                    TargetSpec(m, reduced=True)
+        with pytest.raises(ValueError):
+            TargetSpec.diagonal([1.0, nan])
 
     def test_layerstack_validation(self):
         with pytest.raises(ValueError):
@@ -726,9 +739,15 @@ class TestDeferredNorms:
         keep = list(range(0, rounds, 3))
         kernel = _kernel(w, sigma, cfg, block=lab.GUARD_EVERY, kept=len(keep))
         alone = _kernel(w, sigma, cfg)
-        sq, layers, l_reg = [], [], []
+        sq, layers, l_reg, own_l_reg = [], [], [], []
         for _ in range(2 * rounds):
             layers.append(alone.layers.copy())
+            if reg_a:
+                # The evaluation's own defects of this round's layers, which
+                # the round remakes before it reads them.
+                alone.measure()
+                alone.descent()
+                own_l_reg.append(self._l_reg(alone._deltas, reg_a, field is FieldTag.COMPLEX))
             sq.append(alone.advance(1)[0])
             l_reg.append(alone.kept_l_reg(1)[0])
         got = []
@@ -737,6 +756,9 @@ class TestDeferredNorms:
             kept = [layers[block * rounds + r] for r in keep]
             assert kernel._kept.swapaxes(0, 2).tobytes() == np.stack(kept, axis=1).tobytes()
             assert kernel.kept_l_reg(len(keep)).tobytes() == np.stack([l_reg[block * rounds + r] for r in keep]).tobytes()
+            if reg_a:
+                want = np.array([own_l_reg[block * rounds + r] for r in keep])
+                assert kernel.kept_l_reg(len(keep)).tobytes() == want.tobytes()
         assert all(h.shape == (rounds, batch) for h in got)
         assert np.concatenate(got).tobytes() == np.stack(sq).tobytes()
         assert kernel.layers.tobytes() == alone.layers.tobytes()
@@ -747,6 +769,18 @@ class TestDeferredNorms:
                 assert history.tobytes() == got[1][: t + 1, row : row + 1].tobytes()
                 want = np.stack([layers[rounds + r][row : row + 1] for r in replay_keep], axis=1)
                 assert replayed._kept.swapaxes(0, 2).tobytes() == want.tobytes()
+
+    @staticmethod
+    def _l_reg(deltas, a, embedded):
+        """``0.25 a sum_j ||Delta_j||^2`` of each problem, summed in layer order, from ``(N - 1, B, m, m)`` defects; halved on an embedding."""
+        l_reg = []
+        for row in range(deltas.shape[1]):
+            norms = [float(np.linalg.norm(delta[row])) for delta in deltas]
+            total = norms[0] * norms[0]
+            for norm in norms[1:]:
+                total += norm * norm
+            l_reg.append(0.25 * a * total * 0.5 if embedded else 0.25 * a * total)
+        return l_reg
 
     def test_a_block_longer_than_the_kernel_was_built_for_is_refused(self):
         w, sigma = _problem(FieldTag.REAL, 4, 2, seed=1)
@@ -798,6 +832,52 @@ class TestSymmetries:
         assert got.real.tobytes() == real.tobytes()
 
 
+class TestInteriorGauge:
+    """The dynamics are equivariant under the interior gauge ``W_{j+1} <- W_{j+1} Q_j``, ``W_j <- Q_j^H W_j``.
+
+    A Haar ``Q_j`` at each of the N - 1 interfaces leaves the product and
+    every defect's norm unchanged, so in exact arithmetic every step's
+    ``l_ori`` too.  The kernel keeps it to rounding, which the dynamics
+    amplify where a run leaves a plateau.  The fig-h1 family at N = 4, 3
+    seeds of each variant, GD over 2,000 steps of the run loop's kernel.
+    Its balanced start stays on the first plateau (``l_ori`` near 2.5),
+    where each step agreed within 3.6e-16 relatively; from the preset's
+    scale of random layers it reaches the 0.5 to 1 plateaus, through
+    transitions, and agreed within 1.01e-12.
+    """
+
+    BOUNDS = {"balanced": 2e-15, "random": 1e-11}
+
+    @staticmethod
+    def _l_ori(w, sigma, cfg):
+        kernel = _kernel(w, sigma, cfg, block=lab.GUARD_EVERY)
+        return np.concatenate([kernel.finish(kernel.advance(lab.GUARD_EVERY)) for _ in range(2000 // lab.GUARD_EVERY)])
+
+    @pytest.mark.parametrize("init", ["balanced", "random"])
+    @pytest.mark.parametrize("reg_a", [0.0, 1.0], ids=["plain", "regularized"])
+    @pytest.mark.parametrize("field", FIELDS, ids=["real", "complex"])
+    def test_each_step_l_ori_is_the_untransformed_runs(self, field, reg_a, init):
+        layers, gauged, targets = [], [], []
+        variants = [c for c in lab.preset("fig-h1") if c.field is field]
+        for cfg in variants:
+            for seed in (2024, 2025, 2026):
+                cfg = replace(cfg, seed=seed, init=replace(cfg.init, kind=init))
+                target, stack, _ = lab.prepare_problem(cfg)
+                w, rng = stack.layers, make_rng(seed)
+                g = w.copy()
+                for j in range(len(w) - 1):
+                    q = haar_unitary(cfg.d, field, rng)
+                    g[j + 1], g[j] = g[j + 1] @ q, adjoint(q) @ g[j]
+                layers.append(w)
+                gauged.append(g)
+                targets.append(target.matrix)
+        layers, gauged, targets = np.stack(layers), np.stack(gauged), np.stack(targets)
+        assert (gauged != layers).any(axis=(-2, -1)).all()
+        dyn = replace(variants[0].dyn, reg_a=reg_a)
+        want, got = self._l_ori(layers, targets, dyn), self._l_ori(gauged, targets, dyn)
+        assert (np.abs(got - want) / want).max() <= self.BOUNDS[init]
+
+
 class TestStabilityBound:
     """GD can settle only where ``eta * lambda_max <= 2``; a minimum's ``lambda_max`` is at least ``N sigma_1^(2 - 2/N)``."""
 
@@ -831,20 +911,20 @@ class TestPlateauCurvature:
     vanishes as the stuck mode's layers shrink.
     """
 
-    def test_the_smallest_eigenvalue_at_depth_three_is_minus_the_stuck_singular_value(self):
-        # The fig-h1 real det<0 variant (s_d = 1) at N = 3, with the
-        # product's initial scale held at 0.05^4, after 5,000 GD steps, on
-        # the l_ori = 0.5 plateau (within 5e-9).  The full Hessian of its 75
-        # coordinates by central differences of the gradient.  Measured:
-        # lambda_min = -1.70829e-3, and each layer's sigma_min within
-        # 1.194e-3 of -lambda_min, relatively.
+    @staticmethod
+    def _plateau(n_layers, epsilon, steps):
+        """The fig-h1 real det<0 variant stepped ``steps`` GD steps: its last ``l_ori``, and its layers' Hessian eigenvalues and ``sigma_min``.
+
+        The full Hessian of every coordinate, by central differences of the
+        gradient.
+        """
         (cfg,) = [c for c in lab.preset("fig-h1") if c.name == "fig-h1-real-detminus"]
-        cfg = replace(cfg, n_layers=3, init=replace(cfg.init, epsilon=0.05 ** (4 / 3)))
+        cfg = replace(cfg, n_layers=n_layers, init=replace(cfg.init, epsilon=epsilon))
         target, stack, det_w0 = lab.prepare_problem(cfg)
+        assert det_w0 < 0
         kernel = _kernel(stack.layers[None], target.matrix[None], cfg.dyn, block=lab.GUARD_EVERY)
-        for _ in range(5000 // lab.GUARD_EVERY):
+        for _ in range(steps // lab.GUARD_EVERY):
             history = kernel.advance(lab.GUARD_EVERY)
-        assert det_w0 < 0 and kernel.finish(history[-1:])[0, 0] == pytest.approx(0.5, abs=1e-7)
         layers, h = kernel.own_layers(0), 1e-5
         columns = []
         for k in range(layers.size):
@@ -856,8 +936,28 @@ class TestPlateauCurvature:
         hessian = np.array(columns)
         lam = np.linalg.eigvalsh(0.5 * (hessian + hessian.T))
         sigma_min = np.array([np.linalg.svd(w, compute_uv=False)[-1] for w in layers])
+        return kernel.finish(history[-1:])[0, 0], lam, sigma_min
+
+    def test_the_smallest_eigenvalue_at_depth_three_is_minus_the_stuck_singular_value(self):
+        # The fig-h1 real det<0 variant (s_d = 1) at N = 3, with the
+        # product's initial scale held at 0.05^4, after 5,000 GD steps, on
+        # the l_ori = 0.5 plateau (within 5e-9).  Its 75 coordinates.
+        # Measured: lambda_min = -1.70829e-3, and each layer's sigma_min
+        # within 1.194e-3 of -lambda_min, relatively.
+        l_ori, lam, sigma_min = self._plateau(3, 0.05 ** (4 / 3), 5000)
+        assert l_ori == pytest.approx(0.5, abs=1e-7)
         assert 1e-3 < sigma_min.min() and sigma_min.max() < 3e-3
         assert lam[0] == pytest.approx(-sigma_min, rel=1.5e-3)
+
+    def test_the_smallest_eigenvalue_at_depth_four_is_minus_the_stuck_singular_value_squared(self):
+        # The same variant at N = 4 (epsilon = 0.05) after 20,000 GD steps,
+        # on the plateau (within 3.9e-8).  Its 100 coordinates.  Measured:
+        # lambda_min = -1.97017e-4, and each layer's sigma_min^2 (sigma_min
+        # 0.014036) within 5.66e-5 of -lambda_min, relatively.
+        l_ori, lam, sigma_min = self._plateau(4, 0.05, 20_000)
+        assert l_ori == pytest.approx(0.5, abs=1e-7)
+        assert 0.01 < sigma_min.min() and sigma_min.max() < 0.02
+        assert lam[0] == pytest.approx(-sigma_min**2, rel=1e-4)
 
 
 class TestKernelOwnership:
