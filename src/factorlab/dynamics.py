@@ -30,20 +30,17 @@ evaluation.
 
 Every step is a round of :meth:`_Kernel.advance`, a block of up to
 ``block`` rounds that tests nothing per round and takes no loss in them
-either: each round leaves its misfit in a slot of its own, and one call
-after the block takes every round's squared Frobenius norm ``sq`` (one dot
-per problem and round), which :meth:`_Kernel.finish` turns into ``l_ori``
-(a square root, ``n * n`` and a halving), elementwise.  The layers of the
-rounds the caller keeps (the run loop's guard, record and last steps) are
-copied aside before they step, one call each, and everything else is read
-from those copies: their layers, norms and ``l_reg``, whose defects are
-:func:`_defects` of them.  :meth:`_Kernel.converged`, the one ending rule,
-screens the history once and finishes ``l_ori`` only where ``sq`` may give
-``l_ori < eps_conv``, and a problem that converged on a round that was not
-kept is stepped again alone to that round (:meth:`_Kernel.replay`).
-:meth:`_Kernel.measure`, the one evaluation without a step, keeps the
-layers and takes their ``sq`` the same way, for :func:`loss` and
-:func:`gradient`.
+either: each round leaves its misfit in a slot of its own, and after the
+block one call takes every round's squared Frobenius norm (one dot per
+problem and round) and three elementwise calls make it ``l_ori``.  So
+:meth:`_Kernel.advance` returns the ``l_ori`` history of its rounds, and
+:meth:`_Kernel.measure`, the one evaluation without a step, for
+:func:`loss` and :func:`gradient`, returns that of one.  The layers of
+the rounds the caller keeps (the run loop's guard, record and last steps)
+are copied aside before they step, one call each, and everything else is
+read from those copies: their layers, norms and ``l_reg``, whose defects
+are :func:`_defects` of them.  :meth:`_Kernel.replay` steps one problem
+alone again from the first kept round, to a round that was not kept.
 
 The kernel does real arithmetic only.  A complex problem is stepped as its
 real embedding ``E(A + iB) = [[A, -B], [B, A]]``: one real matmul per
@@ -96,7 +93,6 @@ __all__ = [
     "TargetSpec",
     "DynConfig",
     "product",
-    "balance_deltas",
     "loss",
     "gradient",
     "gd_step",
@@ -337,14 +333,13 @@ class _Kernel:
     misfit and ``factors[j] = prefix[j]^H M`` below it), and
     ``direction[j]^T`` in slot ``r + N + j``.  Round ``r`` of
     :meth:`advance` evaluates in window ``r``, so its misfit stays in slot
-    ``r`` while the later rounds write above it, and after the block one
-    matmul over slots ``0 .. rounds - 1`` takes every round's ``sq``: per
-    problem the same dot over the same contiguous values as a per-round
-    one, so the same bits.  RK4 stages 2 to 4 of round ``r`` evaluate in
-    window ``r + 1``, which round ``r + 1`` overwrites before it reads it.
-    :meth:`measure` evaluates in window 0 and takes its ``sq`` by the same
-    call, over slot 0.  ``block`` is the longest :meth:`advance`; the
-    buffer is made here, whatever the block, so no step allocates.
+    ``r`` while the later rounds write above it, and after the block
+    :meth:`_history` takes every round's ``l_ori`` from those slots.  RK4
+    stages 2 to 4 of round ``r`` evaluate in window ``r + 1``, which round
+    ``r + 1`` overwrites before it reads it.  :meth:`measure` evaluates in
+    window 0 and takes its ``l_ori`` by the same calls, over slot 0.
+    ``block`` is the longest :meth:`advance`; the buffer is made here,
+    whatever the block, so no step allocates.
 
     The kept buffer holds ``kept`` copies of the layers, layer-major like
     them and untransposed: :meth:`advance` copies the layers of each round
@@ -362,9 +357,8 @@ class _Kernel:
     :meth:`descent` give the problems' own field.
 
     :meth:`advance` runs rounds of evaluating and stepping, keeping some,
-    and is the only code that steps; :meth:`converged` finds the problems
-    that converged in them, by the one convergence test the run loop
-    applies, and :meth:`replay` steps one problem alone from the
+    and is the only code that steps; it and :meth:`measure` return the
+    ``l_ori`` history.  :meth:`replay` steps one problem alone from the
     first kept round of the last :meth:`advance`.  :meth:`measure` must
     precede :meth:`descent`, whose return is a view valid until the next
     block or evaluation.
@@ -552,7 +546,7 @@ class _Kernel:
         return [(np.copyto, (two, left)), (np.negative, (lower_left, lower_left)), (np.copyto, (right, two))]
 
     def measure(self) -> np.ndarray:
-        """One evaluation of the layers, without a step; returns its ``(1, B)`` ``sq`` history.
+        """One evaluation of the layers, without a step; returns its ``(1, B)`` ``l_ori`` history.
 
         The layers are kept as :meth:`advance` keeps a round's, in the first
         kept slot, and evaluated in window 0 by a plan made here, so the
@@ -564,33 +558,32 @@ class _Kernel:
         return self._history(1)
 
     def _history(self, rounds: int) -> np.ndarray:
-        """The ``(rounds, B)`` ``sq`` of windows ``0 .. rounds - 1``: one matmul, one dot per problem and round."""
-        return np.matmul(self._misfit_rows[:rounds], self._misfit_cols[:rounds])[..., 0, 0]
+        """The ``(rounds, B)`` ``l_ori`` of the misfits in windows ``0 .. rounds - 1``.
 
-    def finish(self, sq: np.ndarray) -> np.ndarray:
-        """``l_ori`` in place of squared misfit norms ``sq``, such as rows of a history.
-
-        Each value is finished alone, so its ``l_ori`` does not depend on
-        what else ``sq`` holds.  The norm ``sqrt(sq)`` is squared as ``n *
-        n`` and halved, or on an embedding quartered, which gives the bits
-        of two halvings: scaling by a power of two rounds only below the
-        normal range, and there one quartering and two halvings round alike.
+        One matmul takes every squared misfit norm ``sq``, one dot per
+        problem and round: the same dot over the same contiguous values as
+        a per-round one, so the same bits.  Then, elementwise and in place,
+        the norm ``sqrt(sq)`` is squared as ``n * n`` and halved, or on an
+        embedding quartered, which gives the bits of two halvings: scaling
+        by a power of two rounds only below the normal range, and there one
+        quartering and two halvings round alike.
         """
+        sq = np.matmul(self._misfit_rows[:rounds], self._misfit_cols[:rounds])[..., 0, 0]
         np.sqrt(sq, out=sq)
         np.multiply(sq, sq, out=sq)
         np.multiply(sq, self._l_ori_scale, out=sq)
         return sq
 
     def advance(self, rounds: int, keep: Sequence[int] = (0,)) -> np.ndarray:
-        """``rounds`` steps, each from a fresh evaluation; returns their ``(rounds, B)`` ``sq`` history.
+        """``rounds`` steps, each from a fresh evaluation; returns their ``(rounds, B)`` ``l_ori`` history.
 
-        Row ``t`` holds the ``sq`` of the layers ``t`` steps past the
+        Row ``t`` holds the ``l_ori`` of the layers ``t`` steps past the
         start.  The layers of each round in ``keep``, increasing rounds from
         0, are copied into the next kept slot before that round runs: one
         call per kept round, which :meth:`kept_norms`, :meth:`kept_l_reg`,
         :meth:`own_layers` and :meth:`replay` read.  Nothing is reduced per
-        round, and the history is taken in one call after the last round,
-        so the caller screens it at once.  The layers end ``rounds`` steps
+        round, and the history is taken after the last round, so the
+        caller reads it at once.  The layers end ``rounds`` steps
         on, not yet evaluated.
         ``rounds`` is at most the ``block``, and ``keep`` holds at most the
         ``kept`` rounds, the kernel was built for.
@@ -608,30 +601,12 @@ class _Kernel:
     def replay(self, row: int, rounds: int, keep: Sequence[int]) -> tuple["_Kernel", np.ndarray]:
         """A kernel of problem ``row`` alone, advanced ``rounds`` rounds keeping ``keep`` from the start of the last :meth:`advance`, and its history.
 
-        Every operation acts on each problem alone, so its layers, ``sq``
+        Every operation acts on each problem alone, so its layers, ``l_ori``
         and defects have the bits the batch had there.
         """
         layers = self._kept[:, 0, row : row + 1].swapaxes(0, 1)
         kernel = _Kernel(layers, self.sigma[row : row + 1], self.cfg, self.embedded, rounds, len(keep))
         return kernel, kernel.advance(rounds, keep)
-
-    def converged(self, history: np.ndarray, eps: float) -> list[tuple[int, int]]:
-        """``(row, t)`` for each problem whose ``l_ori < eps`` in an :meth:`advance` history, at the first such ``t``; none under ``omit_l_ori``.
-
-        The run loop's one convergence test.  One screen of the whole ``sq``
-        history: :meth:`finish` maps ``sq`` to ``l_ori`` by correctly
-        rounded, and so non-decreasing, steps, which take ``sq`` = 4 eps (8
-        eps on an embedding) to about 2 eps, subnormal ``eps`` included.  So
-        only the rows with some ``sq`` below that bound are finished and
-        tested.  The smallest ``sq`` is taken with ``np.fmin``, so a
-        diverging problem's NaN hides no other problem's convergence.
-        """
-        near = (8.0 if self.embedded else 4.0) * eps
-        if self.cfg.omit_l_ori or not np.fmin.reduce(history, axis=None) < near:
-            return []
-        rows = np.flatnonzero(np.logical_or.reduce(history < near))
-        hits = self.finish(history[:, rows]) < eps
-        return [(int(i), int(hit.argmax())) for i, hit in zip(rows, hits.T) if hit.any()]
 
     def kept_l_reg(self, count: int) -> np.ndarray:
         """``(count, B)`` ``l_reg`` of the first ``count`` kept rounds of the last :meth:`advance` or :meth:`measure`.
@@ -742,15 +717,10 @@ def _step(stack: LayerStack, target: TargetSpec, cfg: DynConfig, integrator: str
     return LayerStack(kernel.own_layers(0))
 
 
-def balance_deltas(stack: LayerStack) -> np.ndarray:
-    """Adjacent balance defects ``W_j W_j^H - W_{j+1}^H W_{j+1}``, j = 1..N-1, stacked."""
-    return _defects(stack.layers)
-
-
 def loss(stack: LayerStack, target: TargetSpec, cfg: DynConfig) -> tuple[float, float, float]:
     """Returns ``(l_ori, l_reg, total)``; ``l_ori`` reported even when omitted."""
     kernel = _single(stack, target, cfg)
-    l_ori, l_reg = float(kernel.finish(kernel.measure())[0, 0]), float(kernel.kept_l_reg(1)[0, 0])
+    l_ori, l_reg = float(kernel.measure()[0, 0]), float(kernel.kept_l_reg(1)[0, 0])
     return l_ori, l_reg, (0.0 if cfg.omit_l_ori else l_ori) + l_reg
 
 
@@ -781,11 +751,12 @@ def reduce_target(
 
     With ``Sigma = U_S Sigma' V_S^H``, replaces ``W_1 <- W_1 V_S`` and
     ``W_N <- U_S^H W_N``; interior layers, the total loss and all balance
-    defects are unchanged.
+    defects are unchanged.  A complex target rotates a real stack into a
+    complex one.
     """
     _check_dims(stack, sigma_general)
     r = svd(sigma_general)
-    layers = stack.layers.copy()
+    layers = stack.layers.astype(np.result_type(stack.layers, r.v))
     layers[0] = layers[0] @ r.v
     layers[-1] = adjoint(r.u) @ layers[-1]
     return TargetSpec(np.diag(r.s), reduced=True), LayerStack(layers)

@@ -467,9 +467,9 @@ def run_scenarios(
     ``cfgs[i]``, in step order.
 
     When a run ends: it converges at the first step ``k`` with ``l_ori <
-    eps_conv`` (never under ``omit_l_ori``; the kernel's ``converged``), and
-    it is exhausted at ``k = steps``, unless it converged there.  A run's
-    ending is a ``SeedOutcome``, which its summary extends.  The divergence
+    eps_conv`` (never under ``omit_l_ori``), and it is exhausted at ``k =
+    steps``, unless it converged there.  A run's ending is a
+    ``SeedOutcome``, which its summary extends.  The divergence
     guard runs at step ``k`` whenever ``k`` is a multiple of
     ``GUARD_EVERY`` (25), a record step, the last step or the step the run
     converges at; a run that fails it is diverged with ``steps_run = k``,
@@ -678,18 +678,17 @@ def _run_chunk(
     The batch steps only through the kernel's ``advance``, in blocks that
     run from one guard step of the cadence to the next: from one multiple
     of ``GUARD_EVERY`` to the next, or to the last step, which is a block
-    of one round.  No round tests anything; each leaves its squared misfit
-    norm ``sq`` for one call after the block, and the layers of each *kept*
-    round (the block's first and its record steps) are copied aside before
-    the round runs.
+    of one round.  No round tests anything; the block returns every round's
+    ``l_ori``, and the layers of each *kept* round (the block's first and
+    its record steps) are copied aside before the round runs.
 
-    ``settle`` is the one place that ends runs and records them, once per
-    block.  It finishes ``l_ori`` on the kept rounds, runs the divergence
-    guard on all their layer norms at once, and screens the whole ``sq``
-    history with the kernel's ``converged``, the one convergence test.
-    Each problem ends at its earliest guard failure, convergence or last
-    step, and its kept record rounds up to there go to its trajectory: the
-    kept layers, ``l_ori``, and ``l_reg`` made from the kept layers.  A
+    ``settle`` is the one place that ends runs, by the rule
+    ``run_scenarios`` states, and records them, once per block.  It reads
+    the kept rounds' ``l_ori`` from the history, runs the divergence guard
+    on all their layer norms at once, and compares the whole history with
+    ``eps_conv`` at once.  Each problem's kept record rounds up to its end
+    go to its trajectory: the kept layers, ``l_ori``, and ``l_reg`` made
+    from the kept layers.  A
     problem that converged on a round that was not kept is replayed alone
     from the block's first kept layers to that round (the kernel's
     ``replay``), keeping its kept rounds and that one, and the
@@ -719,6 +718,8 @@ def _run_chunk(
     )
     active = np.arange(len(cfgs))  # batch row -> index into cfgs
     outcomes: list[SeedOutcome | None] = [None] * len(cfgs)
+    # No l_ori, NaN included, is below -inf: under omit_l_ori no run converges.
+    eps = -np.inf if cfg.dyn.omit_l_ori else cfg.eps_conv
     errors = np.geterr()
 
     def settle(kernel, ids, start: int, history: np.ndarray, keep: list[int]) -> tuple[np.ndarray | None, list]:
@@ -729,21 +730,22 @@ def _run_chunk(
         that converged on a round not kept: its replay settles it.
         """
         rounds = len(history)
-        l_ori = kernel.finish(history[keep])
+        l_ori = history[keep]
         ok = (kernel.kept_norms(len(keep)) <= DIVERGENCE_GUARD).all(-1)
-        hits = kernel.converged(history, cfg.eps_conv)
+        met = history < eps
         final = start + rounds - 1 == cfg.steps
         # Unless the block holds the last step, a convergence or a guard
         # failure, every row goes on.
-        going = not (final or hits or not ok.all())
+        going = not (final or met.any() or not ok.all())
         quiet = []
         if not going:
             # Each row's ending round; rounds for a row that goes on, -1 for
-            # one settled by its replay.
+            # one settled by its replay.  A row converges on its first round
+            # that meets eps, unless its guard fails there or before.
             failed = ~ok
             end = np.where(failed.any(0), np.asarray(keep)[failed.argmax(0)], rounds)
-            converged = {i: t for i, t in hits if t < end[i]}
-            end[list(converged)] = list(converged.values())
+            first = np.where(met.any(0), met.argmax(0), rounds)
+            np.minimum(end, first, out=end)
             if final:
                 np.minimum(end, rounds - 1, out=end)
             for i in np.flatnonzero(end < rounds):
@@ -753,7 +755,7 @@ def _run_chunk(
                     end[i] = -1
                     continue
                 slot = keep.index(r)
-                status = "diverged" if not ok[slot, i] else "converged" if i in converged else "exhausted"
+                status = "diverged" if not ok[slot, i] else "converged" if first[i] == r else "exhausted"
                 final_l_ori = float(l_ori[slot, i]) if ok[slot, i] else float("inf")
                 k = ids[i]
                 outcomes[k] = SeedOutcome(
@@ -981,7 +983,7 @@ def gradcheck(d: int, n_layers: int, field: FieldTag, a: float, seed: int) -> Gr
         # The loss as ``dynamics.loss`` and the run loop evaluate it: a complex
         # problem as its real embedding, whose halved losses are the complex ones.
         kernel = _kernel(x, np.broadcast_to(sigma, (len(x), d, d)), cfg)
-        return kernel.finish(kernel.measure())[0] + kernel.kept_l_reg(1)[0]
+        return kernel.measure()[0] + kernel.kept_l_reg(1)[0]
 
     # One kernel batch per layer and part: problem m perturbs entry m of the
     # layer.  A problem's loss bits do not depend on the batch it is in.

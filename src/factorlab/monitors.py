@@ -47,7 +47,7 @@ from operator import attrgetter
 
 import numpy as np
 
-from .dynamics import LayerStack, TargetSpec, _defects, _frobenius, _left_product, balance_deltas
+from .dynamics import LayerStack, TargetSpec, _defects, _frobenius, _left_product
 # Not called here: the benchmark's tracer wraps it under this name.
 from .dynamics import loss  # noqa: F401
 from .errors import IllConditionedError, NotReducedError, NotUnitaryError
@@ -87,7 +87,7 @@ def _defect_size(deltas: np.ndarray) -> np.ndarray:
 
 def balance_errors(stack: LayerStack) -> tuple[np.ndarray, float]:
     """Adjacent balance defects ``(N-1, d, d)`` and their aggregate Frobenius size e_delta."""
-    deltas = balance_deltas(stack)
+    deltas = _defects(stack.layers)
     return deltas, float(_defect_size(deltas))
 
 

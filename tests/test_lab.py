@@ -871,9 +871,9 @@ class TestDepthCondition:
 
 
 class TestConvergenceCheck:
-    """The run loop finishes ``l_ori`` only on guard and record steps and
-    where the squared misfit norm comes near ``eps_conv``; its outcomes
-    must be those of a loop that finishes ``l_ori`` on every step."""
+    """The run loop tests a block's ``l_ori`` once, after the block, and reads
+    it on guard and record steps; its outcomes must be those of a loop that
+    finishes and tests ``l_ori`` on every step."""
 
     # Problems set beside seeded ones, by seed: an exact fit; misfits on one
     # off-diagonal entry whose squared norm is subnormal, or whose loss is
@@ -974,7 +974,7 @@ class TestConvergenceCheck:
         errors = np.geterr()
         with np.errstate(over="ignore", invalid="ignore"):
             for step in range(cfg.steps + 1):
-                l_ori = float(kernel.finish(kernel.advance(1))[0, 0])
+                l_ori = float(kernel.advance(1)[0, 0])
                 conv = not cfg.dyn.omit_l_ori and l_ori < cfg.eps_conv
                 ends = conv or step == cfg.steps
                 record = ends or step % cfg.record_stride == 0
@@ -1051,7 +1051,7 @@ class TestConvergenceCheck:
         kernel = dynamics._kernel(stack.layers[None], target.matrix[None], dyn)
         want, track = [], None
         for step in range(cfg.steps + 1):
-            l_ori = float(kernel.finish(kernel.advance(1))[0, 0])
+            l_ori = float(kernel.advance(1)[0, 0])
             layers = LayerStack(kernel.own_layers(0, kept=0))
             rec, track = record(step, lab._time_of(cfg, step), layers, l_ori, kernel.kept_l_reg(1)[0, 0], target, track)
             want.append((record_to_csv_row(rec, cfg.d), track))
@@ -1156,7 +1156,7 @@ class TestConvergenceCheck:
             kernel = dynamics._kernel(layers[None], target[None], dyn)
             out = []
             for _ in range(steps):
-                l_ori = float(kernel.finish(kernel.advance(1))[0, 0])
+                l_ori = float(kernel.advance(1)[0, 0])
                 out.append((l_ori, kernel.kept_norms(1).max(), kernel.own_layers(0, kept=0)))
             return out
 
@@ -1196,34 +1196,32 @@ class TestConvergenceCheck:
             assert (tmp_path / f"{c.name}.csv").read_text() == "\n".join(lines) + "\n"
             assert (s.status, s.steps_run, s.final_l_ori, s.final_l_reg, s.final_e_delta) == values
 
+    @pytest.mark.parametrize(
+        "eps_conv, want", [(4e-9, ("exhausted", 60)), (6e-9, ("converged", 0))], ids=["above", "below"]
+    )
     @pytest.mark.parametrize("field", [FieldTag.REAL, FieldTag.COMPLEX], ids=lambda f: f.value)
-    def test_a_screen_hit_short_of_eps_replays_nothing(self, monkeypatch, field):
+    def test_a_constant_l_ori_ends_by_its_side_of_eps_and_replays_nothing(self, monkeypatch, field, eps_conv, want):
         # A saddle with a constant misfit: W = diag(1, 1, 1, 1, 0) and target
-        # diag(1, 1, 1, 1, 1e-4), so l_ori = 5e-9 on every step, at or above
-        # eps_conv = 4e-9 but with sq below the kernel's screen bound.
-        base = tiny_cfg(d=5, field=field, dyn=DynConfig(eta=0.15, reg_a=1.0), steps=60, eps_conv=4e-9)
+        # diag(1, 1, 1, 1, 1e-4), so l_ori = 5e-9 on every step, above
+        # eps_conv = 4e-9 and below 6e-9.  Either way the run ends on a kept
+        # round, its last step or step 0, so nothing is replayed.
+        base = tiny_cfg(d=5, field=field, dyn=DynConfig(eta=0.15, reg_a=1.0), steps=60, eps_conv=eps_conv)
         eye = np.eye(5)
         target, layers = eye.copy(), np.stack([eye] * base.n_layers)
         target[-1, -1], layers[:, -1, -1] = 1e-4, 0.0
         if field is FieldTag.COMPLEX:
             target, layers = target.astype(complex), layers.astype(complex)
         monkeypatch.setattr(lab, "prepare_problem", lambda c: (TargetSpec(target, True), LayerStack(layers), 0.0))
-        finished, replays = [], []
-        finish, replay = dynamics._Kernel.finish, dynamics._Kernel.replay
-        monkeypatch.setattr(
-            dynamics._Kernel, "finish", lambda kernel, sq=None: finished.append(sq is not None) or finish(kernel, sq)
-        )
+        replays = []
+        replay = dynamics._Kernel.replay
         monkeypatch.setattr(
             dynamics._Kernel,
             "replay",
             lambda kernel, row, rounds, keep: replays.append(rounds) or replay(kernel, row, rounds, keep),
         )
         (got,) = _run_chunk([base])
-        assert (got.status, got.steps_run, got.final_l_ori) == ("exhausted", 60, 5e-9)
-        # Each of the four blocks (steps 0-24, 25-49, 50-59 and the last
-        # step) finishes its kept round's l_ori, and its screen hit finishes
-        # that row's sq history.
-        assert finished == [True] * 8 and replays == []
+        assert (got.status, got.steps_run, got.final_l_ori) == (*want, 5e-9)
+        assert replays == []
 
     def test_a_run_at_an_unstable_minimum_is_reported_converged(self, monkeypatch):
         # README's eta paragraph: the balanced minimum of diag(3.8, 1, 0.4)
