@@ -132,8 +132,6 @@ def _share(converged: int, seeds: int) -> str:
 
 def _cmd_sweep(args: argparse.Namespace) -> int:
     bases = _configs_from_args(args, sweep=True)
-    for base in bases:
-        base.validate()
     check_distinct_names(bases, "their sweep.csv rows could not be told apart")
     workers = sweep_workers(args.seeds)
     # Config echo: each base config's block rebuilds it as a config file.
@@ -145,15 +143,14 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
     with make_out_dir(args.out, ["sweep.csv"]) as out:
         for base in bases:
             result = sweep_convergence(base, args.seeds, workers)
+            converged, seeds = result.tally()
             print(
-                f"sweep({base.name}, field={base.field.value}): {result.n_converged}/{result.n_seeds} "
-                f"converged, fraction={result.fraction:.3f}"
+                f"sweep({base.name}, field={base.field.value}): {converged}/{seeds} "
+                f"converged, fraction={converged / seeds:.3f}"
             )
-            if result.n_det_plus or result.n_det_minus:
-                print(
-                    f"  det>0: {_share(result.n_det_plus_converged, result.n_det_plus)}; "
-                    f"det<0: {_share(result.n_det_minus_converged, result.n_det_minus)}"
-                )
+            plus, minus = result.tally(+1), result.tally(-1)
+            if plus[1] or minus[1]:
+                print(f"  det>0: {_share(*plus)}; det<0: {_share(*minus)}")
             table += [sweep_csv_row(base.name, o) for o in result.outcomes]
         path = out / "sweep.csv"
         # Quoted where needed: a config name may hold a comma.

@@ -183,7 +183,7 @@ class RunConfig:
     seed: int = 2024
     eps_conv: float = 1e-8
 
-    def validate(self) -> None:
+    def __post_init__(self) -> None:
         """Raise ConfigError unless the config describes a runnable problem.
 
         The name names the output files, and its echo must parse back.
@@ -323,7 +323,6 @@ def prepare_problem(cfg: RunConfig) -> tuple[TargetSpec, LayerStack, float | com
     A product that overflows has ``det_w0 = nan``: its run diverges at step
     0 by the guard, but no det sign can be asked of it (ConfigError).
     """
-    cfg.validate()
     built = _build_target(cfg)
     balanced = cfg.init.kind == "balanced"
     init = balanced_init if balanced else random_init
@@ -478,8 +477,6 @@ def run_scenarios(
     multiples of ``GUARD_EVERY`` and settles each block once, after it, by
     these rules (``_run_chunk``).
     """
-    for cfg in cfgs:
-        cfg.validate()
     made = nullcontext()
     if out_dir is not None:
         check_distinct_names(cfgs, "their output files would overwrite each other")
@@ -609,52 +606,22 @@ def sweep_csv_row(name: str, outcome: SeedOutcome) -> tuple:
 
 @dataclass(frozen=True)
 class SweepResult:
-    """A sweep's outcomes in seed order, and the counts read from them.
-
-    The det-sign counts cover the real seeds only: the cross-tabulation by
-    the sign of ``det W(0)`` means nothing for a complex phase.
-    """
+    """A sweep's outcomes in seed order."""
 
     outcomes: tuple[SeedOutcome, ...]
 
-    def _det(self, sign: int) -> list[SeedOutcome]:
-        return [o for o in self.outcomes if isinstance(o.det_w0, float) and sign * o.det_w0 > 0]
+    def tally(self, det: int | None = None) -> tuple[int, int]:
+        """``(converged, seeds)`` over every seed, or over the real seeds whose ``det W(0)`` has the sign ``det``.
 
-    @property
-    def n_seeds(self) -> int:
-        return len(self.outcomes)
-
-    @property
-    def n_converged(self) -> int:
-        return sum(o.converged for o in self.outcomes)
-
-    @property
-    def fraction(self) -> float:
-        return self.n_converged / self.n_seeds
-
-    @property
-    def n_det_plus(self) -> int:
-        return len(self._det(+1))
-
-    @property
-    def n_det_plus_converged(self) -> int:
-        return sum(o.converged for o in self._det(+1))
-
-    @property
-    def n_det_minus(self) -> int:
-        return len(self._det(-1))
-
-    @property
-    def n_det_minus_converged(self) -> int:
-        return sum(o.converged for o in self._det(-1))
-
-    @property
-    def fraction_det_plus(self) -> float:
-        return self.n_det_plus_converged / self.n_det_plus if self.n_det_plus else float("nan")
-
-    @property
-    def fraction_det_minus(self) -> float:
-        return self.n_det_minus_converged / self.n_det_minus if self.n_det_minus else float("nan")
+        A det class holds real seeds only: the cross-tabulation by the sign
+        of ``det W(0)`` means nothing for a complex phase, nor for the NaN
+        of a product that overflowed.
+        """
+        counted = [
+            o.converged for o in self.outcomes
+            if det is None or isinstance(o.det_w0, float) and det * o.det_w0 > 0
+        ]
+        return sum(counted), len(counted)
 
 
 def _sweep_seeds(base_seed: int, n: int) -> list[int]:
@@ -866,7 +833,6 @@ def sweep_convergence(
     ``workers``.  For the real field the result is cross-tabulated by the
     sign of the initial product determinant.
     """
-    base_cfg.validate()
     workers = sweep_workers(n_seeds, workers)
     cfgs = [replace(base_cfg, seed=s) for s in _sweep_seeds(base_cfg.seed, n_seeds)]
     chunks = _sweep_chunks(cfgs, workers)

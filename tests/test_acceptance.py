@@ -171,28 +171,29 @@ def test_criterion_4_convergence_probability():
     base = replace(preset("fig-h1", seed=2024)[0], det_sign=None)
 
     real = sweep_convergence(base, 400)
-    ok_band = 0.42 <= real.fraction <= 0.58
+    (converged, seeds), plus, minus = real.tally(), real.tally(+1), real.tally(-1)
+    ok_band = 0.42 <= converged / seeds <= 0.58
     _verdict(
         ok_band,
         "criterion 4 (real fraction in [0.42, 0.58])",
-        f"fraction {real.fraction:.3f} over 400 seeds "
-        f"(det>0: {real.n_det_plus}, det<0: {real.n_det_minus}, "
-        f"det<0 converged: {real.n_det_minus_converged})",
+        f"fraction {converged / seeds:.3f} over 400 seeds "
+        f"(det>0: {plus[1]}, det<0: {minus[1]}, "
+        f"det<0 converged: {minus[0]})",
     )
-    ok_cond = real.fraction_det_plus >= 0.9
+    fraction_plus = plus[0] / plus[1] if plus[1] else float("nan")
+    ok_cond = fraction_plus >= 0.9
     _verdict(
         ok_cond,
         "criterion 4 (real det>0 conditional >= 0.9)",
-        f"conditional fraction {real.fraction_det_plus:.3f} "
-        f"({real.n_det_plus_converged}/{real.n_det_plus})",
+        f"conditional fraction {fraction_plus:.3f} ({plus[0]}/{plus[1]})",
     )
 
-    cplx = sweep_convergence(replace(base, field=FieldTag.COMPLEX), 200)
-    ok_cplx = cplx.fraction >= 0.95
+    converged, seeds = sweep_convergence(replace(base, field=FieldTag.COMPLEX), 200).tally()
+    ok_cplx = converged / seeds >= 0.95
     _verdict(
         ok_cplx,
         "criterion 4 (complex fraction >= 0.95)",
-        f"fraction {cplx.fraction:.3f} over 200 seeds",
+        f"fraction {converged / seeds:.3f} over 200 seeds",
     )
 
     wall = time.perf_counter() - t0

@@ -1444,3 +1444,54 @@ class TestGramPath:
             kernel = _Kernel(w, np.zeros((batch,) + w.shape[-2:]), DynConfig(reg_a=1.0))
             kernel.advance(1)
             assert got.tobytes() == kernel._deltas.swapaxes(0, 1).tobytes()
+
+
+class TestAlignedModes:
+    """On diagonal layers and a diagonal target every mode evolves alone.
+
+    Mode ``k``'s layer entries ``u_j`` follow ``u_j <- u_j + eta (s - p)
+    prod_{i != j} u_i`` with ``p = prod_i u_i`` (Saxe et al. 2014), and a
+    gemm of diagonal matrices adds only exact zeros to one rounded product,
+    so the kernel's GD steps are this scalar recursion bit for bit when the
+    recursion multiplies in the kernel's association.  RK4, and stacks with non-real
+    phases, are not pinned here.
+    """
+
+    @staticmethod
+    def _ref_gd(u, s, eta):
+        """One GD step of the ``(N, ...)`` diagonal entries ``u`` toward ``s``, associated as the kernel does."""
+        n = len(u)
+        suf = [u[0]]
+        for t in range(1, n - 1):
+            suf.append(suf[t - 1] * u[t])
+        pre = [None] * (n - 2) + [u[n - 1]]
+        for j in range(n - 3, -1, -1):
+            pre[j] = u[j + 1] * pre[j + 1]
+        m = s - u[n - 1] * suf[n - 2]
+        f = [pre[j] * m for j in range(n - 1)] + [m]
+        direction = [f[0]] + [suf[j - 1] * f[j] for j in range(1, n)]
+        return np.stack([u[j] + direction[j] * eta for j in range(n)])
+
+    @pytest.mark.parametrize("n", [2, 3, 4, 6])
+    @pytest.mark.parametrize("field", FIELDS, ids=lambda f: f.value)
+    def test_gd_is_the_scalar_recursion(self, field, n):
+        # A complex stack with zero imaginary parts runs embedded, and its
+        # imaginary parts stay exactly 0.
+        rng = make_rng(n)
+        batch, d, eta = 8, 5, 0.01
+        s = np.array([2.0, 1.55, 1.1, 0.65, 0.2])
+        u = rng.uniform(0.05, 0.4, (n, batch, d)) * rng.choice([-1.0, 1.0], (n, batch, d))
+        eye = np.eye(d)
+        w = (u[..., None] * eye).swapaxes(0, 1).astype(field.dtype)
+        sigma = np.broadcast_to(np.diag(s), (batch, d, d)).astype(field.dtype)
+        kernel = _kernel(w, sigma, DynConfig(reg_a=0.0, eta=eta, integrator="gd"), block=25)
+        assert kernel.embedded == (field is FieldTag.COMPLEX)
+        off_diagonal = ~np.eye(d, dtype=bool)
+        for _ in range(12):
+            kernel.advance(25)
+            for _ in range(25):
+                u = self._ref_gd(u, s, eta)
+            layers = np.stack([kernel.own_layers(b) for b in range(batch)])
+            assert np.array_equal(np.diagonal(layers, axis1=-2, axis2=-1).real, u.swapaxes(0, 1))
+            assert not layers[..., off_diagonal].any()
+            assert not layers.imag.any()

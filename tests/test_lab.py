@@ -128,7 +128,6 @@ class TestConfigFile:
     @given(cfg=st.sampled_from([c for n in PRESET_NAMES for c in preset(n)]) | run_configs())
     def test_echo_parses_back(self, tmp_path, cfg):
         # An output's config echo is a config file that rebuilds the same run.
-        cfg.validate()
         path = tmp_path / "echo.cfg"
         path.write_text("\n".join(cfg.echo()) + "\n")
         assert build_config(parse_config_file(path)) == cfg
@@ -169,6 +168,36 @@ target = diag
     def test_flag_overrides_file(self):
         cfg = build_config({"seed": "1"}, base=build_config({"seed": "2", "d": "3"}))
         assert cfg.seed == 1 and cfg.d == 3
+
+
+class TestRunConfig:
+    @pytest.mark.parametrize(
+        "bad, match",
+        [
+            *((dict(name=name), "name must be") for name in ("", " tiny", "a/b", "a\\b", "a#b")),
+            (dict(seed=-1), "seed must be non-negative"),
+            (dict(d=0), "d must be positive"),
+            (dict(n_layers=1), "n_layers must be at least 2"),
+            (dict(steps=0), "steps and record_stride"),
+            (dict(record_stride=0), "steps and record_stride"),
+            (dict(eps_conv=float("nan")), "eps_conv must be"),
+            (dict(sigma1=-1.0), "sigma1 must be"),
+            (dict(target_kind="square"), "unknown target kind"),
+            (dict(target_kind="diag", diag=(1.0,) * 4), "diag target needs exactly d values"),
+            (dict(target_kind="diag", diag=(1.0, 1.0, float("nan"), 1.0, 1.0)), "diag values must be"),
+            (dict(init=replace(tiny_cfg().init, g_singular_values=(1.0,) * 4)), "g_singular_values needs exactly d"),
+            (dict(init=replace(tiny_cfg().init, s_phases=(1.0,) * 3)), "s_phases length"),
+            (dict(init=replace(tiny_cfg().init, s_phases=(1j, 1.0, 1.0, 1.0))), "real field requires s_phases"),
+            (dict(det_sign=2), "det_sign must be"),
+            (dict(field=FieldTag.COMPLEX, det_sign=1), "only applies to the real field"),
+            (dict(d=4, det_sign=-1), "requires odd dimension"),
+        ],
+    )
+    def test_bad_value_fails_where_built(self, bad, match):
+        # A balanced real config of odd d, which every rule but one passes.
+        valid = tiny_cfg(d=5)
+        with pytest.raises(ConfigError, match=match):
+            replace(valid, **bad)
 
 
 class TestPresets:
@@ -639,7 +668,7 @@ class TestSweep:
     def test_single_seed_fraction(self):
         base = tiny_cfg(steps=2000, eps_conv=1e-6, dyn=DynConfig(reg_a=0.0, eta=0.2))
         r = sweep_convergence(base, 1, workers=1)
-        assert r.fraction in (0.0, 1.0)
+        assert r.tally() in ((0, 1), (1, 1))
 
     @pytest.mark.parametrize("n_seeds, workers", [(0, 1), (4, 0), (4, -1)])
     def test_needs_a_seed_and_a_worker(self, n_seeds, workers):
@@ -658,7 +687,7 @@ class TestSweep:
         )
         r1 = sweep_convergence(base, 6, workers=1)
         r2 = sweep_convergence(base, 6, workers=2)
-        assert r1.fraction == r2.fraction
+        assert r1.tally() == r2.tally()
         assert [o.seed for o in r1.outcomes] == [o.seed for o in r2.outcomes]
         assert [o.steps_run for o in r1.outcomes] == [o.steps_run for o in r2.outcomes]
 
@@ -698,7 +727,19 @@ class TestSweep:
             steps=100,
         )
         r = sweep_convergence(base, 8, workers=2)
-        assert r.n_det_plus + r.n_det_minus == 8
+        assert r.tally(+1)[1] + r.tally(-1)[1] == 8
+
+    def test_det_classes_hold_real_seeds_only(self):
+        # A complex seed's det W(0) is a phase, and a product that overflows
+        # at the start has det_w0 = nan and diverges at step 0.
+        complex_sweep = sweep_convergence(tiny_cfg(field=FieldTag.COMPLEX, steps=100), 4, workers=1)
+        assert complex_sweep.tally()[1] == 4
+        overflowed = sweep_convergence(tiny_cfg(d=5, init=InitScheme(kind="random", epsilon=1e80)), 4, workers=1)
+        assert all(o.status == "diverged" and o.steps_run == 0 for o in overflowed.outcomes)
+        assert all(np.isnan(o.det_w0) for o in overflowed.outcomes)
+        assert overflowed.tally() == (0, 4)
+        for r in (complex_sweep, overflowed):
+            assert r.tally(+1) == r.tally(-1) == (0, 0)
 
     @pytest.mark.parametrize("integrator", ["gd", "flow_rk4"])
     def test_light_runner_matches_full(self, integrator):
@@ -1483,6 +1524,24 @@ class TestCli:
         assert "nan" not in "\n".join(lines)
         rows = [r for r in (tmp_path / "sweep.csv").read_text().splitlines() if not r.startswith("#")]
         assert len(rows) == 3 and all(r.endswith(",-1.0") for r in rows[1:])
+
+    def test_sweep_report(self, tmp_path, capsys):
+        # The report lines, the path line aside, of two sweeps at the budgets given.
+        config = tmp_path / "short.cfg"
+        config.write_text("epsilon = 0.3\nsteps = 3000\n")
+        argv = ["sweep", "--preset", "fig-h1", "--seeds", "8", "--config", str(config), "--out", str(tmp_path)]
+        assert main(argv) == 0
+        assert capsys.readouterr().out.splitlines()[:-1] == [
+            "sweep(fig-h1-real, field=real): 3/8 converged, fraction=0.375",
+            "  det>0: 3/3 (fraction=1.000); det<0: 0/5 (fraction=0.000)",
+            "sweep(fig-h1-complex, field=complex): 8/8 converged, fraction=1.000",
+        ]
+        argv = ["sweep", "--preset", "sweep", "--seeds", "12", "--steps", "3000", "--out", str(tmp_path)]
+        assert main(argv) == 0
+        assert capsys.readouterr().out.splitlines()[:-1] == [
+            "sweep(sweep, field=real): 5/12 converged, fraction=0.417",
+            "  det>0: 3/6 (fraction=0.500); det<0: 2/6 (fraction=0.333)",
+        ]
 
     def test_sweep_preset_family(self, tmp_path, capsys):
         # Without --det the real variants are one sweep with the det sign
