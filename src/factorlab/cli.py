@@ -36,7 +36,6 @@ from .lab import (
     run_scenarios,
     sweep_convergence,
     sweep_csv_row,
-    sweep_workers,
 )
 # Not called here: the benchmark's tracer wraps it under this name.
 from .lab import run_scenario  # noqa: F401
@@ -133,7 +132,6 @@ def _share(converged: int, seeds: int) -> str:
 def _cmd_sweep(args: argparse.Namespace) -> int:
     bases = _configs_from_args(args, sweep=True)
     check_distinct_names(bases, "their sweep.csv rows could not be told apart")
-    workers = sweep_workers(args.seeds)
     # Config echo: each base config's block rebuilds it as a config file.
     comments = [f"# factorlab sweep, seeds = {args.seeds}"]
     for base in bases:
@@ -142,7 +140,7 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
     table = [SWEEP_CSV_COLUMNS]
     with make_out_dir(args.out, ["sweep.csv"]) as out:
         for base in bases:
-            result = sweep_convergence(base, args.seeds, workers)
+            result = sweep_convergence(base, args.seeds)
             converged, seeds = result.tally()
             print(
                 f"sweep({base.name}, field={base.field.value}): {converged}/{seeds} "
@@ -177,8 +175,8 @@ def _cmd_gradcheck(args: argparse.Namespace) -> int:
         report = gradcheck(args.d, args.n_layers, field, args.a, args.seed)
         verdict = "pass" if report.passed else "FAIL"
         print(
-            f"[{verdict}] gradcheck d={report.d} N={report.n_layers} field={field.value} "
-            f"a={report.reg_a}: max relative error {report.max_rel_err:.3e}"
+            f"[{verdict}] gradcheck d={args.d} N={args.n_layers} field={field.value} "
+            f"a={args.a}: max relative error {report.max_rel_err:.3e}"
         )
         ok = ok and report.passed
     return EXIT_OK if ok else EXIT_VALIDATION

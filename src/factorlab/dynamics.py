@@ -40,7 +40,8 @@ the rounds the caller keeps (the run loop's guard, record and last steps)
 are copied aside before they step, one call each, and everything else is
 read from those copies: their layers, norms and ``l_reg``, whose defects
 are :func:`_defects` of them.  :meth:`_Kernel.replay` steps one problem
-alone again from the first kept round, to a round that was not kept.
+alone again from the first kept round to a round that was not kept, and
+keeps only that round.
 
 The kernel does real arithmetic only.  A complex problem is stepped as its
 real embedding ``E(A + iB) = [[A, -B], [B, A]]``: one real matmul per
@@ -85,7 +86,7 @@ from typing import NamedTuple, Sequence
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
-from .errors import DimMismatchError
+from .errors import ConfigError, DimMismatchError
 from .linalg import adjoint, svd
 
 __all__ = [
@@ -178,11 +179,11 @@ class DynConfig:
     def __post_init__(self) -> None:
         # Written so that NaN fails every test.
         if not 0 <= self.reg_a < float("inf"):
-            raise ValueError(f"reg_a must be finite and non-negative, got {self.reg_a}")
+            raise ConfigError(f"reg_a must be finite and non-negative, got {self.reg_a}")
         if not (0 < self.eta < float("inf") and 0 < self.step_h < float("inf")):
-            raise ValueError("step sizes eta and step_h must be finite and positive")
+            raise ConfigError("step sizes eta and step_h must be finite and positive")
         if self.integrator not in ("gd", "flow_rk4"):
-            raise ValueError(f"unknown integrator {self.integrator!r}")
+            raise ConfigError(f"unknown integrator {self.integrator!r}")
 
 
 
@@ -598,15 +599,15 @@ class _Kernel:
             _run(plan)
         return self._history(rounds)
 
-    def replay(self, row: int, rounds: int, keep: Sequence[int]) -> tuple["_Kernel", np.ndarray]:
-        """A kernel of problem ``row`` alone, advanced ``rounds`` rounds keeping ``keep`` from the start of the last :meth:`advance`, and its history.
+    def replay(self, row: int, r: int) -> tuple["_Kernel", np.ndarray]:
+        """A kernel of problem ``row`` alone, advanced ``r + 1`` rounds from the start of the last :meth:`advance` keeping only round ``r``, and its history.
 
         Every operation acts on each problem alone, so its layers, ``l_ori``
         and defects have the bits the batch had there.
         """
         layers = self._kept[:, 0, row : row + 1].swapaxes(0, 1)
-        kernel = _Kernel(layers, self.sigma[row : row + 1], self.cfg, self.embedded, rounds, len(keep))
-        return kernel, kernel.advance(rounds, keep)
+        kernel = _Kernel(layers, self.sigma[row : row + 1], self.cfg, self.embedded, r + 1, 1)
+        return kernel, kernel.advance(r + 1, [r])
 
     def kept_l_reg(self, count: int) -> np.ndarray:
         """``(count, B)`` ``l_reg`` of the first ``count`` kept rounds of the last :meth:`advance` or :meth:`measure`.

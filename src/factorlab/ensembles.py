@@ -20,7 +20,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .dynamics import LayerStack
-from .errors import NotUnitaryError
+from .errors import ConfigError, NotUnitaryError
 from .linalg import FieldTag, adjoint, norms, sqrt_psd
 
 __all__ = [
@@ -71,17 +71,17 @@ class InitScheme:
 
     def __post_init__(self) -> None:
         if self.kind not in ("balanced", "random"):
-            raise ValueError(f"unknown init kind {self.kind!r}")
+            raise ConfigError(f"unknown init kind {self.kind!r}")
         # Written so that NaN fails every test.
         if not 0 < self.epsilon < float("inf"):
-            raise ValueError(f"epsilon must be finite and positive, got {self.epsilon}")
+            raise ConfigError(f"epsilon must be finite and positive, got {self.epsilon}")
         if self.s_phases is not None:
             for s in self.s_phases:
                 if not abs(abs(s) - 1.0) <= 1e-12:
-                    raise ValueError("every s_phase must have modulus 1")
+                    raise ConfigError("every s_phase must have modulus 1")
         if self.g_singular_values is not None:
             if not all(0 <= v < float("inf") for v in self.g_singular_values):
-                raise ValueError("g_singular_values must be finite and non-negative")
+                raise ConfigError("g_singular_values must be finite and non-negative")
 
 
 def gaussian_matrix(d: int, field: FieldTag, rng: np.random.Generator) -> np.ndarray:
@@ -113,11 +113,11 @@ def _resolve_phases(scheme: InitScheme, n_layers: int, field: FieldTag) -> np.nd
         s = np.ones(n_layers, dtype=field.dtype)
     else:
         if len(scheme.s_phases) != n_layers:
-            raise ValueError("s_phases length must equal the number of layers")
+            raise ConfigError("s_phases length must equal the number of layers")
         s = np.asarray(scheme.s_phases, dtype=complex)
         if field is FieldTag.REAL:
             if np.any(np.abs(s.imag) > 1e-12) or np.any(np.abs(np.abs(s.real) - 1) > 1e-12):
-                raise ValueError("real field requires s_phases in {+1, -1}")
+                raise ConfigError("real field requires s_phases in {+1, -1}")
             s = s.real
     return s
 

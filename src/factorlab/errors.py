@@ -45,5 +45,5 @@ class MalformedCSVError(FactorLabError):
     """Trajectory CSV is missing metadata, header, or rows."""
 
 
-class ConfigError(FactorLabError):
-    """Run configuration is invalid."""
+class ConfigError(FactorLabError, ValueError):
+    """Run configuration is invalid; a ``ValueError`` too, so that callers catching that catch it."""

@@ -65,7 +65,6 @@ __all__ = [
     "run_scenarios",
     "check_distinct_names",
     "make_out_dir",
-    "sweep_workers",
     "sweep_convergence",
     "rmt_validate",
     "gradcheck",
@@ -217,10 +216,7 @@ class RunConfig:
         g = self.init.g_singular_values
         if g is not None and len(g) != self.d:
             raise ConfigError(f"g_singular_values needs exactly d = {self.d} values, got {len(g)}")
-        try:
-            _resolve_phases(self.init, self.n_layers, self.field)
-        except ValueError as exc:
-            raise ConfigError(str(exc)) from None
+        _resolve_phases(self.init, self.n_layers, self.field)
         if self.det_sign is not None:
             if self.det_sign not in (+1, -1):
                 raise ConfigError("det_sign must be +1 or -1")
@@ -655,17 +651,17 @@ def _run_chunk(
     on all their layer norms at once, and compares the whole history with
     ``eps_conv`` at once.  Each problem's kept record rounds up to its end
     go to its trajectory: the kept layers, ``l_ori``, and ``l_reg`` made
-    from the kept layers.  A
-    problem that converged on a round that was not kept is replayed alone
-    from the block's first kept layers to that round (the kernel's
-    ``replay``), keeping its kept rounds and that one, and the
-    replay is settled the same way; the rest of the batch is not rolled
-    back.  Replay gives the batch's bits, since the kernel acts on each
-    problem alone.  Everything the loop reads of the kernel is in the
-    problems' own field (see ``dynamics``).  Stepping ignores overflow;
-    recording does not: the records are computed ``RECORD_BLOCK`` at a time
-    and after the stepping loop, under the caller's floating-point error
-    state.
+    from the kept layers.  A problem that converged on a round that was
+    not kept records the kept rounds before it from the batch, as any
+    problem does, and is stepped again alone from the block's first kept
+    layers to that round (the kernel's ``replay``), keeping only that
+    round; settled the same way, the replay ends the run there and records
+    it.  The rest of the batch is not rolled back.  Replay gives the
+    batch's bits, since the kernel acts on each problem alone.  Everything
+    the loop reads of the kernel is in the problems' own field (see
+    ``dynamics``).  Stepping ignores overflow; recording does not: the
+    records are computed ``RECORD_BLOCK`` at a time and after the stepping
+    loop, under the caller's floating-point error state.
     """
     cfg = cfgs[0]
     stride = cfg.record_stride
@@ -694,7 +690,8 @@ def _run_chunk(
 
         ``keep`` lists the block's kept rounds.  Returns the mask of the rows whose runs ended
         there, or None when none did, and ``(row, round)`` for each row
-        that converged on a round not kept: its replay settles it.
+        that converged on a round not kept: its kept rounds before that
+        round are recorded here, and its replay ends and records it.
         """
         rounds = len(history)
         l_ori = history[keep]
@@ -706,9 +703,9 @@ def _run_chunk(
         going = not (final or met.any() or not ok.all())
         quiet = []
         if not going:
-            # Each row's ending round; rounds for a row that goes on, -1 for
-            # one settled by its replay.  A row converges on its first round
-            # that meets eps, unless its guard fails there or before.
+            # Each row's ending round, rounds for a row that goes on.  A row
+            # converges on its first round that meets eps, unless its guard
+            # fails there or before.
             failed = ~ok
             end = np.where(failed.any(0), np.asarray(keep)[failed.argmax(0)], rounds)
             first = np.where(met.any(0), met.argmax(0), rounds)
@@ -719,7 +716,6 @@ def _run_chunk(
                 r = int(end[i])
                 if r not in keep:
                     quiet.append((i, r))
-                    end[i] = -1
                     continue
                 slot = keep.index(r)
                 status = "diverged" if not ok[slot, i] else "converged" if first[i] == r else "exhausted"
@@ -762,9 +758,8 @@ def _run_chunk(
                 keep += range(-start % stride or stride, rounds, stride)
             done, quiet = settle(kernel, active, start, kernel.advance(rounds, keep), keep)
             for i, r in quiet:
-                replay_keep = [k for k in keep if k < r] + [r]
-                replayed, history = kernel.replay(i, r + 1, replay_keep)
-                settle(replayed, active[i : i + 1], start, history, replay_keep)
+                replayed, history = kernel.replay(i, r)
+                settle(replayed, active[i : i + 1], start, history, [r])
             if done is not None:
                 if done.all():
                     break
@@ -785,20 +780,6 @@ def _max_workers() -> int:
         except ValueError:
             raise ConfigError(f"LAB_THREADS must be an integer, got {env!r}") from None
     return cpus
-
-
-def sweep_workers(n_seeds: int, workers: int | None = None) -> int:
-    """The worker cap of a sweep of ``n_seeds`` seeds: ``workers``, by default ``LAB_THREADS`` or the CPUs.
-
-    Raises ConfigError for fewer than one seed or worker and for a
-    ``LAB_THREADS`` that is not an integer, so a caller can check a sweep
-    before it makes its output directory.
-    """
-    if n_seeds < 1:
-        raise ConfigError("n_seeds must be at least 1")
-    if workers is not None and workers < 1:
-        raise ConfigError(f"workers must be at least 1, got {workers}")
-    return workers if workers is not None else _max_workers()
 
 
 def _sweep_chunks(items: list, workers: int) -> list[list]:
@@ -831,9 +812,15 @@ def sweep_convergence(
     over workers.  Results are merged in seed order and each seed's outcome
     is independent of the chunking, so the result does not depend on
     ``workers``.  For the real field the result is cross-tabulated by the
-    sign of the initial product determinant.
+    sign of the initial product determinant.  Fewer than one seed or
+    worker, or a ``LAB_THREADS`` that is not an integer, is a ConfigError.
     """
-    workers = sweep_workers(n_seeds, workers)
+    if n_seeds < 1:
+        raise ConfigError("n_seeds must be at least 1")
+    if workers is None:
+        workers = _max_workers()
+    elif workers < 1:
+        raise ConfigError(f"workers must be at least 1, got {workers}")
     cfgs = [replace(base_cfg, seed=s) for s in _sweep_seeds(base_cfg.seed, n_seeds)]
     chunks = _sweep_chunks(cfgs, workers)
     if workers > 1 and len(chunks) > 1:
@@ -912,10 +899,8 @@ def rmt_validate(
 
 @dataclass(frozen=True)
 class GradCheckReport:
-    field: FieldTag
-    d: int
-    n_layers: int
-    reg_a: float
+    """A gradient check's largest per-component relative error; it passes below 1e-6."""
+
     max_rel_err: float
 
     @property
@@ -965,7 +950,7 @@ def gradcheck(d: int, n_layers: int, field: FieldTag, a: float, seed: int) -> Gr
             analytic = g.real if unit == 1.0 else g.imag
             err = np.abs(analytic - fd) / (1.0 + np.abs(analytic))
             max_err = max(max_err, float(err.max()))
-    return GradCheckReport(field=field, d=d, n_layers=n_layers, reg_a=a, max_rel_err=max_err)
+    return GradCheckReport(max_err)
 
 
 # ---------------------------------------------------------------------------
@@ -1150,8 +1135,5 @@ def build_config(overrides: dict[str, str], base: RunConfig | None = None) -> Ru
             fields[part][attr] = CONFIG_KEYS[key].parse(val)
         except ValueError as exc:
             raise ConfigError(f"{key} = {val}: {exc}") from None
-    try:
-        init, dyn = replace(cfg.init, **fields["init"]), replace(cfg.dyn, **fields["dyn"])
-    except ValueError as exc:
-        raise ConfigError(str(exc)) from None
+    init, dyn = replace(cfg.init, **fields["init"]), replace(cfg.dyn, **fields["dyn"])
     return replace(cfg, init=init, dyn=dyn, **fields[""])

@@ -749,8 +749,9 @@ class TestDeferredNorms:
     @pytest.mark.parametrize("integrator", ["gd", "flow_rk4"])
     def test_advance_is_rounds_of_measure_and_step(self, integrator, field, reg_a, n, batch, rounds):
         # Two blocks on one kernel, each keeping every third round, against
-        # a kernel stepped one round at a time; then each problem
-        # replayed from the second block's start to a few of its steps.
+        # a kernel stepped one round at a time; then each problem replayed
+        # from the second block's start to a few of its steps, keeping only
+        # that step.
         cfg = DynConfig(reg_a=reg_a, eta=0.05, step_h=0.05, integrator=integrator)
         w, sigma = _problem(field, n, batch, seed=n + batch)
         keep = list(range(0, rounds, 3))
@@ -780,11 +781,11 @@ class TestDeferredNorms:
         assert np.concatenate(got).tobytes() == np.stack(l_ori).tobytes()
         assert kernel.layers.tobytes() == alone.layers.tobytes()
         for t in sorted({0, rounds // 2, rounds - 1}):
-            replay_keep = [r for r in keep if r < t] + [t]
             for row in range(batch):
-                replayed, history = kernel.replay(row, t + 1, replay_keep)
+                replayed, history = kernel.replay(row, t)
                 assert history.tobytes() == got[1][: t + 1, row : row + 1].tobytes()
-                want = np.stack([layers[rounds + r][row : row + 1] for r in replay_keep], axis=1)
+                # The replayed kernel keeps round t alone.
+                want = layers[rounds + t][row : row + 1][:, None]
                 assert replayed._kept.swapaxes(0, 2).tobytes() == want.tobytes()
 
     @staticmethod
@@ -1452,14 +1453,14 @@ class TestAlignedModes:
     Mode ``k``'s layer entries ``u_j`` follow ``u_j <- u_j + eta (s - p)
     prod_{i != j} u_i`` with ``p = prod_i u_i`` (Saxe et al. 2014), and a
     gemm of diagonal matrices adds only exact zeros to one rounded product,
-    so the kernel's GD steps are this scalar recursion bit for bit when the
-    recursion multiplies in the kernel's association.  RK4, and stacks with non-real
-    phases, are not pinned here.
+    so the kernel's GD and RK4 steps are this scalar recursion bit for bit
+    when the recursion multiplies in the kernel's association.  Stacks with
+    non-real phases are not pinned here.
     """
 
     @staticmethod
-    def _ref_gd(u, s, eta):
-        """One GD step of the ``(N, ...)`` diagonal entries ``u`` toward ``s``, associated as the kernel does."""
+    def _ref_dir(u, s):
+        """The descent direction at the ``(N, ...)`` diagonal entries ``u`` toward ``s``, associated as the kernel does."""
         n = len(u)
         suf = [u[0]]
         for t in range(1, n - 1):
@@ -1469,28 +1470,52 @@ class TestAlignedModes:
             pre[j] = u[j + 1] * pre[j + 1]
         m = s - u[n - 1] * suf[n - 2]
         f = [pre[j] * m for j in range(n - 1)] + [m]
-        direction = [f[0]] + [suf[j - 1] * f[j] for j in range(1, n)]
-        return np.stack([u[j] + direction[j] * eta for j in range(n)])
+        return np.stack([f[0]] + [suf[j - 1] * f[j] for j in range(1, n)])
+
+    @classmethod
+    def _ref_gd(cls, u, s, eta):
+        """One GD step of the diagonal entries ``u``."""
+        return u + cls._ref_dir(u, s) * eta
+
+    @classmethod
+    def _ref_rk4(cls, u, s, h):
+        """One RK4 step of the diagonal entries ``u``, its stages summed as the kernel sums them."""
+        k1 = cls._ref_dir(u, s)
+        k2 = cls._ref_dir(u + k1 * (0.5 * h), s)
+        k3 = cls._ref_dir(u + k2 * (0.5 * h), s)
+        k4 = cls._ref_dir(u + k3 * h, s)
+        return u + (((k1 + k2 * 2.0) + k3 * 2.0) + k4) * (h / 6.0)
 
     @pytest.mark.parametrize("n", [2, 3, 4, 6])
     @pytest.mark.parametrize("field", FIELDS, ids=lambda f: f.value)
     def test_gd_is_the_scalar_recursion(self, field, n):
+        self._check_recursion(field, n, DynConfig(reg_a=0.0, eta=0.01, integrator="gd"), self._ref_gd, 0.01)
+
+    @pytest.mark.parametrize("n", [2, 3, 4, 6])
+    @pytest.mark.parametrize("field", FIELDS, ids=lambda f: f.value)
+    def test_rk4_is_the_scalar_recursion(self, field, n):
+        cfg = DynConfig(reg_a=0.0, step_h=0.01, integrator="flow_rk4")
+        self._check_recursion(field, n, cfg, self._ref_rk4, 0.01)
+
+    @staticmethod
+    def _check_recursion(field, n, cfg, ref_step, dt):
+        """Twelve blocks of 25 kernel steps under ``cfg`` against ``ref_step(u, s, dt)`` on random diagonal stacks of ``n`` layers."""
         # A complex stack with zero imaginary parts runs embedded, and its
         # imaginary parts stay exactly 0.
         rng = make_rng(n)
-        batch, d, eta = 8, 5, 0.01
+        batch, d = 8, 5
         s = np.array([2.0, 1.55, 1.1, 0.65, 0.2])
         u = rng.uniform(0.05, 0.4, (n, batch, d)) * rng.choice([-1.0, 1.0], (n, batch, d))
         eye = np.eye(d)
         w = (u[..., None] * eye).swapaxes(0, 1).astype(field.dtype)
         sigma = np.broadcast_to(np.diag(s), (batch, d, d)).astype(field.dtype)
-        kernel = _kernel(w, sigma, DynConfig(reg_a=0.0, eta=eta, integrator="gd"), block=25)
+        kernel = _kernel(w, sigma, cfg, block=25)
         assert kernel.embedded == (field is FieldTag.COMPLEX)
         off_diagonal = ~np.eye(d, dtype=bool)
         for _ in range(12):
             kernel.advance(25)
             for _ in range(25):
-                u = self._ref_gd(u, s, eta)
+                u = ref_step(u, s, dt)
             layers = np.stack([kernel.own_layers(b) for b in range(batch)])
             assert np.array_equal(np.diagonal(layers, axis1=-2, axis2=-1).real, u.swapaxes(0, 1))
             assert not layers[..., off_diagonal].any()

@@ -34,7 +34,7 @@ from factorlab.dynamics import (
     loss,
     product,
 )
-from factorlab.ensembles import InitScheme, ValidatorResult, gaussian_matrix
+from factorlab.ensembles import InitScheme, ValidatorResult, _resolve_phases, gaussian_matrix
 from factorlab.errors import ConfigError, MalformedCSVError
 from factorlab.lab import (
     CONFIG_KEYS,
@@ -198,6 +198,35 @@ class TestRunConfig:
         valid = tiny_cfg(d=5)
         with pytest.raises(ConfigError, match=match):
             replace(valid, **bad)
+
+    @pytest.mark.parametrize(
+        "make, match",
+        [
+            (lambda: InitScheme(kind="square"), "unknown init kind"),
+            (lambda: InitScheme(epsilon=float("nan")), "epsilon must be"),
+            (lambda: InitScheme(s_phases=(2.0, 1.0)), "every s_phase must have modulus 1"),
+            (lambda: InitScheme(g_singular_values=(1.0, -1.0)), "g_singular_values must be"),
+            (lambda: DynConfig(reg_a=-1.0), "reg_a must be"),
+            (lambda: DynConfig(eta=float("nan")), "step sizes eta and step_h"),
+            (lambda: DynConfig(integrator="euler"), "unknown integrator"),
+            (lambda: _resolve_phases(InitScheme(s_phases=(1.0,) * 3), 4, FieldTag.REAL), "s_phases length"),
+            (lambda: _resolve_phases(InitScheme(s_phases=(1j, 1.0)), 2, FieldTag.REAL), "real field requires"),
+        ],
+        ids=[
+            "init-kind", "init-epsilon", "init-s-phase", "init-g", "dyn-reg-a", "dyn-eta", "dyn-integrator",
+            "phases-length", "phases-field",
+        ],
+    )
+    def test_bad_part_raises_config_error_where_made(self, make, match):
+        # A ConfigError is a ValueError too, for callers that catch that.
+        with pytest.raises(ConfigError, match=match) as exc:
+            make()
+        assert isinstance(exc.value, ValueError)
+
+    def test_bad_override_keeps_its_message(self):
+        with pytest.raises(ConfigError) as exc:
+            build_config({"reg_a": "-1"})
+        assert str(exc.value) == "reg_a must be finite and non-negative, got -1.0"
 
 
 class TestPresets:
@@ -1066,7 +1095,7 @@ class TestConvergenceCheck:
         monkeypatch.setattr(
             dynamics._Kernel,
             "replay",
-            lambda kernel, row, rounds, keep: replays.append(rounds) or replay(kernel, row, rounds, keep),
+            lambda kernel, row, r: replays.append(r + 1) or replay(kernel, row, r),
         )
         got = run_scenarios(cfgs, out_dir=tmp_path)
         off_cadence = [w for _, w in want if w[0] == "converged" and w[1] % 10 and w[1] % 25]
@@ -1228,7 +1257,7 @@ class TestConvergenceCheck:
         monkeypatch.setattr(
             dynamics._Kernel,
             "replay",
-            lambda kernel, row, rounds, keep: replays.append(rounds) or replay(kernel, row, rounds, keep),
+            lambda kernel, row, r: replays.append(r + 1) or replay(kernel, row, r),
         )
         got = run_scenarios(cfgs, out_dir=tmp_path)
         # Only the quiet convergence is replayed, to its round in the block from step 25.
@@ -1258,7 +1287,7 @@ class TestConvergenceCheck:
         monkeypatch.setattr(
             dynamics._Kernel,
             "replay",
-            lambda kernel, row, rounds, keep: replays.append(rounds) or replay(kernel, row, rounds, keep),
+            lambda kernel, row, r: replays.append(r + 1) or replay(kernel, row, r),
         )
         (got,) = _run_chunk([base])
         assert (got.status, got.steps_run, got.final_l_ori) == (*want, 5e-9)
@@ -1754,6 +1783,26 @@ class TestCli:
         assert main(["sweep", "--preset", "sweep", "--seeds", "2", "--steps", "5"]) == 1
         err = capsys.readouterr().err
         assert err.startswith("config error: LAB_THREADS") and err.count("\n") == 1
+        assert not any(tmp_path.iterdir())
+
+    @pytest.mark.parametrize(
+        "seeds, env, want",
+        [
+            ("0", None, "n_seeds must be at least 1"),
+            ("2", "abc", "LAB_THREADS must be an integer, got 'abc'"),
+        ],
+        ids=["zero-seeds", "bad-lab-threads"],
+    )
+    def test_rejected_sweep_leaves_no_nested_out_dir(self, tmp_path, capsys, monkeypatch, seeds, env, want):
+        # The sweep is refused inside make_out_dir, which removes the
+        # directories it made.
+        monkeypatch.chdir(tmp_path)
+        if env is None:
+            monkeypatch.delenv("LAB_THREADS", raising=False)
+        else:
+            monkeypatch.setenv("LAB_THREADS", env)
+        assert main(["sweep", "--preset", "sweep", "--seeds", seeds, "--out", "a/b/c"]) == 1
+        assert capsys.readouterr().err == f"config error: {want}\n"
         assert not any(tmp_path.iterdir())
 
     @pytest.mark.parametrize("existing", [False, True], ids=["new", "existing"])
