@@ -16,12 +16,17 @@ not once per record: one SVD of all layers of the K steps, one solve for
 and half-sum terms, and one ``slogdet``.  Each is one LAPACK call per
 matrix, so a record is bitwise the one its step gets in a block of one.
 
-Per record runs only what follows the previous step: aligning the tracked
-SVD's ``u`` to the ``u`` before it (the overlap, the greedy column match
-and the phases).  Per block, as stacked numpy calls, run the rest of the
-tracks (``v``, ``s`` and ``sigma_w`` gathered and phased with the steps'
-permutations and phases), the half-sum and weighted skew terms, and the
-``U^H V`` products of the det indicator.
+The tracked SVD's column match comes from one stacked overlap of each
+record's ``u`` with the one before it, when that overlap decides every
+record's match; a real block's phases are then signs, accumulated over the
+block, and its tracks are stacked numpy calls throughout.  What still runs
+record by record: a complex block's phases, each of which depends on the
+rounded ``u`` before it, and the whole alignment of a block holding an
+undecided record, such as one where singular values meet.  Per block, as
+stacked numpy calls, run the rest of the tracks (``v``, ``s`` and
+``sigma_w`` gathered and phased with the steps' permutations and phases),
+the half-sum and weighted skew terms, and the ``U^H V`` products of the
+det indicator.
 
 Layout rule: a skew norm sums its matrix in memory order, as
 ``np.linalg.norm`` does, so it follows the layout of each track's own
@@ -42,8 +47,7 @@ from __future__ import annotations
 
 import logging
 from collections.abc import Sequence
-from dataclasses import dataclass, fields
-from operator import attrgetter
+from typing import NamedTuple, get_args, get_type_hints
 
 import numpy as np
 
@@ -128,8 +132,7 @@ def main_term_sigma_min(stack: LayerStack) -> float:
     return _diagnostics_of(stack)[1]
 
 
-@dataclass(frozen=True)
-class SvdTrack:
+class SvdTrack(NamedTuple):
     """SVD of the product matrix with per-layer root, aligned for continuity.
 
     ``w = u @ diag(sigma_w ** n_layers) @ v^H``; when built against a previous
@@ -176,16 +179,64 @@ def _greedy_match(overlap: np.ndarray) -> np.ndarray:
     return perm
 
 
+# A row's largest overlap beats its runner-up by more than this, or the
+# block is aligned record by record.  The stacked overlap and the one of the
+# aligned ``u`` differ by a few ulps (a d-term dot of unit columns, about
+# 1.3e-15 at d = 5), so above it both rows have the same maximum.
+_MATCH_MARGIN = 1e-12
+
+
+def _block_match(overlap: np.ndarray, first: int) -> np.ndarray | None:
+    """Every record's greedy match from the stacked ``|U_{i-1}^H U_i|`` of raw SVD ``u``, or None.
+
+    ``overlap[j]`` compares record ``first + j`` with the one before it (the
+    block's previous track for ``j = first = 0``).  A record is decided when
+    each row's maximum is in its own column and beats the row's runner-up
+    by more than ``_MATCH_MARGIN``; then the greedy match against the
+    aligned ``u`` is that row maximum, taken through the previous record's
+    permutation.  Returns ``(K + 1, d)`` permutations, row 0 the identity of
+    the track before the block and row ``i + 1`` record ``i``'s, when every
+    record is decided.
+    """
+    m, d, _ = overlap.shape
+    best = overlap.argmax(axis=-1)
+    top = np.sort(overlap, axis=-1)[..., -2:]
+    if not (np.diff(top) > _MATCH_MARGIN).all() or not (np.sort(best, axis=-1) == np.arange(d)).all():
+        return None
+    chain = np.empty((m + first + 1, d), np.intp)
+    chain[: first + 1] = np.arange(d)
+    chain[first + 1 :] = best
+    for i in range(first + 1, m + first + 1):
+        chain[i] = chain[i][chain[i - 1]]
+    return chain
+
+
+def _gather(x: np.ndarray, perms: np.ndarray, phases: np.ndarray) -> np.ndarray:
+    """The columns of each ``x[i]`` permuted by ``perms[i]`` and phased, column-major as a column gather leaves them."""
+    # Gathered as rows of x^T, then phased.
+    g = x.swapaxes(1, 2)[np.arange(len(x))[:, None], perms]
+    np.multiply(g, phases[:, :, None], out=g)
+    return g.swapaxes(1, 2)
+
+
 def _tracks(
     w: np.ndarray, n_layers: int, prev: SvdTrack | None
 ) -> tuple[list[SvdTrack], np.ndarray, np.ndarray, np.ndarray]:
     """Tracked SVDs of a ``(K, d, d)`` run of products, each following the one before.
 
-    One SVD of all K products.  Only the alignment of ``u`` runs product by
-    product, on each product's own matrices as a lone SVD returns them; it
-    keeps each step's permutation and phase, and ``v``, ``s`` and
-    ``sigma_w`` are then gathered and phased for the whole block.  Returns
-    the tracks and their ``u``, ``v`` and ``sigma_w`` stacked.
+    One SVD of all K products, and one stacked overlap of each record's raw
+    ``u`` with the one before it.  When that overlap decides every record's
+    column match (:func:`_block_match`), the matches are its row maxima.  A
+    real phase is then the sign of the matched overlap, accumulated over
+    the block, and multiplying by it is exact, so ``u`` is gathered and
+    phased for the whole block.  A complex phase depends on the rounded
+    ``u`` before it, so it runs record by record: the gather, the diagonal
+    of ``prev_u^H u``, the phase and the product.  A block holding an
+    undecided record, such as one where singular values meet, aligns every
+    record this way and matches it by :func:`_greedy_match` of its overlap
+    with the aligned ``u`` before it.  ``v``, ``s`` and ``sigma_w`` are
+    gathered and phased for the whole block.  Returns the tracks and their
+    ``u``, ``v`` and ``sigma_w`` stacked.
 
     An aligned track's ``u`` and ``v`` are column-major, as a column gather
     leaves them.  A run's first track (no ``prev``) keeps the SVD's layout:
@@ -193,39 +244,43 @@ def _tracks(
     """
     r = svd(w)
     k, d = r.s.shape
-    # Each u^T in a row-major buffer, so each u has a column gather's strides.
-    us = np.empty((k, d, d), r.u.dtype).swapaxes(1, 2)
-    perms = np.empty((k, d), np.intp)
-    phases = np.empty((k, d), r.u.dtype)
-    if prev is None:
-        perms[0], phases[0], us[0] = np.arange(d), 1.0, r.u[0]
-        prev_u, first = r.u[0], 1
+    first = 1 if prev is None else 0
+    before = r.u[:-1] if prev is None else np.concatenate((prev.u[None], r.u[:-1]))
+    overlap = adjoint(before) @ r.u[first:]
+    chain = _block_match(np.abs(overlap), first)
+    if chain is not None and not np.iscomplexobj(overlap):
+        perms = chain[1:]
+        flips = np.ones((k, d))
+        flips[first:] = np.sign(overlap[np.arange(k - first)[:, None], chain[first:-1], perms[first:]])
+        phases = np.cumprod(flips, axis=0)
+        us = _gather(r.u, perms, phases)
     else:
-        prev_u, first = prev.u, 0
-    for i in range(first, k):
-        c = np.conj(prev_u)
-        perm = _greedy_match(np.abs(c.T @ r.u[i]))
-        u = r.u[i][:, perm]
-        z = (c * u).sum(0)  # diag(prev_u^H @ u)
-        mags = np.abs(z)
-        if mags.all():
-            phase = np.conj(z) / mags
+        # Each u^T in a row-major buffer, so each u has a column gather's strides.
+        us = np.empty((k, d, d), r.u.dtype).swapaxes(1, 2)
+        perms = np.empty((k, d), np.intp) if chain is None else chain[1:]
+        phases = np.empty((k, d), r.u.dtype)
+        if prev is None:
+            perms[0], phases[0], us[0] = np.arange(d), 1.0, r.u[0]
+            prev_u = r.u[0]
         else:
-            phase = np.where(mags > 0, np.conj(z) / np.where(mags > 0, mags, 1.0), 1.0)
-        prev_u = np.multiply(u, phase, out=us[i])
-        perms[i], phases[i] = perm, phase
-    rows = np.arange(k)[:, None]
-    sigma_w = r.s[rows, perms] ** (1.0 / n_layers)
-    # The columns of v gathered as rows of v^T, then phased.
-    vs = r.v.swapaxes(1, 2)[rows, perms]
-    np.multiply(vs, phases[:, :, None], out=vs)
-    vs = vs.swapaxes(1, 2)
-    tracks = [
-        SvdTrack(u=u, sigma_w=s, v=v, n_layers=n_layers, aligned=True)
-        for u, s, v in zip(us, sigma_w, vs)
-    ]
+            prev_u = prev.u
+        for i in range(first, k):
+            c = np.conj(prev_u)
+            perm = _greedy_match(np.abs(c.T @ r.u[i])) if chain is None else perms[i]
+            u = r.u[i][:, perm]
+            z = (c * u).sum(0)  # diag(prev_u^H @ u)
+            mags = np.abs(z)
+            if mags.all():
+                phase = np.conj(z) / mags
+            else:
+                phase = np.where(mags > 0, np.conj(z) / np.where(mags > 0, mags, 1.0), 1.0)
+            prev_u = np.multiply(u, phase, out=us[i])
+            perms[i], phases[i] = perm, phase
+    sigma_w = r.s[np.arange(k)[:, None], perms] ** (1.0 / n_layers)
+    vs = _gather(r.v, perms, phases)
+    tracks = [SvdTrack(u, s, v, n_layers, True) for u, s, v in zip(us, sigma_w, vs)]
     if prev is None:
-        tracks[0] = SvdTrack(u=r.u[0], sigma_w=sigma_w[0], v=r.v[0], n_layers=n_layers, aligned=False)
+        tracks[0] = SvdTrack(r.u[0], sigma_w[0], r.v[0], n_layers, False)
     return tracks, us, vs, sigma_w
 
 
@@ -329,8 +384,7 @@ def layer_extremes(stack: LayerStack) -> tuple[float, float]:
     return float(hi), float(lo)
 
 
-@dataclass(frozen=True)
-class TrajectoryRecord:
+class TrajectoryRecord(NamedTuple):
     """One monitored time slice; ``None`` marks a tripped guard (absent value)."""
 
     step: int
@@ -402,34 +456,22 @@ def records(
     half_sum: list[np.ndarray | None] = [None] * n
     skew_uv: list[float | None] = [None] * n
     if target.reduced:
-        columns = [_column_major(t) for t in tracks]
+        # Aligned tracks are column-major; a run's first keeps the SVD's layout.
+        columns = [True] * n
+        columns[0] = prev_track is not None
         hs, skew_uv = _uv_terms(u, v, sigma_w, columns, target)
         half_sum = list(hs)
     else:
         logger.warning("%s: target not reduced, uv terms absent in %d records", span, n)
 
-    det_ind = det_sign_or_phase(adjoint(u) @ v).tolist()
-    return [
-        (
-            TrajectoryRecord(
-                step=steps[k],
-                time=times[k],
-                l_ori=float(l_ori[k]),
-                l_reg=float(l_reg[k]),
-                e_delta=e_delta[k],
-                sig_max=sig_max[k],
-                sig_min=sig_min[k],
-                skew_err=skew[k],
-                main_sv_min=main_sv[k],
-                det_ind=det_ind[k] or 0.0,  # a singular complex matrix reads 0.0, not 0j
-                sigma_w=t.sigma_w.copy(),
-                half_sum_sv=half_sum[k],
-                skew_uv=skew_uv[k],
-            ),
-            t,
-        )
-        for k, t in enumerate(tracks)
-    ]
+    # A singular complex matrix reads 0.0, not 0j.
+    det_ind = [x or 0.0 for x in det_sign_or_phase(adjoint(u) @ v).tolist()]
+    # The records' sigma_w is a copy of the tracks', and the fields go in in their order.
+    recs = map(
+        TrajectoryRecord, steps, times, map(float, l_ori), map(float, l_reg), e_delta, sig_max, sig_min,
+        skew, main_sv, det_ind, sigma_w.copy(), half_sum, skew_uv,
+    )
+    return list(zip(recs, tracks))
 
 
 def record(
@@ -458,11 +500,9 @@ def record(
 # number or absent, or an array of d values in columns ``<name>_0`` to
 # ``<name>_{d-1}``.
 _CSV_FIELDS = tuple(
-    (f.name, "array" if "ndarray" in f.type else "int" if f.type == "int" else "number")
-    for f in fields(TrajectoryRecord)
+    (name, "int" if t is int else "array" if np.ndarray in (t, *get_args(t)) else "number")
+    for name, t in get_type_hints(TrajectoryRecord).items()
 )
-# One call reads every field: a row is written per record, often every step.
-_csv_values = attrgetter(*(name for name, _ in _CSV_FIELDS))
 
 
 def csv_columns(d: int) -> list[str]:
@@ -486,7 +526,7 @@ def record_to_csv_row(rec: TrajectoryRecord, d: int) -> str:
     float or complex, never of a numpy scalar (``np.float64(...)``).
     """
     cells: list[str] = []
-    for (_, kind), x in zip(_CSV_FIELDS, _csv_values(rec)):
+    for (_, kind), x in zip(_CSV_FIELDS, rec):
         if kind == "number":
             cells.append(_fmt(x))
         elif kind == "int":

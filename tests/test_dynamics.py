@@ -1497,6 +1497,28 @@ class TestAlignedModes:
         cfg = DynConfig(reg_a=0.0, step_h=0.01, integrator="flow_rk4")
         self._check_recursion(field, n, cfg, self._ref_rk4, 0.01)
 
+    def test_n2_crossing_step(self):
+        # A det<0 mode of N = 2: W_1's entry a, W_2's -(a + delta).  While
+        # p = u_1 u_2 is negligible against s, GD multiplies u_1 + u_2 by
+        # 1 + eta s and u_1 - u_2 by 1 - eta s each step, so u_1, the
+        # smaller, crosses 0 at ln(2a / delta) / ln((1 + eta s) / (1 - eta s))
+        # steps, at eta s = 0.1 (175.6, 141.1, 106.7, 72.3, 37.9 steps).
+        a, s, eta = 2.0**-10, 1.0, 0.1
+        ratios = np.array([1e-15, 1e-12, 1e-9, 1e-6, 1e-3])
+        closed = np.log(2 / ratios) / np.log((1 + eta * s) / (1 - eta * s))
+        np.testing.assert_allclose(closed, [175.6, 141.1, 106.7, 72.3, 37.9], atol=0.05)
+        w = np.zeros((len(ratios), 2, 1, 1))
+        w[:, 0], w[:, 1, 0, 0] = a, -(a + ratios * a)
+        sigma = np.full((len(ratios), 1, 1), s)
+        kernel = _kernel(w, sigma, DynConfig(reg_a=0.0, eta=eta, integrator="gd"))
+        crossed = np.zeros(len(ratios), int)
+        for step in range(1, 200):
+            kernel.advance(1)
+            u_1 = np.array([kernel.own_layers(b)[0, 0, 0] for b in range(len(ratios))])
+            crossed[(crossed == 0) & (u_1 < 0)] = step
+        assert (crossed > 0).all()
+        assert (np.abs(crossed - closed) <= 1).all(), crossed
+
     @staticmethod
     def _check_recursion(field, n, cfg, ref_step, dt):
         """Twelve blocks of 25 kernel steps under ``cfg`` against ``ref_step(u, s, dt)`` on random diagonal stacks of ``n`` layers."""

@@ -8,12 +8,13 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as hst
 
+from factorlab import monitors
 from factorlab.dynamics import (
     DynConfig,
     LayerStack,
     TargetSpec,
+    _kernel,
     _left_product,
-    flow_step_rk4,
     gd_step,
     loss,
     product,
@@ -25,7 +26,9 @@ from factorlab.linalg import FieldTag, adjoint, det_sign_or_phase, norms, svd
 from factorlab.monitors import (
     SvdTrack,
     TrajectoryRecord,
+    _block_match,
     _greedy_match,
+    _tracks,
     balance_errors,
     eig_sandwich_check,
     layer_extremes,
@@ -198,6 +201,22 @@ class TestGreedyMatch:
         perm = _greedy_match(overlap)
         np.testing.assert_array_equal(perm, _full_scan_greedy(overlap))
         assert sorted(perm) == list(range(len(overlap)))
+
+
+class TestBlockMatch:
+    @pytest.mark.parametrize("offset, decided", [(1e-14, False), (1e-9, True)])
+    def test_margin(self, offset, decided):
+        # u turns a plane of the previous u = I by pi/4 + offset, so two of
+        # its rows' top two overlaps differ by about 1.4 offset.
+        c, s = np.cos(np.pi / 4 + offset), np.sin(np.pi / 4 + offset)
+        u = np.eye(5)
+        u[:2, :2] = [[c, -s], [s, c]]
+        chain = _block_match(np.abs(u)[None], 0)
+        if decided:
+            np.testing.assert_array_equal(chain, [np.arange(5), _greedy_match(np.abs(u))])
+            assert chain[1].tolist() == [1, 0, 2, 3, 4]
+        else:
+            assert chain is None
 
 
 class TestUvTerms:
@@ -476,20 +495,20 @@ def _ref_det_ind(tracks):
     return det_sign_or_phase(np.stack([adjoint(t.u) @ t.v for t in tracks])).tolist()
 
 
-def _run_layers(cfg, steps):
-    """``(steps, N, d, d)`` layers of a preset problem along ``steps`` steps of its dynamics."""
+def _run_layers(cfg, records, stride=1):
+    """``(records, N, d, d)`` layers of a preset problem at every ``stride``-th step of its dynamics, as the run loop steps them."""
     target, stack, _ = prepare_problem(cfg)
-    step = gd_step if cfg.dyn.integrator == "gd" else flow_step_rk4
+    kernel = _kernel(stack.layers[None], target.matrix[None], cfg.dyn, block=stride)
     out = []
-    for _ in range(steps):
-        out.append(stack.layers)
-        stack = step(stack, target, cfg.dyn)
+    for _ in range(records):
+        out.append(kernel.own_layers(0))
+        kernel.advance(stride)
     return target, np.stack(out)
 
 
-def _blocks_against_reference(target, layers, fresh):
-    """Records of 64-step blocks and the reference's; a block in ``fresh`` opens without a track."""
-    track = ref_track = None
+def _blocks_against_reference(target, layers, fresh, track=None):
+    """Records of 64-step blocks and the reference's; a block in ``fresh`` opens without a track, the first otherwise follows ``track``."""
+    ref_track = track
     for i, start in enumerate(range(0, len(layers), 64)):
         w = layers[start : start + 64]
         if i in fresh:
@@ -523,3 +542,76 @@ class TestBlockPathBits:
         cfg = replace(cfg, dyn=replace(cfg.dyn, integrator=integrator, step_h=0.1))
         target, layers = _run_layers(cfg, steps)
         _blocks_against_reference(target, layers, fresh={0, 2})
+
+    @staticmethod
+    def _count_greedy(monkeypatch):
+        """The calls of ``_greedy_match``, which only the record-by-record alignment makes."""
+        calls = []
+
+        def greedy(overlap):
+            calls.append(1)
+            return _greedy_match(overlap)
+
+        monkeypatch.setattr(monitors, "_greedy_match", greedy)
+        return calls
+
+    def test_undecided_stretch(self, monkeypatch):
+        # fig-h1's det<0 run, recorded every 100 steps as the preset records
+        # it.  On records 64-127 four singular values of W have met at 1,
+        # where its SVD's u turns freely, and rows' maxima collide, so that
+        # block is aligned record by record; the block before it is decided.
+        target, layers = _run_layers(preset("fig-h1", seed=2024)[1], 128, stride=100)
+        calls = self._count_greedy(monkeypatch)
+        _blocks_against_reference(target, layers, fresh={0})
+        assert len(calls) == 64
+
+    @pytest.mark.parametrize("field", FIELDS)
+    def test_exact_ties(self, monkeypatch, field):
+        # Identity and zero products have u = I; against a previous u of
+        # +-1/2 entries every overlap ties, and greedy takes them in index order.
+        d = 4
+        half = 0.5 * np.array([[1, 1, 1, 1], [1, -1, 1, -1], [1, 1, -1, -1], [1, -1, -1, 1]], field.dtype)
+        prev = SvdTrack(u=half, sigma_w=np.ones(d), v=half, n_layers=4, aligned=True)
+        eye, zero = np.eye(d, dtype=field.dtype), np.zeros((d, d), field.dtype)
+        layers = np.array([[m] * 4 for m in (eye, zero, eye, eye, zero, zero, eye, zero)])
+        calls = self._count_greedy(monkeypatch)
+        _blocks_against_reference(TargetSpec.identity(d), layers, fresh=set(), track=prev)
+        assert len(calls) == len(layers)
+
+
+class _Calls:
+    """numpy as ``monitors`` sees it, noting the name of every function called through it."""
+
+    def __init__(self):
+        self.names = []
+
+    def __getattr__(self, name):
+        fn = getattr(np, name)
+        if not callable(fn) or isinstance(fn, type):  # a dtype such as np.intp passes through
+            return fn
+
+        def call(*args, **kwargs):
+            self.names.append(name)
+            return fn(*args, **kwargs)
+
+        return call
+
+
+class TestTrackCalls:
+    @pytest.mark.parametrize("opens", [False, True], ids=["follows", "opens"])
+    def test_decided_real_block_calls_do_not_grow_with_k(self, monkeypatch, opens):
+        # A decided real block aligns all its records in stacked calls, so
+        # its numpy calls are the same at any K.
+        cfg = preset("fig-h1", seed=11)[0]
+        cfg = replace(cfg, dyn=replace(cfg.dyn, integrator="flow_rk4", step_h=0.1))
+        target, layers = _run_layers(cfg, 65)
+        w = _left_product(np.moveaxis(layers, 1, 0))
+        prev = None if opens else _tracks(w[:1], 4, None)[0][0]
+        spy = _Calls()
+        monkeypatch.setattr(monitors, "np", spy)
+        names = []
+        for k in (8, 64):
+            spy.names.clear()
+            _tracks(w[1 : 1 + k], 4, prev)
+            names.append(list(spy.names))
+        assert names[0] == names[1]
