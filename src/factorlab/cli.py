@@ -84,8 +84,7 @@ def _configs_from_args(args: argparse.Namespace, sweep: bool = False) -> list[Ru
     """Configs the flags select; a ``sweep`` merges det variants unless ``--det`` is given."""
     over = _collect_overrides(args)
     if args.preset:
-        seed = args.seed if args.seed is not None else 2024
-        cfgs = preset(args.preset, seed=seed)
+        cfgs = preset(args.preset)
         # Narrow the preset family by explicit flags, --field first, then
         # apply overrides; the flags' own keys are spent on the narrowing.
         # A flag keeps the variants that have its value, or gives it to

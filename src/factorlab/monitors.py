@@ -19,22 +19,16 @@ matrix, so a record is bitwise the one its step gets in a block of one.
 The tracked SVD's column match comes from one stacked overlap of each
 record's ``u`` with the one before it, when that overlap decides every
 record's match; a real block's phases are then signs, accumulated over the
-block, and its tracks are stacked numpy calls throughout.  What still runs
-record by record: a complex block's phases, each of which depends on the
-rounded ``u`` before it, and the whole alignment of a block holding an
-undecided record, such as one where singular values meet.  Per block, as
-stacked numpy calls, run the rest of the tracks (``v``, ``s`` and
-``sigma_w`` gathered and phased with the steps' permutations and phases),
-the half-sum and weighted skew terms, and the ``U^H V`` products of the
-det indicator.
-
-Layout rule: a skew norm sums its matrix in memory order, as
-``np.linalg.norm`` does, so it follows the layout of each track's own
-arrays.  An aligned track's ``u`` and ``v`` are column-major, as a column
-gather leaves them; a run's first track, which nothing precedes, keeps the
-SVD's layout, ``u`` row-major and ``v`` the adjoint view of ``v^H``, and its
-skew sums row-major.  Building the stacked terms row-major throughout
-would move ``skew_uv`` in its last bits.
+block, and its tracks are stacked numpy calls throughout.  A run's first
+record, which nothing precedes, is aligned against its own ``u`` by the
+same code, so every track has one layout: ``u`` and ``v`` column-major, as
+a column gather leaves them.  What still runs record by record: a complex
+block's phases, each of which depends on the rounded ``u`` before it, and
+the whole alignment of a block holding an undecided record, such as one
+where singular values meet.  Per block, as stacked numpy calls, run the
+rest of the tracks (``v``, ``s`` and ``sigma_w`` gathered and phased with
+the steps' permutations and phases), the half-sum and weighted skew terms,
+and the ``U^H V`` products of the det indicator.
 
 ``W_2^{-1}`` is always applied through linear solves.  When ``W_2`` is too
 ill-conditioned (condition number >= 1e12) the two diagnostics are reported
@@ -135,9 +129,11 @@ def main_term_sigma_min(stack: LayerStack) -> float:
 class SvdTrack(NamedTuple):
     """SVD of the product matrix with per-layer root, aligned for continuity.
 
-    ``w = u @ diag(sigma_w ** n_layers) @ v^H``; when built against a previous
-    track, columns are permuted by greedy overlap matching and phase-rotated
-    so ``Re(diag(u_prev^H u)) > 0``, preserving the decomposition exactly.
+    ``w = u @ diag(sigma_w ** n_layers) @ v^H``; columns are permuted by
+    greedy overlap matching against the previous track and phase-rotated so
+    ``Re(diag(u_prev^H u)) > 0``, preserving the decomposition exactly.  A
+    run's first track (``aligned`` false) is matched against its own SVD's
+    ``u``.  ``u`` and ``v`` are column-major, as a column gather leaves them.
     """
 
     u: np.ndarray
@@ -155,14 +151,9 @@ def _greedy_match(overlap: np.ndarray) -> np.ndarray:
 
     Picks the globally largest |overlap| first; ties resolved by row-major
     index order (stable), which matches degenerate clusters in index order.
-    When the first-occurrence maxima of the rows fall in distinct columns
-    and no overlap is NaN, that is the match: each row's maximum comes
-    before every other cell of its row, and no other row takes its column.
+    Only a block that :func:`_block_match` leaves undecided calls it.
     """
     d = overlap.shape[0]
-    first = overlap.argmax(axis=1)
-    if len(set(first.tolist())) == d and not np.isnan(overlap.max()):
-        return first
     order = np.argsort(-overlap, axis=None, kind="stable").tolist()
     perm = np.full(d, -1)
     used_rows = [False] * d
@@ -186,27 +177,27 @@ def _greedy_match(overlap: np.ndarray) -> np.ndarray:
 _MATCH_MARGIN = 1e-12
 
 
-def _block_match(overlap: np.ndarray, first: int) -> np.ndarray | None:
+def _block_match(overlap: np.ndarray) -> np.ndarray | None:
     """Every record's greedy match from the stacked ``|U_{i-1}^H U_i|`` of raw SVD ``u``, or None.
 
-    ``overlap[j]`` compares record ``first + j`` with the one before it (the
-    block's previous track for ``j = first = 0``).  A record is decided when
-    each row's maximum is in its own column and beats the row's runner-up
-    by more than ``_MATCH_MARGIN``; then the greedy match against the
-    aligned ``u`` is that row maximum, taken through the previous record's
-    permutation.  Returns ``(K + 1, d)`` permutations, row 0 the identity of
-    the track before the block and row ``i + 1`` record ``i``'s, when every
-    record is decided.
+    ``overlap[i]`` compares record ``i`` with the one before it: the
+    block's previous track for ``i = 0``, or the record itself when nothing
+    precedes it.  A record is decided when each row's maximum is in its own
+    column and beats the row's runner-up by more than ``_MATCH_MARGIN``;
+    then the greedy match against the aligned ``u`` is that row maximum,
+    taken through the previous record's permutation.  Returns ``(K + 1, d)``
+    permutations, row 0 the identity of the track before the block and row
+    ``i + 1`` record ``i``'s, when every record is decided.
     """
-    m, d, _ = overlap.shape
+    k, d, _ = overlap.shape
     best = overlap.argmax(axis=-1)
     top = np.sort(overlap, axis=-1)[..., -2:]
     if not (np.diff(top) > _MATCH_MARGIN).all() or not (np.sort(best, axis=-1) == np.arange(d)).all():
         return None
-    chain = np.empty((m + first + 1, d), np.intp)
-    chain[: first + 1] = np.arange(d)
-    chain[first + 1 :] = best
-    for i in range(first + 1, m + first + 1):
+    chain = np.empty((k + 1, d), np.intp)
+    chain[0] = np.arange(d)
+    chain[1:] = best
+    for i in range(1, k + 1):
         chain[i] = chain[i][chain[i - 1]]
     return chain
 
@@ -225,46 +216,37 @@ def _tracks(
     """Tracked SVDs of a ``(K, d, d)`` run of products, each following the one before.
 
     One SVD of all K products, and one stacked overlap of each record's raw
-    ``u`` with the one before it.  When that overlap decides every record's
-    column match (:func:`_block_match`), the matches are its row maxima.  A
-    real phase is then the sign of the matched overlap, accumulated over
-    the block, and multiplying by it is exact, so ``u`` is gathered and
-    phased for the whole block.  A complex phase depends on the rounded
-    ``u`` before it, so it runs record by record: the gather, the diagonal
-    of ``prev_u^H u``, the phase and the product.  A block holding an
-    undecided record, such as one where singular values meet, aligns every
-    record this way and matches it by :func:`_greedy_match` of its overlap
-    with the aligned ``u`` before it.  ``v``, ``s`` and ``sigma_w`` are
-    gathered and phased for the whole block.  Returns the tracks and their
-    ``u``, ``v`` and ``sigma_w`` stacked.
-
-    An aligned track's ``u`` and ``v`` are column-major, as a column gather
-    leaves them.  A run's first track (no ``prev``) keeps the SVD's layout:
-    ``u`` row-major and ``v`` the adjoint view of ``v^H``.
+    ``u`` with the one before it: ``prev``'s for the first record, or, in a
+    run's first block, the first record's own ``u``.  When that overlap
+    decides every record's column match (:func:`_block_match`), the matches
+    are its row maxima.  A real phase is then the sign of the matched
+    overlap, accumulated over the block, and multiplying by it is exact, so
+    ``u`` is gathered and phased for the whole block.  A complex phase
+    depends on the rounded ``u`` before it, so it runs record by record:
+    the gather, the diagonal of ``prev_u^H u``, the phase and the product.
+    A block holding an undecided record, such as one where singular values
+    meet, aligns every record this way and matches it by
+    :func:`_greedy_match` of its overlap with the aligned ``u`` before it.
+    ``v``, ``s`` and ``sigma_w`` are gathered and phased for the whole
+    block.  Returns the tracks and their ``u``, ``v`` and ``sigma_w``
+    stacked; every ``u`` and ``v`` is column-major, as a column gather
+    leaves them.
     """
     r = svd(w)
     k, d = r.s.shape
-    first = 1 if prev is None else 0
-    before = r.u[:-1] if prev is None else np.concatenate((prev.u[None], r.u[:-1]))
-    overlap = adjoint(before) @ r.u[first:]
-    chain = _block_match(np.abs(overlap), first)
+    prev_u = r.u[0] if prev is None else prev.u
+    overlap = adjoint(np.concatenate((prev_u[None], r.u[:-1]))) @ r.u
+    chain = _block_match(np.abs(overlap))
     if chain is not None and not np.iscomplexobj(overlap):
         perms = chain[1:]
-        flips = np.ones((k, d))
-        flips[first:] = np.sign(overlap[np.arange(k - first)[:, None], chain[first:-1], perms[first:]])
-        phases = np.cumprod(flips, axis=0)
+        phases = np.cumprod(np.sign(overlap[np.arange(k)[:, None], chain[:-1], perms]), axis=0)
         us = _gather(r.u, perms, phases)
     else:
         # Each u^T in a row-major buffer, so each u has a column gather's strides.
         us = np.empty((k, d, d), r.u.dtype).swapaxes(1, 2)
         perms = np.empty((k, d), np.intp) if chain is None else chain[1:]
         phases = np.empty((k, d), r.u.dtype)
-        if prev is None:
-            perms[0], phases[0], us[0] = np.arange(d), 1.0, r.u[0]
-            prev_u = r.u[0]
-        else:
-            prev_u = prev.u
-        for i in range(first, k):
+        for i in range(k):
             c = np.conj(prev_u)
             perm = _greedy_match(np.abs(c.T @ r.u[i])) if chain is None else perms[i]
             u = r.u[i][:, perm]
@@ -278,42 +260,30 @@ def _tracks(
             perms[i], phases[i] = perm, phase
     sigma_w = r.s[np.arange(k)[:, None], perms] ** (1.0 / n_layers)
     vs = _gather(r.v, perms, phases)
-    tracks = [SvdTrack(u, s, v, n_layers, True) for u, s, v in zip(us, sigma_w, vs)]
-    if prev is None:
-        tracks[0] = SvdTrack(r.u[0], sigma_w[0], r.v[0], n_layers, False)
+    aligned = [prev is not None] + [True] * (k - 1)
+    tracks = list(map(SvdTrack, us, sigma_w, vs, [n_layers] * k, aligned))
     return tracks, us, vs, sigma_w
 
 
 def track_svd(w: np.ndarray, n_layers: int, prev: SvdTrack | None = None) -> SvdTrack:
     """SVD of the product with singular values reported as per-layer roots.
 
-    Without ``prev``: descending order.  With ``prev``: columns permuted and
-    phase-fixed to follow the previous track through crossings; each column
-    pair ``(u_k, v_k)`` is multiplied by one unit scalar, so the
-    reconstruction is untouched.
+    Without ``prev``: descending order, aligned against the SVD's own ``u``.
+    With ``prev``: columns permuted and phase-fixed to follow the previous
+    track through crossings.  Either way each column pair ``(u_k, v_k)`` is
+    multiplied by one unit scalar, so the reconstruction is untouched.
     """
     return _tracks(w[None], n_layers, prev)[0][0]
 
 
-def _column_major(t: SvdTrack) -> bool:
-    """Whether numpy lays an elementwise result of ``t.u`` and ``t.v`` out column-major.
-
-    It does only where both are, and ``np.linalg.norm`` sums such a result
-    in that memory order.
-    """
-    return all(abs(x.strides[0]) < abs(x.strides[1]) for x in (t.u, t.v))
-
-
 def _uv_terms(
-    u: np.ndarray, v: np.ndarray, sigma_w: np.ndarray, columns: list[bool], target: TargetSpec
+    u: np.ndarray, v: np.ndarray, sigma_w: np.ndarray, target: TargetSpec
 ) -> tuple[np.ndarray, list[float]]:
     """Half-sum singular values ``(K, d)``, from one SVD, and ``skew_uv`` of K stacked tracks.
 
-    ``u``, ``v`` and ``sigma_w`` are the tracks' arrays stacked, and
-    ``columns`` marks the tracks whose own arrays are column-major
-    (:func:`_column_major`).  Each skew norm is one dot summed in its
-    track's memory order, as ``np.linalg.norm`` of the track's own arrays
-    sums it.
+    ``u``, ``v`` and ``sigma_w`` are the tracks' arrays stacked.  Each skew
+    norm is one dot summed column-major, the memory order of every track's
+    ``u`` and ``v``, so it is ``np.linalg.norm`` of the track's own skew.
     """
     if not target.reduced:
         raise NotReducedError("uv_terms requires a reduced (diagonal) target")
@@ -321,8 +291,7 @@ def _uv_terms(
     sigma_w = sigma_w[:, None, :]
     halves = 0.5 * (u + v) * sigma_w
     skew = (u - v) * sigma_w * root[:, None]
-    skew = np.where(np.array(columns)[:, None, None], skew.swapaxes(1, 2), skew)
-    return np.linalg.svd(halves, compute_uv=False), np.float_power(_frobenius(skew), 2).tolist()
+    return np.linalg.svd(halves, compute_uv=False), np.float_power(_frobenius(skew.swapaxes(1, 2)), 2).tolist()
 
 
 def uv_terms(track: SvdTrack, target: TargetSpec) -> tuple[np.ndarray, float]:
@@ -331,10 +300,12 @@ def uv_terms(track: SvdTrack, target: TargetSpec) -> tuple[np.ndarray, float]:
     Returns ``(half_sum_sv, skew_uv)`` where ``half_sum_sv`` holds the
     descending singular values of ``(U+V) diag(sigma_w) / 2`` and
     ``skew_uv = ||Sigma^(1/2) (U-V) diag(sigma_w)||_F^2``.  Requires a reduced
-    target (its diagonal supplies ``Sigma^(1/2)``).
+    target (its diagonal supplies ``Sigma^(1/2)``).  The skew norm sums
+    column-major, the layout of every track that :func:`track_svd` and
+    :func:`records` return, so for those it is ``np.linalg.norm`` of the
+    track's own arrays, squared, bit for bit.
     """
-    columns = [_column_major(track)]
-    half_sum_sv, skew_uv = _uv_terms(track.u[None], track.v[None], track.sigma_w[None], columns, target)
+    half_sum_sv, skew_uv = _uv_terms(track.u[None], track.v[None], track.sigma_w[None], target)
     return half_sum_sv[0], skew_uv[0]
 
 
@@ -456,10 +427,7 @@ def records(
     half_sum: list[np.ndarray | None] = [None] * n
     skew_uv: list[float | None] = [None] * n
     if target.reduced:
-        # Aligned tracks are column-major; a run's first keeps the SVD's layout.
-        columns = [True] * n
-        columns[0] = prev_track is not None
-        hs, skew_uv = _uv_terms(u, v, sigma_w, columns, target)
+        hs, skew_uv = _uv_terms(u, v, sigma_w, target)
         half_sum = list(hs)
     else:
         logger.warning("%s: target not reduced, uv terms absent in %d records", span, n)

@@ -1519,6 +1519,29 @@ class TestAlignedModes:
         assert (crossed > 0).all()
         assert (np.abs(crossed - closed) <= 1).all(), crossed
 
+    @pytest.mark.parametrize("n", [3, 4, 6])
+    def test_escape_time_is_the_integral(self, n):
+        # A balanced mode, every u_j = p^(1/N), stays balanced, and under the
+        # flow its p follows dp/dt = N p^(2 - 2/N) (s - p).  At s = 1 it
+        # reaches p = 1/2 at time int_{p0}^{1/2} dp / (N p^(2 - 2/N) (1 - p)),
+        # which GD at eta = 0.01 meets within 1% (at most 11,613 steps).
+        from scipy import integrate
+
+        eta = 0.01
+        p0 = np.array([1e-4, 1e-3, 1e-2])
+        escape = [integrate.quad(lambda p: 1 / (n * p ** (2 - 2 / n) * (1 - p)), a, 0.5)[0] for a in p0]
+        w = np.repeat(p0[:, None, None, None] ** (1 / n), n, axis=1)
+        kernel = _kernel(w, np.ones((len(p0), 1, 1)), DynConfig(reg_a=0.0, eta=eta, integrator="gd"))
+        steps = np.zeros(len(p0), int)
+        for step in range(1, 12_000):
+            kernel.advance(1)
+            p = np.array([np.prod(kernel.own_layers(b)) for b in range(len(p0))])
+            steps[(steps == 0) & (p >= 0.5)] = step
+            if steps.all():
+                break
+        assert steps.all()
+        np.testing.assert_allclose(steps * eta, escape, rtol=0.01)
+
     @staticmethod
     def _check_recursion(field, n, cfg, ref_step, dt):
         """Twelve blocks of 25 kernel steps under ``cfg`` against ``ref_step(u, s, dt)`` on random diagonal stacks of ``n`` layers."""

@@ -332,6 +332,38 @@ class TestPrepareProblem:
             _, stack, det0 = prepare_problem(cfg)
             assert det0 == det_sign_or_phase(product(stack)) == float(want), seed
 
+    @staticmethod
+    def _edge_stats(stacks: np.ndarray) -> np.ndarray:
+        """``(6, seeds)``: Re W_1[0,0], Re W_1[0,1] and |W_1's first column|, then Re W_N[0,0], Re W_N[1,0] and |W_N's first row|."""
+        w1, wn = stacks[:, 0], stacks[:, -1]
+        return np.array([
+            w1[:, 0, 0].real, w1[:, 0, 1].real, np.linalg.norm(w1[:, :, 0], axis=-1),
+            wn[:, 0, 0].real, wn[:, 1, 0].real, np.linalg.norm(wn[:, 0, :], axis=-1),
+        ])
+
+    @pytest.mark.parametrize("field", [FieldTag.REAL, FieldTag.COMPLEX], ids=lambda f: f.value)
+    @pytest.mark.parametrize("name", ["fig-h1", "sweep"], ids=["balanced", "random"])
+    def test_reduction_keeps_the_layer_distributions(self, name, field):
+        # The reduction to a diagonal target turns W_1 into W_1 V_S and W_N
+        # into U_S^H W_N, with U_S and V_S independent of the stack, whose
+        # W_1 and W_N laws are unitarily invariant: so the reduced stacks of
+        # random targets are distributed as the stacks of the identity
+        # target.  Two-sample KS tests on disjoint seed ranges, at the bound
+        # of ``validate_haar_invariance``; a W_1 column scaled by 1.2 fails.
+        from scipy import stats
+
+        base = replace(preset(name)[0], field=field, det_sign=None)
+
+        def stacks(target_kind, seeds):
+            cfgs = (replace(base, target_kind=target_kind, seed=s) for s in seeds)
+            return np.stack([prepare_problem(cfg)[1].layers for cfg in cfgs])
+
+        reduced, plain = stacks("random", range(10_000, 10_400)), stacks("identity", range(20_000, 20_400))
+        for k, (x, y) in enumerate(zip(self._edge_stats(reduced), self._edge_stats(plain))):
+            assert stats.ks_2samp(x, y).pvalue > 1e-3, k
+        reduced[:, 0, :, 0] *= 1.2
+        assert stats.ks_2samp(self._edge_stats(reduced)[2], self._edge_stats(plain)[2]).pvalue < 1e-3
+
     def test_random_init_det_scan(self):
         cfg = tiny_cfg(
             d=5,
@@ -1983,3 +2015,18 @@ class TestCli:
         assert main(["run", "--config", str(p), "--out", str(tmp_path / "out")]) == 1
         assert capsys.readouterr().err == "config error: initial product is not finite\n"
         assert list(tmp_path.iterdir()) == [p]
+
+    @pytest.mark.parametrize("source", ["flag", "config"])
+    def test_a_preset_run_echoes_the_seed_it_is_given(self, tmp_path, source):
+        # --seed and a config file's seed are one override of the preset's seed.
+        argv = ["run", "--preset", "fig-h1", "--steps", "5", "--out", str(tmp_path / "out")]
+        if source == "flag":
+            argv += ["--seed", "7"]
+        else:
+            (tmp_path / "seed.cfg").write_text("seed = 7\n")
+            argv += ["--config", str(tmp_path / "seed.cfg")]
+        assert main(argv) == 0
+        paths = sorted((tmp_path / "out").glob("*.csv"))
+        assert len(paths) == 3
+        for path in paths:
+            assert "# seed = 7" in path.read_text().splitlines()

@@ -211,7 +211,7 @@ class TestBlockMatch:
         c, s = np.cos(np.pi / 4 + offset), np.sin(np.pi / 4 + offset)
         u = np.eye(5)
         u[:2, :2] = [[c, -s], [s, c]]
-        chain = _block_match(np.abs(u)[None], 0)
+        chain = _block_match(np.abs(u)[None])
         if decided:
             np.testing.assert_array_equal(chain, [np.arange(5), _greedy_match(np.abs(u))])
             assert chain[1].tolist() == [1, 0, 2, 3, 4]
@@ -456,9 +456,9 @@ class TestRecords:
 
 # ---------------------------------------------------------------------------
 # The record path as it was before the block path: tracks aligned record by
-# record, the uv terms and the det indicator built track by track.  The
-# block path must reproduce its every bit.  The greedy match is the full
-# scan, which ``_greedy_match`` equals, shortcut or not.
+# record, a run's first against its own u, the uv terms and the det
+# indicator built track by track.  The block path must reproduce its every
+# bit.  The greedy match is the full scan, which ``_greedy_match`` equals.
 # ---------------------------------------------------------------------------
 
 
@@ -466,15 +466,16 @@ def _ref_tracks(w, n_layers, prev):
     r = svd(w)
     tracks = []
     for u, s, v in zip(r.u, r.s, r.v):
-        if prev is not None:
-            overlap = np.abs(adjoint(prev.u) @ u)
-            perm = _full_scan_greedy(overlap)
-            u, s, v = u[:, perm], s[perm], v[:, perm]
-            z = np.sum(np.conj(prev.u) * u, axis=0)  # diag(prev.u^H @ u)
-            mags = np.abs(z)
-            phase = np.where(mags > 0, np.conj(z) / np.where(mags > 0, mags, 1.0), 1.0)
-            u = u * phase
-            v = v * phase
+        # A run's first record is aligned against its own raw u.
+        prev_u = u if prev is None else prev.u
+        overlap = np.abs(adjoint(prev_u) @ u)
+        perm = _full_scan_greedy(overlap)
+        u, s, v = u[:, perm], s[perm], v[:, perm]
+        z = np.sum(np.conj(prev_u) * u, axis=0)  # diag(prev_u^H @ u)
+        mags = np.abs(z)
+        phase = np.where(mags > 0, np.conj(z) / np.where(mags > 0, mags, 1.0), 1.0)
+        u = u * phase
+        v = v * phase
         sigma_w = s ** (1.0 / n_layers)
         prev = SvdTrack(u=u, sigma_w=sigma_w, v=v, n_layers=n_layers, aligned=prev is not None)
         tracks.append(prev)
@@ -577,6 +578,27 @@ class TestBlockPathBits:
         calls = self._count_greedy(monkeypatch)
         _blocks_against_reference(TargetSpec.identity(d), layers, fresh=set(), track=prev)
         assert len(calls) == len(layers)
+
+
+class TestTrackLayout:
+    @pytest.mark.parametrize("variant", [0, 2], ids=["real", "complex"])
+    def test_every_track_is_column_major(self, variant):
+        # A run's first track is aligned against its own u, so it has the
+        # layout of every later one, and uv_terms of any track is
+        # np.linalg.norm of the track's own arrays, squared.
+        target, layers = _run_layers(preset("fig-h2", seed=11)[variant], 6)
+        zeros = [0.0] * 3
+        first = records([0, 1, 2], zeros, layers[:3], zeros, zeros, target)
+        tracks = [tr for _, tr in first]
+        tracks += [tr for _, tr in records([3, 4, 5], zeros, layers[3:], zeros, zeros, target, tracks[-1])]
+        w = _left_product(np.moveaxis(layers, 1, 0))
+        tracks += [track_svd(w[0], 4), track_svd(w[1], 4, tracks[0])]
+        root = np.sqrt(np.diagonal(target.matrix).real)
+        for tr in tracks:
+            assert tr.u.flags.f_contiguous and tr.v.flags.f_contiguous
+            skew_uv = uv_terms(tr, target)[1]
+            assert repr(skew_uv) == repr(float(np.linalg.norm((tr.u - tr.v) * tr.sigma_w * root[:, None]) ** 2))
+        assert [rec.skew_uv for rec, _ in first] == [uv_terms(tr, target)[1] for tr in tracks[:3]]
 
 
 class _Calls:
